@@ -177,16 +177,30 @@ let report () =
   Printf.printf "(paper: ICDE 2008, Borkar et al.; see EXPERIMENTS.md)\n";
 
   section "F3-read: Figure 3 getProfile() scaling";
-  Printf.printf "%-12s %-10s %-14s %-12s\n" "customers" "profiles" "ws calls" "median ms";
+  Printf.printf "%-12s %-10s %-10s %-14s %-14s %-12s\n" "customers" "profiles"
+    "ws calls" "rows scanned" "rows fetched" "median ms";
   List.iter
     (fun n ->
-      let env = FC.make ~customers:n () in
+      let instr = Instr.create () in
+      Instr.preregister instr;
+      let env = FC.make ~customers:n ~instr () in
       Webservice.reset_call_count env.FC.ws;
       let ms = time_ms (fun () -> getprofile env) in
       record (Printf.sprintf "f3.getProfile.N=%d.ms" n) ms;
-      Printf.printf "%-12d %-10d %-14d %-12.2f\n" n (n + 1)
-        (Webservice.call_count env.FC.ws / 5)
-        ms)
+      (* one more call, counted: rows examined vs rows returned *)
+      Instr.enable instr;
+      ignore (getprofile env);
+      let c k =
+        Option.value ~default:0
+          (List.assoc_opt k (Instr.stats instr).Instr.counters)
+      in
+      record (Printf.sprintf "f3.getProfile.N=%d.rows_scanned" n)
+        (float_of_int (c Instr.K.rows_scanned));
+      record (Printf.sprintf "f3.getProfile.N=%d.rows_fetched" n)
+        (float_of_int (c Instr.K.rows_fetched));
+      Printf.printf "%-12d %-10d %-10d %-14d %-14d %-12.2f\n" n (n + 1)
+        (Webservice.call_count env.FC.ws / 6)
+        (c Instr.K.rows_scanned) (c Instr.K.rows_fetched) ms)
     [ 10; 50; 200 ];
 
   section "F3-byid: getProfileById - optimizer on vs off";

@@ -284,14 +284,15 @@ let degrade_on_error t ~source call =
         ~message;
       []
 
-(* A query-path read, surfaced as a cursor: the guard and the degrade
-   decision wrap the *open* — the read check plus cursor construction —
+(* A query-path read: the guard and the degrade decision wrap the *open*
+   — the read check plus cursor (or opened table read) construction —
    so exactly one guarded call happens per read invocation; row pulls
    then stream outside the guard (they cannot fail: the cursors below
    snapshot their rows at open). Leftover injected faults get their own
    stable code RESX0004 (source fault, no retry policy); a degraded
-   read yields the empty cursor. *)
-let guarded_read_cur t ~source f =
+   read yields [empty ()]: the empty cursor, or a table read with no
+   rows. *)
+let guarded_read t ~source ~empty f =
   let open_guarded () =
     try Resilience.Control.guard t.resil ~source f with
     | Resilience.Control.Error { source; code; message } ->
@@ -302,7 +303,7 @@ let guarded_read_cur t ~source f =
     open_guarded ()
   else if browned_out t ~source then begin
     note_brownout t ~source;
-    Cursor.empty ()
+    empty ()
   end
   else
     try open_guarded ()
@@ -311,7 +312,7 @@ let guarded_read_cur t ~source f =
           m "degraded read of %s: %s %s" source (Qname.to_string code) message);
       Resilience.Control.note_degraded t.resil ~source ~code:code.Qname.local
         ~message;
-      Cursor.empty ()
+      empty ()
 
 (* ------------------------------------------------------------------ *)
 (* Relational introspection                                            *)
@@ -327,7 +328,28 @@ let rows_to_cursor tbl rows =
     (fun row -> Item.Node (Rowxml.row_to_xml tbl row))
     rows
 
-let scan_to_cursor tbl = rows_to_cursor tbl (R.Table.scan_cursor tbl)
+(* A table read opened by its guarded call: the version is pinned once,
+   and the consumer then reads all of it or only the rows whose text
+   column holds a key (the keyed read behind [T()[COL eq K]]). *)
+let table_read tbl r =
+  {
+    Xquery.Context.tr_empty = R.Table.read_is_empty r;
+    tr_rows =
+      (function
+      | None -> rows_to_cursor tbl (R.Table.read_scan r)
+      | Some (col, key) ->
+        rows_to_cursor tbl
+          (R.Table.read_select r (R.Pred.eq col (R.Value.Text key))));
+    tr_release = (fun () -> R.Table.close_read r);
+  }
+
+(* what a degraded or browned-out open yields: no rows *)
+let no_rows () =
+  {
+    Xquery.Context.tr_empty = true;
+    tr_rows = (fun _ -> Cursor.empty ());
+    tr_release = ignore;
+  }
 
 let one_table_arg what args =
   match args with
@@ -359,11 +381,23 @@ let register_database t db =
         let fn local = Qname.make ~uri:ns local in
         (* --- read function:  t:TABLE() as element(TABLE)* --- *)
         let read_name = fn tname in
+        let open_read () =
+          guarded_read t ~source:db_name ~empty:no_rows (fun () ->
+              R.Database.read_check db;
+              table_read tbl (R.Table.open_read tbl))
+        in
+        let text_columns =
+          List.filter_map
+            (fun (c : R.Table.column) ->
+              if c.R.Table.col_type = R.Value.T_text then Some c.R.Table.col_name
+              else None)
+            schema.R.Table.columns
+        in
         Xqse.Session.register_function_cursor t.sess read_name 0
-          ~purity:source_read_purity (fun _ ->
-            guarded_read_cur t ~source:db_name (fun () ->
-                R.Database.read_check db;
-                scan_to_cursor tbl));
+          ~purity:source_read_purity
+          ~keyed:
+            { Xquery.Context.kr_columns = text_columns; kr_open = open_read }
+          (fun _ -> (open_read ()).Xquery.Context.tr_rows None);
         Hashtbl.replace t.source_fns (read_name.Qname.uri, read_name.Qname.local)
           (Lineage.Read_fn { db = db_name; table = tname });
         Data_service.add_method svc
@@ -533,7 +567,7 @@ let register_database t db =
                          | None -> R.Pred.False)
                        fk.R.Table.fk_columns fk.R.Table.fk_ref_columns)
                 in
-                guarded_read_cur t ~source:db_name (fun () ->
+                guarded_read t ~source:db_name ~empty:Cursor.empty (fun () ->
                     R.Database.read_check db;
                     rows_to_cursor tbl (R.Table.select_cursor tbl pred))
               | _ ->
@@ -575,7 +609,7 @@ let register_database t db =
                          | None -> R.Pred.False)
                        fk.R.Table.fk_columns fk.R.Table.fk_ref_columns)
                 in
-                guarded_read_cur t ~source:db_name (fun () ->
+                guarded_read t ~source:db_name ~empty:Cursor.empty (fun () ->
                     R.Database.read_check db;
                     rows_to_cursor parent_tbl (R.Table.select_cursor parent_tbl pred))
               | _ ->

@@ -157,10 +157,12 @@ let detach seq =
       | atomic -> atomic)
     seq
 
+let bypass b = Instr.bump b.b_instr Instr.K.cache_bypass
+
 let through b name args run =
   match b.b_handle.h_meta.m_footprint name (List.length args) with
   | None ->
-    Instr.bump b.b_instr Instr.K.cache_bypass;
+    bypass b;
     run ()
   | Some footprint -> (
     (* the version vector of the caller's read view over the footprint
@@ -175,7 +177,7 @@ let through b name args run =
     if List.exists (fun (_, v) -> v < 0) versions then begin
       (* an uncommitted view (this domain holds a write lock with
          pending changes): no version to key by, stay out of the cache *)
-      Instr.bump b.b_instr Instr.K.cache_bypass;
+      bypass b;
       run ()
     end
     else
@@ -205,5 +207,5 @@ let through b name args run =
         else
           (* the degradation log grew while this ran: the value may be a
              partial read and must not become the cached truth *)
-          Instr.bump b.b_instr Instr.K.cache_bypass;
+          bypass b;
         value)

@@ -98,6 +98,11 @@ type bound
 
 val bind : handle -> fingerprint:string -> instr:Instr.t -> bound
 
+val bypass : bound -> unit
+(** Count one call that ran without consulting the cache on
+    [cache.bypass]: a source read consumed as a stream, or a keyed
+    table read ({!through} counts its own bypasses). *)
+
 val through :
   bound -> Xdm.Qname.t -> Xdm.Item.seq list -> (unit -> Xdm.Item.seq) ->
   Xdm.Item.seq

@@ -197,15 +197,39 @@ and subseq t depth scope =
 
 (* A FLWOR, following the XQuery 1.0 grammar: 1-3 for/let clauses, then
    an optional single where, an optional order by, and the return. When
-   depth remains, one time in four it is join-shaped and one time in
-   four shifted-where-shaped instead. *)
+   depth remains, one time in four it is join-shaped, one time in four
+   shifted-where-shaped and one time in eight correlated instead. *)
 and flwor t depth scope =
   if depth > 0 then
     match Det.int t 8 with
     | 0 | 1 -> join_flwor t depth scope
     | 2 | 3 -> shifted_flwor t depth scope
+    | 4 -> correlated_flwor t depth scope
     | _ -> general_flwor t depth scope
   else general_flwor t depth scope
+
+(* The shape the correlated pushdown handles (Figure 3's credit-card
+   loop): an inner FLWOR whose where names its own for variable and a
+   for variable of the enclosing FLWOR, so the condition moves into the
+   inner source as a predicate over the outer binding. *)
+and correlated_flwor t depth scope =
+  let a = Det.pick t pool in
+  let b = Det.pick t (List.filter (fun v -> v <> a) pool) in
+  let op = Det.pick t [ "eq"; "ne"; "lt"; "le"; "gt"; "ge" ] in
+  let outer = (a, `Atom) :: scope in
+  let key =
+    match Det.int t 3 with
+    | 0 -> "$" ^ a
+    | 1 -> Printf.sprintf "($%s + %d)" a (rand_int t 0 3)
+    | _ -> Printf.sprintf "($%s mod %d)" a (rand_int t 2 4)
+  in
+  Printf.sprintf "for $%s in (%s) return (for $%s in (%s) where $%s %s %s return %s)"
+    a
+    (seq t (depth - 1) scope)
+    b
+    (seq t (depth - 1) outer)
+    b op key
+    (seq t (depth - 1) ((b, `Atom) :: outer))
 
 (* The shape the focus-shift pushdown handles: a single-variable [where]
    whose variable occurs inside a nested filter predicate (a shifted

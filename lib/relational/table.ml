@@ -509,8 +509,25 @@ let cursor_view t =
       | None -> Cv_version (pin_published t))
     | None -> Cv_version (pin_published t)
 
-let scan_cursor t =
-  match cursor_view t with
+(* An opened read: the view resolved (and pinned) once, so a caller can
+   look at it before choosing to scan it or select from it. Exactly one
+   of [read_scan], [read_select] or [close_read] consumes it; the first
+   two hand the pin to the cursor they return. *)
+type read = { r_table : t; r_view : cursor_view }
+
+let open_read t = { r_table = t; r_view = cursor_view t }
+
+let read_is_empty r =
+  match r.r_view with
+  | Cv_store s -> PkMap.is_empty s.s_rows
+  | Cv_version v -> PkMap.is_empty v.v_store.s_rows
+
+let close_read r =
+  match r.r_view with Cv_version v -> unpin r.r_table v | Cv_store _ -> ()
+
+let read_scan r =
+  let t = r.r_table in
+  match r.r_view with
   | Cv_store s ->
     let rest = ref (store_rows s) in
     Xdm.Cursor.make ~pure:true ~instr:t.instr (fun () ->
@@ -535,6 +552,8 @@ let scan_cursor t =
           Instr.bump t.instr Instr.K.rows_fetched;
           Some row
         end)
+
+let scan_cursor t = read_scan (open_read t)
 
 (* columns constrained by equality in a conjunctive prefix of the
    predicate *)
@@ -591,7 +610,8 @@ let select t pred = store_select t (view t) pred
    scan) happens at open against the pinned version; each pull examines
    candidates until one satisfies the predicate, bumping [rows.scanned]
    per candidate examined and [rows.fetched] per row produced. *)
-let select_cursor t pred =
+let read_select r pred =
+  let t = r.r_table in
   (* pulls are pure only when the predicate cannot raise mid-stream,
      i.e. every column it mentions resolves against the schema *)
   let rec cols = function
@@ -616,7 +636,7 @@ let select_cursor t pred =
     in
     go ()
   in
-  match cursor_view t with
+  match r.r_view with
   | Cv_store s ->
     let rest =
       ref (match probe t s pred with Some rows -> rows | None -> store_rows s)
@@ -646,6 +666,8 @@ let select_cursor t pred =
         end
       in
       Xdm.Cursor.make ~pure ~instr:t.instr ~cleanup pull)
+
+let select_cursor t pred = read_select (open_read t) pred
 
 (* ---- writes ---- *)
 

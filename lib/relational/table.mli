@@ -84,6 +84,31 @@ val select_cursor : t -> Pred.t -> row Xdm.Cursor.t
     [rows.scanned] counts candidates examined per pull, [rows.fetched]
     rows produced. Pins its version like {!scan_cursor}. *)
 
+type read
+(** A read view opened once: {!scan_cursor} and {!select_cursor} are an
+    {!open_read} followed at once by {!read_scan} or {!read_select}.
+    Opening first lets a caller look at the pinned view (is it empty?)
+    before it decides how to read it — every decision then sees the
+    same version. *)
+
+val open_read : t -> read
+(** Resolve the calling domain's read view and pin it, exactly as a
+    cursor open does. Consume the result with exactly one of
+    {!read_scan}, {!read_select} or {!close_read}. *)
+
+val read_is_empty : read -> bool
+(** Does the opened view hold no rows? Bumps no counter. *)
+
+val read_scan : read -> row Xdm.Cursor.t
+(** {!scan_cursor} over the opened view; the cursor takes over the pin. *)
+
+val read_select : read -> Pred.t -> row Xdm.Cursor.t
+(** {!select_cursor} over the opened view; the cursor takes over the
+    pin. *)
+
+val close_read : read -> unit
+(** Release the opened view without reading it. *)
+
 val update_rows : t -> Pred.t -> (string * Value.t) list -> row list * row list
 (** [update_rows t where set] applies [set] to matching rows;
     returns [(old_copies, new_rows)].

@@ -121,13 +121,17 @@ let max_reported_errors = 32
 
 (* stable-code classification of a job failure: RESX000x codes surface
    whether the exception crossed the XQSE error surface (Item.Error in
-   the err: namespace) or came straight from the resilience layer *)
+   the err: namespace) or came straight from the resilience layer; every
+   other coded error reports its code's QName — [err:] codes by prefix,
+   others (a data service's [CreateError], a user's [fn:error] code) in
+   {uri}local form, since prefixes are not part of a name's identity *)
 let error_kind = function
-  | Xdm.Item.Error { code; _ }
-    when code.Xdm.Qname.uri = Xdm.Qname.err_ns
-         && String.length code.Xdm.Qname.local >= 4
-         && String.sub code.Xdm.Qname.local 0 4 = "RESX" ->
-    code.Xdm.Qname.local
+  | Xdm.Item.Error { code = { Xdm.Qname.uri; local; _ }; _ }
+    when uri = Xdm.Qname.err_ns ->
+    if String.length local >= 4 && String.sub local 0 4 = "RESX" then local
+    else "err:" ^ local
+  | Xdm.Item.Error { code; _ } ->
+    Xdm.Qname.to_string { code with Xdm.Qname.prefix = None }
   | Resilience.Control.Error { code; _ } -> Resilience.Control.code_name code
   | _ -> "other"
 

@@ -148,7 +148,10 @@ val error_kind : exn -> string
 (** The stable-code classification used for {!report.r_error_kinds}:
     the [RESX000x] local name for resilience-surfaced errors (either as
     [Xdm.Item.Error] in the [err:] namespace or a raw
-    {!Resilience.Control.Error}), ["other"] for anything else. *)
+    {!Resilience.Control.Error}); [err:CODE] for every other code in the
+    [err:] namespace (e.g. [err:XPTY0004]); [{uri}local] for a code in
+    any other namespace (a data service's [CreateError], a user's
+    [fn:error] code); ["other"] only for exceptions that carry no code. *)
 
 val run :
   ?workers:int ->

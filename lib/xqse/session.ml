@@ -41,8 +41,13 @@ type t = {
       (* bumped on every session-level static-context change (procedure
          or module registration, library load); part of the plan-cache
          fingerprint alongside the engine's generation *)
-  cache_lock : Mutex.t;  (* guards [cache] *)
+  cache_lock : Mutex.t;  (* guards [cache] and [calls] *)
   cache : (string, cache_entry) Hashtbl.t;  (* program text → plan *)
+  calls :
+    ( string * string * int,
+      fingerprint * (Ctx.dynamic -> Item.seq list -> Item.seq) )
+    Hashtbl.t;
+      (* (uri, local, arity) → the compiled callee {!call} runs *)
   mutable result_cache : Cache.handle option;
       (* data-service result cache (lib/cache); [None] = caching off *)
 }
@@ -65,11 +70,13 @@ and cplan =
   | CP_block of Interp.cblock
 
 and cache_entry = {
-  ce_fingerprint : int * int * bool * bool * bool;
-      (* (engine generation, session generation, optimize, streaming,
-         plans) the entry was compiled under; any mismatch is a miss *)
+  ce_fingerprint : fingerprint;
   ce_compiled : compiled;
 }
+
+and fingerprint = int * int * bool * bool * bool
+(* (engine generation, session generation, optimize, streaming, plans)
+   an entry was compiled under; any mismatch is a miss *)
 
 (* Same bound and flush-wholesale policy as the engine's cache; an
    overflow flush is not an invalidation (no context change), so it does
@@ -92,6 +99,7 @@ let with_engine eng =
     s_generation = Stdlib.Atomic.make 0;
     cache_lock = Mutex.create ();
     cache = Hashtbl.create 32;
+    calls = Hashtbl.create 8;
     result_cache = None;
   }
 
@@ -210,6 +218,7 @@ let with_config s (cfg : config) =
       s_generation = Stdlib.Atomic.make (Stdlib.Atomic.get s.s_generation);
       cache_lock = Mutex.create ();
       cache = Hashtbl.create 32;
+      calls = Hashtbl.create 8;
       result_cache = None;
     }
   in
@@ -224,6 +233,7 @@ let invalidate_plans s =
   Stdlib.Atomic.incr s.s_generation;
   Interp.invalidate_plans s.rt;
   Mutex.protect s.cache_lock (fun () ->
+      Hashtbl.reset s.calls;
       let n = Hashtbl.length s.cache in
       if n > 0 then begin
         Instr.bump (instr s) ~n Instr.K.plan_cache_invalidate;
@@ -243,9 +253,9 @@ let register_function s ?side_effects ?purity name arity impl =
   Xquery.Engine.register_external s.eng ?side_effects ?purity name arity impl;
   invalidate_plans s
 
-let register_function_cursor s ?side_effects ?purity name arity impl =
-  Xquery.Engine.register_external_cursor s.eng ?side_effects ?purity name arity
-    impl;
+let register_function_cursor s ?side_effects ?purity ?keyed name arity impl =
+  Xquery.Engine.register_external_cursor s.eng ?side_effects ?purity ?keyed name
+    arity impl;
   invalidate_plans s
 
 let register_procedure s ?(readonly = false) ?params ?return name arity impl =
@@ -340,16 +350,7 @@ let install_declarations s reg rt (prog : Stmt.program) =
             Option.map (opt_in decl.Xquery.Ast.fd_name) decl.Xquery.Ast.fd_body;
         }
       in
-      Ctx.register reg
-        {
-          Ctx.fn_name = decl.Xquery.Ast.fd_name;
-          fn_arity = List.length decl.Xquery.Ast.fd_params;
-          fn_params = List.map snd decl.Xquery.Ast.fd_params;
-          fn_return = decl.Xquery.Ast.fd_return;
-          fn_impl = Ctx.User decl;
-          fn_side_effects = false;
-          fn_purity = None;
-        })
+      Ctx.register_user reg decl)
     prog.Stmt.prog_functions;
   List.iter
     (fun pd ->
@@ -718,6 +719,25 @@ let explain s src =
   in
   { ex_program = Pretty.program prog; ex_stats = !total; ex_log = List.rev !log }
 
+(* The compiled callee of [call], memoized per (name, arity) under the
+   fingerprint it was compiled against, like a cached program plan. A
+   plan is compiled outside the lock (two racing callers both compile,
+   one entry wins) and only read once built, so workers sharing one
+   session may run it concurrently. *)
+let compiled_callee s name arity =
+  let key = (name.Qname.uri, name.Qname.local, arity) in
+  let fp = fingerprint s in
+  match
+    Mutex.protect s.cache_lock (fun () -> Hashtbl.find_opt s.calls key)
+  with
+  | Some (fp', f) when fp' = fp -> f
+  | _ ->
+    let reg = Xquery.Engine.registry s.eng in
+    let purity = Xquery.Engine.purity_fn (Xquery.Engine.purity_env s.eng []) in
+    let f = Xquery.Eval.compile_call (Xquery.Eval.compiler ~purity reg) name arity in
+    Mutex.protect s.cache_lock (fun () -> Hashtbl.replace s.calls key (fp, f));
+    f
+
 let call s name args =
   in_scope s @@ fun () ->
   match Interp.find_procedure s.rt name (List.length args) with
@@ -725,7 +745,9 @@ let call s name args =
   | None ->
     let ctx =
       Ctx.make_dynamic ~trace:s.trace ~instr:(instr s)
-        ?cache:(cache_bound s)
+        ~streaming:(Xquery.Engine.streaming s.eng) ?cache:(cache_bound s)
         (Xquery.Engine.registry s.eng)
     in
-    Xquery.Eval.call ctx name args
+    if Xquery.Engine.plans s.eng then
+      compiled_callee s name (List.length args) ctx args
+    else Xquery.Eval.call ctx name args

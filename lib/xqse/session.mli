@@ -143,13 +143,16 @@ val register_function_cursor :
   t ->
   ?side_effects:bool ->
   ?purity:bool * bool * bool ->
+  ?keyed:Xquery.Context.keyed_read ->
   Qname.t ->
   int ->
   (Item.seq list -> Item.t Cursor.t) ->
   unit
 (** Register a host function that produces its result as a pull-based
     cursor ({!Xdm.Cursor}); streaming consumers pull it lazily, eager
-    call sites materialize it. *)
+    call sites materialize it. [keyed] marks a relational table read
+    that can also select its rows by a text column: the compiled filter
+    [T()[COL eq K]] then reads only the matching rows (DESIGN.md §13). *)
 
 val register_procedure :
   t ->

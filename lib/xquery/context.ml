@@ -68,6 +68,15 @@ and func = {
       (* (effects, fallible, constructs) supplied at registration for
          externals whose body was analyzed elsewhere (XQSE read-only
          procedures); [None] = unknown, treated as impure *)
+  fn_keyed : keyed_read option;
+}
+
+and keyed_read = { kr_columns : string list; kr_open : unit -> table_read }
+
+and table_read = {
+  tr_empty : bool;
+  tr_rows : (string * string) option -> Item.t Cursor.t;
+  tr_release : unit -> unit;
 }
 
 and registry = {
@@ -134,6 +143,19 @@ let register r f =
       (function None -> Some [ f ] | Some fs -> Some (f :: fs))
       r.table
 
+let register_user r (decl : Ast.function_decl) =
+  register r
+    {
+      fn_name = decl.Ast.fd_name;
+      fn_arity = List.length decl.Ast.fd_params;
+      fn_params = List.map snd decl.Ast.fd_params;
+      fn_return = decl.Ast.fd_return;
+      fn_impl = User decl;
+      fn_side_effects = false;
+      fn_purity = None;
+      fn_keyed = None;
+    }
+
 let register_builtin r ?(side_effects = false) name arity impl =
   register r
     {
@@ -144,6 +166,7 @@ let register_builtin r ?(side_effects = false) name arity impl =
       fn_impl = Builtin impl;
       fn_side_effects = side_effects;
       fn_purity = None;
+      fn_keyed = None;
     }
 
 let register_external r ?(side_effects = false) ?purity ?params ?return name
@@ -160,10 +183,11 @@ let register_external r ?(side_effects = false) ?purity ?params ?return name
       fn_impl = External impl;
       fn_side_effects = side_effects;
       fn_purity = purity;
+      fn_keyed = None;
     }
 
-let register_external_cursor r ?(side_effects = false) ?purity ?params ?return
-    name arity impl =
+let register_external_cursor r ?(side_effects = false) ?purity ?keyed ?params
+    ?return name arity impl =
   register r
     {
       fn_name = name;
@@ -176,6 +200,7 @@ let register_external_cursor r ?(side_effects = false) ?purity ?params ?return
       fn_impl = External_cursor impl;
       fn_side_effects = side_effects;
       fn_purity = purity;
+      fn_keyed = keyed;
     }
 
 let fold r ~init ~f =

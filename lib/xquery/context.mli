@@ -59,7 +59,31 @@ type func = {
       (** (effects, fallible, constructs) verdict supplied at
           registration for externals analyzed elsewhere (XQSE read-only
           procedure bodies); [None] = unknown, treated as impure *)
+  fn_keyed : keyed_read option;
+      (** set on relational table reads (arity 0): the read can also
+          select its rows by a text column, so the compiled filter
+          [T()[COL eq K]] runs as a keyed read (DESIGN.md §13) *)
 }
+
+and keyed_read = {
+  kr_columns : string list;
+      (** the columns a keyed read may select on: the table's text
+          columns, whose row elements compare as strings *)
+  kr_open : unit -> table_read;
+      (** the read's one guarded source call — the same open the plain
+          scan makes, degradation and brownout included *)
+}
+
+and table_read = {
+  tr_empty : bool;  (** the opened version holds no rows *)
+  tr_rows : (string * string) option -> Item.t Cursor.t;
+      (** [tr_rows None] is every row of the opened version, [tr_rows
+          (Some (col, key))] the rows whose text column [col] holds
+          exactly [key], in the same order *)
+  tr_release : unit -> unit;  (** close the read without reading it *)
+}
+(** An opened table read, pinned to one version: consume it with
+    exactly one call of [tr_rows] or [tr_release]. *)
 
 type registry
 
@@ -70,6 +94,10 @@ val copy_registry : registry -> registry
 
 val register : registry -> func -> unit
 (** @raise Xdm.Item.Error [err:XQST0034] on duplicate name/arity. *)
+
+val register_user : registry -> Ast.function_decl -> unit
+(** Register a [declare function] declaration.
+    @raise Xdm.Item.Error [err:XQST0034] on duplicate name/arity. *)
 
 val unregister : registry -> Qname.t -> int -> unit
 (** Remove the function of that name/arity if present (no-op otherwise) —
@@ -99,6 +127,7 @@ val register_external_cursor :
   registry ->
   ?side_effects:bool ->
   ?purity:bool * bool * bool ->
+  ?keyed:keyed_read ->
   ?params:Seqtype.t option list ->
   ?return:Seqtype.t ->
   Qname.t ->

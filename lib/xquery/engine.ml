@@ -142,8 +142,9 @@ let register_external t ?side_effects ?purity name arity impl =
   Context.register_external t.reg ?side_effects ?purity name arity impl;
   invalidate_plans t
 
-let register_external_cursor t ?side_effects ?purity name arity impl =
-  Context.register_external_cursor t.reg ?side_effects ?purity name arity impl;
+let register_external_cursor t ?side_effects ?purity ?keyed name arity impl =
+  Context.register_external_cursor t.reg ?side_effects ?purity ?keyed name
+    arity impl;
   invalidate_plans t
 
 let register_doc t uri node = t.docs := (uri, node) :: !(t.docs)
@@ -245,16 +246,7 @@ let compile_fp t src =
                     decl.Ast.fd_body;
               }
             in
-            Context.register reg
-              {
-                Context.fn_name = decl.Ast.fd_name;
-                fn_arity = List.length decl.Ast.fd_params;
-                fn_params = List.map snd decl.Ast.fd_params;
-                fn_return = decl.Ast.fd_return;
-                fn_impl = Context.User decl;
-                fn_side_effects = false;
-                fn_purity = None;
-              }
+            Context.register_user reg decl
           | Ast.P_variable vd -> vars := vd :: !vars
           | Ast.P_import _ ->
             (* module resolution is a session-level concern (Xqse.Session);

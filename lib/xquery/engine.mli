@@ -126,13 +126,16 @@ val register_external_cursor :
   t ->
   ?side_effects:bool ->
   ?purity:bool * bool * bool ->
+  ?keyed:Context.keyed_read ->
   Qname.t ->
   int ->
   (Item.seq list -> Item.t Cursor.t) ->
   unit
 (** Register a host function whose result is produced as a pull-based
     cursor. Streaming consumers (path steps, FLWOR, [xqse] iterate) pull
-    it lazily; eager call sites materialize it via {!Xdm.Cursor.to_list}. *)
+    it lazily; eager call sites materialize it via {!Xdm.Cursor.to_list}.
+    [keyed] marks a relational table read that can select its rows by a
+    text column (see {!Context.keyed_read}). *)
 
 val register_doc : t -> string -> Node.t -> unit
 (** Make a document available to [fn:doc]. *)

@@ -329,6 +329,13 @@ let cursor_nonempty c =
    copied items on the context's [stream.materialized] counter. *)
 let materialize ctx c = Cursor.to_list ~instr:(Context.fields ctx).instr c
 
+(* A source read the result cache never sees — consumed as a stream
+   (only a materialized value can be stored) or keyed (its rows are
+   selected below the cache) — counts as a bypass when a cache is bound,
+   like any other read the cache skips. *)
+let count_bypass (f : Context.dynamic_fields) =
+  match f.cache with Some b -> Cache.bypass b | None -> ()
+
 let rec eval ctx (e : Ast.expr) : Item.seq =
   match e with
   | Ast.Literal a -> [ Item.Atomic a ]
@@ -1315,7 +1322,9 @@ and eval_cur ctx (e : Ast.expr) : Item.t Cursor.t =
     | Ast.Call (name, args) -> (
       match Context.find f.registry name (List.length args) with
       | Some { Context.fn_impl = Context.External_cursor impl; _ } ->
-        impl (List.map (eval ctx) args)
+        let args = List.map (eval ctx) args in
+        count_bypass f;
+        impl args
       | _ -> Cursor.of_list (eval ctx e))
     | Ast.Flwor (clauses, ret) -> (
       match flwor_cur ctx clauses ret with
@@ -1400,6 +1409,55 @@ let compiler ?(purity = fun _ -> (true, true, true)) registry =
     c_cur = PhysTbl.create 16;
     c_fns = Hashtbl.create 8;
   }
+
+(* ---- keyed-read predicate forms ---- *)
+
+(* [fn:data(e)] compares like [e]: comparisons atomize their operands *)
+let strip_data cc = function
+  | Ast.Call (q, [ e ])
+    when String.equal q.Qname.uri Qname.fn_ns
+         && String.equal q.Qname.local "data"
+         && (match Context.find cc.c_registry q 1 with
+            | Some { Context.fn_impl = Context.Builtin _; _ } -> true
+            | _ -> false) ->
+    e
+  | e -> e
+
+(* the row side: a child step naming one of the read's text columns *)
+let key_column (kr : Context.keyed_read) = function
+  | Ast.Step (Ast.Child, Ast.Name_test q, [])
+  | Ast.Path (Ast.Context_item, Ast.Step (Ast.Child, Ast.Name_test q, []))
+    when String.equal q.Qname.uri "" && List.mem q.Qname.local kr.kr_columns ->
+    Some q.Qname.local
+  | _ -> None
+
+(* the key side: a literal, a variable, or a child path from a variable *)
+let rec is_key_path = function
+  | Ast.Var _ -> true
+  | Ast.Path (a, Ast.Step (Ast.Child, Ast.Name_test _, [])) -> is_key_path a
+  | _ -> false
+
+let is_key = function Ast.Literal _ -> true | e -> is_key_path e
+
+(* [COL eq K], [K eq COL] or the [=] forms: the column and the key *)
+let keyed_pred cc kr pred =
+  let split col key =
+    match key_column kr (strip_data cc col) with
+    | Some c when is_key (strip_data cc key) -> Some (c, key)
+    | _ -> None
+  in
+  match pred with
+  | Ast.Value_cmp (Ast.Eq, l, r) | Ast.General_cmp (Ast.Eq, l, r) -> (
+    match split l r with Some _ as m -> m | None -> split r l)
+  | _ -> None
+
+(* A text column's row element atomizes to xs:untypedAtomic, which
+   equals a single xs:string or xs:untypedAtomic key exactly when the
+   two strings are equal — the keyed select's own test. *)
+let text_key v =
+  match Item.atomize v with
+  | [ (Atomic.String s | Atomic.Untyped s) ] -> Some s
+  | _ -> None
 
 let rec compile cc e =
   match PhysTbl.find_opt cc.c_eager e with
@@ -1706,7 +1764,11 @@ and compile_expr cc (e : Ast.expr) : plan =
             in
             go 1
         end
-    | _ -> eager)
+    | first :: rest -> (
+      match compile_keyed_filter cc prim first rest with
+      | Some keyed -> keyed
+      | None -> eager)
+    | [] -> eager)
   | Ast.Call (name, args) ->
     compile_streaming_call cc name args (compile_apply cc name args)
   | Ast.Elem_ctor (name, attrs, contents) ->
@@ -1826,6 +1888,48 @@ and compile_name_spec cc ~element = function
   | Ast.Dynamic_name e ->
     let pe = compile cc e in
     fun ctx -> name_spec_atom ~element (Item.one_atom (pe ctx))
+
+(* The keyed read: [T()[COL eq K] ...] over a keyed table read makes
+   the read's one guarded open, then — only when the opened version has
+   rows — evaluates K once. A single string-like key selects the rows
+   whose COL is that string from the same version (an index probe when
+   one covers COL); any other key runs the first predicate per row over
+   the rows already opened, exactly as the generic filter would. The key
+   forms ignore the focus and are pure, so one evaluation stands for the
+   per-row ones: the same value, and the same error on the first row.
+   Either way the later predicates then filter the result as usual. The
+   result cache is never consulted, so a bound cache counts a bypass. *)
+and compile_keyed_filter cc prim first rest =
+  match prim with
+  | Ast.Call (name, []) -> (
+    match Context.find cc.c_registry name 0 with
+    | Some { Context.fn_keyed = Some kr; _ } -> (
+      match keyed_pred cc kr first with
+      | None -> None
+      | Some (column, key) ->
+        let ckey = compile cc key in
+        let cfirst = compile_predicates cc [ first ] in
+        let crest = compile_predicates cc rest in
+        Some
+          (fun ctx ->
+            count_bypass (Context.fields ctx);
+            let r = kr.Context.kr_open () in
+            let rows =
+              if r.Context.tr_empty then begin
+                r.Context.tr_release ();
+                []
+              end
+              else
+                match text_key (ckey ctx) with
+                | Some k -> materialize ctx (r.Context.tr_rows (Some (column, k)))
+                | None -> cfirst ctx (materialize ctx (r.Context.tr_rows None))
+                | exception e ->
+                  r.Context.tr_release ();
+                  raise e
+            in
+            crest ctx rows))
+    | _ -> None)
+  | _ -> None
 
 and compile_predicates cc preds =
   let cps = List.map (compile cc) preds in
@@ -2151,9 +2255,9 @@ and compile_apply cc name args =
     | Context.External_cursor impl ->
       via_cache (fun ctx arg_vals ->
           Cursor.to_list ~instr:(Context.fields ctx).instr (impl arg_vals))
-    | Context.User decl ->
-      let cfn = compile_user cc name decl in
-      via_cache (fun ctx arg_vals -> cfn ctx arg_vals))
+    | Context.User _ ->
+      let call_user = compile_call cc name (List.length args) in
+      fun ctx -> call_user ctx (eval_args ctx))
 
 (* Compile a user-defined function body once per (name, arity); the memo
    entry is installed as a forward reference *before* the body compiles,
@@ -2222,6 +2326,19 @@ and compile_user cc name decl =
     Hashtbl.replace cc.c_fns key impl;
     impl
 
+(* [call] on the compiled path: the callee resolved once, a user
+   function's body closure-compiled, the result cache routed exactly as
+   [call] routes it; any other callee is left to [call]. *)
+and compile_call cc name arity =
+  match Context.find cc.c_registry name arity with
+  | Some { Context.fn_impl = Context.User decl; _ } -> (
+    let cfn = compile_user cc name decl in
+    fun ctx arg_vals ->
+      match (Context.fields ctx).cache with
+      | Some b -> Cache.through b name arg_vals (fun () -> cfn ctx arg_vals)
+      | None -> cfn ctx arg_vals)
+  | _ -> fun ctx arg_vals -> call ctx name arg_vals
+
 and compile_cur_expr cc e =
   let eager = compile cc e in
   match e with
@@ -2265,8 +2382,13 @@ and compile_cur_expr cc e =
     | Some { Context.fn_impl = Context.External_cursor impl; _ } ->
       let cargs = List.map (compile cc) args in
       fun ctx ->
-        if not (Context.fields ctx).streaming then Cursor.of_list (eager ctx)
-        else impl (List.map (fun p -> p ctx) cargs)
+        let f = Context.fields ctx in
+        if not f.streaming then Cursor.of_list (eager ctx)
+        else begin
+          let args = List.map (fun p -> p ctx) cargs in
+          count_bypass f;
+          impl args
+        end
     | _ -> fun ctx -> Cursor.of_list (eager ctx))
   | Ast.Flwor (clauses, ret) -> (
     match compile_flwor_stream cc clauses ret with

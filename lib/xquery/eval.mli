@@ -65,6 +65,13 @@ val compile_cur :
   compiler -> Ast.expr -> Context.dynamic -> Item.t Cursor.t
 (** Cursor-producing variant of {!compile}, mirroring {!eval_cur}. *)
 
+val compile_call :
+  compiler -> Qname.t -> int -> Context.dynamic -> Item.seq list -> Item.seq
+(** [compile_call cc name arity] is {!call} with the callee resolved at
+    compile time: a user function's body runs as a closure plan, behind
+    the same result-cache routing; other callees fall back to {!call}.
+    The argument list must have [arity] items. *)
+
 (** {1 Shared scalar kernels}
 
     Single-source arithmetic/comparison rules over already-evaluated

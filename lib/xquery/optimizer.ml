@@ -437,8 +437,15 @@ let detect_joins (note : note) e =
     | None -> e)
   | e -> e
 
-(* Push single-variable wheres into the binding for-expression as
-   predicates. Soundness gates, each matching a once-latent divergence:
+(* Push wheres into the binding for-expression as predicates. A where
+   qualifies when it names the for variable and otherwise only
+   variables bound outside the FLWOR (a correlated where, like Figure
+   3's [$CUSTOMER/CID eq $CREDIT_CARD/CID] inside the customer loop):
+   no clause of this FLWOR rebinds those, so they mean the same thing
+   at the for-expression as at the where. A where naming a variable
+   bound by another clause of the same FLWOR stays put for
+   [detect_joins]. Soundness gates, each matching a once-latent
+   divergence:
 
    - A [where] tests the effective boolean value of its condition, but a
      filter predicate with a *numeric* singleton value is a positional
@@ -468,8 +475,32 @@ let pushdown_predicates ~env (note_plain : note) (note_shifted : note) e =
   let open Ast in
   match e with
   | Flwor (clauses, ret) ->
+    let flwor_vars =
+      List.concat_map
+        (function
+          | For_clause bs ->
+            List.concat_map (fun b -> b.for_var :: Option.to_list b.for_pos) bs
+          | Let_clause bs -> List.map (fun b -> b.let_var) bs
+          | Join_clause j -> [ j.join_var ]
+          | Where_clause _ | Order_clause _ -> [])
+        clauses
+    in
     let rec go = function
       | (For_clause [ b ] as c) :: rest when b.for_pos = None -> (
+        (* the variables besides the for variable a pushable condition
+           names, all bound outside the FLWOR; [None] when it is not
+           pushable *)
+        let outer_vars cond =
+          let fv = Binders.free_vars cond in
+          let outer = List.filter (fun x -> not (Qname.equal x b.for_var)) fv in
+          let bound_here x = List.exists (Qname.equal x) flwor_vars in
+          if
+            List.exists (Qname.equal b.for_var) fv
+            && (not (Binders.uses_context cond))
+            && not (List.exists bound_here outer)
+          then Some outer
+          else None
+        in
         (* can a where with this condition be evaluated on more or fewer
            tuples without anyone noticing? *)
         let reorderable w = Purity.boolean_valued w && is_total env w in
@@ -477,7 +508,7 @@ let pushdown_predicates ~env (note_plain : note) (note_shifted : note) e =
            reorderable, so a later pushable condition may jump them *)
         let rec collect preds_rev kept_rev kept_jumpable = function
           | Where_clause cond :: rest2
-            when key_over_var b.for_var cond
+            when outer_vars cond <> None
                  && (kept_rev = [] || (kept_jumpable && reorderable cond)) ->
             let shifted =
               Binders.occurs_in_shifted_focus b.for_var cond
@@ -507,18 +538,27 @@ let pushdown_predicates ~env (note_plain : note) (note_shifted : note) e =
               if Purity.boolean_valued cond then pred
               else Call (Qname.fn "boolean", [ pred ])
             in
+            (* a correlated push names the outer variables it keeps *)
+            let outer () =
+              match outer_vars cond with
+              | Some (_ :: _ as vs) ->
+                Printf.sprintf " (outer %s)"
+                  (String.concat ", "
+                     (List.map (fun q -> "$" ^ Qname.to_string q) vs))
+              | _ -> ""
+            in
             (if shifted then
                note_shifted
                  (lazy
                    (Printf.sprintf
                       "pushdown_predicates: $%s where %s (shifted focus, \
-                       fresh binding)"
-                      (Qname.to_string b.for_var) (brief cond)))
+                       fresh binding)%s"
+                      (Qname.to_string b.for_var) (brief cond) (outer ())))
              else
                note_plain
                  (lazy
-                   (Printf.sprintf "pushdown_predicates: $%s where %s"
-                      (Qname.to_string b.for_var) (brief cond))));
+                   (Printf.sprintf "pushdown_predicates: $%s where %s%s"
+                      (Qname.to_string b.for_var) (brief cond) (outer ()))));
             collect (pred :: preds_rev) kept_rev kept_jumpable rest2
           | (Where_clause w as c2) :: rest2 ->
             collect preds_rev (c2 :: kept_rev)

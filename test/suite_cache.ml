@@ -119,6 +119,30 @@ let admission_tests =
         check_int "footprint-free reads bypass every time" 2
           (counter instr Instr.K.cache_bypass);
         check_int "bypass admits nothing" 2 (Cache.Store.size (Cache.store h)));
+    case "streamed and keyed reads count as bypasses" (fun () ->
+        let instr = Instr.create () in
+        Instr.preregister instr;
+        Instr.enable instr;
+        let env = FC.make ~customers:2 ~instr () in
+        let h = Aldsp.Dataspace.enable_result_cache env.FC.ds in
+        let sess = Aldsp.Dataspace.session env.FC.ds in
+        let c = counter instr in
+        (* count() pulls the read as a stream: no stored value to look
+           up or admit *)
+        ignore (Xqse.Session.eval_to_string sess "count(customer:CUSTOMER())");
+        check_int "a streamed read is a bypass" 1 (c Instr.K.cache_bypass);
+        (* a keyed read selects rows below the cache *)
+        ignore
+          (Xqse.Session.eval_to_string sess
+             {|credit_card:CREDIT_CARD()[CID eq "C1"]|});
+        check_int "a keyed read is a bypass" 2 (c Instr.K.cache_bypass);
+        check_int "neither looked the cache up" 0
+          (c Instr.K.cache_miss + c Instr.K.cache_hit);
+        check_int "nor admitted anything" 0 (Cache.Store.size (Cache.store h));
+        (* the same read, materialized whole, still goes through it *)
+        ignore (Xqse.Session.eval_to_string sess "customer:CUSTOMER()");
+        check_int "an eager read misses" 1 (c Instr.K.cache_miss);
+        check_int "and is no bypass" 2 (c Instr.K.cache_bypass));
     case "degraded reads are never admitted" (fun () ->
         let instr = Instr.create () in
         Instr.preregister instr;

@@ -174,6 +174,16 @@ let stats_of src =
   in
   snd (Xquery.Optimizer.optimize_with_stats e)
 
+(* The optimizer's rewrite log for one corpus program. *)
+let log_of src =
+  let e =
+    Xquery.Parser.parse_expression (Xquery.Context.default_static ()) src
+  in
+  let lines = ref [] in
+  ignore
+    (Xquery.Optimizer.optimize_with_stats ~log:(fun l -> lines := l :: !lines) e);
+  !lines
+
 let count_where pred l = List.length (List.filter pred l)
 
 let contains needle hay =
@@ -270,6 +280,22 @@ let meta_tests =
              n (List.length corpus) adversarial)
           true
           (n >= 20 && adversarial >= 10));
+    case "generated programs trigger correlated pushdown" (fun () ->
+        (* the nested-FLWOR template: an inner where over an outer for
+           variable must move into the inner source on generated input *)
+        let n =
+          count_where
+            (fun p ->
+              List.exists
+                (fun l ->
+                  contains "pushdown_predicates:" l && contains "(outer $" l)
+                (log_of p))
+            corpus
+        in
+        check_bool
+          (Printf.sprintf "%d/%d programs push a correlated where" n
+             (List.length corpus))
+          true (n >= 20));
     case "generated programs trigger focus-shift pushdown" (fun () ->
         let n =
           count_where

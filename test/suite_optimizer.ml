@@ -11,6 +11,19 @@ let stats src =
   let _, st = Xquery.Optimizer.optimize_with_stats (parse src) in
   st
 
+let rewrite_log src =
+  let lines = ref [] in
+  ignore
+    (Xquery.Optimizer.optimize_with_stats
+       ~log:(fun l -> lines := l :: !lines)
+       (parse src));
+  List.rev !lines
+
+let contains s sub =
+  let n = String.length sub and l = String.length s in
+  let rec go i = i + n <= l && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let pass_tests =
   [
     case "constant folding of arithmetic" (fun () ->
@@ -50,6 +63,31 @@ let pass_tests =
           (stats
              "for $x in (1 to 3) for $y in (1 to 3) where $x + $y eq 4 return 1")
             .Xquery.Optimizer.pushed);
+    case "correlated where over an outer variable is pushed" (fun () ->
+        (* the inner where names $o, bound by the enclosing FLWOR, which
+           no clause of the inner FLWOR rebinds *)
+        let src =
+          "for $o in (1, 2) return (for $x in (1 to 3) where $x eq $o return \
+           $x * 10)"
+        in
+        check_int "pushed" 1 (stats src).Xquery.Optimizer.pushed;
+        check_bool "the rewrite names the outer variable" true
+          (List.exists
+             (fun l -> contains l "pushdown_predicates: $x where" && contains l "(outer $o)")
+             (rewrite_log src));
+        check_string "result" "10 20" (xq src);
+        check_string "agrees" (xq_noopt src) (xq src));
+    case "pushdown skipped when the other variable is bound in the same FLWOR"
+      (fun () ->
+        (* the where's $o is the inner let, a clause of the same FLWOR:
+           the where stays *)
+        let src =
+          "for $o in (1, 2) return (let $o := $o + 1 for $x in (1 to 6) \
+           where $x eq $o return $x)"
+        in
+        check_int "pushed" 0 (stats src).Xquery.Optimizer.pushed;
+        check_string "result" "2 3" (xq src);
+        check_string "agrees" (xq_noopt src) (xq src));
     case "equi-join detection" (fun () ->
         check_bool "joins" true
           ((stats

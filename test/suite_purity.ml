@@ -199,16 +199,7 @@ let fixpoint_tests =
                "declare function local:f($x as xs:integer) as xs:integer { \
                 fn:trace($x, \"f\") }; 0")
         in
-        Context.register reg
-          {
-            Context.fn_name = impure_d.Ast.fd_name;
-            fn_arity = List.length impure_d.Ast.fd_params;
-            fn_params = List.map snd impure_d.Ast.fd_params;
-            fn_return = impure_d.Ast.fd_return;
-            fn_impl = Context.User impure_d;
-            fn_side_effects = false;
-            fn_purity = None;
-          };
+        Context.register_user reg impure_d;
         let decls =
           decls_of
             "declare function local:f($x as xs:integer) as xs:integer { $x \

@@ -141,6 +141,48 @@ let pool_tests =
         in
         check_int "server.jobs" 3 (c Instr.K.server_jobs);
         check_int "server.errors" 2 (c Instr.K.server_errors));
+    case "failures are reported by their error code's QName" (fun () ->
+        let env = FC.make ~customers:1 () in
+        let sess = Aldsp.Dataspace.session env.FC.ds in
+        let job label src =
+          {
+            Pool.j_kind = Pool.Script;
+            j_label = label;
+            j_arrival_ms = 0.;
+            j_deadline_ms = None;
+            j_run = (fun s -> ignore (Xqse.Session.eval s src));
+          }
+        in
+        let rp =
+          Pool.run ~workers:1 ~session:sess
+            [
+              job "type" "1 + 'a'";
+              (* a duplicate key fails the physical create procedure *)
+              job "create"
+                {|{ customer:createCUSTOMER(<CUSTOMER><CID>007</CID><FIRST_NAME>J</FIRST_NAME><LAST_NAME>B</LAST_NAME></CUSTOMER>); }|};
+              job "user" {|fn:error(xs:QName("err:FOER0000"), "stop")|};
+              {
+                Pool.j_kind = Pool.Script;
+                j_label = "uncoded";
+                j_arrival_ms = 0.;
+                j_deadline_ms = None;
+                j_run = (fun _ -> failwith "boom");
+              };
+            ]
+        in
+        check_bool "every kind reported" true
+          (List.sort compare rp.Pool.r_error_kinds
+          = List.sort compare
+              [
+                ("err:XPTY0004", 1);
+                ("{ld:db1/CUSTOMER}CreateError", 1);
+                ("err:FOER0000", 1);
+                ("other", 1);
+              ]);
+        check_string "RESX codes keep their local name" "RESX0004"
+          (Pool.error_kind
+             (Xdm.Item.Error
+                { code = Xdm.Qname.err "RESX0004"; message = ""; items = [] })));
     case "open-loop runs report a latency trajectory" (fun () ->
         let env = FC.make ~customers:2 () in
         let sess = Aldsp.Dataspace.session env.FC.ds in
