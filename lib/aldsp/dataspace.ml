@@ -857,9 +857,7 @@ let enable_result_cache ?cap t =
       Cache.create ?cap
         {
           Cache.m_footprint = (fun q arity -> footprint_of t q arity);
-          m_epoch =
-            (fun () ->
-              List.length (Resilience.Control.degradations t.resil));
+          m_epoch = (fun () -> Resilience.Control.degradation_count t.resil);
           m_version =
             (fun (db, table) ->
               (* the caller's read view (ambient snapshot when pinned,

@@ -48,6 +48,7 @@ type t = {
   faults : (string, Faults.t) Hashtbl.t;
   degradable : (string, unit) Hashtbl.t;
   mutable degradations : degradation list;  (* newest first *)
+  degraded : int Atomic.t;  (* [List.length degradations], read lock-free *)
   brownout : bool Atomic.t;
       (* overload pressure: while set, degradable reads degrade
          *proactively* (dataspace skips the source call entirely) *)
@@ -71,6 +72,7 @@ let create ?seed ?plan ?(instr = Instr.disabled) () =
     faults = Hashtbl.create 8;
     degradable = Hashtbl.create 4;
     degradations = [];
+    degraded = Atomic.make 0;
     brownout = Atomic.make false;
   }
 
@@ -139,12 +141,11 @@ let note_degraded t ~source ~code ~message =
       t.degradations <-
         { dg_source = source; dg_code = code; dg_message = message;
           dg_at = Clock.now t.clock }
-        :: t.degradations)
+        :: t.degradations;
+      Atomic.incr t.degraded)
 
 let degradations t = Mutex.protect t.lock (fun () -> List.rev t.degradations)
-
-let clear_degradations t =
-  Mutex.protect t.lock (fun () -> t.degradations <- [])
+let degradation_count t = Atomic.get t.degraded
 
 (* ---- brownout ---- *)
 

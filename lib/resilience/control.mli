@@ -64,7 +64,10 @@ val note_degraded : t -> source:string -> code:string -> message:string -> unit
 val degradations : t -> degradation list
 (** Oldest first. *)
 
-val clear_degradations : t -> unit
+val degradation_count : t -> int
+(** How many degradations have been noted: the length of
+    {!degradations}, without copying the log or taking its lock. The
+    result cache reads it as its degradation epoch on every miss. *)
 
 val set_brownout : t -> bool -> unit
 (** Assert or clear overload brownout. While set, the dataspace degrades

@@ -25,7 +25,7 @@ type runtime = {
   mutable plans : bool;
   mutable purity : Xquery.Ast.expr -> bool * bool * bool;
       (* (effects, fallible, constructs) — the compile-time purity
-         verdicts the streaming evaluator gates on; conservative
+         verdicts the compiled streaming arms gate on; conservative
          (all true) until the session installs a real environment *)
   mutable cache : unit -> Cache.bound option;
       (* result-cache view supplier, re-invoked per evaluation context
@@ -138,7 +138,7 @@ let rec find_procedure rt (name : Qname.t) arity =
 let make_state rt bindings =
   let ctx0 =
     Xquery.Context.make_dynamic ~trace:rt.trace ~instr:rt.instr
-      ~streaming:rt.streaming ~purity:rt.purity ?cache:(rt.cache ()) rt.reg
+      ~streaming:rt.streaming ?cache:(rt.cache ()) rt.reg
   in
   { rt; frames = []; bindings; ctx0 }
 
@@ -171,8 +171,7 @@ let scope_vars st =
 let eval_ctx st =
   let ctx =
     Xquery.Context.make_dynamic ~trace:st.rt.trace ~instr:st.rt.instr
-      ~streaming:st.rt.streaming ~purity:st.rt.purity
-      ?cache:(st.rt.cache ()) st.rt.reg
+      ~streaming:st.rt.streaming ?cache:(st.rt.cache ()) st.rt.reg
   in
   let globals = Xquery.Context.globals st.rt.reg in
   let vars =
@@ -348,19 +347,6 @@ let rec exec_value_stmt st (v : Stmt.value_stmt) : Item.seq =
     | Broke -> raise Break_outside_loop
     | Continued -> raise Continue_outside_loop)
 
-(* Cursor form of [exec_value_stmt], for consumers (iterate) that can
-   drive the source lazily. Procedure calls and in-place procedure
-   blocks execute statements (side effects must all happen before the
-   first pull), so they materialize; a plain expression streams through
-   [Eval.eval_cur]. *)
-and exec_value_stmt_cur st (v : Stmt.value_stmt) : Item.t Cursor.t =
-  match v with
-  | Stmt.V_expr (Xquery.Ast.Call (name, args))
-    when find_procedure st.rt name (List.length args) <> None ->
-    Cursor.of_list (exec_value_stmt st v)
-  | Stmt.V_expr e -> Xquery.Eval.eval_cur (eval_ctx st) e
-  | Stmt.V_proc_block _ -> Cursor.of_list (exec_value_stmt st v)
-
 and exec_stmt st (s : Stmt.statement) : outcome =
   Instr.bump st.rt.instr Instr.K.xqse_statements;
   match s with
@@ -400,61 +386,23 @@ and exec_stmt st (s : Stmt.statement) : outcome =
     in
     loop ()
   | Stmt.Iterate { var; pos; source; body } ->
-    let run_body i item =
-      let bindings = Qmap.add var [ item ] st.bindings in
-      let bindings =
-        match pos with
-        | Some pv -> Qmap.add pv [ Item.Atomic (Atomic.Integer i) ] bindings
-        | None -> bindings
-      in
-      let st' = { st with bindings } in
-      exec_block_stmts (push_frame st') body
+    (* the eager model: the whole binding sequence (all its effects and
+       errors) is evaluated before any body statement runs *)
+    let rec loop i = function
+      | [] -> Normal
+      | item :: rest -> (
+        let bindings = Qmap.add var [ item ] st.bindings in
+        let bindings =
+          match pos with
+          | Some pv -> Qmap.add pv [ Item.Atomic (Atomic.Integer i) ] bindings
+          | None -> bindings
+        in
+        match exec_block_stmts (push_frame { st with bindings }) body with
+        | Normal | Continued -> loop (i + 1) rest
+        | Broke -> Normal
+        | Returned v -> Returned v)
     in
-    (* A constructing body forbids lazy driving: node allocation order
-       decides cross-tree document order, and interleaving the body's
-       constructions with per-pull construction in the source (row
-       elements) would order them differently than the eager model,
-       which finishes the whole binding sequence first. *)
-    let _, _, body_constructs = block_verdict ~purity:st.rt.purity body in
-    let cur = exec_value_stmt_cur st source in
-    if Cursor.is_pure cur && not body_constructs then
-      (* pure source: remaining pulls cannot raise or have effects, so
-         driving one binding at a time is indistinguishable from the
-         eager loop — except that [break]/[return] abandon the rest *)
-      let rec loop i =
-        match Cursor.next cur with
-        | None -> Normal
-        | Some item -> (
-          match run_body i item with
-          | Normal | Continued -> loop (i + 1)
-          | Broke ->
-            Cursor.abandon cur;
-            Normal
-          | Returned v ->
-            Cursor.abandon cur;
-            Returned v
-          | exception e ->
-            Cursor.abandon cur;
-            raise e)
-      in
-      loop 1
-    else begin
-      (* impure source: the eager model evaluates the whole binding
-         sequence (all its effects and errors) before any body statement
-         runs — materialize to keep that ordering *)
-      let binding_seq =
-        Cursor.to_list ~instr:st.rt.instr cur
-      in
-      let rec loop i = function
-        | [] -> Normal
-        | item :: rest -> (
-          match run_body i item with
-          | Normal | Continued -> loop (i + 1) rest
-          | Broke -> Normal
-          | Returned v -> Returned v)
-      in
-      loop 1 binding_seq
-    end
+    loop 1 (exec_value_stmt st source)
   | Stmt.If (cond, then_, else_) ->
     if Item.effective_boolean_value (eval_expr st cond) then
       exec_stmt st then_
@@ -535,9 +483,9 @@ and exec_block_stmts st (b : Stmt.block) : outcome =
    statement form is walked once, its embedded expressions are closure-
    compiled (through {!Xquery.Eval.compile} or the [simple_plan] fast
    path), and execution is a closure over the state. Observable behavior
-   — values, effects, errors, counter bumps, evaluation order — matches
-   the interpreted path statement for statement; the differential corpus
-   compares the two. *)
+   — values, effects, errors, statement counts, evaluation order —
+   matches the interpreted path statement for statement; the
+   differential corpus compares the two. *)
 
 and cvalue_of rt scope (v : Stmt.value_stmt) : state -> Item.seq =
   match v with
@@ -638,8 +586,13 @@ and cstmt_of rt scope (s : Stmt.statement) : cblock =
       (* the loop variables land in [bindings], not a frame, so the
          body's frame image is unchanged *)
       let cbody = cblock_plan rt scope body in
-      (* the lazy-driving verdict is fixed at compile time: the purity
-         environment is installed before anything compiles *)
+      (* A constructing body forbids lazy driving: node allocation order
+         decides cross-tree document order, and interleaving the body's
+         constructions with per-pull construction in the source (row
+         elements) would order them differently than the eager model,
+         which finishes the whole binding sequence first. The verdict
+         is fixed at compile time: the purity environment is installed
+         before anything compiles. *)
       let _, _, body_constructs = block_verdict ~purity:rt.purity body in
       fun st ->
         let run_body i item =
@@ -654,6 +607,10 @@ and cstmt_of rt scope (s : Stmt.statement) : cblock =
         in
         let cur = csrc st in
         if Cursor.is_pure cur && not body_constructs then
+          (* pure source: remaining pulls cannot raise or have effects,
+             so driving one binding at a time is indistinguishable from
+             the eager loop — except that [break]/[return] abandon the
+             rest *)
           let rec loop i =
             match Cursor.next cur with
             | None -> Normal
@@ -672,6 +629,7 @@ and cstmt_of rt scope (s : Stmt.statement) : cblock =
           in
           loop 1
         else begin
+          (* impure source: materialize to keep the eager ordering *)
           let binding_seq = Cursor.to_list ~instr:st.rt.instr cur in
           let rec loop i = function
             | [] -> Normal
@@ -727,9 +685,9 @@ and cstmt_of rt scope (s : Stmt.statement) : cblock =
     | Stmt.Continue -> fun _ -> Continued
     | Stmt.Break -> fun _ -> Broke
     | Stmt.Update e ->
+      let cu = Xquery.Eval.compile_updating (compiler_of rt) e in
       fun st ->
-        let pul = Xquery.Eval.eval_updating (compiled_ctx st) e in
-        Xquery.Update.apply pul;
+        Xquery.Update.apply (cu (compiled_ctx st));
         Normal
   in
   fun st ->

@@ -5,7 +5,15 @@
     applied pending-update lists, variable assignments) are visible to
     every subsequent statement and expression. Expressions are evaluated
     by the unmodified XQuery evaluator over a read-only snapshot of the
-    variables in scope. *)
+    variables in scope.
+
+    Blocks run as compiled statement plans whose expressions (update
+    statements included) are closure-compiled plans
+    ({!Xquery.Eval.compile}). With {!plans} off they run through the
+    statement walker instead, which evaluates expressions through the
+    eager reference walker {!Xquery.Eval.eval} and drives [iterate]
+    over its fully evaluated binding sequence: the reference the
+    differential tests compare the compiled plans against. *)
 
 open Xdm
 
@@ -58,18 +66,18 @@ val instr : runtime -> Instr.t
 
 val streaming : runtime -> bool
 val set_streaming : runtime -> bool -> unit
-(** Whether expression evaluation (and the [iterate] loop) may run
-    pull-based cursor pipelines. Defaults to the parent's setting, or
-    [true] without a parent; results are identical either way. *)
+(** Whether compiled expressions (and the compiled [iterate] loop) may
+    run pull-based cursor pipelines. Defaults to the parent's setting,
+    or [true] without a parent; results are identical either way. *)
 
 val plans : runtime -> bool
 val set_plans : runtime -> bool -> unit
 (** Whether blocks and procedures execute through compiled statement
     plans (closures built once per block, expressions closure-compiled
-    through {!Xquery.Eval.compile}) instead of the tree-walking
-    interpreter. Defaults to the parent's setting, or [true] without a
-    parent; results, effects, errors and counters are identical either
-    way — the differential corpus compares the two. *)
+    through {!Xquery.Eval.compile}) instead of the eager reference
+    walkers. Defaults to the parent's setting, or [true] without a
+    parent; results, effects and errors are identical either way — the
+    differential tests compare the two. *)
 
 val invalidate_plans : runtime -> unit
 (** Drop every compiled plan held by this runtime (the expression
@@ -85,7 +93,7 @@ val compiler : runtime -> Xquery.Eval.compiler
 
 val set_purity : runtime -> (Xquery.Ast.expr -> bool * bool * bool) -> unit
 (** Install the compile-time [(effects, fallible, constructs)] verdicts
-    the streaming evaluator gates on (see {!Xquery.Engine.purity_fn}).
+    the compiled streaming arms gate on (see {!Xquery.Engine.purity_fn}).
     Defaults to the parent's, or all-[true] (fully conservative) without
     a parent. *)
 

@@ -58,7 +58,6 @@ and compiled = {
   c_runtime : Interp.runtime;
   c_vars : Xquery.Ast.var_decl list;
   c_body : Stmt.query_body option;
-  c_env : Xquery.Purity.env;  (* for the evaluator's streaming gates *)
   c_plan : cplan Lazy.t;
       (* the closure-compiled body; forced inside the compile span when
          plans are enabled so the compile/run span split stays honest *)
@@ -167,21 +166,6 @@ let config s =
     trace = Some s.trace;
     result_cache = s.result_cache;
   }
-
-(* The PR 7 mutator shims are gone: a session whose flags never move
-   underneath it can be handed to a worker without aliasing surprises,
-   and every caller migrated to the immutable config long ago. The
-   stubs stay one release so an out-of-tree caller gets a pointed
-   message instead of an unbound-value error. *)
-let removed name =
-  invalid_arg
-    (Printf.sprintf
-       "Xqse.Session.%s was removed: set the flag in the config record at \
-        create, or fork a reconfigured session with with_config"
-       name)
-
-let set_streaming _ _ = (removed "set_streaming" : unit)
-let set_plans _ _ = (removed "set_plans" : unit)
 
 (* Fork: an independent session over copies of everything the source
    accreted (registrations, procedures, loaded libraries, modules,
@@ -412,42 +396,29 @@ and load_library s src =
      registration). When this runs mid-compile (an import resolving
      lazily), the caller captures its fingerprint after import
      resolution, so the bumped generations are what gets cached. *)
-  ignore
-    (install_declarations s (Xquery.Engine.registry s.eng) s.rt prog
-      : Xquery.Purity.env);
+  let reg = Xquery.Engine.registry s.eng in
+  let env = install_declarations s reg s.rt prog in
   invalidate_plans s;
   Xquery.Engine.invalidate_plans s.eng;
   (* library variable declarations evaluate now and persist as globals;
      after the invalidation, so an initializer calling a just-installed
      readonly procedure compiles against the post-install registry *)
   if prog.Stmt.prog_variables <> [] then begin
-    let reg = Xquery.Engine.registry s.eng in
     let ctx = Ctx.make_dynamic ~trace:s.trace ~instr:(instr s) reg in
-    let ctx = Ctx.with_vars ctx (Ctx.globals reg) in
-    let ctx =
-      List.fold_left
-        (fun ctx vd ->
-          let v =
-            match vd.Xquery.Ast.vd_value with
-            | Some e -> Xquery.Eval.eval ctx e
-            | None ->
-              Item.raise_error (Qname.err "XPDY0002")
-                (Printf.sprintf
-                   "library variable $%s must have a value"
-                   (Qname.to_string vd.Xquery.Ast.vd_name))
-          in
-          let v =
-            match vd.Xquery.Ast.vd_type with
-            | Some ty ->
-              Seqtype.check
-                ~what:(Printf.sprintf "$%s" (Qname.to_string vd.Xquery.Ast.vd_name))
-                ty v
-            | None -> v
-          in
-          Ctx.bind ctx vd.Xquery.Ast.vd_name v)
-        ctx prog.Stmt.prog_variables
+    let cc =
+      Xquery.Eval.compiler ~purity:(Xquery.Engine.purity_fn env) reg
     in
-    Ctx.set_globals reg (Ctx.fields ctx).Ctx.vars
+    let missing _ name =
+      Item.raise_error (Qname.err "XPDY0002")
+        (Printf.sprintf "library variable $%s must have a value"
+           (Qname.to_string name))
+    in
+    ignore
+      (Xquery.Engine.declare_variables ~plans:(Xquery.Engine.plans s.eng) cc
+         ~missing
+         (Ctx.with_vars ctx (Ctx.globals reg))
+         prog.Stmt.prog_variables
+        : Ctx.dynamic)
   end
 
 let register_module s uri src =
@@ -495,7 +466,6 @@ let compile_fp s src =
           c_runtime = rt;
           c_vars = prog.Stmt.prog_variables;
           c_body = body;
-          c_env = env;
           c_plan =
             lazy
               (match body with
@@ -584,45 +554,20 @@ let run ?(opts = default_exec_opts) c =
   Interp.set_trace c.c_runtime trace;
   Interp.set_streaming c.c_runtime (Xquery.Engine.streaming s.eng);
   Interp.set_plans c.c_runtime (Xquery.Engine.plans s.eng);
-  (* evaluate module variable declarations in order, over the session's
-     persistent globals *)
+  let plans = Xquery.Engine.plans s.eng in
+  (* module variable declarations, over the session's persistent
+     globals *)
   let ctx =
     Ctx.make_dynamic ~trace ~instr:(instr s)
-      ~streaming:(Xquery.Engine.streaming s.eng)
-      ~purity:(Xquery.Engine.purity_fn c.c_env) ?cache:(cache_bound s)
+      ~streaming:(Xquery.Engine.streaming s.eng) ?cache:(cache_bound s)
       c.c_registry
   in
   let ctx = Ctx.with_vars ctx (Ctx.globals c.c_registry) in
   let ctx = Ctx.bind_many ctx vars in
   let ctx =
-    List.fold_left
-      (fun ctx vd ->
-        let v =
-          match vd.Xquery.Ast.vd_value with
-          | Some e -> Xquery.Eval.eval ctx e
-          | None -> (
-            match Ctx.lookup_var ctx vd.Xquery.Ast.vd_name with
-            | Some v -> v
-            | None ->
-              Item.raise_error (Qname.err "XPDY0002")
-                (Printf.sprintf
-                   "external variable $%s was not supplied a value"
-                   (Qname.to_string vd.Xquery.Ast.vd_name)))
-        in
-        let v =
-          match vd.Xquery.Ast.vd_type with
-          | Some ty ->
-            Seqtype.check
-              ~what:
-                (Printf.sprintf "$%s" (Qname.to_string vd.Xquery.Ast.vd_name))
-              ty v
-          | None -> v
-        in
-        Ctx.bind ctx vd.Xquery.Ast.vd_name v)
-      ctx c.c_vars
+    Xquery.Engine.declare_variables ~plans (Interp.compiler c.c_runtime) ctx
+      c.c_vars
   in
-  Ctx.set_globals c.c_registry (Ctx.fields ctx).Ctx.vars;
-  let plans = Xquery.Engine.plans s.eng in
   match c.c_body with
   | None -> []
   | Some (Stmt.Q_expr e) -> (

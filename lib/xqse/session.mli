@@ -17,7 +17,8 @@ type config = {
           [true]); off forces eager materialization everywhere *)
   plans : bool;
       (** closure-compiled execution + plan caching (default [true]);
-          off walks ASTs through the tree interpreter *)
+          off runs the eager reference walkers, which is how the
+          differential tests select the reference *)
   instr : Instr.t;  (** instrumentation handle (default {!Instr.disabled}) *)
   trace : (string -> unit) option;
       (** [fn:trace] destination; [None] notes into [instr]'s sink *)
@@ -84,18 +85,6 @@ val instr : t -> Instr.t
 (** The handle given to {!create}. *)
 
 val streaming : t -> bool
-
-val set_streaming : t -> bool -> unit
-(** Removed (the PR 7 deprecated shim): mutating a session another
-    domain is executing against is a race. Set [streaming] in the
-    {!config} record at creation, or use {!with_config} for a
-    differently-configured fork.
-    @raise Invalid_argument always, naming the replacement. *)
-
-val set_plans : t -> bool -> unit
-(** Removed, like {!set_streaming}: set [plans] in the {!config} record
-    at creation, or use {!with_config}.
-    @raise Invalid_argument always, naming the replacement. *)
 
 val set_result_cache : t -> Cache.handle option -> unit
 (** Install (or remove) the session's result cache. A mutator by

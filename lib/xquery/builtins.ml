@@ -34,8 +34,8 @@ let double_arg args n =
     try Some (Atomic.to_double a) with Atomic.Cast_error m -> err "XPTY0004" m)
 
 (* The fn:subsequence window rule, shared with the streaming schedule
-   (Eval.streaming_subsequence) so both evaluators keep exactly the same
-   items. Per F&O, positions are tested in xs:double arithmetic: the
+   (Eval.streaming_subsequence) so it keeps exactly the items this
+   builtin keeps. Per F&O, positions are tested in xs:double arithmetic: the
    item at 1-based position [p] survives iff [p >= fn:round(start)] and,
    when a length is given, [p < fn:round(start) + fn:round(length)].
    fn:round is half-toward-+INF — [Float.floor (x +. 0.5)], not

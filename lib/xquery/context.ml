@@ -99,12 +99,8 @@ and dynamic_fields = {
   depth : int;
   instr : Instr.t;
   streaming : bool;
-      (* false = forced-materializing mode: eval_cur degenerates to
-         eager evaluation wrapped in a pure cursor *)
-  purity : Ast.expr -> bool * bool * bool;
-      (* (effects, fallible, constructs) of an expression under the
-         compiled program's purity environment; the default is the
-         conservative (true, true, true) *)
+      (* false = forced-materializing mode: compiled cursor plans
+         degenerate to eager evaluation wrapped in a pure cursor *)
   cache : Cache.bound option;
       (* result-cache view bound to the session's config fingerprint;
          [None] = caching disabled, calls run untouched *)
@@ -209,8 +205,7 @@ let fold r ~init ~f =
 let fields d = d.f
 
 let make_dynamic ?(trace = fun _ -> ()) ?(instr = Instr.disabled)
-    ?(streaming = true) ?(purity = fun _ -> (true, true, true)) ?cache registry
-    =
+    ?(streaming = true) ?cache registry =
   {
     f =
       {
@@ -227,12 +222,9 @@ let make_dynamic ?(trace = fun _ -> ()) ?(instr = Instr.disabled)
         depth = 0;
         instr;
         streaming;
-        purity;
         cache;
       };
   }
-
-let with_streaming d b = { f = { d.f with streaming = b } }
 
 let with_vars d vars = { f = { d.f with vars } }
 let bind d name v = { f = { d.f with vars = Qmap.add name v d.f.vars } }

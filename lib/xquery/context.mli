@@ -160,12 +160,8 @@ type dynamic_fields = {
   depth : int;  (** recursion guard *)
   instr : Instr.t;  (** streaming/materialization counters *)
   streaming : bool;
-      (** [false] = forced-materializing mode: cursor producers
-          degenerate to eager evaluation *)
-  purity : Ast.expr -> bool * bool * bool;
-      (** (effects, fallible, constructs) under the compiled program's
-          purity environment; conservative [(true, true, true)] by
-          default *)
+      (** [false] = forced-materializing mode: compiled cursor plans
+          degenerate to eager evaluation (the walker is always eager) *)
   cache : Cache.bound option;
       (** result-cache view bound to the session's config fingerprint;
           [None] disables caching *)
@@ -177,12 +173,10 @@ val make_dynamic :
   ?trace:(string -> unit) ->
   ?instr:Instr.t ->
   ?streaming:bool ->
-  ?purity:(Ast.expr -> bool * bool * bool) ->
   ?cache:Cache.bound ->
   registry ->
   dynamic
 
-val with_streaming : dynamic -> bool -> dynamic
 val with_vars : dynamic -> Item.seq Qmap.t -> dynamic
 val bind : dynamic -> Qname.t -> Item.seq -> dynamic
 val bind_many : dynamic -> (Qname.t * Item.seq) list -> dynamic

@@ -30,7 +30,9 @@ and compiled_rec = {
   c_registry : Context.registry;
   c_vars : Ast.var_decl list;  (* in declaration order *)
   c_body : Ast.expr;
-  c_env : Purity.env;  (* for the evaluator's streaming gates *)
+  c_compiler : Eval.compiler;
+      (* over [c_registry] and the program's purity environment; the
+         body and the variable initializers compile through it *)
   c_plan : Eval.plan Lazy.t;
       (* the closure-compiled body; forced inside the compile span when
          plans are enabled so the compile/run span split stays honest *)
@@ -190,9 +192,8 @@ let purity_env t decls = Purity.env_for ~registry:t.reg decls
 
 type compiled = compiled_rec
 
-(* The (effects, fallible, constructs) closure handed to the dynamic
-   context so the evaluator can consult the compile-time purity
-   environment without a module cycle. *)
+(* The (effects, fallible, constructs) closure a compiler gates its
+   streaming arms on, over a compile-time purity environment. *)
 let purity_fn env e =
   let v = Purity.analyze env e in
   (v.Purity.effects, v.Purity.fallible, v.Purity.constructs)
@@ -254,16 +255,15 @@ let compile_fp t src =
             ())
         m.Ast.prolog;
       let body = optimize_expr t ~env m.Ast.body in
+      let cc = Eval.compiler ~purity:(purity_fn env) reg in
       let c =
         {
           c_engine = t;
           c_registry = reg;
           c_vars = List.rev !vars;
           c_body = body;
-          c_env = env;
-          c_plan =
-            lazy
-              (Eval.compile (Eval.compiler ~purity:(purity_fn env) reg) body);
+          c_compiler = cc;
+          c_plan = lazy (Eval.compile cc body);
         }
       in
       (* closure-compile inside the compile span so [run] measures pure
@@ -284,6 +284,44 @@ type run_opts = {
 
 let default_run_opts = { context_item = None; vars = []; trace = None }
 
+let supplied ctx name =
+  match Context.lookup_var ctx name with
+  | Some v -> v
+  | None ->
+    Item.raise_error (Qname.err "XPDY0002")
+      (Printf.sprintf "external variable $%s was not supplied a value"
+         (Qname.to_string name))
+
+(* Module variable declarations in order, each bound for the ones after
+   it: the initializer's value — a plan compiled by [cc], or the
+   reference walker when plans are off — or, without an initializer,
+   [missing]'s value for the name; either is checked against the
+   declared type. The final bindings become the registry's globals,
+   which user function bodies see. *)
+let declare_variables ~plans cc ?(missing = supplied) ctx decls =
+  let ctx =
+    List.fold_left
+      (fun ctx vd ->
+        let v =
+          match vd.Ast.vd_value with
+          | Some e -> if plans then Eval.compile cc e ctx else Eval.eval ctx e
+          | None -> missing ctx vd.Ast.vd_name
+        in
+        let v =
+          match vd.Ast.vd_type with
+          | Some ty ->
+            Seqtype.check
+              ~what:(Printf.sprintf "$%s" (Qname.to_string vd.Ast.vd_name))
+              ty v
+          | None -> v
+        in
+        Context.bind ctx vd.Ast.vd_name v)
+      ctx decls
+  in
+  let f = Context.fields ctx in
+  Context.set_globals f.Context.registry f.Context.vars;
+  ctx
+
 let run ?(opts = default_run_opts) c =
   let i = c.c_engine.instr in
   Instr.span i "run" (fun () ->
@@ -293,9 +331,8 @@ let run ?(opts = default_run_opts) c =
         | None -> fun m -> Instr.note i ("trace: " ^ m)
       in
       let ctx =
-        Context.make_dynamic ~trace ~instr:i
-          ~streaming:c.c_engine.streaming
-          ~purity:(purity_fn c.c_env) c.c_registry
+        Context.make_dynamic ~trace ~instr:i ~streaming:c.c_engine.streaming
+          c.c_registry
       in
       List.iter
         (fun (uri, doc) -> Context.register_doc ctx uri doc)
@@ -304,41 +341,14 @@ let run ?(opts = default_run_opts) c =
         (fun (uri, nodes) -> Context.register_collection ctx uri nodes)
         (List.rev !(c.c_engine.colls));
       let ctx = Context.bind_many ctx opts.vars in
-      (* evaluate module variable declarations in order *)
-      let ctx =
-        List.fold_left
-          (fun ctx vd ->
-            let v =
-              match vd.Ast.vd_value with
-              | Some e -> Eval.eval ctx e
-              | None -> (
-                match Context.lookup_var ctx vd.Ast.vd_name with
-                | Some v -> v
-                | None ->
-                  Item.raise_error (Qname.err "XPDY0002")
-                    (Printf.sprintf
-                       "external variable $%s was not supplied a value"
-                       (Qname.to_string vd.Ast.vd_name)))
-            in
-            let v =
-              match vd.Ast.vd_type with
-              | Some ty ->
-                Seqtype.check
-                  ~what:(Printf.sprintf "$%s" (Qname.to_string vd.Ast.vd_name))
-                  ty v
-              | None -> v
-            in
-            Context.bind ctx vd.Ast.vd_name v)
-          ctx c.c_vars
-      in
-      Context.set_globals c.c_registry (Context.fields ctx).Context.vars;
+      let plans = c.c_engine.plans in
+      let ctx = declare_variables ~plans c.c_compiler ctx c.c_vars in
       let ctx =
         match opts.context_item with
         | Some item -> Context.with_focus ctx item ~pos:1 ~size:1
         | None -> ctx
       in
-      if c.c_engine.plans then (Lazy.force c.c_plan) ctx
-      else Eval.eval ctx c.c_body)
+      if plans then (Lazy.force c.c_plan) ctx else Eval.eval ctx c.c_body)
 
 (* Plan cache around [compile]: keyed on the query text, guarded by the
    fingerprint (generation + flags) the entry was compiled under. The

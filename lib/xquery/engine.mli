@@ -57,9 +57,10 @@ val set_optimizing : t -> bool -> unit
 
 val streaming : t -> bool
 val set_streaming : t -> bool -> unit
-(** Toggle the streaming evaluator for subsequent [run]s. With streaming
-    off every [Eval.eval_cur] degenerates to eager evaluation; the
-    differential corpus exercises both modes. *)
+(** Toggle streaming for subsequent [run]s. With streaming off every
+    compiled cursor plan degenerates to eager evaluation; the
+    differential corpus exercises both modes. The reference walker
+    (plans off) is eager either way. *)
 
 val plans : t -> bool
 val set_plans : t -> bool -> unit
@@ -67,9 +68,9 @@ val set_plans : t -> bool -> unit
     {!run} executes the query's compiled plan and {!eval_string} serves
     repeated query texts from the engine's plan cache (bumping
     [plan.cache.hit]/[plan.cache.miss]); with plans off every run walks
-    the AST through [Eval.eval] and the cache is bypassed entirely.
-    Results are identical either way — the differential corpus compares
-    the two axes. *)
+    the AST through the eager reference walker [Eval.eval] and the
+    cache is bypassed entirely. Results are identical either way — the
+    differential tests compare the two. *)
 
 val generation : t -> int
 (** Monotonic static-context generation: bumped by every registration
@@ -98,14 +99,14 @@ val optimize_expr : t -> ?where:string -> ?env:Purity.env -> Ast.expr -> Ast.exp
 val purity_env : t -> Ast.function_decl list -> Purity.env
 (** The purity environment for a compilation against this engine: its
     registry plus [decls] (function declarations being compiled but not
-    yet registered). Built even when optimization is off — the streaming
-    evaluator gates on the same verdicts and must gate identically in
-    optimized and unoptimized engines. *)
+    yet registered). Built even when optimization is off — the compiled
+    streaming arms gate on the same verdicts and must gate identically
+    in optimized and unoptimized engines. *)
 
 val purity_fn : Purity.env -> Ast.expr -> bool * bool * bool
 (** [(effects, fallible, constructs)] verdict of an expression under a
-    purity environment — the closure shape {!Context.make_dynamic}
-    expects for its [?purity] argument. *)
+    purity environment — the closure shape {!Eval.compiler} expects for
+    its [?purity] argument. *)
 
 val declare_namespace : t -> string -> string -> unit
 
@@ -178,6 +179,22 @@ val run : ?opts:run_opts -> compiled -> Item.seq
 (** Evaluate a compiled query: global variable declarations are evaluated
     first (external ones must be supplied through [opts.vars]), then the
     body. *)
+
+val declare_variables :
+  plans:bool ->
+  Eval.compiler ->
+  ?missing:(Context.dynamic -> Qname.t -> Item.seq) ->
+  Context.dynamic ->
+  Ast.var_decl list ->
+  Context.dynamic
+(** Run module variable declarations in order, binding each for the ones
+    after it, and install the final bindings as the context registry's
+    globals. An initializer runs as a plan compiled by the compiler, or
+    through the reference walker when [plans] is off; a declaration
+    without one takes [missing]'s value (default: the binding already in
+    the context, else [err:XPDY0002]). Every value is checked against
+    the declared type. The engine's {!run} and the XQSE session's
+    programs and library loads all bind their variables through it. *)
 
 val eval_string : ?opts:run_opts -> t -> string -> Item.seq
 (** [compile] + [run]. *)

@@ -336,6 +336,84 @@ let materialize ctx c = Cursor.to_list ~instr:(Context.fields ctx).instr c
 let count_bypass (f : Context.dynamic_fields) =
   match f.cache with Some b -> Cache.bypass b | None -> ()
 
+(* Pending-update-list kernels over already-evaluated operands, shared
+   by the walker and the compiled plans like the scalar kernels above.
+   Each caller applies the list it collects itself. *)
+
+let check_updating ctx =
+  if not (Context.fields ctx).updating_ok then
+    err "XUST0001"
+      "updating expressions are only allowed in an update statement"
+
+let push_update ctx u =
+  let fields = Context.fields ctx in
+  fields.pul := u :: !(fields.pul)
+
+(* inserted and replacing nodes are copies of the source nodes *)
+let copy_nodes v = List.map Node.deep_copy (Item.nodes_only v)
+
+let push_insert ctx pos sources target =
+  let attrs, others =
+    List.partition (fun n -> Node.kind n = Node.Attribute) sources
+  in
+  match pos with
+  | Ast.Into ->
+    if attrs <> [] then push_update ctx (Update.Insert_attributes (target, attrs));
+    if others <> [] then push_update ctx (Update.Insert_into (target, others))
+  | Ast.Into_first -> push_update ctx (Update.Insert_first (target, others))
+  | Ast.Into_last -> push_update ctx (Update.Insert_last (target, others))
+  | Ast.Before -> push_update ctx (Update.Insert_before (target, others))
+  | Ast.After -> push_update ctx (Update.Insert_after (target, others))
+
+let push_delete ctx v =
+  List.iter (fun n -> push_update ctx (Update.Delete_node n)) (Item.nodes_only v)
+
+let replace_update ~value_of target v =
+  if value_of then
+    Update.Replace_value
+      (target, String.concat " " (List.map Atomic.to_string (Item.atomize v)))
+  else Update.Replace_node (target, copy_nodes v)
+
+(* Run [f] with updating expressions allowed over a fresh pending update
+   list, and return the primitives it collected, oldest first. [f] must
+   return the empty sequence; [what] is the XUST0001 message when it
+   does not. *)
+let pending_updates ~what ctx f =
+  let fields = Context.fields ctx in
+  let saved = !(fields.pul) in
+  fields.pul := [];
+  let result = f (Context.with_updating ctx true) in
+  let pul = List.rev !(fields.pul) in
+  fields.pul := saved;
+  if result <> [] then err "XUST0001" what;
+  pul
+
+(* copy … modify … return: the modify clause's list, applied to the
+   fresh copies only, so it needs no enclosing update statement *)
+let modify_updates =
+  pending_updates ~what:"the modify clause must be an updating expression"
+
+let statement_updates =
+  pending_updates
+    ~what:
+      "an update statement requires an updating expression (it returned a \
+       value)"
+
+(* the tuples one [for] binding makes from one input tuple *)
+let for_tuples b items vars =
+  List.mapi
+    (fun i item ->
+      let vars = Qmap.add b.Ast.for_var [ item ] vars in
+      match b.Ast.for_pos with
+      | Some pv -> Qmap.add pv [ Item.Atomic (Atomic.Integer (i + 1)) ] vars
+      | None -> vars)
+    items
+
+(* The tree walker: the eager reference evaluator. Production runs the
+   compiled plans below; the walker runs only when plans are off, which
+   is how the differential tests select the reference. It never
+   streams, so each of its arms is the eager schedule the compiled
+   streaming arms must be indistinguishable from. *)
 let rec eval ctx (e : Ast.expr) : Item.seq =
   match e with
   | Ast.Literal a -> [ Item.Atomic a ]
@@ -359,10 +437,8 @@ let rec eval ctx (e : Ast.expr) : Item.seq =
     let vb = eval ctx b in
     arith_seq op va vb
   | Ast.Neg a -> neg_seq (eval ctx a)
-  | Ast.And (a, b) ->
-    Item.bool (ebv_cur (eval_cur ctx a) && ebv_cur (eval_cur ctx b))
-  | Ast.Or (a, b) ->
-    Item.bool (ebv_cur (eval_cur ctx a) || ebv_cur (eval_cur ctx b))
+  | Ast.And (a, b) -> Item.bool (ebv ctx a && ebv ctx b)
+  | Ast.Or (a, b) -> Item.bool (ebv ctx a || ebv ctx b)
   | Ast.General_cmp (op, a, b) ->
     let va = eval ctx a in
     let vb = eval ctx b in
@@ -414,8 +490,7 @@ let rec eval ctx (e : Ast.expr) : Item.seq =
       try [ Item.Atomic (Atomic.cast_to v ty) ]
       with Atomic.Cast_error msg -> err "FORG0001" msg)
     | _ -> err "XPTY0004" "cast of a sequence of more than one item")
-  | Ast.If_expr (c, t, e2) ->
-    if ebv_cur (eval_cur ctx c) then eval ctx t else eval ctx e2
+  | Ast.If_expr (c, t, e2) -> if ebv ctx c then eval ctx t else eval ctx e2
   | Ast.Typeswitch (operand, cases, (dvar, default)) -> (
     let v = eval ctx operand in
     match
@@ -433,39 +508,30 @@ let rec eval ctx (e : Ast.expr) : Item.seq =
         match dvar with Some var -> Context.bind ctx var v | None -> ctx
       in
       eval ctx default)
-  | Ast.Flwor (clauses, ret) -> (
-    match flwor_cur ctx clauses ret with
-    | Some c -> materialize ctx c
-    | None -> eval_flwor ctx clauses ret)
-  | Ast.Quantified (quant, bindings, body) -> (
-    match quantified_stream ctx quant bindings body with
-    | Some b -> Item.bool b
-    | None ->
-      let rec go ctx = function
-        | [] -> ebv_cur (eval_cur ctx body)
-        | (v, ty, src) :: rest ->
-          let items = eval ctx src in
-          let items =
-            match ty with
-            | Some t ->
-              List.map
-                (fun i ->
-                  match Seqtype.check ~what:(Qname.to_string v) t [ i ] with
-                  | [ i' ] -> i'
-                  | _ -> i)
-                items
-            | None -> items
-          in
-          let test item = go (Context.bind ctx v [ item ]) rest in
-          (match quant with
-          | Ast.Some_q -> List.exists test items
-          | Ast.Every_q -> List.for_all test items)
-      in
-      Item.bool (go ctx bindings))
-  | Ast.Path (a, b) -> (
-    match path_stream ctx a b with
-    | Some r -> r
-    | None -> path_over ctx (eval ctx a) b)
+  | Ast.Flwor (clauses, ret) -> eval_flwor ctx clauses ret
+  | Ast.Quantified (quant, bindings, body) ->
+    let rec go ctx = function
+      | [] -> ebv ctx body
+      | (v, ty, src) :: rest ->
+        let items = eval ctx src in
+        let items =
+          match ty with
+          | Some t ->
+            List.map
+              (fun i ->
+                match Seqtype.check ~what:(Qname.to_string v) t [ i ] with
+                | [ i' ] -> i'
+                | _ -> i)
+              items
+          | None -> items
+        in
+        let test item = go (Context.bind ctx v [ item ]) rest in
+        (match quant with
+        | Ast.Some_q -> List.exists test items
+        | Ast.Every_q -> List.for_all test items)
+    in
+    Item.bool (go ctx bindings)
+  | Ast.Path (a, b) -> path_over ctx (eval ctx a) b
   | Ast.Root_expr -> (
     match (Context.fields ctx).ctx_item with
     | Some (Item.Node n) -> [ Item.Node (Node.root n) ]
@@ -488,18 +554,8 @@ let rec eval ctx (e : Ast.expr) : Item.seq =
       if reverse_axis axis then Item.doc_sort filtered else filtered
     | Some (Item.Atomic _) -> err "XPTY0020" "the context item is not a node"
     | None -> err "XPDY0002" "the context item is not defined")
-  | Ast.Filter (prim, preds) -> (
-    match filter_pos_stream ctx prim preds with
-    | Some r -> r
-    | None ->
-      let base = eval ctx prim in
-      apply_predicates ctx preds base)
-  | Ast.Call (name, args) -> (
-    match streaming_call ctx name args with
-    | Some r -> r
-    | None ->
-      let arg_vals = List.map (eval ctx) args in
-      call ctx name arg_vals)
+  | Ast.Filter (prim, preds) -> apply_predicates ctx preds (eval ctx prim)
+  | Ast.Call (name, args) -> call ctx name (List.map (eval ctx) args)
   | Ast.Elem_ctor (name, attrs, contents) ->
     [ Item.Node (construct_element ctx name attrs contents) ]
   | Ast.Comp_elem (name_spec, content) ->
@@ -545,101 +601,41 @@ let rec eval ctx (e : Ast.expr) : Item.seq =
   (* ---- XQuery Update Facility subset ---- *)
   | Ast.Insert (pos, source, target) ->
     check_updating ctx;
-    let sources =
-      List.map Node.deep_copy (Item.nodes_only (eval ctx source))
-    in
-    let attrs, others =
-      List.partition (fun n -> Node.kind n = Node.Attribute) sources
-    in
-    let target_node = Item.one_node (eval ctx target) in
-    let fields = Context.fields ctx in
-    (match pos with
-    | Ast.Into ->
-      if attrs <> [] then
-        fields.pul := Update.Insert_attributes (target_node, attrs) :: !(fields.pul);
-      if others <> [] then
-        fields.pul := Update.Insert_into (target_node, others) :: !(fields.pul)
-    | Ast.Into_first ->
-      fields.pul := Update.Insert_first (target_node, others) :: !(fields.pul)
-    | Ast.Into_last ->
-      fields.pul := Update.Insert_last (target_node, others) :: !(fields.pul)
-    | Ast.Before ->
-      fields.pul := Update.Insert_before (target_node, others) :: !(fields.pul)
-    | Ast.After ->
-      fields.pul := Update.Insert_after (target_node, others) :: !(fields.pul));
+    let sources = copy_nodes (eval ctx source) in
+    push_insert ctx pos sources (Item.one_node (eval ctx target));
     []
   | Ast.Delete target ->
     check_updating ctx;
-    let nodes = Item.nodes_only (eval ctx target) in
-    let fields = Context.fields ctx in
-    List.iter
-      (fun n -> fields.pul := Update.Delete_node n :: !(fields.pul))
-      nodes;
+    push_delete ctx (eval ctx target);
     []
   | Ast.Replace { value_of; target; source } ->
     check_updating ctx;
-    let target_node = Item.one_node (eval ctx target) in
-    let fields = Context.fields ctx in
-    if value_of then begin
-      let s =
-        String.concat " "
-          (List.map Atomic.to_string (Item.atomize (eval ctx source)))
-      in
-      fields.pul := Update.Replace_value (target_node, s) :: !(fields.pul)
-    end
-    else begin
-      let sources =
-        List.map Node.deep_copy (Item.nodes_only (eval ctx source))
-      in
-      fields.pul := Update.Replace_node (target_node, sources) :: !(fields.pul)
-    end;
+    let target = Item.one_node (eval ctx target) in
+    push_update ctx (replace_update ~value_of target (eval ctx source));
     []
   | Ast.Rename (target, name_spec) ->
     check_updating ctx;
-    let target_node = Item.one_node (eval ctx target) in
-    let name = eval_name_spec ctx ~element:true name_spec in
-    let fields = Context.fields ctx in
-    fields.pul := Update.Rename_node (target_node, name) :: !(fields.pul);
+    let target = Item.one_node (eval ctx target) in
+    push_update ctx
+      (Update.Rename_node (target, eval_name_spec ctx ~element:true name_spec));
     []
   | Ast.Transform (copies, modify, ret) ->
-    (* copy … modify … return: a self-contained snapshot; does not
-       require updating_ok because it only modifies fresh copies *)
-    let ctx', _copies =
+    let ctx =
       List.fold_left
-        (fun (ctx, acc) (v, e) ->
-          let n = Item.one_node (eval ctx e) in
-          let copy = Node.deep_copy n in
-          (Context.bind ctx v [ Item.Node copy ], copy :: acc))
-        (ctx, []) copies
+        (fun ctx (v, e) ->
+          Context.bind ctx v
+            [ Item.Node (Node.deep_copy (Item.one_node (eval ctx e))) ])
+        ctx copies
     in
-    let inner_pul = ref [] in
-    let fields' = Context.fields ctx' in
-    let mod_ctx =
-      Context.with_updating
-        (Context.with_vars ctx' fields'.vars)
-        true
-    in
-    (* swap in a fresh PUL for the snapshot *)
-    let mod_fields = Context.fields mod_ctx in
-    let saved = !(mod_fields.pul) in
-    mod_fields.pul := [];
-    let result = eval mod_ctx modify in
-    if result <> [] then
-      err "XUST0001" "the modify clause must be an updating expression";
-    inner_pul := List.rev !(mod_fields.pul);
-    mod_fields.pul := saved;
-    Update.apply !inner_pul;
-    eval ctx' ret
+    Update.apply (modify_updates ctx (fun mctx -> eval mctx modify));
+    eval ctx ret
+
+and ebv ctx e = Item.effective_boolean_value (eval ctx e)
 
 and node_comparison ctx a b pred =
   let na = eval ctx a in
   let nb = eval ctx b in
   node_comparison_seq na nb pred
-
-and check_updating ctx =
-  if not (Context.fields ctx).updating_ok then
-    err "XUST0001"
-      "updating expressions are only allowed in an update statement"
 
 and eval_name_spec ctx ~element = function
   | Ast.Static_name qn -> qn
@@ -688,14 +684,7 @@ and eval_clauses ctx tuples = function
                     items
                 | None -> items
               in
-              List.mapi
-                (fun i item ->
-                  let vars = Qmap.add b.Ast.for_var [ item ] vars in
-                  match b.Ast.for_pos with
-                  | Some pv ->
-                    Qmap.add pv [ Item.Atomic (Atomic.Integer (i + 1)) ] vars
-                  | None -> vars)
-                items)
+              for_tuples b items vars)
             tuples)
         tuples bindings
     in
@@ -722,9 +711,7 @@ and eval_clauses ctx tuples = function
     eval_clauses ctx tuples rest
   | Ast.Where_clause cond :: rest ->
     let tuples =
-      List.filter
-        (fun vars -> ebv_cur (eval_cur (Context.with_vars ctx vars) cond))
-        tuples
+      List.filter (fun vars -> ebv (Context.with_vars ctx vars) cond) tuples
     in
     eval_clauses ctx tuples rest
   | Ast.Order_clause (_stable, specs) :: rest ->
@@ -959,278 +946,17 @@ and path_over ctx left b =
             eval (Context.with_focus ctx item ~pos:(i + 1) ~size) b)
           left))
 
-(* Stream the left side of a path: pull one left item at a time and
-   apply the step under the correct position. Gates: the step must not
-   construct (cross-tree document order is allocation order, so
-   interleaving a constructing step with a constructing source would be
-   observable), must not have effects, must not mention fn:last() (the
-   focus size is never computed — the step sees a dummy size), and may
-   be fallible only over a pure left side (two fallible streams would
-   reorder errors relative to the eager schedule). The result is still
-   materialized and doc-sorted; the win is never holding the full left
-   sequence. *)
-and path_stream ctx a b =
-  let f = Context.fields ctx in
-  if not f.streaming then None
-  else
-    let eff, fall, cons = f.purity b in
-    if eff || cons || mentions_last b then None
-    else
-      let la = eval_cur ctx a in
-      if fall && not (Cursor.is_pure la) then
-        Some (path_over ctx (materialize ctx la) b)
-      else begin
-        let rec go i acc =
-          match Cursor.next la with
-          | None -> List.rev acc
-          | Some item ->
-            let r = eval (Context.with_focus ctx item ~pos:(i + 1) ~size:0) b in
-            go (i + 1) (List.rev_append r acc)
-        in
-        Some (path_finish (go 0 []))
-      end
+let eval_updating ctx e = statement_updates ctx (fun u -> eval u e)
 
-(* Positional [n] over a pure source pulls exactly n items. *)
-and filter_pos_stream ctx prim preds =
-  let f = Context.fields ctx in
-  if not f.streaming then None
-  else
-    match preds with
-    | [ Ast.Literal (Atomic.Integer k) ] when k >= 1 -> (
-      let c = eval_cur ctx prim in
-      if not (Cursor.is_pure c) then
-        Some (apply_predicates ctx preds (materialize ctx c))
-      else
-        let rec go i =
-          match Cursor.next c with
-          | None -> []
-          | Some x ->
-            if i = k then begin
-              Cursor.abandon c;
-              [ x ]
-            end
-            else go (i + 1)
-        in
-        Some (go 1))
-    | _ -> None
-
-(* Single-binding quantifier over a pure source: pull, test, stop on
-   the deciding item. The eager schedule materializes the (pure) source
-   first and then short-circuits the same tests in the same order, so
-   interleaving pure pulls between tests is unobservable. *)
-and quantified_stream ctx quant bindings body =
-  let f = Context.fields ctx in
-  match bindings with
-  | [ (v, None, src) ] when f.streaming ->
-    let c = eval_cur ctx src in
-    let test item = ebv_cur (eval_cur (Context.bind ctx v [ item ]) body) in
-    if Cursor.is_pure c then
-      let rec go () =
-        match Cursor.next c with
-        | None -> ( match quant with Ast.Some_q -> false | Ast.Every_q -> true)
-        | Some item -> (
-          match (quant, test item) with
-          | Ast.Some_q, true ->
-            Cursor.abandon c;
-            true
-          | Ast.Every_q, false ->
-            Cursor.abandon c;
-            false
-          | _ -> go ())
-      in
-      Some (go ())
-    else
-      (* the cursor is already open: continue on the materialized items *)
-      let items = materialize ctx c in
-      Some
-        (match quant with
-        | Ast.Some_q -> List.exists test items
-        | Ast.Every_q -> List.for_all test items)
-  | _ -> None
-
-(* Eager FLWOR schedule with the first [for] source pre-evaluated (used
-   when a streaming gate fails after the source cursor is already
-   open). *)
-and flwor_over_items ctx items b0 rest ret =
-  let base = (Context.fields ctx).vars in
-  let tuples =
-    List.mapi
-      (fun i item ->
-        let vars = Qmap.add b0.Ast.for_var [ item ] base in
-        match b0.Ast.for_pos with
-        | Some pv -> Qmap.add pv [ Item.Atomic (Atomic.Integer (i + 1)) ] vars
-        | None -> vars)
-      items
-  in
-  let tuples = eval_clauses ctx tuples rest in
-  List.concat_map (fun vars -> eval (Context.with_vars ctx vars) ret) tuples
-
-(* Stream a FLWOR: a single leading [for] binding driven one item at a
-   time, [let]/[where] stages applied per item, the return expression
-   streamed recursively. Gates: deferred stages (lets, wheres, return)
-   must neither construct (allocation-order interleaving would be
-   observable through document order) nor have effects; at most one
-   stage may be fallible, and then only over a pure source — otherwise
-   the depth-first schedule would reorder errors relative to the eager
-   breadth-first one. A where whose value is not statically boolean
-   counts as fallible (its EBV can raise FORG0006). *)
-and flwor_cur ctx clauses ret =
-  let f = Context.fields ctx in
-  if not f.streaming then None
-  else
-    match clauses with
-    | Ast.For_clause [ b0 ] :: rest
-      when b0.Ast.for_type = None
-           && List.for_all
-                (function
-                  | Ast.For_clause _ | Ast.Order_clause _ | Ast.Join_clause _
-                    ->
-                    false
-                  | Ast.Let_clause bs ->
-                    List.for_all (fun b -> b.Ast.let_type = None) bs
-                  | Ast.Where_clause _ -> true)
-                rest ->
-      let stage_verdicts =
-        List.concat_map
-          (function
-            | Ast.Let_clause bs ->
-              List.map (fun b -> f.purity b.Ast.let_expr) bs
-            | Ast.Where_clause w ->
-              let eff, fall, cons = f.purity w in
-              [ (eff, fall || not (Purity.boolean_valued w), cons) ]
-            | _ -> [])
-          rest
-        @ [ f.purity ret ]
-      in
-      if List.exists (fun (eff, _, cons) -> eff || cons) stage_verdicts then
-        None
-      else begin
-        let fallible_stages =
-          List.length (List.filter (fun (_, fall, _) -> fall) stage_verdicts)
-        in
-        let c0 = eval_cur ctx b0.Ast.for_expr in
-        if
-          fallible_stages > 1
-          || (fallible_stages = 1 && not (Cursor.is_pure c0))
-        then
-          (* the source cursor is already open: fall back to the eager
-             clause schedule over the materialized source *)
-          Some
-            (Cursor.of_list
-               (flwor_over_items ctx (materialize ctx c0) b0 rest ret))
-        else begin
-          let base = f.vars in
-          let idx = ref 0 and cur_ret = ref None in
-          let rec pull () =
-            match !cur_ret with
-            | Some rc -> (
-              match Cursor.next rc with
-              | Some _ as r -> r
-              | None ->
-                cur_ret := None;
-                pull ())
-            | None -> (
-              match Cursor.next c0 with
-              | None -> None
-              | Some item ->
-                incr idx;
-                let vars = Qmap.add b0.Ast.for_var [ item ] base in
-                let vars =
-                  match b0.Ast.for_pos with
-                  | Some pv ->
-                    Qmap.add pv [ Item.Atomic (Atomic.Integer !idx) ] vars
-                  | None -> vars
-                in
-                stages vars rest)
-          and stages vars = function
-            | [] ->
-              cur_ret := Some (eval_cur (Context.with_vars ctx vars) ret);
-              pull ()
-            | Ast.Let_clause bs :: more ->
-              let vars =
-                List.fold_left
-                  (fun vars b ->
-                    Qmap.add b.Ast.let_var
-                      (eval (Context.with_vars ctx vars) b.Ast.let_expr)
-                      vars)
-                  vars bs
-              in
-              stages vars more
-            | Ast.Where_clause w :: more ->
-              if ebv_cur (eval_cur (Context.with_vars ctx vars) w) then
-                stages vars more
-              else pull ()
-            | _ -> assert false
-          in
-          Some
-            (Cursor.make
-               ~pure:(Cursor.is_pure c0 && fallible_stages = 0)
-               ~cleanup:(fun () ->
-                 (match !cur_ret with
-                 | Some rc -> Cursor.abandon rc
-                 | None -> ());
-                 Cursor.abandon c0)
-               pull)
-        end
-      end
-    | _ -> None
-
-(* Streaming interception of sequence-cardinality builtins: resolve the
-   name first so a user override still wins, then evaluate the sequence
-   argument as a cursor and stop as early as the semantics allow. *)
-and streaming_call ctx name args =
-  let f = Context.fields ctx in
-  if not f.streaming || not (String.equal name.Qname.uri Qname.fn_ns) then None
-  else
-    let is_builtin () =
-      match Context.find f.registry name (List.length args) with
-      | Some { Context.fn_impl = Context.Builtin _; _ } -> true
-      | _ -> false
-    in
-    match (name.Qname.local, args) with
-    | "exists", [ e ] when is_builtin () ->
-      Some (Item.bool (cursor_nonempty (eval_cur ctx e)))
-    | "empty", [ e ] when is_builtin () ->
-      Some (Item.bool (not (cursor_nonempty (eval_cur ctx e))))
-    | "head", [ e ] when is_builtin () -> (
-      let c = eval_cur ctx e in
-      match Cursor.next c with
-      | Some x ->
-        Cursor.abandon c;
-        Some [ x ]
-      | None ->
-        Cursor.close c;
-        Some [])
-    | "count", [ e ] when is_builtin () ->
-      (* full drain, but O(1) retained memory *)
-      let c = eval_cur ctx e in
-      let rec go n = match Cursor.next c with Some _ -> go (n + 1) | None -> n in
-      Some (Item.int (go 0))
-    | "boolean", [ e ] when is_builtin () ->
-      Some (Item.bool (ebv_cur (eval_cur ctx e)))
-    | "not", [ e ] when is_builtin () ->
-      Some (Item.bool (not (ebv_cur (eval_cur ctx e))))
-    | "subsequence", [ e; starte ] when is_builtin () ->
-      Some
-        (streaming_subsequence ctx (eval_cur ctx e)
-           (fun () -> eval ctx starte)
-           None)
-    | "subsequence", [ e; starte; lene ] when is_builtin () ->
-      Some
-        (streaming_subsequence ctx (eval_cur ctx e)
-           (fun () -> eval ctx starte)
-           (Some (fun () -> eval ctx lene)))
-    | _ -> None
-
-(* fn:subsequence with the sequence argument streamed; shared between
-   the interpreted and compiled paths, so the cursor arrives already
-   opened and the start/length arguments arrive as thunks. The thunks
+(* fn:subsequence with the sequence argument streamed, for the compiled
+   streaming call: the cursor arrives already opened and the
+   start/length arguments arrive as thunks. The thunks
    are forced after the cursor is opened, matching the eager
    left-to-right argument order; when the cursor is impure it is
    materialized first (restoring the exact eager schedule), when pure
    the pending pulls commute with those evaluations. Index arithmetic is
    byte-for-byte the eager builtin's. *)
-and streaming_subsequence ctx c startv lenv =
+let streaming_subsequence ctx c startv lenv =
   let pre = if Cursor.is_pure c then None else Some (materialize ctx c) in
   let dbl v =
     match Item.one_atom_opt (v ()) with
@@ -1283,68 +1009,6 @@ and streaming_subsequence ctx c startv lenv =
         in
         go 0 [])
 
-(* Produce a cursor for [e]. The default arm evaluates eagerly and
-   wraps the result — an of_list cursor is always pure, since its pulls
-   cannot raise or act. Streaming arms defer work only where the laws
-   in DESIGN.md §13 guarantee a consumer cannot observe the
-   difference. *)
-and eval_cur ctx (e : Ast.expr) : Item.t Cursor.t =
-  let f = Context.fields ctx in
-  if not f.streaming then Cursor.of_list (eval ctx e)
-  else
-    match e with
-    | Ast.Seq_expr es ->
-      (* lazy sequential concatenation: components are never
-         interleaved, so deferring them is order-safe even when they
-         construct; the chain is skippable only when every component is
-         total under the purity environment *)
-      let total e' =
-        let eff, fall, _ = f.purity e' in
-        (not eff) && not fall
-      in
-      Cursor.chain
-        ~pure:(List.for_all total es)
-        (List.map (fun e' () -> eval_cur ctx e') es)
-    | Ast.Range (a, b) -> (
-      match range_bounds ctx a b with
-      | None -> Cursor.empty ()
-      | Some (lo, hi) ->
-        let i = ref lo in
-        Cursor.make ~pure:true ~instr:f.instr (fun () ->
-            if !i > hi then None
-            else begin
-              let v = !i in
-              incr i;
-              Some (Item.Atomic (Atomic.Integer v))
-            end))
-    | Ast.If_expr (c, t, e2) ->
-      if ebv_cur (eval_cur ctx c) then eval_cur ctx t else eval_cur ctx e2
-    | Ast.Call (name, args) -> (
-      match Context.find f.registry name (List.length args) with
-      | Some { Context.fn_impl = Context.External_cursor impl; _ } ->
-        let args = List.map (eval ctx) args in
-        count_bypass f;
-        impl args
-      | _ -> Cursor.of_list (eval ctx e))
-    | Ast.Flwor (clauses, ret) -> (
-      match flwor_cur ctx clauses ret with
-      | Some c -> c
-      | None -> Cursor.of_list (eval_flwor ctx clauses ret))
-    | _ -> Cursor.of_list (eval ctx e)
-
-let eval_updating ctx e =
-  let fields = Context.fields ctx in
-  let saved = !(fields.pul) in
-  fields.pul := [];
-  let uctx = Context.with_updating ctx true in
-  let result = eval uctx e in
-  let pul = List.rev !(fields.pul) in
-  fields.pul := saved;
-  if result <> [] then
-    err "XUST0001"
-      "an update statement requires an updating expression (it returned a value)";
-  pul
-
 (* ------------------------------------------------------------------ *)
 (* Stage 2: closure compilation                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1354,9 +1018,12 @@ let eval_updating ctx e =
    dispatch, name resolution against the registry, purity/streaming
    gate verdicts and nested sub-plans. The resulting [plan] is a plain
    closure [ctx -> seq] whose observable behaviour — items, effects,
-   errors, instrumentation counters, evaluation order — is identical to
-   [eval]; every arm below mirrors its [eval] arm line for line, with
-   the per-evaluation analysis hoisted to compile time.
+   errors, evaluation order — is identical to the eager walker [eval];
+   every arm below mirrors its [eval] arm, with the per-evaluation
+   analysis hoisted to compile time, and the streaming arms add cursor
+   schedules the walker does not have. No arm calls back into the
+   walker: production runs compiled plans only, and the walker stays
+   as the reference they are tested against.
 
    What is fixed at compile time (and therefore part of the plan-cache
    fingerprint maintained by Engine/Session): the registry contents for
@@ -1370,8 +1037,7 @@ let eval_updating ctx e =
    What stays dynamic: the [streaming] flag is read from the context at
    run time, so one cached plan serves both modes of the same engine;
    variables, focus, documents and collections come from the context as
-   always. Update expressions compile to an interpreter escape hatch —
-   they run once per statement and gain nothing from staging. *)
+   always. *)
 
 type plan = Context.dynamic -> Item.seq
 
@@ -1458,6 +1124,12 @@ let text_key v =
   match Item.atomize v with
   | [ (Atomic.String s | Atomic.Untyped s) ] -> Some s
   | _ -> None
+
+(* the eager FLWOR schedule over compiled clauses: every clause over all
+   tuples in turn, then the return expression per tuple *)
+let run_clauses ctx cclauses pret tuples =
+  let tuples = List.fold_left (fun tuples cl -> cl ctx tuples) tuples cclauses in
+  List.concat_map (fun vars -> pret (Context.with_vars ctx vars)) tuples
 
 let rec compile cc e =
   match PhysTbl.find_opt cc.c_eager e with
@@ -1617,13 +1289,7 @@ and compile_expr cc (e : Ast.expr) : plan =
     let cclauses = List.map (compile_clause cc) clauses in
     let pret = compile cc ret in
     let eager ctx =
-      let tuples =
-        List.fold_left
-          (fun tuples cl -> cl ctx tuples)
-          [ (Context.fields ctx).vars ]
-          cclauses
-      in
-      List.concat_map (fun vars -> pret (Context.with_vars ctx vars)) tuples
+      run_clauses ctx cclauses pret [ (Context.fields ctx).vars ]
     in
     match compile_flwor_stream cc clauses ret with
     | Some splan ->
@@ -1659,6 +1325,10 @@ and compile_expr cc (e : Ast.expr) : plan =
       in
       Item.bool (go ctx cbindings)
     in
+    (* Single-binding quantifier over a pure source: pull, test, stop
+       on the deciding item. The eager schedule materializes the (pure)
+       source first and then short-circuits the same tests in the same
+       order, so interleaving pure pulls between tests is unobservable. *)
     match bindings with
     | [ (v, None, src) ] ->
       let csrc = compile_cur cc src in
@@ -1694,6 +1364,16 @@ and compile_expr cc (e : Ast.expr) : plan =
         end
     | _ -> eager)
   | Ast.Path (a, b) ->
+    (* Stream the left side of a path: pull one left item at a time and
+       apply the step under the correct position. Gates: the step must
+       not construct (cross-tree document order is allocation order, so
+       interleaving a constructing step with a constructing source would
+       be observable), must not have effects, must not mention fn:last()
+       (the focus size is never computed — the step sees a dummy size),
+       and may be fallible only over a pure left side (two fallible
+       streams would reorder errors relative to the eager schedule). The
+       result is still materialized and doc-sorted; the win is never
+       holding the full left sequence. *)
     let pa = compile cc a in
     let pb = compile cc b in
     let eager ctx = compile_path_over ctx (pa ctx) pb in
@@ -1744,6 +1424,7 @@ and compile_expr cc (e : Ast.expr) : plan =
     let cpreds = compile_predicates cc preds in
     let eager ctx = cpreds ctx (cprim ctx) in
     match preds with
+    (* positional [n] over a pure source pulls exactly n items *)
     | [ Ast.Literal (Atomic.Integer k) ] when k >= 1 ->
       let cprim_cur = compile_cur cc prim in
       fun ctx ->
@@ -1869,12 +1550,47 @@ and compile_expr cc (e : Ast.expr) : plan =
           (List.map Atomic.to_string (Item.atomize (pc ctx)))
       in
       [ Item.Node (Node.processing_instruction name.Qname.local s) ]
-  | ( Ast.Insert _ | Ast.Delete _ | Ast.Replace _ | Ast.Rename _
-    | Ast.Transform _ ) as u ->
-    (* update expressions run once per statement and accumulate into the
-       context's PUL — nothing to win by staging, so they keep the
-       tree-walking evaluator *)
-    fun ctx -> eval ctx u
+  | Ast.Insert (pos, source, target) ->
+    let psrc = compile cc source and ptgt = compile cc target in
+    fun ctx ->
+      check_updating ctx;
+      let sources = copy_nodes (psrc ctx) in
+      push_insert ctx pos sources (Item.one_node (ptgt ctx));
+      []
+  | Ast.Delete target ->
+    let ptgt = compile cc target in
+    fun ctx ->
+      check_updating ctx;
+      push_delete ctx (ptgt ctx);
+      []
+  | Ast.Replace { value_of; target; source } ->
+    let ptgt = compile cc target and psrc = compile cc source in
+    fun ctx ->
+      check_updating ctx;
+      let target = Item.one_node (ptgt ctx) in
+      push_update ctx (replace_update ~value_of target (psrc ctx));
+      []
+  | Ast.Rename (target, name_spec) ->
+    let ptgt = compile cc target in
+    let cname = compile_name_spec cc ~element:true name_spec in
+    fun ctx ->
+      check_updating ctx;
+      let target = Item.one_node (ptgt ctx) in
+      push_update ctx (Update.Rename_node (target, cname ctx));
+      []
+  | Ast.Transform (copies, modify, ret) ->
+    let ccopies = List.map (fun (v, e) -> (v, compile cc e)) copies in
+    let pmod = compile cc modify and pret = compile cc ret in
+    fun ctx ->
+      let ctx =
+        List.fold_left
+          (fun ctx (v, p) ->
+            Context.bind ctx v
+              [ Item.Node (Node.deep_copy (Item.one_node (p ctx))) ])
+          ctx ccopies
+      in
+      Update.apply (modify_updates ctx pmod);
+      pret ctx
 
 and compile_node_comparison cc a b pred =
   let pa = compile cc a and pb = compile cc b in
@@ -1978,14 +1694,7 @@ and compile_clause cc = function
                     items
                 | None -> items
               in
-              List.mapi
-                (fun i item ->
-                  let vars = Qmap.add b.Ast.for_var [ item ] vars in
-                  match b.Ast.for_pos with
-                  | Some pv ->
-                    Qmap.add pv [ Item.Atomic (Atomic.Integer (i + 1)) ] vars
-                  | None -> vars)
-                items)
+              for_tuples b items vars)
             tuples)
         tuples cbs
   | Ast.Let_clause bindings ->
@@ -2063,8 +1772,17 @@ and compile_clause cc = function
           | None -> [])
         tuples
 
-(* The streaming-FLWOR gate of [flwor_cur], decided at compile time:
-   structural shape and purity verdicts are fixed per compile (the
+(* Stream a FLWOR: a single leading [for] binding driven one item at a
+   time, [let]/[where] stages applied per item, the return expression
+   streamed recursively. Gates: deferred stages (lets, wheres, return)
+   must neither construct (allocation-order interleaving would be
+   observable through document order) nor have effects; at most one
+   stage may be fallible, and then only over a pure source — otherwise
+   the depth-first schedule would reorder errors relative to the eager
+   breadth-first one. A where whose value is not statically boolean
+   counts as fallible (its EBV can raise FORG0006).
+
+   Structural shape and purity verdicts are fixed per compile (the
    purity environment is part of the cache fingerprint), only the
    source cursor's runtime purity is left to the plan. Returns [None]
    when the shape or verdicts reject streaming — the caller then uses
@@ -2112,6 +1830,8 @@ and compile_flwor_stream cc clauses ret =
           rest
       in
       let cret_cur = compile_cur cc ret in
+      let crest = List.map (compile_clause cc) rest in
+      let pret = compile cc ret in
       Some
         (fun ctx ->
           let f = Context.fields ctx in
@@ -2120,11 +1840,11 @@ and compile_flwor_stream cc clauses ret =
             fallible_stages > 1
             || (fallible_stages = 1 && not (Cursor.is_pure c0))
           then
-            (* same fallback as the interpreter: the source cursor is
-               already open, so finish on the eager clause schedule over
-               the materialized source *)
+            (* the source cursor is already open: finish on the eager
+               schedule's compiled clauses over the materialized source *)
             Cursor.of_list
-              (flwor_over_items ctx (materialize ctx c0) b0 rest ret)
+              (run_clauses ctx crest pret
+                 (for_tuples b0 (materialize ctx c0) f.vars))
           else begin
             let base = f.vars in
             let idx = ref 0 and cur_ret = ref None in
@@ -2178,10 +1898,12 @@ and compile_flwor_stream cc clauses ret =
     end
   | _ -> None
 
-(* Compile-time interception of the sequence-cardinality builtins that
-   [streaming_call] handles: the name is resolved against the compile
-   registry (registration rejects redefinition, so the verdict cannot go
-   stale) and only the streaming flag is left to run time. *)
+(* Streaming interception of the sequence-cardinality builtins: the
+   sequence argument is evaluated as a cursor and consumed only as far
+   as the semantics require. The name is resolved against the compile
+   registry first, so a user override still wins (registration rejects
+   redefinition, so the verdict cannot go stale), and only the
+   streaming flag is left to run time. *)
 and compile_streaming_call cc name args plain =
   let is_builtin =
     String.equal name.Qname.uri Qname.fn_ns
@@ -2398,3 +2120,7 @@ and compile_cur_expr cc e =
         else splan ctx
     | None -> fun ctx -> Cursor.of_list (eager ctx))
   | _ -> fun ctx -> Cursor.of_list (eager ctx)
+
+let compile_updating cc e =
+  let p = compile cc e in
+  fun ctx -> statement_updates ctx p

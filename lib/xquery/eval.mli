@@ -1,22 +1,24 @@
-(** The XQuery evaluator.
+(** The XQuery evaluator: a closure compiler, which production runs,
+    and the eager tree walker it is tested against.
 
-    [eval] is pure except for calls to registered external functions
+    Evaluation is pure except for calls to registered external functions
     (data-service reads) and the accumulation of update primitives from
-    XUF expressions into the dynamic context's pending update list. *)
+    XUF expressions into the dynamic context's pending update list.
+
+    {1 The reference walker}
+
+    [eval], [call] and [eval_updating] walk the AST eagerly: every
+    operand is evaluated in full before it is used, and the context's
+    [streaming] flag is ignored. Engine and session walk only with
+    plans off, which is how the differential tests select the
+    reference; compiled plans use [call] just to reach host functions
+    and readonly procedures, never a user function's body. *)
 
 open Xdm
 
 val eval : Context.dynamic -> Ast.expr -> Item.seq
 (** Evaluate an expression.
     @raise Xdm.Item.Error for all dynamic and type errors. *)
-
-val eval_cur : Context.dynamic -> Ast.expr -> Item.t Cursor.t
-(** Evaluate an expression as a pull-based cursor. Fully consuming the
-    cursor yields exactly what {!eval} returns (same items, effects and
-    errors, in the same order); consumers stopping early must use
-    {!Xdm.Cursor.abandon}. When the context is not streaming (or no
-    streaming arm applies) this degenerates to eager evaluation wrapped
-    in a pure cursor. *)
 
 val call : Context.dynamic -> Qname.t -> Item.seq list -> Item.seq
 (** Call a function from the registry by name with evaluated arguments
@@ -38,7 +40,9 @@ val eval_updating : Context.dynamic -> Ast.expr -> Update.t
     — with constructor dispatch, registry lookups and purity/streaming
     gate verdicts hoisted out of the per-evaluation path. Running a plan
     is observably identical to {!eval} on the same context: same items,
-    effects, errors, instrumentation counters and evaluation order.
+    effects, errors and evaluation order; where the context is
+    streaming, cursor schedules stop early only where no consumer can
+    tell. Plans never call back into the walker.
 
     A compiler (and its plans) is valid for a fixed registry and purity
     environment; Engine/Session key their plan caches on exactly that
@@ -63,7 +67,16 @@ val compile : compiler -> Ast.expr -> plan
 
 val compile_cur :
   compiler -> Ast.expr -> Context.dynamic -> Item.t Cursor.t
-(** Cursor-producing variant of {!compile}, mirroring {!eval_cur}. *)
+(** Cursor-producing variant of {!compile}: fully consuming the cursor
+    yields exactly what the plan returns (same items, effects and
+    errors, in the same order); consumers stopping early must use
+    {!Xdm.Cursor.abandon}. When the context is not streaming (or no
+    streaming arm applies) the plan's eager result is wrapped in a pure
+    cursor. *)
+
+val compile_updating : compiler -> Ast.expr -> Context.dynamic -> Update.t
+(** The compiled form of {!eval_updating}, for the XQSE update
+    statement. *)
 
 val compile_call :
   compiler -> Qname.t -> int -> Context.dynamic -> Item.seq list -> Item.seq

@@ -169,12 +169,31 @@ let admission_tests =
           (contains r1 "<CreditRating>");
         let size1 = Cache.Store.size (Cache.store h) in
         let m1 = counter instr Instr.K.cache_miss in
+        let e1 = Resilience.Control.degradation_count ctl in
         let r2 = Xqse.Session.eval_to_string sess q in
         check_string "degraded replay is deterministic" r1 r2;
+        check_int "the epoch moved once per degradation the replay noted"
+          (List.length (Resilience.Control.degradations ctl))
+          (Resilience.Control.degradation_count ctl);
+        check_bool "and the replay noted some" true
+          (Resilience.Control.degradation_count ctl > e1);
         check_bool "degraded read misses again — it was refused" true
           (counter instr Instr.K.cache_miss > m1);
         check_int "no degraded entry ever admitted" size1
           (Cache.Store.size (Cache.store h)));
+    case "the degradation epoch moves once per degradation" (fun () ->
+        let ctl = Resilience.Control.create () in
+        check_int "none yet" 0 (Resilience.Control.degradation_count ctl);
+        for i = 1 to 3 do
+          Resilience.Control.note_degraded ctl ~source:"db2" ~code:"RESX0002"
+            ~message:"down";
+          check_int
+            (Printf.sprintf "after degradation %d" i)
+            i
+            (Resilience.Control.degradation_count ctl)
+        done;
+        check_int "the log agrees" 3
+          (List.length (Resilience.Control.degradations ctl)));
   ]
 
 let invalidation_tests =

@@ -166,6 +166,70 @@ let directed_session_tests =
     (fun i src -> agree_session (Printf.sprintf "directed session %02d" i) src)
     directed
 
+(* The former escape hatches: shapes whose compiled plans used to call
+   back into the walker, so comparing them with plans = false compared
+   the walker with itself. Each must agree with the reference walker
+   with the optimizer on and off, at engine level (the XQuery ones) and
+   at session level (all of them). The FLWOR keeps its nested shape
+   only with the optimizer off: its fallible outer where over a source
+   whose own where is fallible makes the streamed FLWOR fall back to the
+   eager schedule. *)
+let escape_hatches =
+  [
+    ( "copy/modify/return",
+      "copy $c := <a><b>1</b></a> modify (replace value of node $c/b with 2, \
+       insert node <d/> into $c, rename node $c/b as \"e\") return $c" );
+    ( "a module variable calling a declared function",
+      "declare function local:f($x) { $x * 2 }; \
+       declare variable $v := local:f(21); $v + 1" );
+    ( "a streamed FLWOR falling back to the eager schedule",
+      "count(for $j in (for $i in 1 to 3 where 1 idiv $i ge 0 return $i) \
+       where 1 idiv ($j - 5) le 0 return $j)" );
+  ]
+
+let xqse_escape_hatch =
+  ( "an XQSE update statement",
+    "{ declare $x := <a><b>1</b></a>; \
+     (replace value of node $x/b with 2, insert node <c/> into $x); \
+     return value $x; }" )
+
+let against_walker name run src =
+  case name (fun () ->
+      List.iter
+        (fun optimize ->
+          let compiled = outcome (run ~optimize ~plans:true) src in
+          let walker = outcome (run ~optimize ~plans:false) src in
+          if compiled <> walker then
+            Alcotest.failf
+              "compiled plans disagree with the reference walker \
+               (optimize=%b):\n%s\n  walker:   %s\n  compiled: %s"
+              optimize src (show walker) (show compiled))
+        [ true; false ])
+
+let escape_hatch_tests =
+  List.map
+    (fun (name, src) ->
+      against_walker ("escape hatch: " ^ name)
+        (fun ~optimize ~plans src ->
+          let e = Xquery.Engine.create ~optimize () in
+          Xquery.Engine.set_plans e plans;
+          Xquery.Engine.eval_to_string e src)
+        src)
+    escape_hatches
+
+let escape_hatch_session_tests =
+  List.map
+    (fun (name, src) ->
+      against_walker ("escape hatch session: " ^ name)
+        (fun ~optimize ~plans src ->
+          Xqse.Session.eval_to_string
+            (Xqse.Session.create
+               ~config:{ Xqse.Session.default_config with optimize; plans }
+               ())
+            src)
+        src)
+    (escape_hatches @ [ xqse_escape_hatch ])
+
 (* Rewrite statistics for one corpus program, through the same
    entry point the engine uses. *)
 let stats_of src =
@@ -310,6 +374,9 @@ let meta_tests =
 
 let suites =
   [
-    ("differential", meta_tests @ directed_tests @ generated_tests);
-    ("differential-session", directed_session_tests @ generated_session_tests);
+    ( "differential",
+      meta_tests @ directed_tests @ generated_tests @ escape_hatch_tests );
+    ( "differential-session",
+      directed_session_tests @ generated_session_tests
+      @ escape_hatch_session_tests );
   ]

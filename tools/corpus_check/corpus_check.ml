@@ -4,16 +4,18 @@
 
    Every generated program is evaluated through the XQuery engine and
    the XQSE session, each with the optimizer on and off, and — per
-   MODE/EVAL — with the streaming cursor evaluator on and/or forced off
-   and with closure-compiled plans on and/or off (the compiled axis also
-   replays every program through one shared warm-cache session, so cold
-   compile, warm cache hit and the tree-walking interpreter must all
-   agree). Any disagreement in outcome (serialized result, or dynamic
-   error code) is reported and fails the run.
+   MODE/EVAL — through closure-compiled plans, with streaming on and/or
+   forced off, and/or through the eager reference walker (plans off).
+   The walker never streams, so its layers run once whatever MODE says:
+   12 layers under "both both". The compiled layers also replay every
+   program through one shared warm-cache session, so cold compile, warm
+   cache hit and the reference walker must all agree. Any disagreement
+   in outcome (serialized result, or dynamic error code) is reported
+   and fails the run.
 
    Usage: corpus_check [SIZE] [SEED] [MODE] [EVAL]
      defaults: 500 20260806 both both
-     MODE: streaming | materialize | both
+     MODE: streaming | materialize | both (compiled layers only)
      EVAL: compiled | interpreted | both
      (CORPUS_MODE / CORPUS_EVAL in the environment set the defaults) *)
 
@@ -73,9 +75,18 @@ let () =
       ()
   in
   let tag streaming plans =
-    Printf.sprintf "%s, %s"
-      (if streaming then "streaming" else "materializing")
-      (if plans then "compiled" else "interpreted")
+    if plans then
+      Printf.sprintf "%s, compiled"
+        (if streaming then "streaming" else "materializing")
+    else "interpreted"
+  in
+  (* (streaming, plans) per layer group: the walker ignores streaming *)
+  let variants =
+    List.concat_map
+      (fun plans ->
+        if plans then List.map (fun s -> (s, true)) streaming_variants
+        else [ (List.hd streaming_variants, false) ])
+      plan_variants
   in
   (* shared sessions per layer: program declarations compile against
      copies, so corpus programs cannot leak into each other — and on the
@@ -83,35 +94,32 @@ let () =
      (the second evaluation of a program must hit its cached plan) *)
   let layers =
     List.concat_map
-      (fun streaming ->
-        List.concat_map
-          (fun plans ->
-            let t = tag streaming plans in
-            let warm s src =
-              let cold = Xqse.Session.eval_to_string s src in
-              if not plans then cold
-              else begin
-                let warm = Xqse.Session.eval_to_string s src in
-                if warm <> cold then
-                  failwith
-                    (Printf.sprintf
-                       "warm plan-cache replay diverged on %s: cold %S, warm %S"
-                       src cold warm);
-                warm
-              end
-            in
-            [
-              ( Printf.sprintf "optimized engine, %s" t,
-                engine true streaming plans );
-              ( Printf.sprintf "unoptimized engine, %s" t,
-                engine false streaming plans );
-              ( Printf.sprintf "optimized session, %s" t,
-                warm (session true streaming plans) );
-              ( Printf.sprintf "unoptimized session, %s" t,
-                warm (session false streaming plans) );
-            ])
-          plan_variants)
-      streaming_variants
+      (fun (streaming, plans) ->
+        let t = tag streaming plans in
+        let warm s src =
+          let cold = Xqse.Session.eval_to_string s src in
+          if not plans then cold
+          else begin
+            let warm = Xqse.Session.eval_to_string s src in
+            if warm <> cold then
+              failwith
+                (Printf.sprintf
+                   "warm plan-cache replay diverged on %s: cold %S, warm %S"
+                   src cold warm);
+            warm
+          end
+        in
+        [
+          ( Printf.sprintf "optimized engine, %s" t,
+            engine true streaming plans );
+          ( Printf.sprintf "unoptimized engine, %s" t,
+            engine false streaming plans );
+          ( Printf.sprintf "optimized session, %s" t,
+            warm (session true streaming plans) );
+          ( Printf.sprintf "unoptimized session, %s" t,
+            warm (session false streaming plans) );
+        ])
+      variants
   in
   let reference_layer =
     engine false (List.hd streaming_variants) (List.hd plan_variants)
