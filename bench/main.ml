@@ -204,15 +204,38 @@ let report () =
     [ 10; 50; 200 ];
 
   section "F3-byid: getProfileById - optimizer on vs off";
+  Printf.printf "%-12s %-10s %-10s %-14s %-14s %-12s\n" "customers" "optimizer"
+    "ws calls" "rows scanned" "rows fetched" "median ms";
   List.iter
     (fun n ->
-      let on = FC.make ~customers:n () in
-      let off = FC.make ~customers:n ~optimize:false () in
-      let t_on = time_ms (fun () -> FC.get_profile_by_id on "C1") in
-      let t_off = time_ms (fun () -> FC.get_profile_by_id off "C1") in
-      record (Printf.sprintf "f3.byid.N=%d.optimizer_ratio" n) (t_off /. t_on);
-      Printf.printf "N=%-4d  optimized %.2f ms   unoptimized %.2f ms   ratio %.2fx\n"
-        n t_on t_off (t_off /. t_on))
+      let run optimize =
+        let instr = Instr.create () in
+        Instr.preregister instr;
+        let env = FC.make ~customers:n ~optimize ~instr () in
+        let ms = time_ms (fun () -> FC.get_profile_by_id env "C1") in
+        (* one more read, counted *)
+        Instr.enable instr;
+        ignore (FC.get_profile_by_id env "C1");
+        let c k =
+          Option.value ~default:0
+            (List.assoc_opt k (Instr.stats instr).Instr.counters)
+        in
+        let label = if optimize then "on" else "off" in
+        List.iter
+          (fun (what, v) ->
+            record (Printf.sprintf "f3.byid.N=%d.%s.%s" n label what) v)
+          [ ("ms", ms);
+            ("ws_calls", float_of_int (c Instr.K.ws_calls));
+            ("rows_scanned", float_of_int (c Instr.K.rows_scanned));
+            ("rows_fetched", float_of_int (c Instr.K.rows_fetched)) ];
+        Printf.printf "%-12d %-10s %-10d %-14d %-14d %-12.2f\n" n label
+          (c Instr.K.ws_calls) (c Instr.K.rows_scanned)
+          (c Instr.K.rows_fetched) ms;
+        ms
+      in
+      let t_on = run true in
+      let t_off = run false in
+      record (Printf.sprintf "f3.byid.N=%d.optimizer_ratio" n) (t_off /. t_on))
     [ 10; 50 ];
 
   section "F4-sdo: the Figure 4 disconnected update";

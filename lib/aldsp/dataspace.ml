@@ -1232,8 +1232,9 @@ let submit t svc ?(policy = Occ.Updated_values) ?(validate = false) dg =
   | None -> default_submit t svc policy dg
 
 (* explain: per-method optimizer report — re-parse the service source,
-   optimize the method body, report the pass counters and the rewritten
-   query text *)
+   optimize the method body under the purity environment and callee
+   bodies the library load used, report the pass counters and the
+   rewritten query text *)
 let explain t svc ~meth =
   match Hashtbl.find_opt t.read_sources svc.Data_service.ds_name with
   | None -> Error "the service has no stored read source"
@@ -1258,7 +1259,11 @@ let explain t svc ~meth =
       match decl.Xquery.Ast.fd_body with
       | None -> Error "the method is external"
       | Some body ->
-        let optimized, stats = Xquery.Optimizer.optimize_with_stats body in
+        let env =
+          Xquery.Engine.purity_env (Xqse.Session.engine t.sess)
+            prog.Xqse.Stmt.prog_functions
+        in
+        let optimized, stats = Xquery.Optimizer.optimize_with_stats ~env body in
         Ok
           (Printf.sprintf
              "method %s: folded=%d inlined=%d joins=%d pushed=%d\n%s" meth

@@ -562,9 +562,39 @@ let rec eq_bindings = function
   | Pred.And (a, b) -> eq_bindings a @ eq_bindings b
   | _ -> []
 
-(* index-probe candidates, or None when no index covers the predicate *)
+(* Does [Pred.eval]'s equality with [v] on column [col] hold only for a
+   structurally equal value? Then a map lookup on [v] finds exactly the
+   rows the predicate accepts. Not so for numbers on a DOUBLE column,
+   which may hold Int 3 and Float 3.0 alike. *)
+let exact_key t col v =
+  match v with
+  | Value.Int _ ->
+    (List.nth t.schema.columns (col_index t col)).col_type = Value.T_int
+  | Value.Float _ | Value.Null -> false
+  | Value.Text _ | Value.Bool _ | Value.Date _ -> true
+
+(* The one row named by equalities on every primary-key column, read
+   from the version's row map; None when they do not cover the key. *)
+let pk_lookup t s eqs =
+  let key =
+    List.map
+      (fun c ->
+        match List.assoc_opt c eqs with
+        | Some v when exact_key t c v -> Some v
+        | _ -> None)
+      t.schema.primary_key
+  in
+  if List.for_all Option.is_some key then
+    Some (Option.to_list (PkMap.find_opt (List.map Option.get key) s.s_rows))
+  else None
+
+(* candidate rows — a primary-key lookup, else an index probe — or None
+   when neither covers the predicate *)
 let probe t s pred =
   let eqs = eq_bindings pred in
+  match pk_lookup t s eqs with
+  | Some _ as rows -> rows
+  | None ->
   List.find_map
     (fun (cols, m) ->
       match
@@ -592,7 +622,7 @@ let store_select t s pred =
   let result =
     match probe t s pred with
     | Some rows ->
-      (* index probe: only the candidate rows are examined *)
+      (* primary-key lookup or index probe: only the candidates are examined *)
       Instr.bump t.instr ~n:(List.length rows) Instr.K.rows_scanned;
       List.filter (fun row -> Pred.eval ~get:(fun c -> get row t c) pred) rows
     | None ->

@@ -42,7 +42,8 @@ val name : t -> string
 val set_instr : t -> Instr.t -> unit
 (** Attach an instrumentation handle (default {!Instr.disabled}):
     {!scan} and {!select} report [rows.scanned] (rows examined — all of
-    them on a scan, only index candidates on an index probe) and
+    them on a scan, only the candidates of a primary-key lookup or
+    index probe) and
     [rows.fetched] (rows returned); the MVCC machinery reports
     [mvcc.versions.live]/[mvcc.versions.collected] and
     [mvcc.lock.acquired]/[mvcc.lock.contended]. Usually propagated from
@@ -80,7 +81,8 @@ val scan_cursor : t -> row Xdm.Cursor.t
     closed or abandoned. The cursor is pure. *)
 
 val select_cursor : t -> Pred.t -> row Xdm.Cursor.t
-(** Pull-based {!select} with the same index-probe plan choice;
+(** Pull-based {!select} with the same plan choice (primary-key
+    lookup, index probe or scan);
     [rows.scanned] counts candidates examined per pull, [rows.fetched]
     rows produced. Pins its version like {!scan_cursor}. *)
 

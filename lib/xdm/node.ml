@@ -16,12 +16,30 @@ type t = {
   node_kind : kind;
 }
 
-let counter = ref 0
+(* Node ids are unique across domains: each domain draws a block of ids
+   with one atomic fetch-and-add and hands them out from a domain-local
+   cursor, so ids increase within a domain and creating a node costs no
+   atomic operation until the block runs out. *)
+let id_block = 4096
+let next_block = Stdlib.Atomic.make 1
+
+type id_cursor = { mutable next : int; mutable limit : int }
+
+let id_cursor = Domain.DLS.new_key (fun () -> { next = 0; limit = 0 })
+
+let fresh_id () =
+  let c = Domain.DLS.get id_cursor in
+  if c.next = c.limit then begin
+    c.next <- Stdlib.Atomic.fetch_and_add next_block id_block;
+    c.limit <- c.next + id_block
+  end;
+  let id = c.next in
+  c.next <- id + 1;
+  id
 
 let fresh kind =
-  incr counter;
   {
-    id = !counter;
+    id = fresh_id ();
     parent = None;
     name = None;
     content = "";

@@ -28,7 +28,8 @@ val processing_instruction : string -> string -> t
 
 val kind : t -> kind
 val id : t -> int
-(** Unique, monotonically increasing creation id. *)
+(** Creation id: unique across domains, increasing in creation order
+    within a domain. *)
 
 val name : t -> Qname.t option
 (** Element/attribute name; PI target as a local QName; [None] otherwise. *)

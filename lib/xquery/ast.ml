@@ -240,99 +240,222 @@ let fold_subexprs : 'a. ('a -> expr -> 'a) -> 'a -> expr -> 'a =
     let acc = List.fold_left (fun acc (_, e) -> on acc e) acc copies in
     on (on acc modify) ret
 
+(* [List.map], returning [l] itself when [f] returns every element
+   unchanged; elements are visited left to right *)
+let rec map_list f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    let rest' = map_list f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
 (** [map_subexprs f e] rebuilds [e] with [f] applied to every immediate
     subexpression (a purely structural, scope-oblivious map; for
-    binder-aware traversals see {!Binders}). *)
+    binder-aware traversals see {!Binders}). When [f] returns every
+    subexpression physically unchanged, [e] itself is returned, so a
+    sweep over an unchanged tree allocates nothing. Subexpressions are
+    visited in the order OCaml evaluates a rebuild [C (f a, f b)] —
+    constructor arguments and record fields right to left, list
+    elements left to right — which is the order the optimizer's rewrite
+    log (and [xqse --explain]) reports rewrites in. *)
 let map_subexprs (f : expr -> expr) (e : expr) : expr =
-  let map_name_spec = function
-    | Static_name q -> Static_name q
-    | Dynamic_name e -> Dynamic_name (f e)
+  let name_spec ns =
+    match ns with
+    | Static_name _ -> ns
+    | Dynamic_name x ->
+      let x' = f x in
+      if x' == x then ns else Dynamic_name x'
+  in
+  let one a rebuild =
+    let a' = f a in
+    if a' == a then e else rebuild a'
+  in
+  let two a b rebuild =
+    let b' = f b in
+    let a' = f a in
+    if a' == a && b' == b then e else rebuild a' b'
   in
   match e with
   | Literal _ | Var _ | Context_item | Root_expr -> e
-  | Seq_expr es -> Seq_expr (List.map f es)
-  | Range (a, b) -> Range (f a, f b)
-  | Arith (op, a, b) -> Arith (op, f a, f b)
-  | Neg a -> Neg (f a)
-  | And (a, b) -> And (f a, f b)
-  | Or (a, b) -> Or (f a, f b)
-  | General_cmp (op, a, b) -> General_cmp (op, f a, f b)
-  | Value_cmp (op, a, b) -> Value_cmp (op, f a, f b)
-  | Node_is (a, b) -> Node_is (f a, f b)
-  | Node_before (a, b) -> Node_before (f a, f b)
-  | Node_after (a, b) -> Node_after (f a, f b)
-  | Union (a, b) -> Union (f a, f b)
-  | Intersect (a, b) -> Intersect (f a, f b)
-  | Except (a, b) -> Except (f a, f b)
-  | Instance_of (a, t) -> Instance_of (f a, t)
-  | Treat_as (a, t) -> Treat_as (f a, t)
-  | Castable_as (a, t, o) -> Castable_as (f a, t, o)
-  | Cast_as (a, t, o) -> Cast_as (f a, t, o)
-  | If_expr (c, t, e2) -> If_expr (f c, f t, f e2)
+  | Seq_expr es ->
+    let es' = map_list f es in
+    if es' == es then e else Seq_expr es'
+  | Range (a, b) -> two a b (fun a b -> Range (a, b))
+  | Arith (op, a, b) -> two a b (fun a b -> Arith (op, a, b))
+  | Neg a -> one a (fun a -> Neg a)
+  | And (a, b) -> two a b (fun a b -> And (a, b))
+  | Or (a, b) -> two a b (fun a b -> Or (a, b))
+  | General_cmp (op, a, b) -> two a b (fun a b -> General_cmp (op, a, b))
+  | Value_cmp (op, a, b) -> two a b (fun a b -> Value_cmp (op, a, b))
+  | Node_is (a, b) -> two a b (fun a b -> Node_is (a, b))
+  | Node_before (a, b) -> two a b (fun a b -> Node_before (a, b))
+  | Node_after (a, b) -> two a b (fun a b -> Node_after (a, b))
+  | Union (a, b) -> two a b (fun a b -> Union (a, b))
+  | Intersect (a, b) -> two a b (fun a b -> Intersect (a, b))
+  | Except (a, b) -> two a b (fun a b -> Except (a, b))
+  | Instance_of (a, t) -> one a (fun a -> Instance_of (a, t))
+  | Treat_as (a, t) -> one a (fun a -> Treat_as (a, t))
+  | Castable_as (a, t, o) -> one a (fun a -> Castable_as (a, t, o))
+  | Cast_as (a, t, o) -> one a (fun a -> Cast_as (a, t, o))
+  | If_expr (c, t, e2) ->
+    let e2' = f e2 in
+    let t' = f t in
+    let c' = f c in
+    if c' == c && t' == t && e2' == e2 then e else If_expr (c', t', e2')
   | Typeswitch (operand, cases, (dvar, default)) ->
-    Typeswitch
-      ( f operand,
-        List.map (fun c -> { c with case_return = f c.case_return }) cases,
-        (dvar, f default) )
-  | Flwor (clauses, ret) ->
-    let clauses =
-      List.map
-        (function
-          | For_clause bs ->
-            For_clause
-              (List.map (fun b -> { b with for_expr = f b.for_expr }) bs)
-          | Let_clause bs ->
-            Let_clause
-              (List.map (fun b -> { b with let_expr = f b.let_expr }) bs)
-          | Where_clause e -> Where_clause (f e)
-          | Order_clause (s, specs) ->
-            Order_clause
-              (s, List.map (fun sp -> { sp with key = f sp.key }) specs)
-          | Join_clause j ->
-            Join_clause
-              {
-                j with
-                join_source = f j.join_source;
-                join_build_key = f j.join_build_key;
-                join_probe_key = f j.join_probe_key;
-              })
-        clauses
+    let default' = f default in
+    let cases' =
+      map_list
+        (fun c ->
+          let r = f c.case_return in
+          if r == c.case_return then c else { c with case_return = r })
+        cases
     in
-    Flwor (clauses, f ret)
+    let operand' = f operand in
+    if operand' == operand && default' == default && cases' == cases then e
+    else Typeswitch (operand', cases', (dvar, default'))
+  | Flwor (clauses, ret) ->
+    let clause c =
+      match c with
+      | For_clause bs ->
+        let bs' =
+          map_list
+            (fun b ->
+              let x = f b.for_expr in
+              if x == b.for_expr then b else { b with for_expr = x })
+            bs
+        in
+        if bs' == bs then c else For_clause bs'
+      | Let_clause bs ->
+        let bs' =
+          map_list
+            (fun b ->
+              let x = f b.let_expr in
+              if x == b.let_expr then b else { b with let_expr = x })
+            bs
+        in
+        if bs' == bs then c else Let_clause bs'
+      | Where_clause x ->
+        let x' = f x in
+        if x' == x then c else Where_clause x'
+      | Order_clause (st, specs) ->
+        let specs' =
+          map_list
+            (fun sp ->
+              let k = f sp.key in
+              if k == sp.key then sp else { sp with key = k })
+            specs
+        in
+        if specs' == specs then c else Order_clause (st, specs')
+      | Join_clause j ->
+        let probe = f j.join_probe_key in
+        let build = f j.join_build_key in
+        let source = f j.join_source in
+        if
+          source == j.join_source
+          && build == j.join_build_key
+          && probe == j.join_probe_key
+        then c
+        else
+          Join_clause
+            {
+              j with
+              join_source = source;
+              join_build_key = build;
+              join_probe_key = probe;
+            }
+    in
+    let clauses' = map_list clause clauses in
+    let ret' = f ret in
+    if ret' == ret && clauses' == clauses then e else Flwor (clauses', ret')
   | Quantified (q, bs, body) ->
-    Quantified (q, List.map (fun (v, t, e) -> (v, t, f e)) bs, f body)
-  | Path (a, b) -> Path (f a, f b)
-  | Step (ax, nt, preds) -> Step (ax, nt, List.map f preds)
-  | Filter (p, preds) -> Filter (f p, List.map f preds)
-  | Call (n, args) -> Call (n, List.map f args)
+    let body' = f body in
+    let bs' =
+      map_list
+        (fun ((v, t, x) as b) ->
+          let x' = f x in
+          if x' == x then b else (v, t, x'))
+        bs
+    in
+    if body' == body && bs' == bs then e else Quantified (q, bs', body')
+  | Path (a, b) -> two a b (fun a b -> Path (a, b))
+  | Step (ax, nt, preds) ->
+    let preds' = map_list f preds in
+    if preds' == preds then e else Step (ax, nt, preds')
+  | Filter (p, preds) ->
+    let preds' = map_list f preds in
+    let p' = f p in
+    if p' == p && preds' == preds then e else Filter (p', preds')
+  | Call (n, args) ->
+    let args' = map_list f args in
+    if args' == args then e else Call (n, args')
   | Elem_ctor (n, attrs, contents) ->
-    Elem_ctor
-      ( n,
-        List.map
-          (fun (an, parts) ->
-            ( an,
-              List.map
-                (function
-                  | Attr_str s -> Attr_str s
-                  | Attr_expr e -> Attr_expr (f e))
-                parts ))
-          attrs,
-        List.map
-          (function
-            | Content_text s -> Content_text s
-            | Content_expr e -> Content_expr (f e)
-            | Content_node e -> Content_node (f e))
-          contents )
-  | Comp_elem (ns, e) -> Comp_elem (map_name_spec ns, f e)
-  | Comp_attr (ns, e) -> Comp_attr (map_name_spec ns, f e)
-  | Comp_text e -> Comp_text (f e)
-  | Comp_doc e -> Comp_doc (f e)
-  | Comp_comment e -> Comp_comment (f e)
-  | Comp_pi (ns, e) -> Comp_pi (map_name_spec ns, f e)
-  | Insert (p, s, t) -> Insert (p, f s, f t)
-  | Delete t -> Delete (f t)
+    let contents' =
+      map_list
+        (fun c ->
+          match c with
+          | Content_text _ -> c
+          | Content_expr x ->
+            let x' = f x in
+            if x' == x then c else Content_expr x'
+          | Content_node x ->
+            let x' = f x in
+            if x' == x then c else Content_node x')
+        contents
+    in
+    let attrs' =
+      map_list
+        (fun ((an, parts) as a) ->
+          let parts' =
+            map_list
+              (fun part ->
+                match part with
+                | Attr_str _ -> part
+                | Attr_expr x ->
+                  let x' = f x in
+                  if x' == x then part else Attr_expr x')
+              parts
+          in
+          if parts' == parts then a else (an, parts'))
+        attrs
+    in
+    if contents' == contents && attrs' == attrs then e
+    else Elem_ctor (n, attrs', contents')
+  | Comp_elem (ns, x) ->
+    let x' = f x in
+    let ns' = name_spec ns in
+    if x' == x && ns' == ns then e else Comp_elem (ns', x')
+  | Comp_attr (ns, x) ->
+    let x' = f x in
+    let ns' = name_spec ns in
+    if x' == x && ns' == ns then e else Comp_attr (ns', x')
+  | Comp_text x -> one x (fun x -> Comp_text x)
+  | Comp_doc x -> one x (fun x -> Comp_doc x)
+  | Comp_comment x -> one x (fun x -> Comp_comment x)
+  | Comp_pi (ns, x) ->
+    let x' = f x in
+    let ns' = name_spec ns in
+    if x' == x && ns' == ns then e else Comp_pi (ns', x')
+  | Insert (p, s, t) -> two s t (fun s t -> Insert (p, s, t))
+  | Delete t -> one t (fun t -> Delete t)
   | Replace { value_of; target; source } ->
-    Replace { value_of; target = f target; source = f source }
-  | Rename (t, ns) -> Rename (f t, map_name_spec ns)
+    let source' = f source in
+    let target' = f target in
+    if source' == source && target' == target then e
+    else Replace { value_of; target = target'; source = source' }
+  | Rename (t, ns) ->
+    let ns' = name_spec ns in
+    let t' = f t in
+    if t' == t && ns' == ns then e else Rename (t', ns')
   | Transform (cs, m, r) ->
-    Transform (List.map (fun (v, e) -> (v, f e)) cs, f m, f r)
+    let r' = f r in
+    let m' = f m in
+    let cs' =
+      map_list
+        (fun ((v, x) as c) ->
+          let x' = f x in
+          if x' == x then c else (v, x'))
+        cs
+    in
+    if r' == r && m' == m && cs' == cs then e else Transform (cs', m', r')

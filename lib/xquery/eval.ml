@@ -1089,13 +1089,24 @@ let strip_data cc = function
     e
   | e -> e
 
-(* the row side: a child step naming one of the read's text columns *)
-let key_column (kr : Context.keyed_read) = function
-  | Ast.Step (Ast.Child, Ast.Name_test q, [])
-  | Ast.Path (Ast.Context_item, Ast.Step (Ast.Child, Ast.Name_test q, []))
-    when String.equal q.Qname.uri "" && List.mem q.Qname.local kr.kr_columns ->
-    Some q.Qname.local
-  | _ -> None
+(* the row side: a child step naming one of the read's text columns,
+   or that step projected through an element constructor — an unfolded
+   view's key [<N>{fn:data(./COL)}</N>] (DESIGN.md §10), which atomizes
+   to the column's string, or to [""] on a NULL row. [true] marks the
+   projection. *)
+let key_column cc (kr : Context.keyed_read) e =
+  let column = function
+    | Ast.Step (Ast.Child, Ast.Name_test q, [])
+    | Ast.Path (Ast.Context_item, Ast.Step (Ast.Child, Ast.Name_test q, []))
+      when String.equal q.Qname.uri "" && List.mem q.Qname.local kr.kr_columns
+      ->
+      Some q.Qname.local
+    | _ -> None
+  in
+  match strip_data cc e with
+  | Ast.Elem_ctor (_, [], [ Ast.Content_expr c ]) ->
+    Option.map (fun col -> (col, true)) (column (strip_data cc c))
+  | e -> Option.map (fun col -> (col, false)) (column e)
 
 (* the key side: a literal, a variable, or a child path from a variable *)
 let rec is_key_path = function
@@ -1105,11 +1116,13 @@ let rec is_key_path = function
 
 let is_key = function Ast.Literal _ -> true | e -> is_key_path e
 
-(* [COL eq K], [K eq COL] or the [=] forms: the column and the key *)
+(* [COL eq K], [K eq COL] or the [=] forms: the column, whether it is
+   projected, and the key *)
 let keyed_pred cc kr pred =
   let split col key =
-    match key_column kr (strip_data cc col) with
-    | Some c when is_key (strip_data cc key) -> Some (c, key)
+    match key_column cc kr col with
+    | Some (c, projected) when is_key (strip_data cc key) ->
+      Some (c, projected, key)
     | _ -> None
   in
   match pred with
@@ -1608,13 +1621,15 @@ and compile_name_spec cc ~element = function
 (* The keyed read: [T()[COL eq K] ...] over a keyed table read makes
    the read's one guarded open, then — only when the opened version has
    rows — evaluates K once. A single string-like key selects the rows
-   whose COL is that string from the same version (an index probe when
-   one covers COL); any other key runs the first predicate per row over
-   the rows already opened, exactly as the generic filter would. The key
-   forms ignore the focus and are pure, so one evaluation stands for the
-   per-row ones: the same value, and the same error on the first row.
-   Either way the later predicates then filter the result as usual. The
-   result cache is never consulted, so a bound cache counts a bypass. *)
+   whose COL is that string from the same version (a primary-key lookup
+   or index probe when one covers COL); any other key — and the key
+   [""] against a projected COL, which NULL rows also match — runs the
+   first predicate per row over the rows already opened, exactly as the
+   generic filter would. The key forms ignore the focus and are pure, so
+   one evaluation stands for the per-row ones: the same value, and the
+   same error on the first row. Either way the later predicates then
+   filter the result as usual. The result cache is never consulted, so
+   a bound cache counts a bypass. *)
 and compile_keyed_filter cc prim first rest =
   match prim with
   | Ast.Call (name, []) -> (
@@ -1622,7 +1637,7 @@ and compile_keyed_filter cc prim first rest =
     | Some { Context.fn_keyed = Some kr; _ } -> (
       match keyed_pred cc kr first with
       | None -> None
-      | Some (column, key) ->
+      | Some (column, projected, key) ->
         let ckey = compile cc key in
         let cfirst = compile_predicates cc [ first ] in
         let crest = compile_predicates cc rest in
@@ -1637,8 +1652,10 @@ and compile_keyed_filter cc prim first rest =
               end
               else
                 match text_key (ckey ctx) with
-                | Some k -> materialize ctx (r.Context.tr_rows (Some (column, k)))
-                | None -> cfirst ctx (materialize ctx (r.Context.tr_rows None))
+                | Some k when not (projected && k = "") ->
+                  materialize ctx (r.Context.tr_rows (Some (column, k)))
+                | Some _ | None ->
+                  cfirst ctx (materialize ctx (r.Context.tr_rows None))
                 | exception e ->
                   r.Context.tr_release ();
                   raise e

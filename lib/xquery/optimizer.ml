@@ -577,6 +577,209 @@ let pushdown_predicates ~env (note_plain : note) (note_shifted : note) e =
     Flwor (go clauses, ret)
   | e -> e
 
+(* ---- view unfolding ---- *)
+
+(* [./N] or [N]: the focus's child elements named [N] *)
+let child_step = function
+  | Ast.Step (Ast.Child, Ast.Name_test q, [])
+  | Ast.Path (Ast.Context_item, Ast.Step (Ast.Child, Ast.Name_test q, [])) ->
+    Some q
+  | _ -> None
+
+(* Can [e], as element content, add a child element named [n]? [true]
+   unless [e] only makes other elements, text, comments, PIs or
+   attributes, or atomic values. *)
+let rec may_add_child n e =
+  match e with
+  | Ast.Elem_ctor (m, _, _) -> Qname.equal m n
+  | Ast.Flwor (_, ret) -> may_add_child n ret
+  | Ast.If_expr (_, t, f) -> may_add_child n t || may_add_child n f
+  | Ast.Seq_expr es -> List.exists (may_add_child n) es
+  | Ast.Literal _ | Ast.Comp_text _ | Ast.Comp_comment _ | Ast.Comp_pi _
+  | Ast.Comp_attr _ ->
+    false
+  | _ -> true
+
+(* The view element's one direct child constructor [<N>...</N>] (no
+   attributes), provided no other content part can add an [N] child. *)
+let key_child contents n =
+  let may = function
+    | Ast.Content_text _ -> false
+    | Ast.Content_node e | Ast.Content_expr e -> may_add_child n e
+  in
+  match List.filter may contents with
+  | [ Ast.Content_node (Ast.Elem_ctor (_, [], _) as k) ] -> Some k
+  | _ -> None
+
+let is_builtin env q arity =
+  Purity.builtin_verdict q arity <> None
+  && Purity.user_function env q arity = None
+
+let rec calls_only_builtins env e =
+  (match e with
+  | Ast.Call (q, args) -> is_builtin env q (List.length args)
+  | _ -> true)
+  && Ast.fold_subexprs (fun ok s -> ok && calls_only_builtins env s) true e
+
+(* [pred] with every atomized [./N] (a comparison operand or the
+   argument of fn:data) replaced by [key N]. Focus-shifted
+   subexpressions — predicates, path tails — keep their own [./N]. *)
+let replace_keys env key pred =
+  let is_data q =
+    String.equal q.Qname.uri Qname.fn_ns
+    && String.equal q.Qname.local "data"
+    && is_builtin env q 1
+  in
+  let rec go e =
+    match e with
+    | Ast.Value_cmp (op, a, b) -> Ast.Value_cmp (op, atomized a, atomized b)
+    | Ast.General_cmp (op, a, b) -> Ast.General_cmp (op, atomized a, atomized b)
+    | Ast.Call (q, [ a ]) when is_data q -> Ast.Call (q, [ atomized a ])
+    | Ast.Path (a, b) -> Ast.Path (go a, b)
+    | Ast.Filter (p, ps) -> Ast.Filter (go p, ps)
+    | Ast.Step _ -> e
+    | e -> Ast.map_subexprs go e
+  and atomized a =
+    match Option.bind (child_step a) key with Some k -> k | None -> go a
+  in
+  go pred
+
+(* Does [d]'s body reach [d] again through user-function calls? *)
+let recursive env (d : Ast.function_decl) =
+  let key q arity = (q.Qname.uri, q.Qname.local, arity) in
+  let target = key d.Ast.fd_name (List.length d.Ast.fd_params) in
+  let seen = Hashtbl.create 8 in
+  let rec reaches e =
+    (match e with
+    | Ast.Call (q, args) ->
+      let k = key q (List.length args) in
+      k = target
+      || (not (Hashtbl.mem seen k))
+         && begin
+           Hashtbl.add seen k ();
+           match Purity.user_function env q (List.length args) with
+           | Some { Ast.fd_body = Some b; _ } -> reaches b
+           | _ -> false
+         end
+    | _ -> false)
+    || Ast.fold_subexprs (fun found s -> found || reaches s) false e
+  in
+  match d.Ast.fd_body with Some b -> reaches b | None -> false
+
+(* the function's declared result type holds of any sequence of [view]
+   elements, so dropping the call drops no check *)
+let return_implied ret view =
+  match ret with
+  | None -> true
+  | Some (Seqtype.Typed (it, Seqtype.Star)) -> (
+    match it with
+    | Seqtype.Any_item | Seqtype.Any_node | Seqtype.Element_type None -> true
+    | Seqtype.Element_type (Some n) -> Qname.equal n view
+    | _ -> false)
+  | Some _ -> false
+
+(* Unfold a filtered call to a data-service view, [f(args)[P]] where
+   [f]'s body is [for ... return <E>...</E>], into [f]'s FLWOR with [P]
+   as its last where: [let $param := arg, ... for ... where P' return
+   <E>...</E>]. [P'] is [P] with each atomized [./N] replaced by the
+   view's one direct child constructor [<N>...</N>] — atomizing that
+   constructor yields exactly what atomizing the constructed [N] child
+   yields (the string value as xs:untypedAtomic, [""] for empty
+   content), so the where accepts exactly the tuples whose element [P]
+   accepts. Per XQuery 1.0 §2.3.4 the content of a rejected tuple is
+   then never evaluated: its source reads do not run, so they cannot
+   raise, degrade or count; a kept tuple evaluates what it did before,
+   in the same order. The gates:
+
+   - [P] is boolean-valued (never a positional test), effect-free, and
+     after the replacement no longer depends on the focus;
+   - [f] is a non-recursive user function with untyped parameters
+     whose body is effect-free, uses no focus, names no variable but its
+     parameters, and has only for (no [at]), let and where clauses; its
+     declared result type, if any, is [*] of a type every [E] element
+     has;
+   - a key constructor calls builtins only (it is evaluated once more,
+     in the where) and no other content part can add an [N] child;
+   - no name [f] binds around the where occurs in [P], and no parameter
+     occurs in a later argument, so nothing is captured.
+
+   Each unfold counts as a push: the where is pushed into the callee. *)
+let unfold_views ~env (note : note) e =
+  let open Ast in
+  let unfold (d : function_decl) args pred =
+    match d.fd_body with
+    | Some (Flwor (clauses, (Elem_ctor (view, _, contents) as ctor)) as body)
+      ->
+      let params = List.map fst d.fd_params in
+      let binders =
+        params
+        @ List.concat_map
+            (function
+              | For_clause bs -> List.map (fun b -> b.for_var) bs
+              | Let_clause bs -> List.map (fun b -> b.let_var) bs
+              | Where_clause _ | Order_clause _ | Join_clause _ -> [])
+            clauses
+      in
+      let pred_vars = Binders.all_vars pred in
+      let rec args_apart = function
+        | [] | [ _ ] -> true
+        | p :: rest ->
+          List.for_all (fun (_, a) -> not (Binders.is_free (fst p) a)) rest
+          && args_apart rest
+      in
+      let key n =
+        match key_child contents n with
+        | Some k when calls_only_builtins env k -> Some k
+        | _ -> None
+      in
+      if
+        List.for_all (fun (_, t) -> t = None) d.fd_params
+        && List.exists (function For_clause _ -> true | _ -> false) clauses
+        && List.for_all
+             (function
+               | For_clause bs -> List.for_all (fun b -> b.for_pos = None) bs
+               | Let_clause _ | Where_clause _ -> true
+               | Order_clause _ | Join_clause _ -> false)
+             clauses
+        && return_implied d.fd_return view
+        && Purity.boolean_valued pred
+        && (not (Purity.analyze env pred).Purity.effects)
+        && (not (Purity.analyze env body).Purity.effects)
+        && (not (Binders.uses_context body))
+        && Binders.Vset.subset (Binders.free_var_set body)
+             (Binders.Vset.of_list params)
+        && (not (List.exists (fun x -> Binders.Vset.mem x pred_vars) binders))
+        && args_apart (List.combine params args)
+        && not (recursive env d)
+      then
+        let pred' = replace_keys env key pred in
+        if Binders.uses_context pred' then None
+        else
+          let lets =
+            List.map2
+              (fun p a ->
+                Let_clause [ { let_var = p; let_type = None; let_expr = a } ])
+              params args
+          in
+          Some (Flwor (lets @ clauses @ [ Where_clause pred' ], ctor), pred')
+      else None
+    | _ -> None
+  in
+  match e with
+  | Filter (Call (q, args), pred :: rest) -> (
+    match Purity.user_function env q (List.length args) with
+    | None -> e
+    | Some d -> (
+      match unfold d args pred with
+      | None -> e
+      | Some (flwor, pred') ->
+        note
+          (lazy
+            (Printf.sprintf "unfold_views: %s => where %s" (brief e)
+               (brief pred')));
+        if rest = [] then flwor else Filter (flwor, rest)))
+  | e -> e
+
 (* ------------------------------------------------------------------ *)
 
 let optimize_with_stats ?log ?(env = Purity.empty_env)
@@ -612,6 +815,7 @@ let optimize_with_stats ?log ?(env = Purity.empty_env)
     |> sweep Instr.K.t_optimizer_join (detect_joins (note joins))
     |> sweep Instr.K.t_optimizer_push
          (pushdown_predicates ~env (note pushed) (note pushed_shifted))
+    |> sweep Instr.K.t_optimizer_push (unfold_views ~env (note pushed))
   in
   let stats_now () =
     {

@@ -19,11 +19,16 @@
       positional test), focus-shifted occurrences are rebound through a
       fresh [let $v' := .], and a condition only jumps an earlier
       unpushable [where] when it is provably pure, total and
-      boolean-valued.
+      boolean-valued;
+    - unfolding of a filter over a call to a view function (body
+      [for ... return <E>...</E>]) into the function's FLWOR with the
+      filter as its last where, each atomized [./N] replaced by the
+      view's [<N>...</N>] child constructor; callee bodies come from
+      [env] ({!Purity.user_function}). Counted as a push.
 
     Each pass runs as its own bottom-up sweep, timed into the [instr]
     handle under [optimizer.fold] / [.normalize] / [.inline] / [.join] /
-    [.push]. *)
+    [.push] (the unfold sweep included). *)
 
 val optimize :
   ?log:(string -> unit) ->

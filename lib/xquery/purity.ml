@@ -29,13 +29,18 @@
       (enforced by the test suite). Only [fn:trace] is effectful; most
       builtins are fallible because they enforce argument cardinality
       or value restrictions dynamically.
-    - External functions (the ALDSP layer: relational sources, web
-      services, data-service methods) are always impure — they reach
-      outside the engine, so the analysis refuses to reason about them.
+    - External functions are impure — they reach outside the engine —
+      unless their registration vouches for a verdict ([fn_purity]):
+      the ALDSP layer registers every source read (relational table
+      reads, navigation functions, web-service operations, data-service
+      methods) as effect-free, fallible and constructing, and XQSE
+      read-only procedures carry the verdict of their statement body.
     - User [declare function] bodies are analyzed by an optimistic
       fixpoint on [effects]/[constructs], but are *always* fallible:
       recursion is depth-limited dynamically (err:XQDY0900), so even a
-      function whose body contains no fallible expression can raise. *)
+      function whose body contains no fallible expression can raise.
+      The environment keeps their declarations too: the optimizer
+      unfolds view functions from them. *)
 
 open Xdm
 
@@ -172,14 +177,18 @@ module Fmap = Map.Make (struct
     match Qname.compare a b with 0 -> Int.compare i j | c -> c
 end)
 
-type env = verdict Fmap.t
+(* verdicts by name and arity, plus the declarations of the user
+   functions among them — the bodies the optimizer may unfold *)
+type env = { verdicts : verdict Fmap.t; users : Ast.function_decl Fmap.t }
 
-let empty_env : env = Fmap.empty
+let empty_env = { verdicts = Fmap.empty; users = Fmap.empty }
 
-let lookup (env : env) q arity =
-  match Fmap.find_opt (q, arity) env with
+let lookup env q arity =
+  match Fmap.find_opt (q, arity) env.verdicts with
   | Some v -> Some v
   | None -> builtin_verdict q arity
+
+let user_function env q arity = Fmap.find_opt (q, arity) env.users
 
 (** [analyze env e] computes [e]'s verdict under the function-verdict
     environment [env]. Unknown functions are impure. *)
@@ -269,16 +278,14 @@ let is_total env e =
 (* ------------------------------------------------------------------ *)
 
 let env_for ~registry (decls : Ast.function_decl list) : env =
-  let users = ref [] in
-  let claimed = ref Fmap.empty in
+  let users = ref Fmap.empty in
   (* each key gets at most one body in [users]: two bodies under one key
      would make the fixpoint below flip between their verdicts forever
      whenever they disagree *)
-  let add_user key body env =
-    if Fmap.mem key !claimed then env
+  let add_user key (d : Ast.function_decl) env =
+    if Fmap.mem key !users then env
     else begin
-      claimed := Fmap.add key () !claimed;
-      users := (key, body) :: !users;
+      users := Fmap.add key d !users;
       (* optimistic seed: no effects/constructs until the fixpoint proves
          otherwise; always fallible (bounded recursion depth) *)
       Fmap.add key { total with fallible = true } env
@@ -293,23 +300,22 @@ let env_for ~registry (decls : Ast.function_decl list) : env =
       (fun env (d : Ast.function_decl) ->
         let key = (d.Ast.fd_name, List.length d.Ast.fd_params) in
         match d.Ast.fd_body with
-        | Some body -> add_user key body env
+        | Some _ -> add_user key d env
         | None -> Fmap.add key impure env)
-      empty_env decls
+      Fmap.empty decls
   in
-  let env =
+  let verdicts =
     Context.fold registry ~init:decl_env ~f:(fun env f ->
         let key = (f.Context.fn_name, f.Context.fn_arity) in
         if Fmap.mem key decl_env then env
         else
           match f.Context.fn_impl with
-          | Context.Builtin _ ->
-            let v =
-              match builtin_verdict f.Context.fn_name f.Context.fn_arity with
-              | Some v when not f.Context.fn_side_effects -> v
-              | _ -> impure
-            in
-            Fmap.add key v env
+          | Context.Builtin _ -> (
+            (* [lookup] falls back to the table, so only a builtin the
+               table does not describe needs an entry *)
+            match builtin_verdict f.Context.fn_name f.Context.fn_arity with
+            | Some _ when not f.Context.fn_side_effects -> env
+            | _ -> Fmap.add key impure env)
           | Context.External _ | Context.External_cursor _ ->
             (* externals are opaque here, but XQSE read-only procedures
                arrive with a verdict computed from their statement body
@@ -324,23 +330,25 @@ let env_for ~registry (decls : Ast.function_decl list) : env =
             Fmap.add key v env
           | Context.User d -> (
             match d.Ast.fd_body with
-            | Some body -> add_user key body env
+            | Some _ -> add_user key d env
             | None -> Fmap.add key impure env))
   in
   (* ascend from the optimistic seed until stable; [analyze] is monotone
      in [env] and the lattice is finite, so this terminates *)
-  let rec fix env =
+  let rec fix verdicts =
     let changed = ref false in
-    let env =
-      List.fold_left
-        (fun env (key, body) ->
-          let v = analyze env body in
+    let verdicts =
+      Fmap.fold
+        (fun key (d : Ast.function_decl) verdicts ->
+          let v =
+            analyze { empty_env with verdicts } (Option.get d.Ast.fd_body)
+          in
           let v = { v with fallible = true } in
-          let cur = Fmap.find key env in
+          let cur = Fmap.find key verdicts in
           if v <> cur then changed := true;
-          Fmap.add key v env)
-        env !users
+          Fmap.add key v verdicts)
+        !users verdicts
     in
-    if !changed then fix env else env
+    if !changed then fix verdicts else verdicts
   in
-  fix env
+  { verdicts = fix verdicts; users = !users }

@@ -42,7 +42,8 @@ val boolean_valued : Ast.expr -> bool
     [false] means "unknown". *)
 
 type env
-(** Verdicts for named functions, keyed by name and arity. *)
+(** Verdicts for named functions, keyed by name and arity, and the
+    declarations of the user functions among them. *)
 
 val empty_env : env
 (** Builtins only (via {!builtin_verdict}); any other call is impure. *)
@@ -50,11 +51,17 @@ val empty_env : env
 val env_for : registry:Context.registry -> Ast.function_decl list -> env
 (** Environment for the functions visible in [registry] plus the
     not-yet-registered [decls] (which take precedence on collision):
-    builtins from the table, externals impure, user function bodies
-    solved by fixpoint — but always fallible, since recursion depth is
-    checked dynamically. *)
+    builtins from the table, externals impure unless registered with a
+    verdict, user function bodies solved by fixpoint — but always
+    fallible, since recursion depth is checked dynamically. *)
 
 val lookup : env -> Qname.t -> int -> verdict option
+
+val user_function : env -> Qname.t -> int -> Ast.function_decl option
+(** The declaration behind a user function of {!env_for}: one of the
+    [decls], else a [declare function] installed in the registry (whose
+    body the install already optimized). [None] for builtins, externals
+    and unknown names. *)
 
 val analyze : env -> Ast.expr -> verdict
 

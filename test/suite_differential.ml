@@ -372,6 +372,98 @@ let meta_tests =
           true (n >= 20));
   ]
 
+(* View unfolding: a filter over a call to a view function becomes the
+   function's FLWOR with the filter as a where. Each program must agree
+   across every engine and session layer (optimize = false and plans =
+   false among them), and its rewrite log must show whether the pass
+   fired. *)
+let view_prolog =
+  {|declare function local:v() { for $i in (1, 2, 3) return <E><N>{$i}</N><M>{$i * 10}</M></E> };
+declare function local:w() { for $i in (1, 2, 3) return <E><N>{if ($i eq 2) then () else $i}</N></E> };
+declare function local:p($k) { for $i in (1 to $k) let $j := $i * 2 where $j ne 4 return <E><N>{$j}</N></E> };
+|}
+
+let unfolds =
+  [
+    {|local:v()[N eq "2"]|};
+    {|local:v()[fn:data(N) = (1, 3)]|};
+    {|local:v()["3" eq ./N][M = 30]|};
+    {|local:v()[N ne "1"][2]|};
+    (* an empty key child atomizes to "" *)
+    {|local:w()[N eq ""]|};
+    {|local:p(4)[N eq "6"]|};
+    (* the comparison raises on the first tuple in both schedules *)
+    {|local:v()[N eq 2]|};
+  ]
+
+let no_unfolds =
+  [
+    (* positional and numeric predicates *)
+    "local:v()[2]";
+    "local:v()[fn:count(N)]";
+    "local:v()[N]";
+    (* the predicate looks at more than an atomized key *)
+    {|local:v()[N eq "2" and fn:exists(M)]|};
+    (* another content part could add an N child too *)
+    {|declare function local:n($i) { <N>{$i * 10}</N> };
+declare function local:d() { for $i in (1, 2) return <E><N>{$i}</N>{local:n($i)}</E> };
+local:d()[N = "10"]|};
+    {|declare function local:d() { for $i in (1, 2) return <E><N>{$i}</N><N>x</N></E> };
+local:d()[N = "x"]|};
+    (* the key content calls a non-builtin function *)
+    {|declare function local:k($i) { $i * 2 };
+declare function local:c() { for $i in (1, 2) return <E><N>{local:k($i)}</N></E> };
+local:c()[N eq "4"]|};
+    (* effects in the content *)
+    {|declare function local:t() { for $i in (1, 2) return <E><N>{$i}</N><T>{fn:trace($i, "t")}</T></E> };
+local:t()[N eq "2"]|};
+    (* a recursive callee *)
+    {|declare function local:r($n) { for $i in (1 to $n) return <E><N>{$i}</N><R>{count(local:r($n - 1))}</R></E> };
+local:r(2)[N eq "1"]|};
+    (* order by, and a positional variable *)
+    {|declare function local:o() { for $i in (3, 1, 2) order by $i return <E><N>{$i}</N></E> };
+local:o()[N ne "2"]|};
+    {|declare function local:a() { for $i at $p in (3, 1, 2) return <E><N>{$p}</N></E> };
+local:a()[N eq "2"]|};
+    (* typed parameters *)
+    {|declare function local:tp($k as xs:integer) { for $i in (1 to $k) return <E><N>{$i}</N></E> };
+local:tp(3)[N eq "2"]|};
+    (* a declared result type the constructor does not imply: the
+       reference raises on the call even though the filter keeps nothing *)
+    {|declare function local:rt() as element(F)* { for $i in (1, 2) return <E><N>{$i}</N></E> };
+local:rt()[N eq "3"]|};
+    {|declare function local:rp() as element(E)+ { for $i in () return <E><N>{$i}</N></E> };
+local:rp()[N eq "3"]|};
+    (* a name the callee binds occurs in the filter *)
+    {|for $i in (2, 3) return local:v()[N eq fn:string($i)]|};
+  ]
+
+let unfold_log src =
+  (Xqse.Session.explain (Xqse.Session.create ()) src).Xqse.Session.ex_log
+
+let unfold_tests ~fires programs =
+  List.concat_map
+    (fun body ->
+      let src =
+        if String.length body > 8 && String.sub body 0 8 = "declare " then body
+        else view_prolog ^ body
+      in
+      let body = String.map (function '\n' -> ' ' | c -> c) body in
+      [
+        agree ("unfold: " ^ body) src;
+        agree_session ("unfold session: " ^ body) src;
+        case ("unfold log: " ^ body) (fun () ->
+            check_bool
+              (Printf.sprintf "unfold_views %s on %s"
+                 (if fires then "fires" else "does not fire")
+                 body)
+              fires
+              (List.exists (contains "unfold_views:") (unfold_log src)));
+      ])
+    programs
+
+let view_tests = unfold_tests ~fires:true unfolds @ unfold_tests ~fires:false no_unfolds
+
 let suites =
   [
     ( "differential",
@@ -379,4 +471,5 @@ let suites =
     ( "differential-session",
       directed_session_tests @ generated_session_tests
       @ escape_hatch_session_tests );
+    ("differential-views", view_tests);
   ]

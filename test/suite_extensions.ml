@@ -529,7 +529,26 @@ let tooling_tests =
              let rec go i = i + k <= n && (String.sub report i k = m || go (i + 1)) in
              go 0);
           check_bool "contains the rewritten query" true
-            (String.length report > 100));
+            (String.length report > 100);
+          (* the plan the library load installed: getProfileById's key
+             unfolds through getProfile into the CUSTOMER read *)
+          match
+            Aldsp.Dataspace.explain env.F.ds env.F.svc ~meth:"getProfileById"
+          with
+          | Error m -> Alcotest.fail m
+          | Ok report ->
+            let has m =
+              let n = String.length report and k = String.length m in
+              let rec go i =
+                i + k <= n && (String.sub report i k = m || go (i + 1))
+              in
+              go 0
+            in
+            check_bool "four pushes" true (has "pushed=4");
+            check_bool "the key is pushed into cus:CUSTOMER()" true
+              (has "(cus:CUSTOMER())[($cid eq <CID>{fn:data(./child::CID)}</CID>)]");
+            check_bool "getProfile is not called" false
+              (has "ns1:getProfile()"));
     case "infer_shape reverse-engineers the read logic" (fun () ->
         let env = F.make ~customers:1 () in
         match Aldsp.Dataspace.infer_shape env.F.ds env.F.svc with

@@ -428,9 +428,218 @@ let edge_tests =
         check_int "live versions" 1 (R.Table.live_versions tbl));
   ]
 
+(* View unfolding (DESIGN.md §10): getProfileById's filter over
+   getProfile() becomes getProfile's FLWOR with the key as a where, and
+   that where becomes a keyed CUSTOMER read. Without faults every read
+   is byte-identical to the optimize = false and plans = false builds;
+   only the selected customer's sources are read. *)
+let by_id cid = Printf.sprintf {|profile:getProfileById("%s")|} cid
+
+let customer_ids customers =
+  "007" :: List.init customers (fun i -> Printf.sprintf "C%d" (i + 1))
+
+(* the Figure 4 read's wire form, in each build: [Dataspace.get] is
+   [Session.call] wrapped in a datagraph *)
+let get_wire sess cid =
+  match
+    Xqse.Session.call sess
+      (Xdm.Qname.make ~uri:FC.profile_ns "getProfileById")
+      [ Xdm.Item.str cid ]
+  with
+  | v -> Ok (Sdo.serialize (Sdo.create (Xdm.Item.nodes_only v)))
+  | exception Xdm.Item.Error { code; _ } -> Error (Xdm.Qname.to_string code)
+
+let ws_calls (e : FC.env) = Webservice.call_count e.FC.ws
+
+(* does the optimizer unfold a view in [src]'s query body? *)
+let unfolds sess src =
+  List.exists
+    (fun l -> String.length l >= 13 && String.sub l 0 13 = "unfold_views:")
+    (Xqse.Session.explain sess src).Xqse.Session.ex_log
+
+let view_equivalence_tests =
+  List.map
+    (fun customers ->
+      case
+        (Printf.sprintf "getProfileById unfolds and agrees at %d customers"
+           customers) (fun () ->
+          let b = builds customers in
+          List.iter
+            (fun cid ->
+              let before = ws_calls b.env in
+              ignore (agree b (by_id cid));
+              agree_call b "getProfileById" [ Xdm.Item.str cid ];
+              let keyed_get =
+                match
+                  Aldsp.Dataspace.get b.env.FC.ds b.env.FC.svc
+                    ~meth:"getProfileById" [ Xdm.Item.str cid ]
+                with
+                | dg -> Ok (Sdo.serialize dg)
+                | exception Xdm.Item.Error { code; _ } ->
+                  Error (Xdm.Qname.to_string code)
+              in
+              agree_on ("Dataspace.get " ^ cid) ~keyed:keyed_get
+                ~oracles:
+                  [ ("optimize=false", get_wire b.no_opt cid);
+                    ("plans=false", get_wire b.no_plans cid) ];
+              (* eval, call and get, in the keyed and the plans=false
+                 build (one dataspace): each reads only the selected
+                 profile, so six reads make six calls, or none *)
+              let own = if List.mem cid (customer_ids customers) then 1 else 0 in
+              check_int ("web-service calls for " ^ cid) (6 * own)
+                (ws_calls b.env - before))
+            (customer_ids customers @ [ ""; "C999" ])))
+    [ 0; 1; 5; 20 ]
+  @ [
+      case "the by-id read is one primary-key lookup of CUSTOMER" (fun () ->
+          let instr = Instr.create () in
+          Instr.preregister instr;
+          Instr.enable instr;
+          let e = FC.make ~customers:20 ~instr () in
+          let sess = Aldsp.Dataspace.session e.FC.ds in
+          (* rows examined beyond the card scan and the orders probe *)
+          let customer_rows () =
+            let before = counter instr Instr.K.rows_scanned in
+            ignore (outcome sess (by_id "C7"));
+            let all = counter instr Instr.K.rows_scanned - before in
+            let cards = R.Table.row_count e.FC.credit_card in
+            let orders =
+              List.length
+                (R.Table.select e.FC.orders (R.Pred.eq "CID" (R.Value.Text "C7")))
+            in
+            all - cards - orders
+          in
+          check_int "CUSTOMER rows examined" 1 (customer_rows ());
+          let calls = ws_calls e in
+          ignore (outcome sess "count(profile:getProfile())");
+          check_int "getProfile still reads every customer" 21 (ws_calls e - calls));
+      case "ad-hoc filters over getProfile unfold too" (fun () ->
+          let b = builds 5 in
+          List.iter
+            (fun src ->
+              ignore (agree b src);
+              check_bool ("unfolds: " ^ src) true (unfolds b.keyed src))
+            [ {|profile:getProfile()[CID eq "C3"]|};
+              {|profile:getProfile()[LAST_NAME = "Carrey"]|};
+              {|count(profile:getProfile()[CID ne "C3"])|} ]);
+    ]
+
+(* Views of our own over the fixture tables: an integer key column, and
+   the nullable SSN column, whose NULL projects to "". *)
+let view_prolog =
+  {|declare function local:orders() { for $o in orders:ORDERS() return <O><OID>{fn:data($o/OID)}</OID><CID>{fn:data($o/CID)}</CID></O> };
+declare function local:ssn() { for $c in customer:CUSTOMER() return <S><CID>{fn:data($c/CID)}</CID><SSN>{fn:data($c/SSN)}</SSN></S> };
+|}
+
+let view_agree ?expect b body =
+  let src = view_prolog ^ body in
+  let k = agree b src in
+  check_bool ("unfolds: " ^ body) true (unfolds b.keyed src);
+  match expect with
+  | Some e when e <> k -> Alcotest.failf "%s: expected %s, got %s" body (show e) (show k)
+  | _ -> ()
+
+let view_edge_tests =
+  [
+    case "a view over an integer column" (fun () ->
+        let b = builds 5 in
+        view_agree b ~expect:(Error "err:XPTY0004") "local:orders()[OID eq 3]";
+        view_agree b ~expect:(Ok "<O><OID>3</OID><CID>C1</CID></O>")
+          "local:orders()[OID = 3]";
+        view_agree b ~expect:(Ok "<O><OID>3</OID><CID>C1</CID></O>")
+          {|local:orders()[OID eq "3"]|});
+    case "a view over a nullable column selects the NULL row with \"\""
+      (fun () ->
+        let b = builds 5 in
+        List.iter
+          (fun (e : FC.env) ->
+            R.Table.insert e.FC.customer
+              [| R.Value.Text "N1"; Text "Nil"; Text "Nobody"; Null |])
+          [ b.env; b.no_opt_env ];
+        view_agree b ~expect:(Ok "<S><CID>N1</CID><SSN/></S>")
+          {|local:ssn()[SSN eq ""]|};
+        view_agree b ~expect:(Ok "<S><CID>007</CID><SSN>111-22-3333</SSN></S>")
+          {|local:ssn()[SSN eq "111-22-3333"]|};
+        view_agree b ~expect:(Ok "") {|local:ssn()[SSN eq "000"]|};
+        view_agree b ~expect:(Ok "1") {|count(local:ssn()[CID = ("N1", "Q")])|});
+  ]
+
+(* The §2.3.4 contract under faults, with C3 selected among 5 customers.
+   The optimize = false build reads every profile in CUSTOMER key order,
+   one db2 and one web-service call each, so C3's own reads are its 4th;
+   the unfolded builds read C3 alone, so they are their 1st. *)
+let contract_tests =
+  let customers = 5 and cid = "C3" in
+  let rank = 4 in
+  let sources =
+    [ ("db2", fun (e : FC.env) -> R.Database.faults e.FC.db2);
+      ("CreditRatingService", fun (e : FC.env) -> Webservice.faults e.FC.ws) ]
+  in
+  let keyed () =
+    let e = FC.make ~customers () in
+    (e, Aldsp.Dataspace.session e.FC.ds)
+  and no_opt () =
+    let e = FC.make ~customers ~optimize:false () in
+    (e, Aldsp.Dataspace.session e.FC.ds)
+  and no_plans () =
+    let e = FC.make ~customers () in
+    (e, no_plans (Aldsp.Dataspace.session e.FC.ds))
+  in
+  (* the by-id read with a transient on the [at]-th call to [source] *)
+  let run (source, faults) ~degradable ~at make =
+    let e, sess = make () in
+    let ctl = Aldsp.Dataspace.resilience e.FC.ds in
+    if degradable then Res.Control.set_degradable ctl ~source;
+    (match at with
+    | Some k ->
+      let f = faults e in
+      Res.Faults.set_schedule f
+        { (Res.Plan.empty ~source) with Res.Plan.s_transients = [ Res.Faults.calls f + k ] }
+    | None -> ());
+    let r = outcome sess (by_id cid) in
+    ( r,
+      List.map
+        (fun (d : Res.Control.degradation) -> (d.Res.Control.dg_source, d.Res.Control.dg_code))
+        (Res.Control.degradations ctl) )
+  in
+  List.concat_map
+    (fun ((name, _) as source) ->
+      List.map
+        (fun degradable ->
+          case
+            (Printf.sprintf "%s faults on %s: own read %s alike, others vanish" name cid
+               (if degradable then "degrades" else "fails"))
+            (fun () ->
+              let clean = run source ~degradable ~at:None keyed in
+              (* the selected customer's own read *)
+              let own = run source ~degradable ~at:(Some 1) keyed in
+              List.iter
+                (fun (oracle, make, at) ->
+                  if run source ~degradable ~at:(Some at) make <> own then
+                    Alcotest.failf "own-read fault: keyed and %s disagree" oracle)
+                [ ("optimize=false", no_opt, rank); ("plans=false", no_plans, 1) ];
+              if degradable then check_int "one degradation" 1 (List.length (snd own))
+              else
+                check_bool "the read failed" true
+                  (match fst own with Error _ -> true | Ok _ -> false);
+              (* another customer's read, 2nd in key order: the reference
+                 fails or degrades, the unfolded builds never make it *)
+              let other = run source ~degradable ~at:(Some 2) no_opt in
+              check_bool "the reference sees the other customer's fault" true
+                (other <> clean);
+              List.iter
+                (fun (oracle, make) ->
+                  if run source ~degradable ~at:(Some 2) make <> clean then
+                    Alcotest.failf "other-read fault surfaced in the %s build" oracle)
+                [ ("keyed", keyed); ("plans=false", no_plans) ]))
+        [ false; true ])
+    sources
+
 let suites =
   [
     ("keyed.equivalence", equivalence_tests);
     ("keyed.faults", fault_tests);
     ("keyed.edges", edge_tests);
+    ("keyed.views", view_equivalence_tests @ view_edge_tests);
+    ("keyed.view-faults", contract_tests);
   ]

@@ -455,12 +455,123 @@ let mvcc_tests =
           (fst (Table.lock_info pets) = None));
   ]
 
+(* Primary-key point lookups: equalities on every primary-key column
+   read the row from the version's row map, so [rows.scanned] counts
+   one row, through [select] and [select_cursor] alike — and the
+   result is what a full scan filtered by the predicate returns, also
+   inside a snapshot pinned before a concurrent update of that row. *)
+let pk_lookup_tests =
+  let counted () =
+    let db = Database.create "pkdb" in
+    let instr = Core.Instr.create () in
+    Core.Instr.preregister instr;
+    Core.Instr.enable instr;
+    Database.set_instr db instr;
+    let scanned f =
+      let c () =
+        Option.value ~default:0
+          (List.assoc_opt Core.Instr.K.rows_scanned
+             (Core.Instr.stats instr).Core.Instr.counters)
+      in
+      let before = c () in
+      let r = f () in
+      (r, c () - before)
+    in
+    (db, scanned)
+  in
+  let drain cur =
+    let rec go acc =
+      match Xdm.Cursor.next cur with Some r -> go (r :: acc) | None -> List.rev acc
+    in
+    go []
+  in
+  (* both read paths against the filtered full scan, with the number of
+     rows each examined *)
+  let check_reads scanned t pred ~examined =
+    let expect =
+      List.filter (fun row -> Pred.eval ~get:(Table.get row t) pred) (Table.scan t)
+    in
+    let via_select, n = scanned (fun () -> Table.select t pred) in
+    let via_cursor, m = scanned (fun () -> drain (Table.select_cursor t pred)) in
+    let what = Pred.to_sql pred in
+    check_bool (what ^ ": select = filtered scan") true (via_select = expect);
+    check_bool (what ^ ": select_cursor = filtered scan") true (via_cursor = expect);
+    check_int (what ^ ": rows examined by select") examined n;
+    check_int (what ^ ": rows examined by select_cursor") examined m;
+    expect
+  in
+  [
+    case "a primary-key equality examines one row" (fun () ->
+        let db, scanned = counted () in
+        let t =
+          Database.add_table db
+            {
+              Table.tbl_name = "C";
+              columns = [ col "CID" Value.T_text false; col "NAME" Value.T_text false ];
+              primary_key = [ "CID" ];
+              foreign_keys = [];
+            }
+        in
+        for i = 1 to 20 do
+          Table.insert t
+            [| Value.Text (Printf.sprintf "C%d" i); Text (Printf.sprintf "n%d" i) |]
+        done;
+        let key = Pred.eq "CID" (Value.Text "C7") in
+        check_int "one row" 1 (List.length (check_reads scanned t key ~examined:1));
+        ignore
+          (check_reads scanned t ~examined:1
+             (Pred.And (Pred.eq "NAME" (Value.Text "n8"), key)));
+        ignore (check_reads scanned t (Pred.eq "CID" (Value.Text "C99")) ~examined:0);
+        (* a snapshot pinned before a concurrent update of the row reads
+           the pinned row, still by one lookup *)
+        let pinned =
+          Table.with_snapshot [ t ] (fun () ->
+              let before = Table.select t key in
+              Domain.join
+                (Domain.spawn (fun () ->
+                     ignore
+                       (Database.exec db
+                          (Update
+                             {
+                               table = "C";
+                               set = [ ("NAME", Value.Text "changed") ];
+                               where = key;
+                             }))));
+              let during = check_reads scanned t key ~examined:1 in
+              check_bool "the pinned read ignores the update" true (during = before);
+              during)
+        in
+        let after = check_reads scanned t key ~examined:1 in
+        check_bool "the update is visible after the snapshot" true
+          (after <> pinned
+          && List.map (fun row -> Table.get row t "NAME") after
+             = [ Value.Text "changed" ]));
+    case "a numeric key on a DOUBLE primary key still scans" (fun () ->
+        (* Int 3 equals Float 3.0 under the predicate but not in the row
+           map, so the lookup would miss the row *)
+        let db, scanned = counted () in
+        let t =
+          Database.add_table db
+            {
+              Table.tbl_name = "D";
+              columns = [ col "K" Value.T_float false ];
+              primary_key = [ "K" ];
+              foreign_keys = [];
+            }
+        in
+        List.iter (fun v -> Table.insert t [| v |]) [ Value.Float 3.0; Float 4.5 ];
+        check_int "the row is found" 1
+          (List.length
+             (check_reads scanned t (Pred.eq "K" (Value.Int 3)) ~examined:2)));
+  ]
+
 let suites =
   [
     ("relational.value", value_tests);
     ("relational.pred", pred_tests);
     ("relational.table", table_tests);
     ("relational.mvcc", mvcc_tests);
+    ("relational.pk-lookup", pk_lookup_tests);
     ("relational.database", database_tests);
     ("relational.xa", xa_tests);
   ]

@@ -228,6 +228,27 @@ let node_tests =
           (match Node.append_child root (Node.attribute (Qname.local "x") "1") with
           | () -> false
           | exception Invalid_argument _ -> true));
+    case "node ids are unique across domains and increase within one"
+      (fun () ->
+        (* two domains allocating at once: a shared unsynchronized counter
+           hands out the same id twice, within a domain and across both *)
+        let n = 1_000_000 in
+        let make () = Array.init n (fun _ -> Node.id (Node.text "")) in
+        let other = Domain.spawn make in
+        let mine = make () in
+        let theirs = Domain.join other in
+        let increasing a =
+          let ok = ref true in
+          for i = 1 to Array.length a - 1 do
+            if a.(i) <= a.(i - 1) then ok := false
+          done;
+          !ok
+        in
+        check_bool "increasing in the main domain" true (increasing mine);
+        check_bool "increasing in the other domain" true (increasing theirs);
+        let all = Array.append mine theirs in
+        Array.sort compare all;
+        check_bool "no id handed out twice" true (increasing all));
   ]
 
 let item_tests =
