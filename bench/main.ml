@@ -66,29 +66,26 @@ let submit_rename ?(policy = Aldsp.Occ.Updated_values) env cid name =
 
 (* a join workload for the optimizer ablation (Figure-3-shaped
    cross-database equi-join), compiled once with and once without the
-   optimizer over the same dataspace *)
+   optimizer over the same dataspace: the unoptimized compile runs in an
+   otherwise identically-configured fork of the dataspace's session *)
 let join_query =
   "for $c in customer:CUSTOMER() for $cc in credit_card:CREDIT_CARD() \
    where $c/CID eq $cc/CID return <hit>{fn:data($cc/CCID)}</hit>"
 
+let unoptimized sess =
+  Xqse.Session.with_config sess
+    { (Xqse.Session.config sess) with optimize = false }
+
 let join_sessions n =
   let env = FC.make ~customers:n ~max_cards:2 () in
   let sess = Aldsp.Dataspace.session env.FC.ds in
-  let engine = Xqse.Session.engine sess in
-  Xquery.Engine.set_optimizing engine true;
-  let compiled_on = Xqse.Session.compile sess join_query in
-  Xquery.Engine.set_optimizing engine false;
-  let compiled_off = Xqse.Session.compile sess join_query in
-  Xquery.Engine.set_optimizing engine true;
-  (compiled_on, compiled_off)
+  (Xqse.Session.compile sess join_query,
+   Xqse.Session.compile (unoptimized sess) join_query)
 
 (* XQSE statement-dispatch overhead: a tight while loop vs the
    equivalent declarative expressions *)
-let dispatch_session = lazy (
-  let sess = Xqse.Session.create () in
-  let xqse_loop =
-    Xqse.Session.compile sess
-      {| {
+let xqse_loop_src =
+  {| {
         declare $sum := 0, $i := 1;
         while ($i le 1000) {
           set $sum := $sum + $i;
@@ -96,8 +93,13 @@ let dispatch_session = lazy (
         }
         return value $sum;
       } |}
-  in
-  let xquery_sum = Xqse.Session.compile sess "sum(1 to 1000)" in
+
+let xquery_sum_src = "sum(1 to 1000)"
+
+let dispatch_session = lazy (
+  let sess = Xqse.Session.create () in
+  let xqse_loop = Xqse.Session.compile sess xqse_loop_src in
+  let xquery_sum = Xqse.Session.compile sess xquery_sum_src in
   let xquery_flwor = Xqse.Session.compile sess
       "sum(for $i in 1 to 1000 return $i)" in
   (sess, xqse_loop, xquery_sum, xquery_flwor))
@@ -280,7 +282,7 @@ let report () =
   let dg = FC.get_profile_by_id env "007" in
   Sdo.set_leaf dg 1 [ ("LAST_NAME", 1) ] "Carey";
   Sdo.set_leaf dg 1 (Sdo.path_of_string "CreditCards/CREDIT_CARD[1]/BRAND") "AMEX";
-  R.Database.set_fail_on_prepare env.FC.db2 true;
+  Resilience.Faults.set_fail_on_prepare (R.Database.faults env.FC.db2) true;
   let r = Aldsp.Dataspace.submit env.FC.ds env.FC.svc dg in
   Printf.printf "prepare failure in db2 -> committed=%b (%s)\n"
     r.Aldsp.Dataspace.sr_committed
@@ -350,11 +352,13 @@ let report () =
   in
   List.iter
     (fun rate ->
-      R.Database.set_fail_statements_after env4.FE.backup None;
+      Resilience.Faults.set_fail_after (R.Database.faults env4.FE.backup) None;
       let failures = ref 0 and oks = ref 0 and secondary = ref 0 in
       for i = 1 to 20 do
         (if rate > 0 && i mod rate = 0 then
-           R.Database.set_fail_statements_after env4.FE.backup (Some 0));
+           Resilience.Faults.set_fail_after
+             (R.Database.faults env4.FE.backup)
+             (Some 0));
         (match attempt () with
         | `Ok -> incr oks
         | `Failed "SECONDARY_CREATE_FAILURE" -> incr failures; incr secondary
@@ -388,7 +392,7 @@ let report () =
     Instr.enable instr;
     let env = FC.make ~customers:100 ~max_cards:2 ~instr () in
     let sess = Aldsp.Dataspace.session env.FC.ds in
-    Xquery.Engine.set_optimizing (Xqse.Session.engine sess) optimize;
+    let sess = if optimize then sess else unoptimized sess in
     ignore (Xqse.Session.eval sess join_query);
     Instr.stats instr
   in
@@ -456,14 +460,17 @@ let report () =
     (t_loop /. t_sum) (t_loop /. t_flwor);
 
   section "PLAN: closure-compiled plans and the session plan cache";
-  (* the same while-loop/fn:sum pair with compiled plans switched off:
-     the gap between the two ratios is the interpreter tax the closure
+  (* the same while-loop/fn:sum pair compiled in a plans-off fork: the
+     gap between the two ratios is the interpreter tax the closure
      compiler removes *)
-  let eng_d = Xqse.Session.engine sess_d in
-  Xquery.Engine.set_plans eng_d false;
-  let t_loop_off = time_ms (fun () -> Xqse.Session.run xqse_loop) in
-  let t_sum_off = time_ms (fun () -> Xqse.Session.run xquery_sum) in
-  Xquery.Engine.set_plans eng_d true;
+  let sess_off =
+    Xqse.Session.with_config sess_d
+      { (Xqse.Session.config sess_d) with plans = false }
+  in
+  let xqse_loop_off = Xqse.Session.compile sess_off xqse_loop_src in
+  let xquery_sum_off = Xqse.Session.compile sess_off xquery_sum_src in
+  let t_loop_off = time_ms (fun () -> Xqse.Session.run xqse_loop_off) in
+  let t_sum_off = time_ms (fun () -> Xqse.Session.run xquery_sum_off) in
   record "plan.dispatch_vs_sum.interpreted.ratio" (t_loop_off /. t_sum_off);
   Printf.printf
     "dispatch ratio (XQSE while / fn:sum): compiled %.1fx, interpreted %.1fx\n"
@@ -478,7 +485,9 @@ let report () =
   in
   let i = Instr.create () in
   Instr.enable i;
-  let sess_w = Xqse.Session.create ~instr:i () in
+  let sess_w =
+    Xqse.Session.create ~config:{ Xqse.Session.default_config with instr = i } ()
+  in
   ignore (Xqse.Session.eval sess_w plan_query);
   let before = Instr.stats i in
   let t_warm = time_ms (fun () -> Xqse.Session.eval sess_w plan_query) in

@@ -48,7 +48,7 @@ let () =
 
   print_endline "\n--- a backup-source failure is wrapped separately ---";
   (* sabotage the backup database: the next statement there fails *)
-  R.Database.set_fail_statements_after env.F.backup (Some 0);
+  Resilience.Faults.set_fail_after (R.Database.faults env.F.backup) (Some 0);
   (try ignore (create [ employee_xml 102 "Finn Marsh" ])
    with Xdm.Item.Error { code; message; _ } ->
      Printf.printf "caught %s:\n  %s\n" (Xdm.Qname.to_string code) message);

@@ -736,12 +736,8 @@ let rec lineage_of t svc =
           | Some source -> (
             (* re-parse to get the un-optimized AST of the primary read *)
             let st =
-              let base = Xquery.Engine.static (Xqse.Session.engine t.sess) in
-              {
-                Xquery.Context.namespaces = base.Xquery.Context.namespaces;
-                default_elem_ns = base.Xquery.Context.default_elem_ns;
-                default_fun_ns = base.Xquery.Context.default_fun_ns;
-              }
+              Xquery.Context.copy_static
+                (Xquery.Engine.static (Xqse.Session.engine t.sess))
             in
             let prog = Xqse.Parse.parse_program st source in
             match
@@ -1240,12 +1236,8 @@ let explain t svc ~meth =
   | None -> Error "the service has no stored read source"
   | Some source -> (
     let st =
-      let base = Xquery.Engine.static (Xqse.Session.engine t.sess) in
-      {
-        Xquery.Context.namespaces = base.Xquery.Context.namespaces;
-        default_elem_ns = base.Xquery.Context.default_elem_ns;
-        default_fun_ns = base.Xquery.Context.default_fun_ns;
-      }
+      Xquery.Context.copy_static
+        (Xquery.Engine.static (Xqse.Session.engine t.sess))
     in
     let prog = Xqse.Parse.parse_program st source in
     match

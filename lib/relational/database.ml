@@ -259,7 +259,3 @@ let prepare_fault t =
     Instr.bump t.instr Instr.K.resil_injected;
     Some f.Resilience.Faults.f_message
   | None -> None
-
-let set_fail_on_prepare t b = Resilience.Faults.set_fail_on_prepare t.faults b
-let fail_on_prepare t = Resilience.Faults.fail_on_prepare t.faults
-let set_fail_statements_after t n = Resilience.Faults.set_fail_after t.faults n

@@ -51,7 +51,7 @@ val with_snapshot : t -> (unit -> 'a) -> 'a
 val read_check : t -> unit
 (** Consult the fault state for a query-path read (the dataspace calls
     this before serving a scan). Plan-scheduled transients and hard-down
-    windows fire here; the legacy ad-hoc one-shots do not.
+    windows fire here; the ad-hoc one-shots do not.
     @raise Db_error when an injected fault fires. *)
 
 val sql_log : t -> string list
@@ -78,7 +78,7 @@ val in_tx : t -> bool
 (** {1 Failure injection}
 
     All injection state lives in a {!Resilience.Faults.t} owned by the
-    database; the legacy setters below delegate to it. *)
+    database. *)
 
 val faults : t -> Resilience.Faults.t
 (** The database's fault handle — attach it to a
@@ -88,8 +88,3 @@ val prepare_fault : t -> string option
 (** Consult the fault state for an XA prepare round (sticky flag or
     plan schedule); [Some reason] means this participant fails to
     prepare. Used by the XA coordinator. *)
-
-val set_fail_on_prepare : t -> bool -> unit
-val fail_on_prepare : t -> bool
-val set_fail_statements_after : t -> int option -> unit
-(** [Some n]: the [n+1]-th subsequent {!exec} raises [Db_error]. *)

@@ -2,8 +2,8 @@
    Webservice, replacing the old ad-hoc [fault_next] / [fail_every] /
    [fail_after] / [fail_prepare] fields. It merges two fault streams:
 
-   - ad-hoc one-shots (the legacy injection API, kept for tests and
-     demos), which fire only on statement/invoke consultations; and
+   - ad-hoc one-shots (for tests and demos), which fire only on
+     statement/invoke consultations; and
    - the plan schedule (call-indexed transients and latency spikes,
      virtual-time hard-down windows, XA prepare/commit rounds), which
      fires on reads as well.
@@ -60,7 +60,7 @@ let set_clock t c = t.clock <- c
 let set_schedule t s = t.schedule <- s
 let schedule t = t.schedule
 
-(* ---- legacy ad-hoc injection ---- *)
+(* ---- ad-hoc injection ---- *)
 
 let inject_next ?(transient = true) t message =
   Mutex.protect t.lock (fun () ->

@@ -1,6 +1,6 @@
 (** Per-source fault state: the single injection point each Database and
-    Webservice consults, merging the legacy ad-hoc one-shots with the
-    plan's deterministic schedule.
+    Webservice consults, merging ad-hoc one-shots with the plan's
+    deterministic schedule.
 
     The source raises its own native exception when a consultation
     returns a fault; the resilience guard then uses {!take_last} to tell
@@ -26,10 +26,10 @@ val set_clock : t -> Clock.t -> unit
 val set_schedule : t -> Plan.schedule -> unit
 val schedule : t -> Plan.schedule
 
-(** {1 Legacy ad-hoc injection}
+(** {1 Ad-hoc injection}
 
-    These fire only on [Statement] consultations, preserving the
-    semantics of the old [fault_next]/[fail_every]/[fail_after] fields. *)
+    These fire only on [Statement] consultations: a DML/DDL statement or
+    a web-service invoke. *)
 
 val inject_next : ?transient:bool -> t -> string -> unit
 (** Fault the next statement with this message (default transient). *)

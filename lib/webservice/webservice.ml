@@ -102,11 +102,6 @@ let reset_call_count t = t.calls <- 0
 let set_latency t ms = t.latency_ms <- ms
 let total_latency t = t.total_latency
 
-let inject_fault_next t ~message =
-  Resilience.Faults.inject_next t.faults message
-
-let set_fail_every t n = Resilience.Faults.set_fail_every t.faults n
-
 let wsdl_summary t =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "service %s (targetNamespace=%s)\n" t.ws_name t.ws_ns;

@@ -46,7 +46,7 @@ val invoke : t -> string -> Node.t -> Node.t
 (** {1 Accounting and fault injection}
 
     All injection state lives in a {!Resilience.Faults.t} owned by the
-    service; the legacy setters below delegate to it. *)
+    service. *)
 
 val faults : t -> Resilience.Faults.t
 (** The service's fault handle — attach it to a [Resilience.Control.t]
@@ -61,13 +61,6 @@ val set_latency : t -> float -> unit
     handle's virtual clock. *)
 
 val total_latency : t -> float
-
-val inject_fault_next : t -> message:string -> unit
-(** The next {!invoke} raises {!Fault}. *)
-
-val set_fail_every : t -> int option -> unit
-(** [Some n]: every [n]-th call faults (deterministic fault rate for the
-    replication bench). [None] disables. *)
 
 val wsdl_summary : t -> string
 (** A WSDL-like textual description of the service (used by the examples

@@ -21,8 +21,12 @@ type runtime = {
   parent : runtime option;
   mutable trace : string -> unit;
   instr : Instr.t;
-  mutable streaming : bool;
-  mutable plans : bool;
+  streaming : bool;
+  plans : bool;
+  docs : (string * Node.t) list ref;
+  collections : (string * Node.t list) list ref;
+      (* fn:doc / fn:collection bindings of every evaluation context
+         under this runtime; a sub-runtime shares its parent's *)
   mutable purity : Xquery.Ast.expr -> bool * bool * bool;
       (* (effects, fallible, constructs) — the compile-time purity
          verdicts the compiled streaming arms gate on; conservative
@@ -62,15 +66,8 @@ and outcome =
 
 and cblock = state -> outcome
 
-let create_runtime ?(trace = fun _ -> ()) ?instr ?parent reg =
-  let instr =
-    match (instr, parent) with
-    | Some i, _ -> i
-    | None, Some p -> p.instr
-    | None, None -> Instr.disabled
-  in
-  let streaming = match parent with Some p -> p.streaming | None -> true in
-  let plans = match parent with Some p -> p.plans | None -> true in
+let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~streaming ~plans reg
+    =
   let purity =
     match parent with Some p -> p.purity | None -> fun _ -> (true, true, true)
   in
@@ -85,6 +82,9 @@ let create_runtime ?(trace = fun _ -> ()) ?instr ?parent reg =
     instr;
     streaming;
     plans;
+    docs = (match parent with Some p -> p.docs | None -> ref []);
+    collections =
+      (match parent with Some p -> p.collections | None -> ref []);
     purity;
     cache;
     comp = None;
@@ -95,11 +95,33 @@ let registry rt = rt.reg
 let set_trace rt f = rt.trace <- f
 let instr rt = rt.instr
 let streaming rt = rt.streaming
-let set_streaming rt b = rt.streaming <- b
 let plans rt = rt.plans
-let set_plans rt b = rt.plans <- b
 let set_purity rt f = rt.purity <- f
 let set_cache rt f = rt.cache <- f
+
+let register_doc rt uri node =
+  rt.docs := (uri, node) :: List.remove_assoc uri !(rt.docs)
+
+let register_collection rt uri nodes =
+  rt.collections := (uri, nodes) :: List.remove_assoc uri !(rt.collections)
+
+let rec register_all register ctx = function
+  | [] -> ()
+  | (uri, v) :: rest ->
+    register ctx uri v;
+    register_all register ctx rest
+
+(* The dynamic context every evaluation under [rt] starts from. Binding
+   the documents allocates nothing, so a runtime without any pays only
+   the two empty-list checks. *)
+let context rt =
+  let ctx =
+    Xquery.Context.make_dynamic ~trace:rt.trace ~instr:rt.instr
+      ~streaming:rt.streaming ?cache:(rt.cache ()) rt.reg
+  in
+  register_all Xquery.Context.register_doc ctx !(rt.docs);
+  register_all Xquery.Context.register_collection ctx !(rt.collections);
+  ctx
 
 (* Drop every compiled plan held by this runtime. The session calls this
    whenever the registry underneath changes (function or procedure
@@ -135,12 +157,7 @@ let rec find_procedure rt (name : Qname.t) arity =
 (* Execution state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let make_state rt bindings =
-  let ctx0 =
-    Xquery.Context.make_dynamic ~trace:rt.trace ~instr:rt.instr
-      ~streaming:rt.streaming ?cache:(rt.cache ()) rt.reg
-  in
-  { rt; frames = []; bindings; ctx0 }
+let make_state rt bindings = { rt; frames = []; bindings; ctx0 = context rt }
 
 let push_frame st = { st with frames = ref [] :: st.frames }
 
@@ -169,10 +186,7 @@ let scope_vars st =
     m (List.rev st.frames)
 
 let eval_ctx st =
-  let ctx =
-    Xquery.Context.make_dynamic ~trace:st.rt.trace ~instr:st.rt.instr
-      ~streaming:st.rt.streaming ?cache:(st.rt.cache ()) st.rt.reg
-  in
+  let ctx = context st.rt in
   let globals = Xquery.Context.globals st.rt.reg in
   let vars =
     Qmap.union (fun _ _inner v -> Some v) globals (scope_vars st)
@@ -840,14 +854,13 @@ let declare_procedure rt proc =
 
 (* Flatten the runtime chain's procedures (innermost declaration wins)
    into a fresh parentless runtime over [reg]. The fork shares no
-   mutable state with the source — its own flags, compilation unit and
-   compiled-block memos — so a worker domain can run against it while
+   mutable state with the source — its own documents, compilation unit
+   and compiled-block memos — so a worker domain can run against it while
    the source keeps serving. Readonly procedures re-home their function
    registration in [reg]: the entry copied in from the source's registry
    closes over the *source* runtime (and would race on its plan memos),
    so it is replaced by one closing over the fork. *)
-let fork_runtime ?(trace = fun _ -> ()) ?instr src reg =
-  let instr = match instr with Some i -> i | None -> src.instr in
+let fork_runtime ?(trace = fun _ -> ()) ~instr ~streaming ~plans src reg =
   let fresh =
     {
       reg;
@@ -855,8 +868,10 @@ let fork_runtime ?(trace = fun _ -> ()) ?instr src reg =
       parent = None;
       trace;
       instr;
-      streaming = src.streaming;
-      plans = src.plans;
+      streaming;
+      plans;
+      docs = ref !(src.docs);
+      collections = ref !(src.collections);
       purity = src.purity;
       cache = (fun () -> None);
       comp = None;

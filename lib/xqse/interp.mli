@@ -36,48 +36,64 @@ type runtime
 
 val create_runtime :
   ?trace:(string -> unit) ->
-  ?instr:Instr.t ->
   ?parent:runtime ->
+  instr:Instr.t ->
+  streaming:bool ->
+  plans:bool ->
   Xquery.Context.registry ->
   runtime
-(** [parent] makes another runtime's procedures visible (used to layer a
-    per-program runtime over a session runtime). [instr] defaults to the
-    parent's handle (or {!Instr.disabled} without a parent); every
-    executed statement bumps the [xqse.statements] counter on it. *)
+(** A runtime over a registry, its flags fixed for its lifetime (see
+    {!streaming} and {!plans}). Every executed statement bumps the
+    [xqse.statements] counter on [instr]. [parent] makes another
+    runtime's procedures, purity environment, result-cache view,
+    documents and collections visible (used to layer a per-program
+    runtime over a session runtime). *)
 
 val fork_runtime :
   ?trace:(string -> unit) ->
-  ?instr:Instr.t ->
+  instr:Instr.t ->
+  streaming:bool ->
+  plans:bool ->
   runtime ->
   Xquery.Context.registry ->
   runtime
-(** [fork_runtime src reg] is a fresh parentless runtime over [reg]
-    carrying every procedure visible from [src] (innermost declaration
-    wins) and [src]'s current flags and purity environment, but none of
-    its mutable state — a worker can execute against the fork while the
-    source keeps serving. [reg] should be a copy of [src]'s registry:
-    readonly procedures get their function entry re-registered in it so
-    the closure captures the fork (the copied entry would otherwise call
-    back into [src]). *)
+(** [fork_runtime src reg] is a fresh parentless runtime over [reg] with
+    the given flags, carrying every procedure visible from [src]
+    (innermost declaration wins), [src]'s purity environment and copies
+    of its documents and collections, but none of its mutable state — a
+    worker can execute against the fork while the source keeps serving.
+    [reg] should be a copy of [src]'s registry: readonly procedures get
+    their function entry re-registered in it so the closure captures the
+    fork (the copied entry would otherwise call back into [src]). *)
 
 val registry : runtime -> Xquery.Context.registry
 val set_trace : runtime -> (string -> unit) -> unit
 val instr : runtime -> Instr.t
 
 val streaming : runtime -> bool
-val set_streaming : runtime -> bool -> unit
 (** Whether compiled expressions (and the compiled [iterate] loop) may
-    run pull-based cursor pipelines. Defaults to the parent's setting,
-    or [true] without a parent; results are identical either way. *)
+    run pull-based cursor pipelines; results are identical either way. *)
 
 val plans : runtime -> bool
-val set_plans : runtime -> bool -> unit
 (** Whether blocks and procedures execute through compiled statement
     plans (closures built once per block, expressions closure-compiled
     through {!Xquery.Eval.compile}) instead of the eager reference
-    walkers. Defaults to the parent's setting, or [true] without a
-    parent; results, effects and errors are identical either way — the
+    walkers. Results, effects and errors are identical either way — the
     differential tests compare the two. *)
+
+val register_doc : runtime -> string -> Node.t -> unit
+(** Make a document available to [fn:doc] in every evaluation under the
+    runtime, replacing an earlier one at the same URI. *)
+
+val register_collection : runtime -> string -> Node.t list -> unit
+(** Make nodes available to [fn:collection]; the empty URI names the
+    default collection. *)
+
+val context : runtime -> Xquery.Context.dynamic
+(** A fresh dynamic context over the runtime's registry, with its trace,
+    instrumentation, streaming mode, result-cache view, documents and
+    collections: the context every evaluation under the runtime starts
+    from. *)
 
 val invalidate_plans : runtime -> unit
 (** Drop every compiled plan held by this runtime (the expression

@@ -31,21 +31,22 @@ let default_config =
 type snapshot_scope = { scope : 'a. (unit -> 'a) -> 'a }
 
 type t = {
-  eng : Xquery.Engine.t;
-  rt : Interp.runtime;
+  eng : Xquery.Engine.t;  (* static context, registry, optimize, instr *)
+  rt : Interp.runtime;  (* procedures, documents, streaming, plans *)
   mutable trace : string -> unit;
   mutable snapshot_scope : snapshot_scope option;
   modules : (string, string) Hashtbl.t;  (* module uri -> source *)
   loaded_modules : (string, unit) Hashtbl.t;
-  s_generation : int Stdlib.Atomic.t;
-      (* bumped on every session-level static-context change (procedure
-         or module registration, library load); part of the plan-cache
-         fingerprint alongside the engine's generation *)
+  generation : int Stdlib.Atomic.t;
+      (* bumped on every change to what programs compile against or
+         read (registrations, library loads, documents); the plan cache
+         and the result-cache keys carry it. The flags need no such
+         guard: they are fixed when the session is built. *)
   cache_lock : Mutex.t;  (* guards [cache] and [calls] *)
   cache : (string, cache_entry) Hashtbl.t;  (* program text → plan *)
   calls :
     ( string * string * int,
-      fingerprint * (Ctx.dynamic -> Item.seq list -> Item.seq) )
+      int * (Ctx.dynamic -> Item.seq list -> Item.seq) )
     Hashtbl.t;
       (* (uri, local, arity) → the compiled callee {!call} runs *)
   mutable result_cache : Cache.handle option;
@@ -69,57 +70,36 @@ and cplan =
   | CP_block of Interp.cblock
 
 and cache_entry = {
-  ce_fingerprint : fingerprint;
+  ce_generation : int;  (* the generation the entry was compiled under *)
   ce_compiled : compiled;
 }
 
-and fingerprint = int * int * bool * bool * bool
-(* (engine generation, session generation, optimize, streaming, plans)
-   an entry was compiled under; any mismatch is a miss *)
-
-(* Same bound and flush-wholesale policy as the engine's cache; an
-   overflow flush is not an invalidation (no context change), so it does
-   not count on [plan.cache.invalidate]. *)
+(* Bounded cache: a workload of unbounded distinct program texts must
+   not retain every plan forever. Overflow flushes wholesale — eviction
+   policy is not worth the bookkeeping at this scale, and a flush is not
+   an invalidation (the static context did not change), so it does not
+   count on [plan.cache.invalidate]. *)
 let cache_cap = 256
 
-let with_engine eng =
-  let instr = Xquery.Engine.instr eng in
-  (* default fn:trace destination: a note in the instrumentation trace
-     (a no-op while the handle is disabled) *)
-  let trace m = Instr.note instr ("trace: " ^ m) in
-  let rt = Interp.create_runtime ~trace ~instr (Xquery.Engine.registry eng) in
-  {
-    eng;
-    rt;
-    trace;
-    snapshot_scope = None;
-    modules = Hashtbl.create 8;
-    loaded_modules = Hashtbl.create 8;
-    s_generation = Stdlib.Atomic.make 0;
-    cache_lock = Mutex.create ();
-    cache = Hashtbl.create 32;
-    calls = Hashtbl.create 8;
-    result_cache = None;
-  }
-
-let instr_of s = Xquery.Engine.instr s.eng
+let engine s = s.eng
+let runtime s = s.rt
+let instr s = Xquery.Engine.instr s.eng
+let streaming s = Interp.streaming s.rt
+let plans s = Interp.plans s.rt
+let generation s = Stdlib.Atomic.get s.generation
 
 (* Result-cache binding: the store is shared, the keys are not — every
-   key is prefixed with the session's *current* fingerprint, so a
-   registration (either generation) or a flag difference moves a session
-   onto fresh keys while identically-configured forks keep sharing. *)
+   key is prefixed with the session's *current* generation and its
+   flags, so a registration or a flag difference moves a session onto
+   fresh keys while identically-configured forks keep sharing. *)
 let fingerprint_string s =
-  Printf.sprintf "%d.%d.%b.%b.%b"
-    (Xquery.Engine.generation s.eng)
-    (Stdlib.Atomic.get s.s_generation)
+  Printf.sprintf "%d.%b.%b.%b" (generation s)
     (Xquery.Engine.optimizing s.eng)
-    (Xquery.Engine.streaming s.eng)
-    (Xquery.Engine.plans s.eng)
+    (streaming s) (plans s)
 
 let cache_bound s =
   Option.map
-    (fun h ->
-      Cache.bind h ~fingerprint:(fingerprint_string s) ~instr:(instr_of s))
+    (fun h -> Cache.bind h ~fingerprint:(fingerprint_string s) ~instr:(instr s))
     s.result_cache
 
 let set_result_cache s h =
@@ -128,41 +108,56 @@ let set_result_cache s h =
 
 let result_cache s = s.result_cache
 
-let create ?optimize ?instr ?config () =
-  let cfg = Option.value config ~default:default_config in
-  (* the legacy labelled arguments override the record so existing
-     [create ~optimize ~instr ()] call sites keep their meaning *)
-  let cfg =
-    match optimize with Some b -> { cfg with optimize = b } | None -> cfg
+(* The default fn:trace destination is a note in the instrumentation
+   trace (a no-op while the handle is disabled). *)
+let trace_of (cfg : config) =
+  match cfg.trace with
+  | Some f -> f
+  | None -> fun m -> Instr.note cfg.instr ("trace: " ^ m)
+
+(* The session record over an engine and a runtime built for [cfg]. The
+   runtime's result-cache view closes over this record — the one every
+   registration moves the generation of — so it is installed only once
+   the record is final. *)
+let assemble (cfg : config) ~trace eng rt ~modules ~loaded_modules ~generation
+    ~snapshot_scope =
+  let s =
+    {
+      eng;
+      rt;
+      trace;
+      snapshot_scope;
+      modules;
+      loaded_modules;
+      generation = Stdlib.Atomic.make generation;
+      cache_lock = Mutex.create ();
+      cache = Hashtbl.create 32;
+      calls = Hashtbl.create 8;
+      result_cache = None;
+    }
   in
-  let cfg = match instr with Some i -> { cfg with instr = i } | None -> cfg in
-  let eng =
-    Xquery.Engine.create ~optimize:cfg.optimize ~streaming:cfg.streaming
-      ~instr:cfg.instr ()
-  in
-  Xquery.Engine.set_plans eng cfg.plans;
-  let s = with_engine eng in
-  Interp.set_streaming s.rt cfg.streaming;
-  Interp.set_plans s.rt cfg.plans;
-  (match cfg.trace with
-  | Some f ->
-    s.trace <- f;
-    Interp.set_trace s.rt f
-  | None -> ());
   set_result_cache s cfg.result_cache;
   s
 
-let engine s = s.eng
-let runtime s = s.rt
-let instr s = Xquery.Engine.instr s.eng
-let streaming s = Xquery.Engine.streaming s.eng
+let create ?(config = default_config) () =
+  let eng =
+    Xquery.Engine.create ~optimize:config.optimize ~instr:config.instr
+  in
+  let trace = trace_of config in
+  let rt =
+    Interp.create_runtime ~trace ~instr:config.instr
+      ~streaming:config.streaming ~plans:config.plans
+      (Xquery.Engine.registry eng)
+  in
+  assemble config ~trace eng rt ~modules:(Hashtbl.create 8)
+    ~loaded_modules:(Hashtbl.create 8) ~generation:0 ~snapshot_scope:None
 
 let config s =
   {
     optimize = Xquery.Engine.optimizing s.eng;
-    streaming = Xquery.Engine.streaming s.eng;
-    plans = Xquery.Engine.plans s.eng;
-    instr = Xquery.Engine.instr s.eng;
+    streaming = streaming s;
+    plans = plans s;
+    instr = instr s;
     trace = Some s.trace;
     result_cache = s.result_cache;
   }
@@ -177,44 +172,24 @@ let config s =
    shared backing sources. *)
 let with_config s (cfg : config) =
   let eng =
-    Xquery.Engine.fork ~optimize:cfg.optimize ~streaming:cfg.streaming
-      ~plans:cfg.plans ~instr:cfg.instr s.eng
+    Xquery.Engine.fork ~optimize:cfg.optimize ~instr:cfg.instr s.eng
   in
-  let trace =
-    match cfg.trace with
-    | Some f -> f
-    | None -> fun m -> Instr.note cfg.instr ("trace: " ^ m)
-  in
+  let trace = trace_of cfg in
   let rt =
-    Interp.fork_runtime ~trace ~instr:cfg.instr s.rt
+    Interp.fork_runtime ~trace ~instr:cfg.instr ~streaming:cfg.streaming
+      ~plans:cfg.plans s.rt
       (Xquery.Engine.registry eng)
   in
-  Interp.set_streaming rt cfg.streaming;
-  Interp.set_plans rt cfg.plans;
-  let fork =
-    {
-      eng;
-      rt;
-      trace;
-      snapshot_scope = s.snapshot_scope;
-      modules = Hashtbl.copy s.modules;
-      loaded_modules = Hashtbl.copy s.loaded_modules;
-      s_generation = Stdlib.Atomic.make (Stdlib.Atomic.get s.s_generation);
-      cache_lock = Mutex.create ();
-      cache = Hashtbl.create 32;
-      calls = Hashtbl.create 8;
-      result_cache = None;
-    }
-  in
-  set_result_cache fork cfg.result_cache;
-  fork
+  assemble cfg ~trace eng rt ~modules:(Hashtbl.copy s.modules)
+    ~loaded_modules:(Hashtbl.copy s.loaded_modules) ~generation:(generation s)
+    ~snapshot_scope:s.snapshot_scope
 
-(* Any session-level change to what programs compile against makes every
-   cached program plan stale: bump the generation, drop the session
-   runtime's compiled procedure bodies, and flush the cache (counting
-   the flushed entries, like the engine does). *)
+(* Any change to what programs compile against makes every cached
+   program plan stale: bump the generation, drop the session runtime's
+   compiled procedure bodies, and flush the cache (counting the flushed
+   entries). *)
 let invalidate_plans s =
-  Stdlib.Atomic.incr s.s_generation;
+  Stdlib.Atomic.incr s.generation;
   Interp.invalidate_plans s.rt;
   Mutex.protect s.cache_lock (fun () ->
       Hashtbl.reset s.calls;
@@ -224,22 +199,38 @@ let invalidate_plans s =
         Hashtbl.reset s.cache
       end)
 
-let declare_namespace s prefix uri = Xquery.Engine.declare_namespace s.eng prefix uri
-
 let set_trace s f =
   s.trace <- f;
   Interp.set_trace s.rt f
 
-(* Mutate-then-invalidate (like the engine's registrations): the change
-   lands before the generations move, so a compile racing it can never
-   cache a pre-change snapshot under the post-change fingerprint. *)
+(* Mutate-then-invalidate: every registration lands before the
+   generation moves, so a compile racing it either sees the old
+   generation (and its entry is invalidated by the bump at the next
+   lookup) or the new one (in which case the change, too, happened
+   before its registry snapshot). Bump-first would allow the inverse: a
+   stale registry snapshot cached under the new generation. *)
+let declare_namespace s prefix uri =
+  Ctx.declare_ns (Xquery.Engine.static s.eng) prefix uri;
+  invalidate_plans s
+
 let register_function s ?side_effects ?purity name arity impl =
-  Xquery.Engine.register_external s.eng ?side_effects ?purity name arity impl;
+  Ctx.register_external (Xquery.Engine.registry s.eng) ?side_effects ?purity
+    name arity impl;
   invalidate_plans s
 
 let register_function_cursor s ?side_effects ?purity ?keyed name arity impl =
-  Xquery.Engine.register_external_cursor s.eng ?side_effects ?purity ?keyed name
-    arity impl;
+  Ctx.register_external_cursor (Xquery.Engine.registry s.eng) ?side_effects
+    ?purity ?keyed name arity impl;
+  invalidate_plans s
+
+(* Documents change what a query reads, not what it compiles to; the
+   bump moves the result-cache keys off reads of the old document. *)
+let register_doc s uri node =
+  Interp.register_doc s.rt uri node;
+  invalidate_plans s
+
+let register_collection s uri nodes =
+  Interp.register_collection s.rt uri nodes;
   invalidate_plans s
 
 let register_procedure s ?(readonly = false) ?params ?return name arity impl =
@@ -256,11 +247,7 @@ let register_procedure s ?(readonly = false) ?params ?return name arity impl =
       p_readonly = readonly;
       p_impl = Interp.P_external impl;
     };
-  invalidate_plans s;
-  (* a readonly procedure also registers as a function in the registry
-     shared with the engine (and with sibling sessions over the same
-     engine) — their cached plans must go stale too *)
-  Xquery.Engine.invalidate_plans s.eng
+  invalidate_plans s
 
 (* ------------------------------------------------------------------ *)
 (* Statement-level optimization: optimize the XQuery expressions inside
@@ -359,13 +346,10 @@ let install_declarations s reg rt (prog : Stmt.program) =
     prog.Stmt.prog_procs;
   env
 
-let fresh_static s =
-  let st = Xquery.Engine.static s.eng in
-  {
-    Ctx.namespaces = st.Ctx.namespaces;
-    default_elem_ns = st.Ctx.default_elem_ns;
-    default_fun_ns = st.Ctx.default_fun_ns;
-  }
+(* parse against a copy of the static context so a program's own
+   namespace declarations do not leak into the session *)
+let parse s src =
+  Parse.parse_program (Ctx.copy_static (Xquery.Engine.static s.eng)) src
 
 (* resolve [import module] declarations against the registered module
    library; each module loads once per session (recursively) *)
@@ -383,23 +367,20 @@ let rec resolve_imports s prog =
     prog.Stmt.prog_imports
 
 and load_library s src =
-  let prog = Parse.parse_program (fresh_static s) src in
+  let prog = parse s src in
   (match prog.Stmt.prog_body with
   | Some _ ->
     Item.raise_error (Qname.err "XQSE0002")
       "a library program must not have a query body"
   | None -> ());
   resolve_imports s prog;
-  (* a library installs functions straight into the engine's registry,
-     bypassing [Engine.register_external] — invalidate both cache layers
-     explicitly, *after* the install (mutate-then-bump, like every other
+  (* invalidate *after* the install (mutate-then-bump, like every other
      registration). When this runs mid-compile (an import resolving
-     lazily), the caller captures its fingerprint after import
-     resolution, so the bumped generations are what gets cached. *)
+     lazily), the caller reads the generation after import resolution,
+     so the bumped generation is what gets cached. *)
   let reg = Xquery.Engine.registry s.eng in
   let env = install_declarations s reg s.rt prog in
   invalidate_plans s;
-  Xquery.Engine.invalidate_plans s.eng;
   (* library variable declarations evaluate now and persist as globals;
      after the invalidation, so an initializer calling a just-installed
      readonly procedure compiles against the post-install registry *)
@@ -414,7 +395,7 @@ and load_library s src =
            (Qname.to_string name))
     in
     ignore
-      (Xquery.Engine.declare_variables ~plans:(Xquery.Engine.plans s.eng) cc
+      (Xquery.Engine.declare_variables ~plans:(plans s) cc
          ~missing
          (Ctx.with_vars ctx (Ctx.globals reg))
          prog.Stmt.prog_variables
@@ -425,31 +406,24 @@ let register_module s uri src =
   Hashtbl.replace s.modules uri src;
   invalidate_plans s
 
-(* Plan-cache fingerprint, mirroring the engine's: both generations plus
-   every flag that changes what a compile produces. *)
-let fingerprint s =
-  ( Xquery.Engine.generation s.eng,
-    Stdlib.Atomic.get s.s_generation,
-    Xquery.Engine.optimizing s.eng,
-    Xquery.Engine.streaming s.eng,
-    Xquery.Engine.plans s.eng )
-
-(* Returns the fingerprint observed when the registry was snapshotted —
-   after import resolution (a mid-compile library load bumps both
-   generations first, so the entry caches under the post-load context it
-   actually compiled against), before the registry copy (a registration
-   landing later invalidates the fingerprint and the caller skips the
-   insert). *)
-let compile_fp s src =
+(* Returns the generation observed when the registry was snapshotted —
+   after import resolution (a mid-compile library load bumps it first,
+   so the entry caches under the post-load context it actually compiled
+   against), before the registry copy (a registration landing later
+   moves the generation and the caller skips the insert). *)
+let compile_gen s src =
   Instr.span (instr s) "compile" (fun () ->
-      let prog = Parse.parse_program (fresh_static s) src in
+      let prog = parse s src in
       resolve_imports s prog;
-      let fp = fingerprint s in
+      let gen = generation s in
       let reg = Ctx.copy_registry (Xquery.Engine.registry s.eng) in
-      let rt = Interp.create_runtime ~trace:s.trace ~parent:s.rt reg in
+      let rt =
+        Interp.create_runtime ~trace:s.trace ~parent:s.rt ~instr:(instr s)
+          ~streaming:(streaming s) ~plans:(plans s) reg
+      in
       let env = install_declarations s reg rt prog in
       (* statement-level expression evaluation gates streaming on the
-         same compile-time verdicts as the engine would *)
+         same compile-time verdicts as the query body *)
       Interp.set_purity rt (Xquery.Engine.purity_fn env);
       let opt e = Xquery.Engine.optimize_expr s.eng ~env e in
       let body =
@@ -477,47 +451,46 @@ let compile_fp s src =
       in
       (* closure-compile inside the compile span so [run] measures pure
          execution; skipped when execution goes through the tree walker *)
-      if Xquery.Engine.plans s.eng then ignore (Lazy.force c.c_plan : cplan);
+      if plans s then ignore (Lazy.force c.c_plan : cplan);
       (* successful compiles only: a parse or static error above must
          not count (the span still reports its duration) *)
       Instr.bump (instr s) Instr.K.queries_compiled;
-      (fp, c))
+      (gen, c))
 
-let compile s src = snd (compile_fp s src)
+let compile s src = snd (compile_gen s src)
 
-(* Plan cache around [compile], mirroring the engine's: keyed on the
-   program text, guarded by the fingerprint the entry was compiled
-   under; the insert is skipped when a registration raced the compile
-   (the fingerprint moved after the registry snapshot), so a stale plan
-   is returned at most once and never cached. A failed compile counts
-   as a miss but never as a compiled query; the cache is bypassed
-   entirely when plans are off. *)
+(* Plan cache around [compile]: keyed on the program text, guarded by
+   the generation the entry was compiled under; the insert is skipped
+   when a registration raced the compile (the generation moved after the
+   registry snapshot), so a stale plan is returned at most once and
+   never cached. A failed compile counts as a miss but never as a
+   compiled query; the cache is bypassed entirely when plans are off. *)
 let compile_cached s src =
-  let cached =
-    Mutex.protect s.cache_lock (fun () -> Hashtbl.find_opt s.cache src)
-  in
-  match cached with
-  | Some e when Xquery.Engine.plans s.eng && e.ce_fingerprint = fingerprint s
-    ->
-    Instr.bump (instr s) Instr.K.plan_cache_hit;
-    e.ce_compiled
-  | _ when not (Xquery.Engine.plans s.eng) -> compile s src
-  | _ ->
-    Instr.bump (instr s) Instr.K.plan_cache_miss;
-    let fp, c = compile_fp s src in
-    Mutex.protect s.cache_lock (fun () ->
-        if fp = fingerprint s then begin
-          if Hashtbl.length s.cache >= cache_cap then Hashtbl.reset s.cache;
-          Hashtbl.replace s.cache src { ce_fingerprint = fp; ce_compiled = c }
-        end);
-    c
+  if not (plans s) then compile s src
+  else
+    match
+      Mutex.protect s.cache_lock (fun () -> Hashtbl.find_opt s.cache src)
+    with
+    | Some e when e.ce_generation = generation s ->
+      Instr.bump (instr s) Instr.K.plan_cache_hit;
+      e.ce_compiled
+    | _ ->
+      Instr.bump (instr s) Instr.K.plan_cache_miss;
+      let gen, c = compile_gen s src in
+      Mutex.protect s.cache_lock (fun () ->
+          if gen = generation s then begin
+            if Hashtbl.length s.cache >= cache_cap then Hashtbl.reset s.cache;
+            Hashtbl.replace s.cache src { ce_generation = gen; ce_compiled = c }
+          end);
+      c
 
 type exec_opts = {
+  context_item : Item.t option;
   vars : (Qname.t * Item.seq) list;
   trace : (string -> unit) option;
 }
 
-let default_exec_opts = { vars = []; trace = None }
+let default_exec_opts = { context_item = None; vars = []; trace = None }
 
 (* An expired ambient request deadline fails the program before any
    statement runs, with the same stable code the resilience guard uses
@@ -548,20 +521,13 @@ let run ?(opts = default_exec_opts) c =
   in_scope s @@ fun () ->
   Instr.span (instr s) "run" (fun () ->
   let vars = opts.vars in
-  let trace = match opts.trace with Some f -> f | None -> s.trace in
-  (* route statement-level fn:trace of this program to the same sink,
-     and pick up the engine's current streaming and plan modes *)
-  Interp.set_trace c.c_runtime trace;
-  Interp.set_streaming c.c_runtime (Xquery.Engine.streaming s.eng);
-  Interp.set_plans c.c_runtime (Xquery.Engine.plans s.eng);
-  let plans = Xquery.Engine.plans s.eng in
+  (* route statement-level fn:trace of this program to the same sink *)
+  Interp.set_trace c.c_runtime
+    (match opts.trace with Some f -> f | None -> s.trace);
+  let plans = plans s in
   (* module variable declarations, over the session's persistent
      globals *)
-  let ctx =
-    Ctx.make_dynamic ~trace ~instr:(instr s)
-      ~streaming:(Xquery.Engine.streaming s.eng) ?cache:(cache_bound s)
-      c.c_registry
-  in
+  let ctx = Interp.context c.c_runtime in
   let ctx = Ctx.with_vars ctx (Ctx.globals c.c_registry) in
   let ctx = Ctx.bind_many ctx vars in
   let ctx =
@@ -571,6 +537,11 @@ let run ?(opts = default_exec_opts) c =
   match c.c_body with
   | None -> []
   | Some (Stmt.Q_expr e) -> (
+    let ctx =
+      match opts.context_item with
+      | Some item -> Ctx.with_focus ctx item ~pos:1 ~size:1
+      | None -> ctx
+    in
     match (if plans then Lazy.force c.c_plan else CP_none) with
     | CP_expr p -> p ctx
     | _ -> Xquery.Eval.eval ctx e)
@@ -605,7 +576,7 @@ type explain = {
 }
 
 let explain s src =
-  let prog = Parse.parse_program (fresh_static s) src in
+  let prog = parse s src in
   let log = ref [] in
   let total = ref Xquery.Optimizer.zero_stats in
   (* same purity environment as a real compilation of this program *)
@@ -665,22 +636,22 @@ let explain s src =
   { ex_program = Pretty.program prog; ex_stats = !total; ex_log = List.rev !log }
 
 (* The compiled callee of [call], memoized per (name, arity) under the
-   fingerprint it was compiled against, like a cached program plan. A
+   generation it was compiled against, like a cached program plan. A
    plan is compiled outside the lock (two racing callers both compile,
    one entry wins) and only read once built, so workers sharing one
    session may run it concurrently. *)
 let compiled_callee s name arity =
   let key = (name.Qname.uri, name.Qname.local, arity) in
-  let fp = fingerprint s in
+  let gen = generation s in
   match
     Mutex.protect s.cache_lock (fun () -> Hashtbl.find_opt s.calls key)
   with
-  | Some (fp', f) when fp' = fp -> f
+  | Some (gen', f) when gen' = gen -> f
   | _ ->
     let reg = Xquery.Engine.registry s.eng in
     let purity = Xquery.Engine.purity_fn (Xquery.Engine.purity_env s.eng []) in
     let f = Xquery.Eval.compile_call (Xquery.Eval.compiler ~purity reg) name arity in
-    Mutex.protect s.cache_lock (fun () -> Hashtbl.replace s.calls key (fp, f));
+    Mutex.protect s.cache_lock (fun () -> Hashtbl.replace s.calls key (gen, f));
     f
 
 let call s name args =
@@ -688,11 +659,6 @@ let call s name args =
   match Interp.find_procedure s.rt name (List.length args) with
   | Some _ -> Interp.call_procedure s.rt name args
   | None ->
-    let ctx =
-      Ctx.make_dynamic ~trace:s.trace ~instr:(instr s)
-        ~streaming:(Xquery.Engine.streaming s.eng) ?cache:(cache_bound s)
-        (Xquery.Engine.registry s.eng)
-    in
-    if Xquery.Engine.plans s.eng then
-      compiled_callee s name (List.length args) ctx args
+    let ctx = Interp.context s.rt in
+    if plans s then compiled_callee s name (List.length args) ctx args
     else Xquery.Eval.call ctx name args

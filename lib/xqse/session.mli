@@ -1,10 +1,12 @@
-(** XQSE sessions: the top-level API for compiling and running XQSE
-    programs.
+(** XQSE sessions: the one API for compiling and running programs.
 
-    A session owns an XQuery engine (static context + function registry)
-    and an XQSE procedure runtime. Hosts (the ALDSP dataspace) register
-    external functions and procedures into the session; each program
-    compiles against a copy so its own declarations do not leak. *)
+    XQSE loosely wraps XQuery: a plain XQuery main module is an XQSE
+    program whose body is an expression, so sessions compile and run
+    both. A session owns an XQuery engine (static context + function
+    registry) and an XQSE procedure runtime. Hosts (the ALDSP dataspace)
+    register external functions, procedures and documents into the
+    session; each program compiles against a copy so its own
+    declarations do not leak. *)
 
 open Xdm
 
@@ -31,20 +33,18 @@ type config = {
 }
 (** Everything configurable about a session, as one immutable value: fix
     it at {!create}, read it back with {!config}, or fork a
-    differently-configured independent session with {!with_config} — no
-    mutator calls to sequence, so a session can be handed to a worker
-    domain without another thread's setter changing its behavior
-    mid-flight. *)
+    differently-configured independent session with {!with_config}. The
+    [optimize], [streaming], [plans] and [instr] flags cannot change on
+    a built session, so a session can be handed to a worker domain
+    without another thread changing its behavior mid-flight. *)
 
 val default_config : config
 (** All defaults ([optimize]/[streaming]/[plans] on, {!Instr.disabled},
     trace into the instrumentation sink). Build variations as
     [{ default_config with streaming = false }]. *)
 
-val create : ?optimize:bool -> ?instr:Instr.t -> ?config:config -> unit -> t
+val create : ?config:config -> unit -> t
 (** A fresh session configured by [config] (default {!default_config}).
-    The legacy labelled arguments override the record's fields where
-    given (they predate [config]; prefer the record in new code).
     [config.instr] is the session's instrumentation handle, shared with
     its engine, its XQSE runtime, and every program compiled in it. The
     handle identity is fixed at creation — enable it or swap its sink at
@@ -64,13 +64,6 @@ val with_config : t -> config -> t
     external functions — e.g. a dataspace's sources — stays shared; the
     server serializes access to it). *)
 
-val with_engine : Xquery.Engine.t -> t
-(** Build a session around an existing engine (sharing its registry,
-    static context and instrumentation handle). Sessions over one engine
-    keep independent plan caches and procedure runtimes; registrations
-    that touch the shared registry invalidate across all of them through
-    the engine's generation. *)
-
 val engine : t -> Xquery.Engine.t
 val runtime : t -> Interp.runtime
 
@@ -78,8 +71,10 @@ val invalidate_plans : t -> unit
 (** Flush the session's plan cache and compiled procedure bodies,
     bumping the session generation (flushed entries count on
     [plan.cache.invalidate]). Called automatically by every
-    registration ({!register_function}, {!register_function_cursor},
-    {!register_procedure}, {!register_module}) and by library loads. *)
+    registration ({!declare_namespace}, {!register_function},
+    {!register_function_cursor}, {!register_procedure},
+    {!register_module}, {!register_doc}, {!register_collection}) and by
+    library loads. *)
 
 val instr : t -> Instr.t
 (** The handle given to {!create}. *)
@@ -155,6 +150,15 @@ val register_procedure :
 (** Register an external host procedure — e.g. the ALDSP-provided
     create/update/delete procedures of a physical data service. *)
 
+val register_doc : t -> string -> Node.t -> unit
+(** Make a document available to [fn:doc] in the session's programs,
+    replacing an earlier one at the same URI. {!with_config} forks
+    inherit the documents registered before the fork. *)
+
+val register_collection : t -> string -> Node.t list -> unit
+(** Make nodes available to [fn:collection]; the empty URI names the
+    default collection. Inherited by forks like {!register_doc}. *)
+
 val register_module : t -> string -> string -> unit
 (** [register_module s uri source] adds an XQSE library program to the
     session's module library. A program whose prolog contains
@@ -171,22 +175,28 @@ val load_library : t -> string -> unit
 type compiled
 
 val compile : t -> string -> compiled
-(** Parse an XQSE program and register its declarations against copies of
-    the session registry/runtime. When the engine executes plans
-    (see {!Xquery.Engine.plans}), the query body is closure-compiled
-    inside the [compile] span, so {!run} measures pure execution.
-    [queries.compiled] counts only successful compiles. *)
+(** Parse an XQSE program (or XQuery main module) and register its
+    declarations against copies of the session registry/runtime. When
+    the session executes plans ([config.plans]), the query body is
+    closure-compiled inside the [compile] span, so {!run} measures pure
+    execution. [queries.compiled] counts only successful compiles.
+    @raise Xquery.Parser.Syntax_error / Xquery.Lexer.Lex_error on bad
+    syntax, Xdm.Item.Error on static errors. *)
 
 val compile_cached : t -> string -> compiled
-(** {!compile} through the session's plan cache: a fingerprint-valid
-    entry for the same program text is returned without recompiling
-    (bumping [plan.cache.hit] and skipping the [compile] span entirely);
-    otherwise [plan.cache.miss] is bumped {e before} compiling, so
-    failed compiles are misses that never become plans. The fingerprint
-    covers the engine and session generations plus the
-    optimize/streaming/plans flags. Bypassed when plans are off. *)
+(** {!compile} through the session's plan cache: an entry for the same
+    program text compiled under the session's current generation is
+    returned without recompiling (bumping [plan.cache.hit] and skipping
+    the [compile] span entirely); otherwise [plan.cache.miss] is bumped
+    {e before} compiling, so failed compiles are misses that never
+    become plans. Every registration moves the generation; the flags
+    need no key, being fixed for the session's lifetime. Bypassed when
+    plans are off. *)
 
 type exec_opts = {
+  context_item : Item.t option;
+      (** the focus of an expression query body (position and size 1);
+          variable initializers and block bodies run without one *)
   vars : (Qname.t * Item.seq) list;  (** external variable bindings *)
   trace : (string -> unit) option;
       (** per-call [fn:trace] destination; [None] uses the session
@@ -194,8 +204,8 @@ type exec_opts = {
 }
 
 val default_exec_opts : exec_opts
-(** No variables, session-default trace. Build custom options as
-    [{ default_exec_opts with vars = ... }]. *)
+(** No context item, no variables, session-default trace. Build custom
+    options as [{ default_exec_opts with vars = ... }]. *)
 
 val run : ?opts:exec_opts -> compiled -> Item.seq
 (** Execute a compiled program: evaluate its global variables, then its

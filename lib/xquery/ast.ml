@@ -152,8 +152,6 @@ type prolog_item =
       (** [import module namespace p = "uri"] — resolved by the host
           (sessions resolve against their registered module library) *)
 
-type module_ = { prolog : prolog_item list; body : expr }
-
 (** {1 AST traversal helpers} *)
 
 let fold_subexprs : 'a. ('a -> expr -> 'a) -> 'a -> expr -> 'a =

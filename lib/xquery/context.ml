@@ -108,6 +108,13 @@ and dynamic_fields = {
 
 let create_registry () = { table = Qmap.empty; globals = Qmap.empty }
 let copy_registry r = { table = r.table; globals = r.globals }
+
+let copy_static st =
+  {
+    namespaces = st.namespaces;
+    default_elem_ns = st.default_elem_ns;
+    default_fun_ns = st.default_fun_ns;
+  }
 let set_globals r g = r.globals <- g
 let globals r = r.globals
 

@@ -92,6 +92,9 @@ val create_registry : unit -> registry
 val copy_registry : registry -> registry
 (** Shallow copy: further registrations do not affect the original. *)
 
+val copy_static : static -> static
+(** A copy whose namespace declarations do not affect the original. *)
+
 val register : registry -> func -> unit
 (** @raise Xdm.Item.Error [err:XQST0034] on duplicate name/arity. *)
 

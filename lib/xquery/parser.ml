@@ -1505,26 +1505,6 @@ let try_parse_prolog_item p =
   end
   else No_item
 
-let parse_prolog p =
-  let items = ref [] in
-  let rec go () =
-    match try_parse_prolog_item p with
-    | No_item -> ()
-    | Consumed -> go ()
-    | Item i ->
-      items := i :: !items;
-      go ()
-  in
-  go ();
-  List.rev !items
-
-let parse_module st src =
-  let p = create st src in
-  let prolog = parse_prolog p in
-  let body = parse_expr p in
-  expect_eof p;
-  { Ast.prolog; body }
-
 let parse_expression st src =
   let p = create st src in
   let e = parse_expr p in

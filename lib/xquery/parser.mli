@@ -16,9 +16,6 @@ val static : t -> Context.static
 
 (** {1 Whole-unit entry points} *)
 
-val parse_module : Context.static -> string -> Ast.module_
-(** Parse [Prolog QueryBody] and require end of input. *)
-
 val parse_expression : Context.static -> string -> Ast.expr
 (** Parse a single expression (no prolog) and require end of input. *)
 

@@ -164,7 +164,7 @@ let introspect_tests =
           check_int "ops" 1 (List.length svc.Aldsp.Data_service.ds_methods));
     case "ws faults surface with the service namespace Fault code" (fun () ->
         let env = F.make ~customers:0 () in
-        Webservice.inject_fault_next env.F.ws ~message:"down";
+        Resilience.Faults.inject_next (Webservice.faults env.F.ws) "down";
         let sess = Aldsp.Dataspace.session env.F.ds in
         match
           Xqse.Session.eval sess
@@ -351,7 +351,7 @@ let decompose_tests =
         let dg = F.get_profile_by_id env "007" in
         Sdo.set_leaf dg 1 [ ("LAST_NAME", 1) ] "Carey";
         Sdo.set_leaf dg 1 (Sdo.path_of_string "CreditCards/CREDIT_CARD[1]/BRAND") "AMEX";
-        R.Database.set_fail_on_prepare env.F.db2 true;
+        Resilience.Faults.set_fail_on_prepare (R.Database.faults env.F.db2) true;
         let result = Aldsp.Dataspace.submit env.F.ds env.F.svc dg in
         check_bool "aborted" true (not result.Aldsp.Dataspace.sr_committed);
         let row = Option.get (R.Table.find_pk env.F.customer [ R.Value.Text "007" ]) in

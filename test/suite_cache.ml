@@ -303,6 +303,42 @@ let fingerprint_tests =
           (counter instr Instr.K.cache_hit);
         check_int "old entries stranded, new ones admitted" 4
           (Cache.Store.size (Cache.store h)));
+    case "a fork's registration strands only the fork's entries" (fun () ->
+        (* the fork's cache view must read the fork's own generation —
+           in a block body too, whose statements evaluate through the
+           XQSE runtime's view rather than the query body's *)
+        List.iter
+          (fun (form, src) ->
+            let instr = Instr.create () in
+            Instr.preregister instr;
+            Instr.enable instr;
+            let env = FC.make ~customers:1 ~instr () in
+            ignore (add_customers_service env);
+            ignore (Aldsp.Dataspace.enable_result_cache env.FC.ds);
+            let sess = Aldsp.Dataspace.session env.FC.ds in
+            let fork = Xqse.Session.with_config sess (Xqse.Session.config sess) in
+            let read s =
+              let hits = counter instr Instr.K.cache_hit
+              and misses = counter instr Instr.K.cache_miss in
+              ignore (Xqse.Session.eval_to_string s src);
+              ( counter instr Instr.K.cache_hit - hits,
+                counter instr Instr.K.cache_miss - misses )
+            in
+            ignore (read fork);
+            check_bool (form ^ ": the fork's second read hits") true
+              (fst (read fork) = 1);
+            Xqse.Session.register_function fork
+              (Xdm.Qname.make ~uri:"urn:test" "ping")
+              0
+              (fun _ -> []);
+            let hits, misses = read fork in
+            check_int (form ^ ": the fork misses after its registration") 0
+              hits;
+            check_bool (form ^ ": and recomputes") true (misses > 0);
+            let hits, misses = read sess in
+            check_int (form ^ ": the source still hits") 1 hits;
+            check_int (form ^ ": without a miss") 0 misses)
+          [ ("expression", cq); ("block", "{ return value " ^ cq ^ "; }") ]);
   ]
 
 let suites =

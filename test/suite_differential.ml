@@ -5,11 +5,13 @@
    tripwire for scope-analysis regressions: a rewrite pass that breaks
    variable scoping fails here instead of shipping.
 
-   Programs run through two layers: the bare XQuery engine, and the XQSE
-   session (whose compile path builds the purity environment from the
-   program's own declarations before optimizing) — a session-layer
-   regression in environment threading would diverge here even if the
-   engine layer stays sound. *)
+   Programs run through two layers of the one compile pipeline: a fresh
+   session per program and evaluation mode (the Util helpers), and one
+   shared session per mode that every program replays through (each
+   program's declarations compile against copies, so programs cannot
+   leak into each other) — a regression that leaks program state into a
+   long-lived session diverges here even when fresh sessions stay
+   sound. *)
 
 open Util
 open Core
@@ -62,7 +64,12 @@ let agree name src =
    declarations compile against copies, so corpus programs cannot leak
    into each other), forced lazily so suite construction stays cheap. *)
 let session_opt = lazy (Xqse.Session.create ())
-let session_noopt = lazy (Xqse.Session.create ~optimize:false ())
+
+let session_noopt =
+  lazy
+    (Xqse.Session.create
+       ~config:{ Xqse.Session.default_config with optimize = false }
+       ())
 
 let session_nostream =
   lazy
@@ -169,8 +176,8 @@ let directed_session_tests =
 (* The former escape hatches: shapes whose compiled plans used to call
    back into the walker, so comparing them with plans = false compared
    the walker with itself. Each must agree with the reference walker
-   with the optimizer on and off, at engine level (the XQuery ones) and
-   at session level (all of them). The FLWOR keeps its nested shape
+   with the optimizer on and off, in fresh sessions (the XQuery ones)
+   and in the shared session layer (all of them). The FLWOR keeps its nested shape
    only with the optimizer off: its fallible outer where over a source
    whose own where is fallible makes the streamed FLWOR fall back to the
    eager schedule. *)
@@ -211,9 +218,7 @@ let escape_hatch_tests =
     (fun (name, src) ->
       against_walker ("escape hatch: " ^ name)
         (fun ~optimize ~plans src ->
-          let e = Xquery.Engine.create ~optimize () in
-          Xquery.Engine.set_plans e plans;
-          Xquery.Engine.eval_to_string e src)
+          xq ~config:{ Xqse.Session.default_config with optimize; plans } src)
         src)
     escape_hatches
 
@@ -230,8 +235,8 @@ let escape_hatch_session_tests =
         src)
     (escape_hatches @ [ xqse_escape_hatch ])
 
-(* Rewrite statistics for one corpus program, through the same
-   entry point the engine uses. *)
+(* Rewrite statistics for one corpus program, through the optimizer
+   entry point compiles use. *)
 let stats_of src =
   let e =
     Xquery.Parser.parse_expression (Xquery.Context.default_static ()) src
@@ -374,8 +379,8 @@ let meta_tests =
 
 (* View unfolding: a filter over a call to a view function becomes the
    function's FLWOR with the filter as a where. Each program must agree
-   across every engine and session layer (optimize = false and plans =
-   false among them), and its rewrite log must show whether the pass
+   across every fresh and shared session layer (optimize = false and
+   plans = false among them), and its rewrite log must show whether the pass
    fired. *)
 let view_prolog =
   {|declare function local:v() { for $i in (1, 2, 3) return <E><N>{$i}</N><M>{$i * 10}</M></E> };

@@ -53,19 +53,16 @@ let typeswitch_tests =
 let collection_tests =
   [
     case "fn:collection by uri" (fun () ->
-        let engine = Xquery.Engine.create () in
-        Xquery.Engine.register_collection engine "emps"
+        let s = Xqse.Session.create () in
+        Xqse.Session.register_collection s "emps"
           (Xml_parse.parse_fragment "<e id='1'/><e id='2'/>");
         check_string "count" "2"
-          (Xml_serialize.seq_to_string
-             (Xquery.Engine.eval_string engine "count(collection('emps'))")));
+          (Xqse.Session.eval_to_string s "count(collection('emps'))"));
     case "fn:collection default" (fun () ->
-        let engine = Xquery.Engine.create () in
-        Xquery.Engine.register_collection engine ""
-          (Xml_parse.parse_fragment "<x/>");
+        let s = Xqse.Session.create () in
+        Xqse.Session.register_collection s "" (Xml_parse.parse_fragment "<x/>");
         check_string "count" "1"
-          (Xml_serialize.seq_to_string
-             (Xquery.Engine.eval_string engine "count(collection())")));
+          (Xqse.Session.eval_to_string s "count(collection())"));
     q_err "unknown collection" "FODC0002" "collection('nope')";
   ]
 

@@ -168,17 +168,16 @@ let error_trace_tests =
         | exception Core.Xdm.Item.Error { items; _ } ->
           check_int "items" 3 (List.length items));
     case "fn:trace passes value through and logs" (fun () ->
-        let engine = Core.Xquery.Engine.create () in
         let logged = ref [] in
         let result =
-          Core.Xdm.Xml_serialize.seq_to_string
-            (Core.Xquery.Engine.eval_string
-               ~opts:
-                 {
-                   Core.Xquery.Engine.default_run_opts with
-                   trace = Some (fun m -> logged := m :: !logged);
-                 }
-               engine "trace((1, 2), 'label')")
+          Core.Xqse.Session.eval_to_string
+            ~opts:
+              {
+                Core.Xqse.Session.default_exec_opts with
+                trace = Some (fun m -> logged := m :: !logged);
+              }
+            (Core.Xqse.Session.create ())
+            "trace((1, 2), 'label')"
         in
         check_string "value" "1 2" result;
         check_bool "logged" true
@@ -188,20 +187,18 @@ let error_trace_tests =
 let doc_tests =
   [
     case "fn:doc resolves registered documents" (fun () ->
-        let engine = Core.Xquery.Engine.create () in
-        Core.Xquery.Engine.register_doc engine "orders.xml"
+        let s = Core.Xqse.Session.create () in
+        Core.Xqse.Session.register_doc s "orders.xml"
           (Core.Xdm.Xml_parse.parse "<orders><o id='1'/><o id='2'/></orders>");
         check_string "doc" "2"
-          (Core.Xdm.Xml_serialize.seq_to_string
-             (Core.Xquery.Engine.eval_string engine
-                "count(doc('orders.xml')/orders/o)")));
+          (Core.Xqse.Session.eval_to_string s
+             "count(doc('orders.xml')/orders/o)"));
     case "doc-available" (fun () ->
-        let engine = Core.Xquery.Engine.create () in
-        Core.Xquery.Engine.register_doc engine "x" (Core.Xdm.Xml_parse.parse "<x/>");
+        let s = Core.Xqse.Session.create () in
+        Core.Xqse.Session.register_doc s "x" (Core.Xdm.Xml_parse.parse "<x/>");
         check_string "avail" "true false"
-          (Core.Xdm.Xml_serialize.seq_to_string
-             (Core.Xquery.Engine.eval_string engine
-                "(doc-available('x'), doc-available('y'))")));
+          (Core.Xqse.Session.eval_to_string s
+             "(doc-available('x'), doc-available('y'))"));
     q_err "missing document" "FODC0002" "doc('nope.xml')";
   ]
 

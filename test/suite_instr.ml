@@ -207,7 +207,11 @@ let span_tests =
           Instr.create ~sink:(Instr.Json (fun l -> lines := l :: !lines)) ()
         in
         Instr.enable instr;
-        let s = Xqse.Session.create ~instr () in
+        let s =
+          Xqse.Session.create
+            ~config:{ Xqse.Session.default_config with instr }
+            ()
+        in
         let r = Xqse.Session.exec s "1 + 2" in
         check_string "value" "3" (Xml_serialize.seq_to_string r.Xqse.Session.r_value);
         let spans =
@@ -231,8 +235,12 @@ let engine_counter_tests =
     case "compilation reports queries.compiled and optimizer counters" (fun () ->
         let instr = Instr.create () in
         Instr.enable instr;
-        let e = Xquery.Engine.create ~instr () in
-        ignore (Xquery.Engine.compile e "1 + 2 * 3");
+        let s =
+          Xqse.Session.create
+            ~config:{ Xqse.Session.default_config with instr }
+            ()
+        in
+        ignore (Xqse.Session.compile s "1 + 2 * 3");
         let st = Instr.stats instr in
         check_int "queries.compiled" 1 (counter st Instr.K.queries_compiled);
         check_bool "optimizer.folded" true
@@ -240,9 +248,13 @@ let engine_counter_tests =
     case "join detection is counted per compile" (fun () ->
         let instr = Instr.create () in
         Instr.enable instr;
-        let e = Xquery.Engine.create ~instr () in
+        let s =
+          Xqse.Session.create
+            ~config:{ Xqse.Session.default_config with instr }
+            ()
+        in
         ignore
-          (Xquery.Engine.compile e
+          (Xqse.Session.compile s
              "for $a in (<r><k>1</k></r>, <r><k>2</k></r>)
               for $b in (<s><k>2</k></s>)
               where $a/k eq $b/k
@@ -253,7 +265,11 @@ let engine_counter_tests =
         let run n =
           let instr = Instr.create () in
           Instr.enable instr;
-          let s = Xqse.Session.create ~instr () in
+          let s =
+            Xqse.Session.create
+              ~config:{ Xqse.Session.default_config with instr }
+              ()
+          in
           ignore
             (Xqse.Session.eval s
                (Printf.sprintf
@@ -268,7 +284,11 @@ let engine_counter_tests =
     case "Session.exec returns the per-query stats delta" (fun () ->
         let instr = Instr.create () in
         Instr.enable instr;
-        let s = Xqse.Session.create ~instr () in
+        let s =
+          Xqse.Session.create
+            ~config:{ Xqse.Session.default_config with instr }
+            ()
+        in
         ignore (Xqse.Session.exec s "1 + 1");
         let r = Xqse.Session.exec s "2 + 2" in
         check_string "value" "4"
@@ -300,7 +320,7 @@ let platform_counter_tests =
         let instr = Instr.create () in
         Instr.enable instr;
         let env = FC.make ~customers:1 ~instr () in
-        Webservice.inject_fault_next env.FC.ws ~message:"down";
+        Resilience.Faults.inject_next (Webservice.faults env.FC.ws) "down";
         (try
            ignore
              (Xqse.Session.eval

@@ -124,7 +124,7 @@ let use_case_tests =
     case "UC4: backup failure wraps as SECONDARY_CREATE_FAILURE" (fun () ->
         let env = FE.make ~employees:4 () in
         FE.load_all_use_cases env;
-        R.Database.set_fail_statements_after env.FE.backup (Some 0);
+        Resilience.Faults.set_fail_after (R.Database.faults env.FE.backup) (Some 0);
         match
           Aldsp.Dataspace.call env.FE.ds (uc "create")
             [ [ Item.Node (employee_xml 60 "Faily McFail") ] ]

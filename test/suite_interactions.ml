@@ -11,9 +11,8 @@ module FE = Fixtures.Employees
 let compiled_reuse_tests =
   [
     case "compiled XQuery runs many times with different variables" (fun () ->
-        let engine = Xquery.Engine.create () in
         let compiled =
-          Xquery.Engine.compile engine
+          Xqse.Session.compile (Xqse.Session.create ())
             "declare variable $n external; $n * $n"
         in
         List.iter
@@ -21,10 +20,10 @@ let compiled_reuse_tests =
             check_string "square"
               (string_of_int (n * n))
               (Xml_serialize.seq_to_string
-                 (Xquery.Engine.run
+                 (Xqse.Session.run
                     ~opts:
                       {
-                        Xquery.Engine.default_run_opts with
+                        Xqse.Session.default_exec_opts with
                         vars = [ (Qname.local "n", Item.int n) ];
                       }
                     compiled)))

@@ -183,17 +183,18 @@ let prop_tests =
 let agree name src = case name (fun () -> check_string src (xq_noopt src) (xq src))
 
 let trace_run ~optimize src =
-  let engine = Xquery.Engine.create ~optimize () in
   let msgs = ref [] in
   let result =
-    Xdm.Xml_serialize.seq_to_string
-      (Xquery.Engine.eval_string
-         ~opts:
-           {
-             Xquery.Engine.default_run_opts with
-             trace = Some (fun m -> msgs := m :: !msgs);
-           }
-         engine src)
+    Xqse.Session.eval_to_string
+      ~opts:
+        {
+          Xqse.Session.default_exec_opts with
+          trace = Some (fun m -> msgs := m :: !msgs);
+        }
+      (Xqse.Session.create
+         ~config:{ Xqse.Session.default_config with optimize }
+         ())
+      src
   in
   (result, List.rev !msgs)
 

@@ -22,13 +22,11 @@ let analyze ?(env = Purity.empty_env) src = Purity.analyze env (parse src)
 
 let stats_of src = snd (Optimizer.optimize_with_stats (parse src))
 
-(* function declarations of a parsed module, plus an environment built
-   the way Engine.compile builds one *)
+(* function declarations of a parsed program, plus an environment built
+   the way Session.compile builds one *)
 let decls_of src =
-  let m = Parser.parse_module (Context.default_static ()) src in
-  List.filter_map
-    (function Ast.P_function d -> Some d | _ -> None)
-    m.Ast.prolog
+  (Xqse.Parse.parse_program (Context.default_static ()) src)
+    .Xqse.Stmt.prog_functions
 
 let env_of src =
   Purity.env_for ~registry:(Builtins.standard_registry ()) (decls_of src)
@@ -259,12 +257,19 @@ let adversarial_tests =
     case "trace fires the same number of times optimized" (fun () ->
         let runs optimize =
           let n = ref 0 in
-          let eng = Engine.create ~optimize () in
+          let s =
+            Xqse.Session.create
+              ~config:{ Xqse.Session.default_config with optimize }
+              ()
+          in
           let opts =
-            { Engine.default_run_opts with trace = Some (fun _ -> incr n) }
+            {
+              Xqse.Session.default_exec_opts with
+              trace = Some (fun _ -> incr n);
+            }
           in
           ignore
-            (Engine.eval_string ~opts eng
+            (Xqse.Session.eval ~opts s
                "let $x := fn:trace(3, \"t\") return $x * $x");
           !n
         in

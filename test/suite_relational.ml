@@ -245,7 +245,7 @@ let database_tests =
           | exception Database.Db_error _ -> true));
     case "statement failure injection" (fun () ->
         let db, _, _ = mk_db () in
-        Database.set_fail_statements_after db (Some 1);
+        Core.Resilience.Faults.set_fail_after (Database.faults db) (Some 1);
         ignore (Database.exec db
             (Database.Delete { table = "PETS"; where = Pred.True }));
         check_bool "raises" true
@@ -292,7 +292,7 @@ let xa_tests =
         check_int "b" 1 (Table.row_count tb));
     case "prepare failure rolls back both" (fun () ->
         let a, ta, b, tb = two_dbs () in
-        Database.set_fail_on_prepare b true;
+        Core.Resilience.Faults.set_fail_on_prepare (Database.faults b) true;
         (match Xa.run [ a; b ] (fun () -> ins a 1; ins b 2) with
         | Ok () -> Alcotest.fail "expected abort"
         | Error _ -> ());
@@ -300,7 +300,7 @@ let xa_tests =
         check_int "b" 0 (Table.row_count tb));
     case "statement failure during work aborts all" (fun () ->
         let a, ta, b, tb = two_dbs () in
-        Database.set_fail_statements_after b (Some 0);
+        Core.Resilience.Faults.set_fail_after (Database.faults b) (Some 0);
         (match Xa.run [ a; b ] (fun () -> ins a 1; ins b 2) with
         | Ok () -> Alcotest.fail "expected abort"
         | Error _ -> ());
@@ -315,7 +315,7 @@ let xa_tests =
               Xa.Commit "a"; Xa.Commit "b" ]));
     case "trace on prepare failure shows rollbacks" (fun () ->
         let a, _, b, _ = two_dbs () in
-        Database.set_fail_on_prepare a true;
+        Core.Resilience.Faults.set_fail_on_prepare (Database.faults a) true;
         let _, trace = Xa.run_traced [ a; b ] (fun () -> ins b 1) in
         check_bool "has rollback" true
           (List.mem (Xa.Rollback "a") trace && List.mem (Xa.Rollback "b") trace);
@@ -333,8 +333,8 @@ let xa_tests =
       QCheck.(pair bool bool)
       (fun (fa, fb) ->
         let a, ta, b, tb = two_dbs () in
-        Database.set_fail_on_prepare a fa;
-        Database.set_fail_on_prepare b fb;
+        Core.Resilience.Faults.set_fail_on_prepare (Database.faults a) fa;
+        Core.Resilience.Faults.set_fail_on_prepare (Database.faults b) fb;
         let result = Xa.run [ a; b ] (fun () -> ins a 1; ins b 2) in
         let counts = (Table.row_count ta, Table.row_count tb) in
         match result with

@@ -573,7 +573,7 @@ let uc4_tests =
           (Res.Policy.make ~max_retries:2 ());
         let env = FE.make ~employees:4 ~resilience:ctl () in
         FE.load_all_use_cases env;
-        R.Database.set_fail_statements_after env.FE.backup (Some 0);
+        Res.Faults.set_fail_after (R.Database.faults env.FE.backup) (Some 0);
         Res.Faults.set_fail_every (R.Database.faults env.FE.backup) (Some 1);
         match
           Aldsp.Dataspace.call env.FE.ds (uc "create")
@@ -636,7 +636,7 @@ let xa_tests =
                 trace)));
     case "3 participants: every vote lands before the decision" (fun () ->
         let a = mk "a" and b = mk "b" and c = mk "c" in
-        R.Database.set_fail_on_prepare b true;
+        Res.Faults.set_fail_on_prepare (R.Database.faults b) true;
         let result, trace = R.Xa.run_traced [ a; b; c ] (fun () -> ()) in
         check_bool "aborted" true (match result with Error _ -> true | Ok _ -> false);
         (* ALL three participants vote, even after b's failure *)
@@ -721,7 +721,7 @@ let webservice_tests =
         check_bool "no latency" true (Webservice.total_latency ws = 0.));
     case "injected fault counts as a call, accrues no latency" (fun () ->
         let ws = mk_ws () in
-        Webservice.inject_fault_next ws ~message:"boom";
+        Res.Faults.inject_next (Webservice.faults ws) "boom";
         check_bool "faults" true (faults (fun () -> Webservice.invoke ws "echo" (request "x")));
         check_int "counted" 1 (Webservice.call_count ws);
         check_bool "no latency" true (Webservice.total_latency ws = 0.));

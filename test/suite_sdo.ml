@@ -232,7 +232,7 @@ let webservice_tests =
           | exception Webservice.Fault _ -> true));
     case "fault injection: next call" (fun () ->
         let ws = mk_ws () in
-        Webservice.inject_fault_next ws ~message:"boom";
+        Resilience.Faults.inject_next (Webservice.faults ws) "boom";
         (match Webservice.invoke ws "echo" (request "x") with
         | _ -> Alcotest.fail "expected fault"
         | exception Webservice.Fault { message; _ } -> check_string "msg" "boom" message);
@@ -240,7 +240,7 @@ let webservice_tests =
         ignore (Webservice.invoke ws "echo" (request "y")));
     case "fail_every n faults deterministically" (fun () ->
         let ws = mk_ws () in
-        Webservice.set_fail_every ws (Some 3);
+        Resilience.Faults.set_fail_every (Webservice.faults ws) (Some 3);
         let outcomes =
           List.init 6 (fun i ->
               match Webservice.invoke ws "echo" (request (string_of_int i)) with

@@ -98,8 +98,12 @@ let equivalence_tests =
     (fun i src ->
       case (Printf.sprintf "optimized session = unoptimized session #%d" i)
         (fun () ->
-          let on = Xqse.Session.create ~optimize:true () in
-          let off = Xqse.Session.create ~optimize:false () in
+          let on = Xqse.Session.create () in
+          let off =
+            Xqse.Session.create
+              ~config:{ Xqse.Session.default_config with optimize = false }
+              ()
+          in
           check_string "agree"
             (Xqse.Session.eval_to_string off src)
             (Xqse.Session.eval_to_string on src)))
@@ -122,8 +126,12 @@ let equivalence_tests =
               } |}
               n step threshold
           in
-          let on = Xqse.Session.create ~optimize:true () in
-          let off = Xqse.Session.create ~optimize:false () in
+          let on = Xqse.Session.create () in
+          let off =
+            Xqse.Session.create
+              ~config:{ Xqse.Session.default_config with optimize = false }
+              ()
+          in
           Xqse.Session.eval_to_string on src
           = Xqse.Session.eval_to_string off src);
     ]
@@ -131,16 +139,20 @@ let equivalence_tests =
 (* The session plan cache: repeated program texts must be served from
    cache (hit, no compile span), and anything that changes what a plan
    could have compiled against — a redefined function or procedure, a
-   library load, an optimizer/streaming toggle — must stop the stale
-   plan from being served. *)
+   library load — must stop the stale plan from being served, and a
+   differently-configured fork must never be served the source's. *)
 let plan_cache_tests =
   let counter stats name =
     match List.assoc_opt name stats.Instr.counters with Some n -> n | None -> 0
   in
-  let make () =
+  let make ?(plans = true) () =
     let instr = Instr.create () in
     Instr.enable instr;
-    let s = Xqse.Session.create ~instr () in
+    let s =
+      Xqse.Session.create
+        ~config:{ Xqse.Session.default_config with instr; plans }
+        ()
+    in
     (s, instr)
   in
   let delta instr f =
@@ -229,60 +241,37 @@ let plan_cache_tests =
         let _, d = delta instr (fun () -> Xqse.Session.eval_to_string s "1 + 2") in
         check_int "recompiled after load" 1 (counter d Instr.K.plan_cache_miss));
     case "streaming and optimizer toggles are fingerprint misses" (fun () ->
+        (* the flags are fixed per session: toggling one means forking a
+           differently-configured session, which compiles its own plans *)
         let s, instr = make () in
-        ignore (Xqse.Session.eval_to_string s "sum(1 to 9)");
-        Xquery.Engine.set_streaming (Xqse.Session.engine s) false;
-        let v, d = delta instr (fun () -> Xqse.Session.eval_to_string s "sum(1 to 9)") in
+        let src = "sum(1 to 9)" in
+        ignore (Xqse.Session.eval_to_string s src);
+        let fork change = Xqse.Session.with_config s (change (Xqse.Session.config s)) in
+        let nostream = fork (fun c -> { c with streaming = false }) in
+        let v, d = delta instr (fun () -> Xqse.Session.eval_to_string nostream src) in
         check_string "same value materializing" "45" v;
         check_int "streaming toggle misses" 1 (counter d Instr.K.plan_cache_miss);
-        Xquery.Engine.set_optimizing (Xqse.Session.engine s) false;
-        let v2, d2 =
-          delta instr (fun () -> Xqse.Session.eval_to_string s "sum(1 to 9)")
-        in
+        let noopt = fork (fun c -> { c with optimize = false }) in
+        let v2, d2 = delta instr (fun () -> Xqse.Session.eval_to_string noopt src) in
         check_string "same value unoptimized" "45" v2;
         check_int "optimizer toggle misses" 1 (counter d2 Instr.K.plan_cache_miss);
-        (* each miss re-stored the entry under the current fingerprint,
-           so replaying under it is a hit again *)
-        let _, d3 = delta instr (fun () -> Xqse.Session.eval_to_string s "sum(1 to 9)") in
-        check_int "steady state hits" 1 (counter d3 Instr.K.plan_cache_hit);
-        check_int "steady state does not recompile" 0
-          (counter d3 Instr.K.queries_compiled));
+        (* each session keeps its own entry, so replaying is a hit again
+           on every side *)
+        List.iter
+          (fun s ->
+            let _, d3 = delta instr (fun () -> Xqse.Session.eval_to_string s src) in
+            check_int "steady state hits" 1 (counter d3 Instr.K.plan_cache_hit);
+            check_int "steady state does not recompile" 0
+              (counter d3 Instr.K.queries_compiled))
+          [ s; nostream; noopt ]);
     case "plans off bypasses the cache entirely" (fun () ->
-        let s, instr = make () in
-        Xquery.Engine.set_plans (Xqse.Session.engine s) false;
+        let s, instr = make ~plans:false () in
         ignore (Xqse.Session.eval_to_string s "1 + 2");
         let v, d = delta instr (fun () -> Xqse.Session.eval_to_string s "1 + 2") in
         check_string "value" "3" v;
         check_int "no hits" 0 (counter d Instr.K.plan_cache_hit);
         check_int "no misses" 0 (counter d Instr.K.plan_cache_miss);
         check_int "compiled each time" 1 (counter d Instr.K.queries_compiled));
-    case "two sessions over one engine keep separate caches" (fun () ->
-        let instr = Instr.create () in
-        Instr.enable instr;
-        let eng = Xquery.Engine.create ~instr () in
-        let a = Xqse.Session.with_engine eng in
-        let b = Xqse.Session.with_engine eng in
-        let delta f =
-          let before = Instr.stats instr in
-          let v = f () in
-          (v, Instr.since instr before)
-        in
-        ignore (Xqse.Session.eval_to_string a "2 * 3");
-        (* the other session must not be served session A's plan *)
-        let v, d = delta (fun () -> Xqse.Session.eval_to_string b "2 * 3") in
-        check_string "value" "6" v;
-        check_int "session B compiles its own plan" 1
-          (counter d Instr.K.plan_cache_miss);
-        check_int "no cross-session hit" 0 (counter d Instr.K.plan_cache_hit);
-        (* session-local state changes must not go stale across sessions:
-           a registration in A bumps the shared engine generation, so
-           B recompiles rather than serving its now-stale plan *)
-        let name = Xdm.Qname.make ~uri:"urn:host" ~prefix:"h" "g" in
-        Xqse.Session.declare_namespace a "h" "urn:host";
-        Xqse.Session.register_function a name 0 (fun _ -> Xdm.Item.int 7);
-        let _, d2 = delta (fun () -> Xqse.Session.eval_to_string b "2 * 3") in
-        check_int "B recompiles after A's registration" 1
-          (counter d2 Instr.K.plan_cache_miss));
   ]
 
 (* The config record: one immutable value carrying everything the old
@@ -350,7 +339,11 @@ let config_tests =
            registration must be visible immediately *)
         let instr = Instr.create () in
         Instr.enable instr;
-        let s = Xqse.Session.create ~instr () in
+        let s =
+          Xqse.Session.create
+            ~config:{ Xqse.Session.default_config with instr }
+            ()
+        in
         let stop = Stdlib.Atomic.make false in
         let invalidator =
           Domain.spawn (fun () ->
@@ -386,6 +379,21 @@ let config_tests =
           (Xqse.Session.eval_to_string s "lt:f()");
         check_string "warm text still correct" "6"
           (Xqse.Session.eval_to_string s "2 * 3"));
+    case "documents reach blocks and forks, and fork-side ones stay there"
+      (fun () ->
+        let a = Xqse.Session.create () in
+        Xqse.Session.register_doc a "d.xml" (Xdm.Xml_parse.parse "<d><e/><e/></d>");
+        let b = Xqse.Session.with_config a (Xqse.Session.config a) in
+        let block = "{ return value count(doc('d.xml')/d/e); }" in
+        check_string "a block body sees the document" "2"
+          (Xqse.Session.eval_to_string a block);
+        check_string "the fork inherits it" "2"
+          (Xqse.Session.eval_to_string b block);
+        Xqse.Session.register_doc b "d.xml" (Xdm.Xml_parse.parse "<d><e/></d>");
+        check_string "a fork-side replacement is the fork's" "1"
+          (Xqse.Session.eval_to_string b "count(doc('d.xml')/d/e)");
+        check_string "the source keeps its own" "2"
+          (Xqse.Session.eval_to_string a "count(doc('d.xml')/d/e)"));
   ]
 
 let suites =

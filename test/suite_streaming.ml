@@ -153,11 +153,14 @@ let early_exit_tests =
         check_int "all rows scanned" rows (counter d Instr.K.rows_scanned));
   ]
 
-(* range producers: no dataspace needed, the engine alone streams *)
+(* range producers: no dataspace needed, a bare session streams *)
 let range_tests =
   let eval ~streaming ~instr src =
-    let e = Xquery.Engine.create ~streaming ~instr () in
-    Xdm.Xml_serialize.seq_to_string (Xquery.Engine.eval_string e src)
+    Xqse.Session.eval_to_string
+      (Xqse.Session.create
+         ~config:{ Xqse.Session.default_config with streaming; instr }
+         ())
+      src
   in
   let with_counters src =
     let instr = Instr.create () in

@@ -55,14 +55,12 @@ let reviews_xml =
 </reviews>|}
 
 let xmp ?(vars = []) src =
-  let engine = Xquery.Engine.create () in
-  Xquery.Engine.register_doc engine "bib.xml" (Xdm.Xml_parse.parse bib_xml);
-  Xquery.Engine.register_doc engine "reviews.xml"
-    (Xdm.Xml_parse.parse reviews_xml);
-  Xdm.Xml_serialize.seq_to_string
-    (Xquery.Engine.eval_string
-       ~opts:{ Xquery.Engine.default_run_opts with vars }
-       engine src)
+  let s = Xqse.Session.create () in
+  Xqse.Session.register_doc s "bib.xml" (Xdm.Xml_parse.parse bib_xml);
+  Xqse.Session.register_doc s "reviews.xml" (Xdm.Xml_parse.parse reviews_xml);
+  Xqse.Session.eval_to_string
+    ~opts:{ Xqse.Session.default_exec_opts with vars }
+    s src
 
 let qx name expected src =
   case name (fun () -> check_string src expected (xmp src))

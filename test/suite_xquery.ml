@@ -299,8 +299,13 @@ let prolog_tests =
       "declare boundary-space strip; 'ok'";
     q "option declaration ignored" "ok"
       "declare option local:opt 'v'; 'ok'";
-    q "import module declares prefix" "ok"
-      "import module namespace m = 'urn:m'; 'ok'";
+    case "import module declares prefix" (fun () ->
+        let s = Core.Xqse.Session.create () in
+        Core.Xqse.Session.register_module s "urn:m"
+          "declare namespace m = 'urn:m'; declare function m:ok() { 'ok' };";
+        check_string "import" "ok"
+          (Core.Xqse.Session.eval_to_string s
+             "import module namespace m = 'urn:m'; m:ok()"));
     q_err "external variable unsupplied" "XPDY0002"
       "declare variable $ext external; $ext";
     case "external variable supplied" (fun () ->

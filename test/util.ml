@@ -2,62 +2,44 @@
 
 open Core
 
-let xq ?context_item ?(vars = []) src =
-  let engine = Xquery.Engine.create () in
-  let opts = { Xquery.Engine.default_run_opts with context_item; vars } in
-  Xdm.Xml_serialize.seq_to_string
-    (Xquery.Engine.eval_string ~opts engine src)
+(* Every query compiles and runs in a fresh session configured by
+   [config]: a plain XQuery main module is an XQSE program whose body is
+   an expression, so one pipeline serves both. *)
+let xq ?(config = Xqse.Session.default_config) ?context_item ?(vars = []) src
+    =
+  let opts = { Xqse.Session.default_exec_opts with context_item; vars } in
+  Xqse.Session.eval_to_string ~opts (Xqse.Session.create ~config ()) src
 
 let xq_noopt src =
-  let engine = Xquery.Engine.create ~optimize:false () in
-  Xdm.Xml_serialize.seq_to_string (Xquery.Engine.eval_string engine src)
+  xq ~config:{ Xqse.Session.default_config with optimize = false } src
 
 (* forced-materializing mode: every cursor degenerates to eager
    evaluation — the differential suites compare it against the default
    streaming mode *)
 let xq_nostream src =
-  let engine = Xquery.Engine.create ~streaming:false () in
-  Xdm.Xml_serialize.seq_to_string (Xquery.Engine.eval_string engine src)
+  xq ~config:{ Xqse.Session.default_config with streaming = false } src
 
 let xq_noopt_nostream src =
-  let engine = Xquery.Engine.create ~optimize:false ~streaming:false () in
-  Xdm.Xml_serialize.seq_to_string (Xquery.Engine.eval_string engine src)
+  xq
+    ~config:
+      { Xqse.Session.default_config with optimize = false; streaming = false }
+    src
 
 (* interpreted mode: closure compilation and the plan cache disabled —
    every query walks the AST directly; the differential suites compare
    it against the default compiled mode *)
 let xq_noplans src =
-  let engine = Xquery.Engine.create () in
-  Xquery.Engine.set_plans engine false;
-  Xdm.Xml_serialize.seq_to_string (Xquery.Engine.eval_string engine src)
-
-let xqse ?(vars = []) src =
-  let session = Xqse.Session.create () in
-  let opts = { Xqse.Session.default_exec_opts with vars } in
-  Xqse.Session.eval_to_string ~opts session src
+  xq ~config:{ Xqse.Session.default_config with plans = false } src
 
 (* a test case asserting the serialized result of a query *)
 let q name expected src =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) src expected (xq src))
 
-(* the same, evaluated through the XQSE session *)
-let s name expected src =
-  Alcotest.test_case name `Quick (fun () ->
-      Alcotest.(check string) src expected (xqse src))
-
 (* expect a dynamic/static error whose code has this local name *)
 let q_err name code src =
   Alcotest.test_case name `Quick (fun () ->
       match xq src with
-      | result ->
-        Alcotest.failf "expected error %s, got result %s" code result
-      | exception Xdm.Item.Error { code = actual; _ } ->
-        Alcotest.(check string) src code actual.Xdm.Qname.local)
-
-let s_err name code src =
-  Alcotest.test_case name `Quick (fun () ->
-      match xqse src with
       | result ->
         Alcotest.failf "expected error %s, got result %s" code result
       | exception Xdm.Item.Error { code = actual; _ } ->
@@ -71,12 +53,12 @@ let q_syntax name src =
       | exception (Xquery.Parser.Syntax_error _ | Xquery.Lexer.Lex_error _) ->
         ())
 
-let s_syntax name src =
-  Alcotest.test_case name `Quick (fun () ->
-      match xqse src with
-      | result -> Alcotest.failf "expected a syntax error, got %s" result
-      | exception (Xquery.Parser.Syntax_error _ | Xquery.Lexer.Lex_error _) ->
-        ())
+(* the XQSE suites' names for the same helpers: one pipeline runs
+   XQuery main modules and XQSE programs alike *)
+let xqse = xq
+let s = q
+let s_err = q_err
+let s_syntax = q_syntax
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

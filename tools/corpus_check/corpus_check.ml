@@ -2,16 +2,18 @@
    (the in-tree test suite runs the same corpus at its default size on
    every push; this tool makes the size and seed cheap to crank up).
 
-   Every generated program is evaluated through the XQuery engine and
-   the XQSE session, each with the optimizer on and off, and — per
-   MODE/EVAL — through closure-compiled plans, with streaming on and/or
-   forced off, and/or through the eager reference walker (plans off).
-   The walker never streams, so its layers run once whatever MODE says:
-   12 layers under "both both". The compiled layers also replay every
-   program through one shared warm-cache session, so cold compile, warm
-   cache hit and the reference walker must all agree. Any disagreement
-   in outcome (serialized result, or dynamic error code) is reported
-   and fails the run.
+   Every generated program is evaluated through a fresh session of its
+   own and through one session shared by the whole corpus, each with
+   the optimizer on and off, and — per MODE/EVAL — through
+   closure-compiled plans, with streaming on and/or forced off, and/or
+   through the eager reference walker (plans off). The walker never
+   streams, so its layers run once whatever MODE says: 12 layers under
+   "both both". A program that leaks state into a shared session
+   diverges from its fresh run. The compiled shared layers also replay
+   every program from the warm plan cache, so cold compile, warm cache
+   hit and the reference walker must all agree. Any disagreement in
+   outcome (serialized result, or dynamic error code) is reported and
+   fails the run.
 
    Usage: corpus_check [SIZE] [SEED] [MODE] [EVAL]
      defaults: 500 20260806 both both
@@ -64,15 +66,13 @@ let () =
       exit 2
   in
   let corpus = Fixtures.Gen_xquery.corpus ~seed size in
-  let engine optimize streaming plans src =
-    let e = Xquery.Engine.create ~optimize ~streaming () in
-    Xquery.Engine.set_plans e plans;
-    Xquery.Engine.eval_to_string e src
-  in
   let session optimize streaming plans =
     Xqse.Session.create
       ~config:{ Xqse.Session.default_config with optimize; streaming; plans }
       ()
+  in
+  let fresh optimize streaming plans src =
+    Xqse.Session.eval_to_string (session optimize streaming plans) src
   in
   let tag streaming plans =
     if plans then
@@ -88,10 +88,11 @@ let () =
         else [ (List.hd streaming_variants, false) ])
       plan_variants
   in
-  (* shared sessions per layer: program declarations compile against
-     copies, so corpus programs cannot leak into each other — and on the
-     compiled axis the shared session doubles as the warm-cache replay
-     (the second evaluation of a program must hit its cached plan) *)
+  (* one shared session per layer beside the fresh ones: program
+     declarations compile against copies, so corpus programs must not
+     leak into each other — and on the compiled axis the shared session
+     doubles as the warm-cache replay (the second evaluation of a
+     program must hit its cached plan) *)
   let layers =
     List.concat_map
       (fun (streaming, plans) ->
@@ -110,19 +111,19 @@ let () =
           end
         in
         [
-          ( Printf.sprintf "optimized engine, %s" t,
-            engine true streaming plans );
-          ( Printf.sprintf "unoptimized engine, %s" t,
-            engine false streaming plans );
-          ( Printf.sprintf "optimized session, %s" t,
+          ( Printf.sprintf "optimized fresh session, %s" t,
+            fresh true streaming plans );
+          ( Printf.sprintf "unoptimized fresh session, %s" t,
+            fresh false streaming plans );
+          ( Printf.sprintf "optimized shared session, %s" t,
             warm (session true streaming plans) );
-          ( Printf.sprintf "unoptimized session, %s" t,
+          ( Printf.sprintf "unoptimized shared session, %s" t,
             warm (session false streaming plans) );
         ])
       variants
   in
   let reference_layer =
-    engine false (List.hd streaming_variants) (List.hd plan_variants)
+    fresh false (List.hd streaming_variants) (List.hd plan_variants)
   in
   let failures = ref 0 in
   List.iteri
