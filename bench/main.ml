@@ -563,26 +563,27 @@ let report () =
   Printf.printf "one heavy 8-round storm: %.2f ms wall\n" t_storm;
   record "resil.storm.heavy.ms" t_storm;
 
-  section "STREAM: cursor pipeline vs forced materialization";
-  (* two headline shapes over a 5000-row scan, each run with the cursor
-     pipeline on and off: an early-exiting declarative consumer
+  section "STREAM: cursor pipeline vs the eager walker";
+  (* two headline shapes over a 5000-row scan, each run through the
+     compiled plans' cursor pipeline and through a plans-off fork's
+     eager reference walker: an early-exiting declarative consumer
      (fn:head) and an XQSE iterate that breaks after its first binding.
      Streaming should hold materialized items near zero while the
-     forced-materializing mode pays for the whole table *)
+     walker pays for the whole table *)
   let stream_rows = 5000 in
   Printf.printf "%-14s %-12s %9s %8s %13s %8s\n" "shape" "mode" "ms" "pulled"
     "materialized" "scanned";
   List.iter
     (fun (shape, src) ->
       List.iter
-        (fun streaming ->
+        (fun plans ->
           let instr = Instr.create () in
           Instr.enable instr;
           let env = FE.make ~employees:stream_rows ~instr () in
           let ds_sess = Aldsp.Dataspace.session env.FE.ds in
           let sess =
             Xqse.Session.with_config ds_sess
-              { (Xqse.Session.config ds_sess) with streaming }
+              { (Xqse.Session.config ds_sess) with plans }
           in
           let compiled = Xqse.Session.compile sess src in
           let t = time_ms (fun () -> Xqse.Session.run compiled) in
@@ -594,7 +595,7 @@ let report () =
             | Some n -> n
             | None -> 0
           in
-          let mode = if streaming then "streaming" else "materialize" in
+          let mode = if plans then "streaming" else "walker" in
           Printf.printf "%-14s %-12s %9.3f %8d %13d %8d\n" shape mode t
             (c Instr.K.stream_pulled)
             (c Instr.K.stream_materialized)

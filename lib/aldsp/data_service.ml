@@ -61,9 +61,6 @@ let add_method t m =
   | Read_function, None -> t.ds_primary_read <- Some m.m_name
   | _ -> ()
 
-let find_method t local =
-  List.find_opt (fun m -> m.m_name.Qname.local = local) t.ds_methods
-
 let shape t =
   match t.ds_kind with Entity { shape } -> Some shape | Library -> None
 

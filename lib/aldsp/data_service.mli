@@ -53,7 +53,6 @@ val make :
   t
 
 val add_method : t -> ds_method -> unit
-val find_method : t -> string -> ds_method option
 val shape : t -> Schema.element_decl option
 
 val describe : t -> string

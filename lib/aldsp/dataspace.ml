@@ -167,7 +167,6 @@ let databases t =
     (fun a b -> String.compare (R.Database.name a) (R.Database.name b))
     (Hashtbl.fold (fun _ db acc -> db :: acc) t.dbs [])
 let resilience t = t.resil
-let services t = t.svcs
 let find_service t name = List.find_opt (fun s -> s.Data_service.ds_name = name) t.svcs
 let database t name =
   match Hashtbl.find_opt t.dbs name with
@@ -267,13 +266,13 @@ let note_brownout t ~source =
   Resilience.Control.note_degraded t.resil ~source ~code:"BROWNOUT"
     ~message:"read degraded proactively under overload pressure"
 
-(* degradable sources degrade to an empty sequence plus a degradation
-   report instead of failing the read *)
-let degrade_on_error t ~source call =
+(* degradable sources degrade to [empty ()] plus a degradation report
+   instead of failing the read *)
+let degrade_on_error t ~source ~empty call =
   if not (Resilience.Control.is_degradable t.resil ~source) then call ()
   else if browned_out t ~source then begin
     note_brownout t ~source;
-    []
+    empty ()
   end
   else
     try call ()
@@ -282,7 +281,7 @@ let degrade_on_error t ~source call =
           m "degraded read of %s: %s %s" source (Qname.to_string code) message);
       Resilience.Control.note_degraded t.resil ~source ~code:code.Qname.local
         ~message;
-      []
+      empty ()
 
 (* A query-path read: the guard and the degrade decision wrap the *open*
    — the read check plus cursor (or opened table read) construction —
@@ -293,26 +292,11 @@ let degrade_on_error t ~source call =
    read yields [empty ()]: the empty cursor, or a table read with no
    rows. *)
 let guarded_read t ~source ~empty f =
-  let open_guarded () =
-    try Resilience.Control.guard t.resil ~source f with
-    | Resilience.Control.Error { source; code; message } ->
-      raise_resil_error ~source code message
-    | R.Database.Db_error msg -> Item.raise_error (Qname.err "RESX0004") msg
-  in
-  if not (Resilience.Control.is_degradable t.resil ~source) then
-    open_guarded ()
-  else if browned_out t ~source then begin
-    note_brownout t ~source;
-    empty ()
-  end
-  else
-    try open_guarded ()
-    with Item.Error { code; message; _ } ->
-      Log.info (fun m ->
-          m "degraded read of %s: %s %s" source (Qname.to_string code) message);
-      Resilience.Control.note_degraded t.resil ~source ~code:code.Qname.local
-        ~message;
-      empty ()
+  degrade_on_error t ~source ~empty (fun () ->
+      try Resilience.Control.guard t.resil ~source f with
+      | Resilience.Control.Error { source; code; message } ->
+        raise_resil_error ~source code message
+      | R.Database.Db_error msg -> Item.raise_error (Qname.err "RESX0004") msg)
 
 (* ------------------------------------------------------------------ *)
 (* Relational introspection                                            *)
@@ -659,7 +643,9 @@ let register_web_service t ws =
         (fun args ->
           match args with
           | [ [ Item.Node request ] ] ->
-            degrade_on_error t ~source:ws_name (fun () ->
+            degrade_on_error t ~source:ws_name
+              ~empty:(fun () -> [])
+              (fun () ->
                 guarded t ~source:ws_name
                   ~on_native:(function
                     | Webservice.Fault { service; operation; message } ->
@@ -735,11 +721,7 @@ let rec lineage_of t svc =
           | None -> Error "the service has no stored read source"
           | Some source -> (
             (* re-parse to get the un-optimized AST of the primary read *)
-            let st =
-              Xquery.Context.copy_static
-                (Xquery.Engine.static (Xqse.Session.engine t.sess))
-            in
-            let prog = Xqse.Parse.parse_program st source in
+            let prog = Xqse.Session.parse t.sess source in
             match
               List.find_opt
                 (fun (f : Xquery.Ast.function_decl) ->
@@ -829,10 +811,9 @@ let footprint_of t (q : Qname.t) arity =
         match owner with
         | None -> None
         | Some svc -> (
-          let registry =
-            Xquery.Engine.registry (Xqse.Session.engine t.sess)
+          let env =
+            Xquery.Purity.env_for ~registry:(Xqse.Session.registry t.sess) []
           in
-          let env = Xquery.Purity.env_for ~registry [] in
           match Xquery.Purity.lookup env q arity with
           | Some v when not v.Xquery.Purity.effects -> (
             match lineage_of t svc with
@@ -873,10 +854,6 @@ let enable_result_cache ?cap t =
     t.ds_cache <- Some h;
     Xqse.Session.set_result_cache t.sess (Some h);
     h
-
-let disable_result_cache t =
-  t.ds_cache <- None;
-  Xqse.Session.set_result_cache t.sess None
 
 let result_cache t = t.ds_cache
 
@@ -1235,11 +1212,7 @@ let explain t svc ~meth =
   match Hashtbl.find_opt t.read_sources svc.Data_service.ds_name with
   | None -> Error "the service has no stored read source"
   | Some source -> (
-    let st =
-      Xquery.Context.copy_static
-        (Xquery.Engine.static (Xqse.Session.engine t.sess))
-    in
-    let prog = Xqse.Parse.parse_program st source in
+    let prog = Xqse.Session.parse t.sess source in
     match
       List.find_opt
         (fun (f : Xquery.Ast.function_decl) ->
@@ -1252,7 +1225,8 @@ let explain t svc ~meth =
       | None -> Error "the method is external"
       | Some body ->
         let env =
-          Xquery.Engine.purity_env (Xqse.Session.engine t.sess)
+          Xquery.Purity.env_for
+            ~registry:(Xqse.Session.registry t.sess)
             prog.Xqse.Stmt.prog_functions
         in
         let optimized, stats = Xquery.Optimizer.optimize_with_stats ~env body in

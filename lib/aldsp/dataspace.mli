@@ -38,7 +38,6 @@ val resilience : t -> Resilience.Control.t
     [err:RESX0003] (retries exhausted), [err:RESX0004] (unhandled
     injected source fault on a read path). *)
 
-val services : t -> Data_service.t list
 val find_service : t -> string -> Data_service.t option
 val database : t -> string -> Relational.Database.t
 (** @raise Not_found for unknown databases. *)
@@ -136,7 +135,6 @@ val enable_result_cache : ?cap:int -> t -> Cache.handle
     [cap] (default 256) bounds the entry count. Enable after source and
     service registration: cacheability verdicts are memoized. *)
 
-val disable_result_cache : t -> unit
 val result_cache : t -> Cache.handle option
 
 val footprint_of : t -> Qname.t -> int -> Cache.footprint option

@@ -6,8 +6,8 @@
     world was degraded while a result was produced. Sessions {!bind}
     the handle with their config fingerprint to get a {!bound} view
     whose every key embeds the fingerprint — two sessions with
-    different engine generations or evaluation flags can share the
-    store without ever sharing an entry.
+    different generations or evaluation flags can share the store
+    without ever sharing an entry.
 
     Coherence rests on three guards:
 

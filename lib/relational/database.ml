@@ -66,7 +66,6 @@ let table t name =
   | None -> raise (Db_error (Printf.sprintf "%s: unknown table %s" t.db_name name))
 
 let tables t = List.map (fun n -> Hashtbl.find t.tbls n) t.order
-let catalog t = List.map Table.schema (tables t)
 let sql_log t = List.rev t.log
 let clear_log t = t.log <- []
 let log_size t = List.length t.log
@@ -208,10 +207,6 @@ let exec t dml =
   in
   t.log <- sql :: t.log;
   affected
-
-let select t tn pred = Table.select (table t tn) pred
-
-let with_snapshot t f = Table.with_snapshot (tables t) f
 
 let in_tx t = t.tx <> None
 

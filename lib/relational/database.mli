@@ -27,8 +27,6 @@ val table : t -> string -> Table.t
 (** @raise Db_error for unknown tables. *)
 
 val tables : t -> Table.t list
-val catalog : t -> Table.schema list
-(** Schemas, for introspection. *)
 
 (** {1 DML} *)
 
@@ -40,13 +38,6 @@ val exec : t -> dml -> int
     the statement runs as its own lock–apply–publish transaction, so a
     failure leaves the published version untouched.
     @raise Db_error (wrapping constraint violations) on failure. *)
-
-val select : t -> string -> Pred.t -> Table.row list
-(** Query rows (not logged — reads are served to the engine directly). *)
-
-val with_snapshot : t -> (unit -> 'a) -> 'a
-(** Run [f] with an ambient snapshot pinning every table of this
-    database at one consistent cut (see {!Table.with_snapshot}). *)
 
 val read_check : t -> unit
 (** Consult the fault state for a query-path read (the dataspace calls

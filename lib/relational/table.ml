@@ -203,8 +203,6 @@ let snapshot tables =
 let release snap =
   Hashtbl.iter (fun _ (t, v) -> unpin t v) snap.sn_entries
 
-let in_snapshot () = !(Domain.DLS.get ambient_key) <> None
-
 let with_snapshot tables f =
   let slot = Domain.DLS.get ambient_key in
   match !slot with

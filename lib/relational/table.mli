@@ -190,9 +190,6 @@ val with_snapshot : t list -> (unit -> 'a) -> 'a
     the duration of [f]; reentrant — when an ambient snapshot is
     already installed, [f] runs under it unchanged. *)
 
-val in_snapshot : unit -> bool
-(** Is an ambient snapshot installed in the current domain? *)
-
 val snapshot_find_pk : snapshot -> t -> Value.t list -> row option
 (** Read a row from the version the snapshot pinned for [t] (the
     published head if [t] was not captured) — for checking cross-table

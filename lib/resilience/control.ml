@@ -41,7 +41,7 @@ type t = {
          everything here but the clock (atomic), the breakers and the
          fault handles (own locks) *)
   jitter_rng : Rng.t;
-  mutable plan : Plan.t option;
+  plan : Plan.t option;
   mutable instr : Instr.t;
   policies : (string, Policy.t) Hashtbl.t;
   breakers : (string, Breaker.t) Hashtbl.t;
@@ -96,10 +96,6 @@ let attach t faults =
 let attached t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) t.faults [])
-
-let set_plan t plan =
-  t.plan <- plan;
-  Hashtbl.iter (fun _ f -> reschedule t f) t.faults
 
 let set_policy t ~source policy =
   Mutex.protect t.lock (fun () ->

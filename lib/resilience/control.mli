@@ -35,9 +35,6 @@ val create : ?seed:int -> ?plan:Plan.t -> ?instr:Instr.t -> unit -> t
 
 val clock : t -> Clock.t
 val plan : t -> Plan.t option
-val set_plan : t -> Plan.t option -> unit
-(** Also re-derives the schedule of every attached source. *)
-
 val set_instr : t -> Instr.t -> unit
 
 val attach : t -> Faults.t -> unit

@@ -49,7 +49,6 @@ let expired t = remaining_ms t <= 0.
 let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () = Domain.DLS.get key
-let remaining () = Option.map remaining_ms (current ())
 
 let with_deadline d f =
   let prev = Domain.DLS.get key in

@@ -36,7 +36,6 @@ val with_deadline : t -> (unit -> 'a) -> 'a
     ambient deadline (if any) is restored on exit, raise included. *)
 
 val current : unit -> t option
-val remaining : unit -> float option
 
 val exempt : (unit -> 'a) -> 'a
 (** Run [f] with {e no} ambient deadline — for sections that must run

@@ -67,10 +67,8 @@ let inject_next ?(transient = true) t message =
       t.next <- Some { f_message = message; f_transient = transient })
 
 let set_fail_every t n = t.every <- n
-let fail_every t = t.every
 let set_fail_after t n = t.after <- n
 let set_fail_on_prepare t b = t.prepare_flag <- b
-let fail_on_prepare t = t.prepare_flag
 
 (* ---- consultation ---- *)
 

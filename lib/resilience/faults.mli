@@ -37,15 +37,11 @@ val inject_next : ?transient:bool -> t -> string -> unit
 val set_fail_every : t -> int option -> unit
 (** [Some n]: every [n]-th statement faults. *)
 
-val fail_every : t -> int option
-
 val set_fail_after : t -> int option -> unit
 (** [Some n]: the statement after the next [n] faults (once). *)
 
 val set_fail_on_prepare : t -> bool -> unit
 (** Sticky: while set, every XA prepare consultation faults. *)
-
-val fail_on_prepare : t -> bool
 
 (** {1 Consultation} *)
 

@@ -21,7 +21,6 @@ type runtime = {
   parent : runtime option;
   mutable trace : string -> unit;
   instr : Instr.t;
-  streaming : bool;
   plans : bool;
   docs : (string * Node.t) list ref;
   collections : (string * Node.t list) list ref;
@@ -66,8 +65,7 @@ and outcome =
 
 and cblock = state -> outcome
 
-let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~streaming ~plans reg
-    =
+let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~plans reg =
   let purity =
     match parent with Some p -> p.purity | None -> fun _ -> (true, true, true)
   in
@@ -80,7 +78,6 @@ let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~streaming ~plans reg
     parent;
     trace;
     instr;
-    streaming;
     plans;
     docs = (match parent with Some p -> p.docs | None -> ref []);
     collections =
@@ -94,7 +91,6 @@ let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~streaming ~plans reg
 let registry rt = rt.reg
 let set_trace rt f = rt.trace <- f
 let instr rt = rt.instr
-let streaming rt = rt.streaming
 let plans rt = rt.plans
 let set_purity rt f = rt.purity <- f
 let set_cache rt f = rt.cache <- f
@@ -117,7 +113,7 @@ let rec register_all register ctx = function
 let context rt =
   let ctx =
     Xquery.Context.make_dynamic ~trace:rt.trace ~instr:rt.instr
-      ~streaming:rt.streaming ?cache:(rt.cache ()) rt.reg
+      ?cache:(rt.cache ()) rt.reg
   in
   register_all Xquery.Context.register_doc ctx !(rt.docs);
   register_all Xquery.Context.register_collection ctx !(rt.collections);
@@ -860,7 +856,7 @@ let declare_procedure rt proc =
    registration in [reg]: the entry copied in from the source's registry
    closes over the *source* runtime (and would race on its plan memos),
    so it is replaced by one closing over the fork. *)
-let fork_runtime ?(trace = fun _ -> ()) ~instr ~streaming ~plans src reg =
+let fork_runtime ?(trace = fun _ -> ()) ~instr ~plans src reg =
   let fresh =
     {
       reg;
@@ -868,7 +864,6 @@ let fork_runtime ?(trace = fun _ -> ()) ~instr ~streaming ~plans src reg =
       parent = None;
       trace;
       instr;
-      streaming;
       plans;
       docs = ref !(src.docs);
       collections = ref !(src.collections);

@@ -9,11 +9,13 @@
 
     Blocks run as compiled statement plans whose expressions (update
     statements included) are closure-compiled plans
-    ({!Xquery.Eval.compile}). With {!plans} off they run through the
-    statement walker instead, which evaluates expressions through the
-    eager reference walker {!Xquery.Eval.eval} and drives [iterate]
-    over its fully evaluated binding sequence: the reference the
-    differential tests compare the compiled plans against. *)
+    ({!Xquery.Eval.compile}), and [iterate] pulls its binding sequence
+    through the compiled cursor pipeline where the purity gates allow.
+    With {!plans} off they run through the statement walker instead,
+    which evaluates expressions through the eager reference walker
+    {!Xquery.Eval.eval} and drives [iterate] over its fully evaluated
+    binding sequence: the eager reference the differential tests
+    compare the compiled (streaming) plans against. *)
 
 open Xdm
 
@@ -31,34 +33,32 @@ and impl =
       (** host procedure — the ALDSP-provided create/update/delete, etc. *)
 
 type runtime
-(** Shared execution environment: the function registry (shared with the
-    XQuery engine), the procedure table, and the trace sink. *)
+(** Shared execution environment: the function registry, the procedure
+    table, the instrumentation handle and the trace sink. *)
 
 val create_runtime :
   ?trace:(string -> unit) ->
   ?parent:runtime ->
   instr:Instr.t ->
-  streaming:bool ->
   plans:bool ->
   Xquery.Context.registry ->
   runtime
-(** A runtime over a registry, its flags fixed for its lifetime (see
-    {!streaming} and {!plans}). Every executed statement bumps the
-    [xqse.statements] counter on [instr]. [parent] makes another
-    runtime's procedures, purity environment, result-cache view,
-    documents and collections visible (used to layer a per-program
-    runtime over a session runtime). *)
+(** A runtime over a registry, its {!plans} flag fixed for its
+    lifetime. Every executed statement bumps the [xqse.statements]
+    counter on [instr]. [parent] makes another runtime's procedures,
+    purity environment, result-cache view, documents and collections
+    visible (used to layer a per-program runtime over a session
+    runtime). *)
 
 val fork_runtime :
   ?trace:(string -> unit) ->
   instr:Instr.t ->
-  streaming:bool ->
   plans:bool ->
   runtime ->
   Xquery.Context.registry ->
   runtime
 (** [fork_runtime src reg] is a fresh parentless runtime over [reg] with
-    the given flags, carrying every procedure visible from [src]
+    the given [plans] flag, carrying every procedure visible from [src]
     (innermost declaration wins), [src]'s purity environment and copies
     of its documents and collections, but none of its mutable state — a
     worker can execute against the fork while the source keeps serving.
@@ -69,10 +69,6 @@ val fork_runtime :
 val registry : runtime -> Xquery.Context.registry
 val set_trace : runtime -> (string -> unit) -> unit
 val instr : runtime -> Instr.t
-
-val streaming : runtime -> bool
-(** Whether compiled expressions (and the compiled [iterate] loop) may
-    run pull-based cursor pipelines; results are identical either way. *)
 
 val plans : runtime -> bool
 (** Whether blocks and procedures execute through compiled statement
@@ -91,9 +87,8 @@ val register_collection : runtime -> string -> Node.t list -> unit
 
 val context : runtime -> Xquery.Context.dynamic
 (** A fresh dynamic context over the runtime's registry, with its trace,
-    instrumentation, streaming mode, result-cache view, documents and
-    collections: the context every evaluation under the runtime starts
-    from. *)
+    instrumentation, result-cache view, documents and collections: the
+    context every evaluation under the runtime starts from. *)
 
 val invalidate_plans : runtime -> unit
 (** Drop every compiled plan held by this runtime (the expression
@@ -109,9 +104,9 @@ val compiler : runtime -> Xquery.Eval.compiler
 
 val set_purity : runtime -> (Xquery.Ast.expr -> bool * bool * bool) -> unit
 (** Install the compile-time [(effects, fallible, constructs)] verdicts
-    the compiled streaming arms gate on (see {!Xquery.Engine.purity_fn}).
-    Defaults to the parent's, or all-[true] (fully conservative) without
-    a parent. *)
+    the compiled streaming arms gate on (the session builds them from
+    {!Xquery.Purity.analyze}). Defaults to the parent's, or all-[true]
+    (fully conservative) without a parent. *)
 
 val set_cache : runtime -> (unit -> Cache.bound option) -> unit
 (** Install the result-cache view supplier threaded into every

@@ -1,27 +1,9 @@
 open Xdm
 module Ctx = Xquery.Context
 
-type config = {
-  optimize : bool;
-  streaming : bool;
-  plans : bool;
-  instr : Instr.t;
-  trace : (string -> unit) option;
-  result_cache : Cache.handle option;
-      (* shared result-cache store; identically-configured forks land on
-         the same keys and share entries, differently-configured ones
-         get disjoint keys via the fingerprint prefix *)
-}
+type config = { optimize : bool; plans : bool; instr : Instr.t }
 
-let default_config =
-  {
-    optimize = true;
-    streaming = true;
-    plans = true;
-    instr = Instr.disabled;
-    trace = None;
-    result_cache = None;
-  }
+let default_config = { optimize = true; plans = true; instr = Instr.disabled }
 
 (* An ambient read-context wrapper installed by the data layer: the
    dataspace registers a scope that pins a consistent snapshot of every
@@ -31,17 +13,20 @@ let default_config =
 type snapshot_scope = { scope : 'a. (unit -> 'a) -> 'a }
 
 type t = {
-  eng : Xquery.Engine.t;  (* static context, registry, optimize, instr *)
-  rt : Interp.runtime;  (* procedures, documents, streaming, plans *)
+  static : Ctx.static;  (* the namespaces programs parse against *)
+  optimize : bool;
+  rt : Interp.runtime;
+      (* the function registry, procedures, documents, the plans flag
+         and the instrumentation handle *)
   mutable trace : string -> unit;
   mutable snapshot_scope : snapshot_scope option;
   modules : (string, string) Hashtbl.t;  (* module uri -> source *)
   loaded_modules : (string, unit) Hashtbl.t;
   generation : int Stdlib.Atomic.t;
-      (* bumped on every change to what programs compile against or
-         read (registrations, library loads, documents); the plan cache
-         and the result-cache keys carry it. The flags need no such
-         guard: they are fixed when the session is built. *)
+      (* moved on every change to what programs compile against or read
+         (registrations, library loads, documents); the plan cache and
+         the result-cache keys carry it. The flags need no such guard:
+         they are fixed when the session is built. *)
   cache_lock : Mutex.t;  (* guards [cache] and [calls] *)
   cache : (string, cache_entry) Hashtbl.t;  (* program text → plan *)
   calls :
@@ -81,21 +66,24 @@ and cache_entry = {
    count on [plan.cache.invalidate]. *)
 let cache_cap = 256
 
-let engine s = s.eng
-let runtime s = s.rt
-let instr s = Xquery.Engine.instr s.eng
-let streaming s = Interp.streaming s.rt
+let registry s = Interp.registry s.rt
+let instr s = Interp.instr s.rt
 let plans s = Interp.plans s.rt
 let generation s = Stdlib.Atomic.get s.generation
+
+(* Generations are drawn from one process-wide counter, so two sessions
+   share a value only when one is a fork of the other and neither has
+   registered anything since the fork: sessions over one result-cache
+   store then share a key prefix only while their registries agree. *)
+let next_generation = Stdlib.Atomic.make 0
+let fresh_generation () = Stdlib.Atomic.fetch_and_add next_generation 1
 
 (* Result-cache binding: the store is shared, the keys are not — every
    key is prefixed with the session's *current* generation and its
    flags, so a registration or a flag difference moves a session onto
    fresh keys while identically-configured forks keep sharing. *)
 let fingerprint_string s =
-  Printf.sprintf "%d.%b.%b.%b" (generation s)
-    (Xquery.Engine.optimizing s.eng)
-    (streaming s) (plans s)
+  Printf.sprintf "%d.%b.%b" (generation s) s.optimize (plans s)
 
 let cache_bound s =
   Option.map
@@ -106,24 +94,16 @@ let set_result_cache s h =
   s.result_cache <- h;
   Interp.set_cache s.rt (fun () -> cache_bound s)
 
-let result_cache s = s.result_cache
-
-(* The default fn:trace destination is a note in the instrumentation
-   trace (a no-op while the handle is disabled). *)
-let trace_of (cfg : config) =
-  match cfg.trace with
-  | Some f -> f
-  | None -> fun m -> Instr.note cfg.instr ("trace: " ^ m)
-
-(* The session record over an engine and a runtime built for [cfg]. The
+(* The session record over a static context and a runtime. The
    runtime's result-cache view closes over this record — the one every
    registration moves the generation of — so it is installed only once
    the record is final. *)
-let assemble (cfg : config) ~trace eng rt ~modules ~loaded_modules ~generation
-    ~snapshot_scope =
+let assemble ~static ~optimize ~trace rt ~modules ~loaded_modules ~generation
+    ~snapshot_scope ~result_cache =
   let s =
     {
-      eng;
+      static;
+      optimize;
       rt;
       trace;
       snapshot_scope;
@@ -136,60 +116,49 @@ let assemble (cfg : config) ~trace eng rt ~modules ~loaded_modules ~generation
       result_cache = None;
     }
   in
-  set_result_cache s cfg.result_cache;
+  set_result_cache s result_cache;
   s
 
+(* The default fn:trace destination is a note in the instrumentation
+   trace (a no-op while the handle is disabled). *)
 let create ?(config = default_config) () =
-  let eng =
-    Xquery.Engine.create ~optimize:config.optimize ~instr:config.instr
-  in
-  let trace = trace_of config in
+  let trace m = Instr.note config.instr ("trace: " ^ m) in
   let rt =
-    Interp.create_runtime ~trace ~instr:config.instr
-      ~streaming:config.streaming ~plans:config.plans
-      (Xquery.Engine.registry eng)
+    Interp.create_runtime ~trace ~instr:config.instr ~plans:config.plans
+      (Xquery.Builtins.standard_registry ())
   in
-  assemble config ~trace eng rt ~modules:(Hashtbl.create 8)
-    ~loaded_modules:(Hashtbl.create 8) ~generation:0 ~snapshot_scope:None
+  assemble ~static:(Ctx.default_static ()) ~optimize:config.optimize ~trace
+    rt ~modules:(Hashtbl.create 8) ~loaded_modules:(Hashtbl.create 8)
+    ~generation:(fresh_generation ()) ~snapshot_scope:None ~result_cache:None
 
-let config s =
-  {
-    optimize = Xquery.Engine.optimizing s.eng;
-    streaming = streaming s;
-    plans = plans s;
-    instr = instr s;
-    trace = Some s.trace;
-    result_cache = s.result_cache;
-  }
+let config s = { optimize = s.optimize; plans = plans s; instr = instr s }
 
 (* Fork: an independent session over copies of everything the source
-   accreted (registrations, procedures, loaded libraries, modules,
-   documents), configured by [cfg]. Shares no mutable state with the
-   source — each side's registrations, plan caches and globals evolve
-   independently — so per-worker sessions forked off one prepared
-   template are safe to drive from separate domains while the template's
-   external functions (e.g. a dataspace's reads) execute against the
-   shared backing sources. *)
+   accreted (namespaces, registrations, procedures, loaded libraries,
+   modules, documents), configured by [cfg]; the trace, result cache and
+   snapshot scope carry over. Shares no mutable state with the source —
+   each side's registrations, plan caches and globals evolve
+   independently (the static context and registry are persistent maps,
+   so the copies are O(1)) — so per-worker sessions forked off one
+   prepared template are safe to drive from separate domains while the
+   template's external functions (e.g. a dataspace's reads) execute
+   against the shared backing sources. *)
 let with_config s (cfg : config) =
-  let eng =
-    Xquery.Engine.fork ~optimize:cfg.optimize ~instr:cfg.instr s.eng
-  in
-  let trace = trace_of cfg in
   let rt =
-    Interp.fork_runtime ~trace ~instr:cfg.instr ~streaming:cfg.streaming
-      ~plans:cfg.plans s.rt
-      (Xquery.Engine.registry eng)
+    Interp.fork_runtime ~trace:s.trace ~instr:cfg.instr ~plans:cfg.plans s.rt
+      (Ctx.copy_registry (registry s))
   in
-  assemble cfg ~trace eng rt ~modules:(Hashtbl.copy s.modules)
+  assemble ~static:(Ctx.copy_static s.static) ~optimize:cfg.optimize
+    ~trace:s.trace rt ~modules:(Hashtbl.copy s.modules)
     ~loaded_modules:(Hashtbl.copy s.loaded_modules) ~generation:(generation s)
-    ~snapshot_scope:s.snapshot_scope
+    ~snapshot_scope:s.snapshot_scope ~result_cache:s.result_cache
 
 (* Any change to what programs compile against makes every cached
-   program plan stale: bump the generation, drop the session runtime's
-   compiled procedure bodies, and flush the cache (counting the flushed
-   entries). *)
+   program plan stale: move the generation to a fresh value, drop the
+   session runtime's compiled procedure bodies, and flush the cache
+   (counting the flushed entries). *)
 let invalidate_plans s =
-  Stdlib.Atomic.incr s.generation;
+  Stdlib.Atomic.set s.generation (fresh_generation ());
   Interp.invalidate_plans s.rt;
   Mutex.protect s.cache_lock (fun () ->
       Hashtbl.reset s.calls;
@@ -210,17 +179,16 @@ let set_trace s f =
    before its registry snapshot). Bump-first would allow the inverse: a
    stale registry snapshot cached under the new generation. *)
 let declare_namespace s prefix uri =
-  Ctx.declare_ns (Xquery.Engine.static s.eng) prefix uri;
+  Ctx.declare_ns s.static prefix uri;
   invalidate_plans s
 
 let register_function s ?side_effects ?purity name arity impl =
-  Ctx.register_external (Xquery.Engine.registry s.eng) ?side_effects ?purity
-    name arity impl;
+  Ctx.register_external (registry s) ?side_effects ?purity name arity impl;
   invalidate_plans s
 
 let register_function_cursor s ?side_effects ?purity ?keyed name arity impl =
-  Ctx.register_external_cursor (Xquery.Engine.registry s.eng) ?side_effects
-    ?purity ?keyed name arity impl;
+  Ctx.register_external_cursor (registry s) ?side_effects ?purity ?keyed name
+    arity impl;
   invalidate_plans s
 
 (* Documents change what a query reads, not what it compiles to; the
@@ -301,17 +269,103 @@ and optimize_stmt opt (s : Stmt.statement) =
 
 (* ------------------------------------------------------------------ *)
 
+(* Optimize one expression (the identity when optimization is off),
+   reporting into the instrumentation handle: the per-pass rewrite
+   counters always, and one note per rewrite when a sink is attached
+   ([where] names the enclosing declaration). The log closure is only
+   built when notes will actually be emitted, so the optimizer never
+   forces its lazy log strings under a [Null] sink. *)
+let optimize_expr s ?where ~env e =
+  if not s.optimize then e
+  else begin
+    let i = instr s in
+    let log =
+      if Instr.noting i then
+        Some
+          (fun m ->
+            Instr.note i
+              (match where with
+              | Some w -> Printf.sprintf "[%s] %s" w m
+              | None -> m))
+      else None
+    in
+    let e', st = Xquery.Optimizer.optimize_with_stats ?log ~env ~instr:i e in
+    Instr.bump i ~n:st.Xquery.Optimizer.folded Instr.K.optimizer_folded;
+    Instr.bump i ~n:st.Xquery.Optimizer.inlined Instr.K.optimizer_inlined;
+    Instr.bump i ~n:st.Xquery.Optimizer.inlined_pure
+      Instr.K.optimizer_inlined_pure;
+    Instr.bump i ~n:st.Xquery.Optimizer.joins Instr.K.optimizer_joins;
+    Instr.bump i ~n:st.Xquery.Optimizer.pushed Instr.K.optimizer_pushed;
+    Instr.bump i ~n:st.Xquery.Optimizer.pushed_shifted
+      Instr.K.optimizer_pushed_shifted;
+    e'
+  end
+
+(* The purity environment for a compilation: the session's registry plus
+   the program's own not-yet-registered function declarations, so a call
+   from one declared function to another (or to itself) still analyzes
+   precisely instead of defaulting to impure. Built even when the
+   optimizer is off: the compiled streaming arms gate on the same
+   verdicts, and must gate identically in optimized and unoptimized
+   sessions. *)
+let purity_env s decls = Xquery.Purity.env_for ~registry:(registry s) decls
+
+(* The (effects, fallible, constructs) closure a compiler gates its
+   streaming arms on, over a compile-time purity environment. *)
+let purity_fn env e =
+  let v = Xquery.Purity.analyze env e in
+  (v.Xquery.Purity.effects, v.Xquery.Purity.fallible, v.Xquery.Purity.constructs)
+
+let supplied ctx name =
+  match Ctx.lookup_var ctx name with
+  | Some v -> v
+  | None ->
+    Item.raise_error (Qname.err "XPDY0002")
+      (Printf.sprintf "external variable $%s was not supplied a value"
+         (Qname.to_string name))
+
+(* Module variable declarations in order, each bound for the ones after
+   it: the initializer's value — a plan compiled by [cc], or the
+   reference walker when plans are off — or, without an initializer,
+   [missing]'s value for the name; either is checked against the
+   declared type. The final bindings become the registry's globals,
+   which user function bodies see. *)
+let declare_variables s cc ?(missing = supplied) ctx decls =
+  let ctx =
+    List.fold_left
+      (fun ctx vd ->
+        let v =
+          match vd.Xquery.Ast.vd_value with
+          | Some e ->
+            if plans s then Xquery.Eval.compile cc e ctx
+            else Xquery.Eval.eval ctx e
+          | None -> missing ctx vd.Xquery.Ast.vd_name
+        in
+        let v =
+          match vd.Xquery.Ast.vd_type with
+          | Some ty ->
+            Seqtype.check
+              ~what:
+                (Printf.sprintf "$%s" (Qname.to_string vd.Xquery.Ast.vd_name))
+              ty v
+          | None -> v
+        in
+        Ctx.bind ctx vd.Xquery.Ast.vd_name v)
+      ctx decls
+  in
+  let f = Ctx.fields ctx in
+  Ctx.set_globals f.Ctx.registry f.Ctx.vars;
+  ctx
+
 let install_declarations s reg rt (prog : Stmt.program) =
-  (* [Engine.optimize_expr] is the identity when optimization is off;
-     [where] attributes every rewrite note to its enclosing declaration.
-     The purity environment is built against the target registry plus
-     the program's own functions, so declaration bodies that call each
+  (* [optimize_expr] is the identity when optimization is off; [where]
+     attributes every rewrite note to its enclosing declaration. The
+     purity environment is built against the session registry plus the
+     program's own functions, so declaration bodies that call each
      other (or procedures calling declared functions) analyze precisely.
      Returned so [compile] can reuse it for the query body. *)
-  let env = Xquery.Engine.purity_env s.eng prog.Stmt.prog_functions in
-  let opt_in name e =
-    Xquery.Engine.optimize_expr s.eng ~where:(Qname.to_string name) ~env e
-  in
+  let env = purity_env s prog.Stmt.prog_functions in
+  let opt_in name e = optimize_expr s ~where:(Qname.to_string name) ~env e in
   List.iter
     (fun (decl : Xquery.Ast.function_decl) ->
       let decl =
@@ -348,8 +402,7 @@ let install_declarations s reg rt (prog : Stmt.program) =
 
 (* parse against a copy of the static context so a program's own
    namespace declarations do not leak into the session *)
-let parse s src =
-  Parse.parse_program (Ctx.copy_static (Xquery.Engine.static s.eng)) src
+let parse s src = Parse.parse_program (Ctx.copy_static s.static) src
 
 (* resolve [import module] declarations against the registered module
    library; each module loads once per session (recursively) *)
@@ -378,7 +431,7 @@ and load_library s src =
      registration). When this runs mid-compile (an import resolving
      lazily), the caller reads the generation after import resolution,
      so the bumped generation is what gets cached. *)
-  let reg = Xquery.Engine.registry s.eng in
+  let reg = registry s in
   let env = install_declarations s reg s.rt prog in
   invalidate_plans s;
   (* library variable declarations evaluate now and persist as globals;
@@ -386,17 +439,14 @@ and load_library s src =
      readonly procedure compiles against the post-install registry *)
   if prog.Stmt.prog_variables <> [] then begin
     let ctx = Ctx.make_dynamic ~trace:s.trace ~instr:(instr s) reg in
-    let cc =
-      Xquery.Eval.compiler ~purity:(Xquery.Engine.purity_fn env) reg
-    in
+    let cc = Xquery.Eval.compiler ~purity:(purity_fn env) reg in
     let missing _ name =
       Item.raise_error (Qname.err "XPDY0002")
         (Printf.sprintf "library variable $%s must have a value"
            (Qname.to_string name))
     in
     ignore
-      (Xquery.Engine.declare_variables ~plans:(plans s) cc
-         ~missing
+      (declare_variables s cc ~missing
          (Ctx.with_vars ctx (Ctx.globals reg))
          prog.Stmt.prog_variables
         : Ctx.dynamic)
@@ -416,16 +466,16 @@ let compile_gen s src =
       let prog = parse s src in
       resolve_imports s prog;
       let gen = generation s in
-      let reg = Ctx.copy_registry (Xquery.Engine.registry s.eng) in
+      let reg = Ctx.copy_registry (registry s) in
       let rt =
         Interp.create_runtime ~trace:s.trace ~parent:s.rt ~instr:(instr s)
-          ~streaming:(streaming s) ~plans:(plans s) reg
+          ~plans:(plans s) reg
       in
       let env = install_declarations s reg rt prog in
       (* statement-level expression evaluation gates streaming on the
          same compile-time verdicts as the query body *)
-      Interp.set_purity rt (Xquery.Engine.purity_fn env);
-      let opt e = Xquery.Engine.optimize_expr s.eng ~env e in
+      Interp.set_purity rt (purity_fn env);
+      let opt e = optimize_expr s ~env e in
       let body =
         Option.map
           (function
@@ -530,10 +580,7 @@ let run ?(opts = default_exec_opts) c =
   let ctx = Interp.context c.c_runtime in
   let ctx = Ctx.with_vars ctx (Ctx.globals c.c_registry) in
   let ctx = Ctx.bind_many ctx vars in
-  let ctx =
-    Xquery.Engine.declare_variables ~plans (Interp.compiler c.c_runtime) ctx
-      c.c_vars
-  in
+  let ctx = declare_variables s (Interp.compiler c.c_runtime) ctx c.c_vars in
   match c.c_body with
   | None -> []
   | Some (Stmt.Q_expr e) -> (
@@ -580,7 +627,7 @@ let explain s src =
   let log = ref [] in
   let total = ref Xquery.Optimizer.zero_stats in
   (* same purity environment as a real compilation of this program *)
-  let env = Xquery.Engine.purity_env s.eng prog.Stmt.prog_functions in
+  let env = purity_env s prog.Stmt.prog_functions in
   (* [where] (the enclosing function/procedure) prefixes each rewrite
      line, so multi-declaration programs attribute every rewrite; the
      query body stays unprefixed *)
@@ -648,9 +695,12 @@ let compiled_callee s name arity =
   with
   | Some (gen', f) when gen' = gen -> f
   | _ ->
-    let reg = Xquery.Engine.registry s.eng in
-    let purity = Xquery.Engine.purity_fn (Xquery.Engine.purity_env s.eng []) in
-    let f = Xquery.Eval.compile_call (Xquery.Eval.compiler ~purity reg) name arity in
+    let purity = purity_fn (purity_env s []) in
+    let f =
+      Xquery.Eval.compile_call
+        (Xquery.Eval.compiler ~purity (registry s))
+        name arity
+    in
     Mutex.protect s.cache_lock (fun () -> Hashtbl.replace s.calls key (gen, f));
     f
 

@@ -2,11 +2,14 @@
 
     XQSE loosely wraps XQuery: a plain XQuery main module is an XQSE
     program whose body is an expression, so sessions compile and run
-    both. A session owns an XQuery engine (static context + function
-    registry) and an XQSE procedure runtime. Hosts (the ALDSP dataspace)
-    register external functions, procedures and documents into the
-    session; each program compiles against a copy so its own
-    declarations do not leak. *)
+    both. A session is one record: the static context (namespaces), the
+    optimizer switch, and an XQSE runtime holding the function registry,
+    the procedures, the documents and the instrumentation handle. Hosts
+    (the ALDSP dataspace) register external functions, procedures and
+    documents into the session; each program compiles against a copy so
+    its own declarations do not leak. Optimizer rewrites bump the
+    [optimizer.*] counters on the handle (and emit one note per rewrite
+    when it has a sink). *)
 
 open Xdm
 
@@ -14,81 +17,70 @@ type t
 
 type config = {
   optimize : bool;  (** run the rewrite optimizer (default [true]) *)
-  streaming : bool;
-      (** pull-based cursor evaluation where the gates allow (default
-          [true]); off forces eager materialization everywhere *)
   plans : bool;
       (** closure-compiled execution + plan caching (default [true]);
           off runs the eager reference walkers, which is how the
           differential tests select the reference *)
   instr : Instr.t;  (** instrumentation handle (default {!Instr.disabled}) *)
-  trace : (string -> unit) option;
-      (** [fn:trace] destination; [None] notes into [instr]'s sink *)
-  result_cache : Cache.handle option;
-      (** data-service result cache (default [None] = off). The handle's
-          store is shareable: identically-configured forks (e.g. the
-          server's per-worker sessions) share entries, while the
-          fingerprint prefix keeps differently-configured sessions on
-          disjoint keys. *)
 }
-(** Everything configurable about a session, as one immutable value: fix
-    it at {!create}, read it back with {!config}, or fork a
-    differently-configured independent session with {!with_config}. The
-    [optimize], [streaming], [plans] and [instr] flags cannot change on
-    a built session, so a session can be handed to a worker domain
-    without another thread changing its behavior mid-flight. *)
+(** The session's flags, as one immutable value: fix them at {!create},
+    read them back with {!config}, or fork a differently-configured
+    independent session with {!with_config}. They cannot change on a
+    built session, so a session can be handed to a worker domain without
+    another thread changing its behavior mid-flight. *)
 
 val default_config : config
-(** All defaults ([optimize]/[streaming]/[plans] on, {!Instr.disabled},
-    trace into the instrumentation sink). Build variations as
-    [{ default_config with streaming = false }]. *)
+(** [optimize] and [plans] on, {!Instr.disabled}. Build variations as
+    [{ default_config with plans = false }]. *)
 
 val create : ?config:config -> unit -> t
-(** A fresh session configured by [config] (default {!default_config}).
-    [config.instr] is the session's instrumentation handle, shared with
-    its engine, its XQSE runtime, and every program compiled in it. The
-    handle identity is fixed at creation — enable it or swap its sink at
-    any time and already-wired components report into it. *)
+(** A fresh session configured by [config] (default {!default_config}),
+    with [fn:trace] noting into the instrumentation trace and no result
+    cache (see {!set_trace} and {!set_result_cache}). [config.instr] is
+    the session's instrumentation handle, shared by its optimizer, its
+    XQSE runtime, and every program compiled in it. The handle identity
+    is fixed at creation — enable it or swap its sink at any time and
+    already-wired components report into it. *)
 
 val config : t -> config
-(** The session's current configuration (trace is always [Some]: the
-    session's installed destination). *)
 
 val with_config : t -> config -> t
 (** [with_config s cfg] is an independent session configured by [cfg]
-    over copies of everything [s] accreted — registered functions and
-    procedures, loaded libraries, modules, documents, globals. Neither
-    session sees the other's subsequent registrations, plan caches or
-    global-variable updates, so forked sessions are safe to drive from
-    separate worker domains (the host state captured inside registered
-    external functions — e.g. a dataspace's sources — stays shared; the
-    server serializes access to it). *)
-
-val engine : t -> Xquery.Engine.t
-val runtime : t -> Interp.runtime
-
-val invalidate_plans : t -> unit
-(** Flush the session's plan cache and compiled procedure bodies,
-    bumping the session generation (flushed entries count on
-    [plan.cache.invalidate]). Called automatically by every
-    registration ({!declare_namespace}, {!register_function},
-    {!register_function_cursor}, {!register_procedure},
-    {!register_module}, {!register_doc}, {!register_collection}) and by
-    library loads. *)
+    over copies of everything [s] accreted — namespaces, registered
+    functions and procedures, loaded libraries, modules, documents,
+    globals — with [s]'s [fn:trace] destination, result cache and
+    snapshot scope. Neither session sees the other's subsequent
+    registrations, plan caches or global-variable updates, so forked
+    sessions are safe to drive from separate worker domains (the host
+    state captured inside registered external functions — e.g. a
+    dataspace's sources — stays shared; the server serializes access to
+    it). *)
 
 val instr : t -> Instr.t
 (** The handle given to {!create}. *)
 
-val streaming : t -> bool
+val registry : t -> Xquery.Context.registry
+(** The session's function registry: builtins plus everything
+    registered or loaded. Read it (e.g. to build a
+    {!Xquery.Purity.env_for} environment); register through the
+    session, so the plan cache and result-cache keys move. *)
+
+val parse : t -> string -> Stmt.program
+(** Parse a program against a copy of the session's static context:
+    the session's namespace declarations are in scope, the program's
+    own do not leak back. Installs nothing. *)
 
 val set_result_cache : t -> Cache.handle option -> unit
-(** Install (or remove) the session's result cache. A mutator by
-    necessity — the dataspace enables caching on an already-built
-    session — but safe to call before handing the session to workers:
-    {!with_config} forks inherit whatever [config] carries at fork
-    time. *)
-
-val result_cache : t -> Cache.handle option
+(** Install (or remove) the session's data-service result cache. A
+    mutator by necessity — the dataspace enables caching on an
+    already-built session — but safe to call before handing the session
+    to workers: {!with_config} forks inherit the cache installed at fork
+    time. The handle's store is shareable: identically-configured forks
+    (e.g. the server's per-worker sessions) share entries, while the key
+    prefix — the session generation and flags — keeps differently
+    configured sessions, and sessions whose registrations differ, on
+    disjoint keys. Every registration, library load and document moves
+    the generation to a fresh process-wide value. *)
 
 type snapshot_scope = { scope : 'a. (unit -> 'a) -> 'a }
 (** An ambient read-context wrapper: applied around every {!run},

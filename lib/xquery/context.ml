@@ -98,9 +98,6 @@ and dynamic_fields = {
   trace : string -> unit;
   depth : int;
   instr : Instr.t;
-  streaming : bool;
-      (* false = forced-materializing mode: compiled cursor plans
-         degenerate to eager evaluation wrapped in a pure cursor *)
   cache : Cache.bound option;
       (* result-cache view bound to the session's config fingerprint;
          [None] = caching disabled, calls run untouched *)
@@ -211,8 +208,8 @@ let fold r ~init ~f =
 
 let fields d = d.f
 
-let make_dynamic ?(trace = fun _ -> ()) ?(instr = Instr.disabled)
-    ?(streaming = true) ?cache registry =
+let make_dynamic ?(trace = fun _ -> ()) ?(instr = Instr.disabled) ?cache
+    registry =
   {
     f =
       {
@@ -228,7 +225,6 @@ let make_dynamic ?(trace = fun _ -> ()) ?(instr = Instr.disabled)
         trace;
         depth = 0;
         instr;
-        streaming;
         cache;
       };
   }

@@ -162,9 +162,6 @@ type dynamic_fields = {
   trace : string -> unit;
   depth : int;  (** recursion guard *)
   instr : Instr.t;  (** streaming/materialization counters *)
-  streaming : bool;
-      (** [false] = forced-materializing mode: compiled cursor plans
-          degenerate to eager evaluation (the walker is always eager) *)
   cache : Cache.bound option;
       (** result-cache view bound to the session's config fingerprint;
           [None] disables caching *)
@@ -175,7 +172,6 @@ val fields : dynamic -> dynamic_fields
 val make_dynamic :
   ?trace:(string -> unit) ->
   ?instr:Instr.t ->
-  ?streaming:bool ->
   ?cache:Cache.bound ->
   registry ->
   dynamic

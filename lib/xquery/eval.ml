@@ -1026,7 +1026,7 @@ let streaming_subsequence ctx c startv lenv =
    as the reference they are tested against.
 
    What is fixed at compile time (and therefore part of the plan-cache
-   fingerprint maintained by Engine/Session): the registry contents for
+   fingerprint the session maintains): the registry contents for
    names that resolve, and the purity environment. Both are sound to
    freeze: [Context.register] rejects redefinition, so a name that
    resolved at compile time cannot change, and a name that did *not*
@@ -1034,10 +1034,9 @@ let streaming_subsequence ctx c startv lenv =
    (XQSE readonly procedures declared mid-block) still work and a name
    that is never executed still raises XPST0017 only on execution.
 
-   What stays dynamic: the [streaming] flag is read from the context at
-   run time, so one cached plan serves both modes of the same engine;
-   variables, focus, documents and collections come from the context as
-   always. *)
+   What stays dynamic: variables, focus, documents and collections come
+   from the context; each streaming arm checks its source cursor's
+   purity when it opens it. *)
 
 type plan = Context.dynamic -> Item.seq
 
@@ -1299,45 +1298,14 @@ and compile_expr cc (e : Ast.expr) : plan =
         in
         pdef ctx)
   | Ast.Flwor (clauses, ret) -> (
-    let cclauses = List.map (compile_clause cc) clauses in
-    let pret = compile cc ret in
-    let eager ctx =
-      run_clauses ctx cclauses pret [ (Context.fields ctx).vars ]
-    in
     match compile_flwor_stream cc clauses ret with
-    | Some splan ->
-      fun ctx ->
-        if (Context.fields ctx).streaming then materialize ctx (splan ctx)
-        else eager ctx
-    | None -> eager)
+    | Some splan -> fun ctx -> materialize ctx (splan ctx)
+    | None ->
+      let cclauses = List.map (compile_clause cc) clauses in
+      let pret = compile cc ret in
+      fun ctx -> run_clauses ctx cclauses pret [ (Context.fields ctx).vars ])
   | Ast.Quantified (quant, bindings, body) -> (
     let cbody_cur = compile_cur cc body in
-    let cbindings =
-      List.map (fun (v, ty, src) -> (v, ty, compile cc src)) bindings
-    in
-    let eager ctx =
-      let rec go ctx = function
-        | [] -> ebv_cur (cbody_cur ctx)
-        | (v, ty, psrc) :: rest ->
-          let items = psrc ctx in
-          let items =
-            match ty with
-            | Some t ->
-              List.map
-                (fun i ->
-                  match Seqtype.check ~what:(Qname.to_string v) t [ i ] with
-                  | [ i' ] -> i'
-                  | _ -> i)
-                items
-            | None -> items
-          in
-          let test item = go (Context.bind ctx v [ item ]) rest in
-          (match quant with
-          | Ast.Some_q -> List.exists test items
-          | Ast.Every_q -> List.for_all test items)
-      in
-      Item.bool (go ctx cbindings)
-    in
     (* Single-binding quantifier over a pure source: pull, test, stop
        on the deciding item. The eager schedule materializes the (pure)
        source first and then short-circuits the same tests in the same
@@ -1346,36 +1314,56 @@ and compile_expr cc (e : Ast.expr) : plan =
     | [ (v, None, src) ] ->
       let csrc = compile_cur cc src in
       fun ctx ->
-        if not (Context.fields ctx).streaming then eager ctx
-        else begin
-          let c = csrc ctx in
-          let test item =
-            ebv_cur (cbody_cur (Context.bind ctx v [ item ]))
+        let c = csrc ctx in
+        let test item = ebv_cur (cbody_cur (Context.bind ctx v [ item ])) in
+        if Cursor.is_pure c then
+          let rec go () =
+            match Cursor.next c with
+            | None -> (
+              match quant with Ast.Some_q -> false | Ast.Every_q -> true)
+            | Some item -> (
+              match (quant, test item) with
+              | Ast.Some_q, true ->
+                Cursor.abandon c;
+                true
+              | Ast.Every_q, false ->
+                Cursor.abandon c;
+                false
+              | _ -> go ())
           in
-          if Cursor.is_pure c then
-            let rec go () =
-              match Cursor.next c with
-              | None -> (
-                match quant with Ast.Some_q -> false | Ast.Every_q -> true)
-              | Some item -> (
-                match (quant, test item) with
-                | Ast.Some_q, true ->
-                  Cursor.abandon c;
-                  true
-                | Ast.Every_q, false ->
-                  Cursor.abandon c;
-                  false
-                | _ -> go ())
+          Item.bool (go ())
+        else
+          let items = materialize ctx c in
+          Item.bool
+            (match quant with
+            | Ast.Some_q -> List.exists test items
+            | Ast.Every_q -> List.for_all test items)
+    | _ ->
+      let cbindings =
+        List.map (fun (v, ty, src) -> (v, ty, compile cc src)) bindings
+      in
+      fun ctx ->
+        let rec go ctx = function
+          | [] -> ebv_cur (cbody_cur ctx)
+          | (v, ty, psrc) :: rest ->
+            let items = psrc ctx in
+            let items =
+              match ty with
+              | Some t ->
+                List.map
+                  (fun i ->
+                    match Seqtype.check ~what:(Qname.to_string v) t [ i ] with
+                    | [ i' ] -> i'
+                    | _ -> i)
+                  items
+              | None -> items
             in
-            Item.bool (go ())
-          else
-            let items = materialize ctx c in
-            Item.bool
-              (match quant with
-              | Ast.Some_q -> List.exists test items
-              | Ast.Every_q -> List.for_all test items)
-        end
-    | _ -> eager)
+            let test item = go (Context.bind ctx v [ item ]) rest in
+            (match quant with
+            | Ast.Some_q -> List.exists test items
+            | Ast.Every_q -> List.for_all test items)
+        in
+        Item.bool (go ctx cbindings))
   | Ast.Path (a, b) ->
     (* Stream the left side of a path: pull one left item at a time and
        apply the step under the correct position. Gates: the step must
@@ -1387,31 +1375,26 @@ and compile_expr cc (e : Ast.expr) : plan =
        streams would reorder errors relative to the eager schedule). The
        result is still materialized and doc-sorted; the win is never
        holding the full left sequence. *)
-    let pa = compile cc a in
     let pb = compile cc b in
-    let eager ctx = compile_path_over ctx (pa ctx) pb in
     let eff, fall, cons = cc.c_purity b in
-    if eff || cons || mentions_last b then eager
+    if eff || cons || mentions_last b then
+      let pa = compile cc a in
+      fun ctx -> compile_path_over ctx (pa ctx) pb
     else
       let ca = compile_cur cc a in
       fun ctx ->
-        if not (Context.fields ctx).streaming then eager ctx
-        else begin
-          let la = ca ctx in
-          if fall && not (Cursor.is_pure la) then
-            compile_path_over ctx (materialize ctx la) pb
-          else
-            let rec go i acc =
-              match Cursor.next la with
-              | None -> List.rev acc
-              | Some item ->
-                let r =
-                  pb (Context.with_focus ctx item ~pos:(i + 1) ~size:0)
-                in
-                go (i + 1) (List.rev_append r acc)
-            in
-            path_finish (go 0 [])
-        end
+        let la = ca ctx in
+        if fall && not (Cursor.is_pure la) then
+          compile_path_over ctx (materialize ctx la) pb
+        else
+          let rec go i acc =
+            match Cursor.next la with
+            | None -> List.rev acc
+            | Some item ->
+              let r = pb (Context.with_focus ctx item ~pos:(i + 1) ~size:0) in
+              go (i + 1) (List.rev_append r acc)
+          in
+          path_finish (go 0 [])
   | Ast.Root_expr -> (
     fun ctx ->
       match (Context.fields ctx).ctx_item with
@@ -1433,38 +1416,37 @@ and compile_expr cc (e : Ast.expr) : plan =
       | Some (Item.Atomic _) -> err "XPTY0020" "the context item is not a node"
       | None -> err "XPDY0002" "the context item is not defined")
   | Ast.Filter (prim, preds) -> (
-    let cprim = compile cc prim in
     let cpreds = compile_predicates cc preds in
-    let eager ctx = cpreds ctx (cprim ctx) in
+    let eager () =
+      let cprim = compile cc prim in
+      fun ctx -> cpreds ctx (cprim ctx)
+    in
     match preds with
     (* positional [n] over a pure source pulls exactly n items *)
     | [ Ast.Literal (Atomic.Integer k) ] when k >= 1 ->
       let cprim_cur = compile_cur cc prim in
       fun ctx ->
-        if not (Context.fields ctx).streaming then eager ctx
-        else begin
-          let c = cprim_cur ctx in
-          if not (Cursor.is_pure c) then cpreds ctx (materialize ctx c)
-          else
-            let rec go i =
-              match Cursor.next c with
-              | None -> []
-              | Some x ->
-                if i = k then begin
-                  Cursor.abandon c;
-                  [ x ]
-                end
-                else go (i + 1)
-            in
-            go 1
-        end
+        let c = cprim_cur ctx in
+        if not (Cursor.is_pure c) then cpreds ctx (materialize ctx c)
+        else
+          let rec go i =
+            match Cursor.next c with
+            | None -> []
+            | Some x ->
+              if i = k then begin
+                Cursor.abandon c;
+                [ x ]
+              end
+              else go (i + 1)
+          in
+          go 1
     | first :: rest -> (
       match compile_keyed_filter cc prim first rest with
       | Some keyed -> keyed
-      | None -> eager)
-    | [] -> eager)
+      | None -> eager ())
+    | [] -> eager ())
   | Ast.Call (name, args) ->
-    compile_streaming_call cc name args (compile_apply cc name args)
+    compile_streaming_call cc name args
   | Ast.Elem_ctor (name, attrs, contents) ->
     let cattrs =
       List.map
@@ -1919,9 +1901,9 @@ and compile_flwor_stream cc clauses ret =
    sequence argument is evaluated as a cursor and consumed only as far
    as the semantics require. The name is resolved against the compile
    registry first, so a user override still wins (registration rejects
-   redefinition, so the verdict cannot go stale), and only the
-   streaming flag is left to run time. *)
-and compile_streaming_call cc name args plain =
+   redefinition, so the verdict cannot go stale). *)
+and compile_streaming_call cc name args =
+  let plain () = compile_apply cc name args in
   let is_builtin =
     String.equal name.Qname.uri Qname.fn_ns
     &&
@@ -1929,12 +1911,11 @@ and compile_streaming_call cc name args plain =
     | Some { Context.fn_impl = Context.Builtin _; _ } -> true
     | _ -> false
   in
-  if not is_builtin then plain
+  if not is_builtin then plain ()
   else
     let stream1 e f =
       let ce = compile_cur cc e in
-      fun ctx ->
-        if (Context.fields ctx).streaming then f ctx (ce ctx) else plain ctx
+      fun ctx -> f ctx (ce ctx)
     in
     match (name.Qname.local, args) with
     | "exists", [ e ] -> stream1 e (fun _ c -> Item.bool (cursor_nonempty c))
@@ -1967,7 +1948,7 @@ and compile_streaming_call cc name args plain =
           streaming_subsequence ctx c
             (fun () -> cstart ctx)
             (Some (fun () -> clen ctx)))
-    | _ -> plain
+    | _ -> plain ()
 
 (* Function application with the callee resolved at compile time. A name
    absent from the compile registry falls back to a runtime lookup: it
@@ -2079,7 +2060,10 @@ and compile_call cc name arity =
   | _ -> fun ctx arg_vals -> call ctx name arg_vals
 
 and compile_cur_expr cc e =
-  let eager = compile cc e in
+  let eager () =
+    let p = compile cc e in
+    fun ctx -> Cursor.of_list (p ctx)
+  in
   match e with
   | Ast.Seq_expr es ->
     let total e' =
@@ -2088,55 +2072,41 @@ and compile_cur_expr cc e =
     in
     let pure = List.for_all total es in
     let ces = List.map (compile_cur cc) es in
-    fun ctx ->
-      if not (Context.fields ctx).streaming then Cursor.of_list (eager ctx)
-      else Cursor.chain ~pure (List.map (fun ce () -> ce ctx) ces)
-  | Ast.Range (a, b) ->
+    fun ctx -> Cursor.chain ~pure (List.map (fun ce () -> ce ctx) ces)
+  | Ast.Range (a, b) -> (
     let pa = compile cc a and pb = compile cc b in
     fun ctx ->
-      if not (Context.fields ctx).streaming then Cursor.of_list (eager ctx)
-      else (
-        let va = pa ctx in
-        let vb = pb ctx in
-        match range_bounds_seq va vb with
-        | None -> Cursor.empty ()
-        | Some (lo, hi) ->
-          let i = ref lo in
-          Cursor.make ~pure:true ~instr:(Context.fields ctx).instr (fun () ->
-              if !i > hi then None
-              else begin
-                let v = !i in
-                incr i;
-                Some (Item.Atomic (Atomic.Integer v))
-              end))
+      let va = pa ctx in
+      let vb = pb ctx in
+      match range_bounds_seq va vb with
+      | None -> Cursor.empty ()
+      | Some (lo, hi) ->
+        let i = ref lo in
+        Cursor.make ~pure:true ~instr:(Context.fields ctx).instr (fun () ->
+            if !i > hi then None
+            else begin
+              let v = !i in
+              incr i;
+              Some (Item.Atomic (Atomic.Integer v))
+            end))
   | Ast.If_expr (c, t, e2) ->
     let ccond = compile_cur cc c in
     let ct = compile_cur cc t and ce2 = compile_cur cc e2 in
-    fun ctx ->
-      if not (Context.fields ctx).streaming then Cursor.of_list (eager ctx)
-      else if ebv_cur (ccond ctx) then ct ctx
-      else ce2 ctx
+    fun ctx -> if ebv_cur (ccond ctx) then ct ctx else ce2 ctx
   | Ast.Call (name, args) -> (
     match Context.find cc.c_registry name (List.length args) with
     | Some { Context.fn_impl = Context.External_cursor impl; _ } ->
       let cargs = List.map (compile cc) args in
       fun ctx ->
-        let f = Context.fields ctx in
-        if not f.streaming then Cursor.of_list (eager ctx)
-        else begin
-          let args = List.map (fun p -> p ctx) cargs in
-          count_bypass f;
-          impl args
-        end
-    | _ -> fun ctx -> Cursor.of_list (eager ctx))
+        let args = List.map (fun p -> p ctx) cargs in
+        count_bypass (Context.fields ctx);
+        impl args
+    | _ -> eager ())
   | Ast.Flwor (clauses, ret) -> (
     match compile_flwor_stream cc clauses ret with
-    | Some splan ->
-      fun ctx ->
-        if not (Context.fields ctx).streaming then Cursor.of_list (eager ctx)
-        else splan ctx
-    | None -> fun ctx -> Cursor.of_list (eager ctx))
-  | _ -> fun ctx -> Cursor.of_list (eager ctx)
+    | Some splan -> splan
+    | None -> eager ())
+  | _ -> eager ()
 
 let compile_updating cc e =
   let p = compile cc e in

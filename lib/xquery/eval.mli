@@ -8,11 +8,11 @@
     {1 The reference walker}
 
     [eval], [call] and [eval_updating] walk the AST eagerly: every
-    operand is evaluated in full before it is used, and the context's
-    [streaming] flag is ignored. Engine and session walk only with
-    plans off, which is how the differential tests select the
-    reference; compiled plans use [call] just to reach host functions
-    and readonly procedures, never a user function's body. *)
+    operand is evaluated in full before it is used. The session walks
+    only with plans off, which is how the differential tests select the
+    eager reference for the compiled streaming arms; compiled plans use
+    [call] just to reach host functions and readonly procedures, never
+    a user function's body. *)
 
 open Xdm
 
@@ -40,15 +40,13 @@ val eval_updating : Context.dynamic -> Ast.expr -> Update.t
     — with constructor dispatch, registry lookups and purity/streaming
     gate verdicts hoisted out of the per-evaluation path. Running a plan
     is observably identical to {!eval} on the same context: same items,
-    effects, errors and evaluation order; where the context is
-    streaming, cursor schedules stop early only where no consumer can
-    tell. Plans never call back into the walker.
+    effects, errors and evaluation order; cursor schedules stop early
+    only where no consumer can tell. Plans never call back into the
+    walker.
 
     A compiler (and its plans) is valid for a fixed registry and purity
-    environment; Engine/Session key their plan caches on exactly that
-    pair (plus the flags) and recompile after any registration. The
-    [streaming] flag is read from the context at run time, so one plan
-    serves both modes. *)
+    environment; the session keys its plan cache on exactly that pair
+    and recompiles after any registration. *)
 
 type plan = Context.dynamic -> Item.seq
 
@@ -70,9 +68,8 @@ val compile_cur :
 (** Cursor-producing variant of {!compile}: fully consuming the cursor
     yields exactly what the plan returns (same items, effects and
     errors, in the same order); consumers stopping early must use
-    {!Xdm.Cursor.abandon}. When the context is not streaming (or no
-    streaming arm applies) the plan's eager result is wrapped in a pure
-    cursor. *)
+    {!Xdm.Cursor.abandon}. Where no streaming arm applies, the plan's
+    eager result is wrapped in a pure cursor. *)
 
 val compile_updating : compiler -> Ast.expr -> Context.dynamic -> Update.t
 (** The compiled form of {!eval_updating}, for the XQSE update

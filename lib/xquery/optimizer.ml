@@ -849,8 +849,3 @@ let optimize_with_stats ?log ?(env = Purity.empty_env)
 
 let optimize ?log ?env ?instr e =
   fst (optimize_with_stats ?log ?env ?instr e)
-
-let optimize_decl ?log ?env ?instr (d : Ast.function_decl) =
-  match d.Ast.fd_body with
-  | None -> d
-  | Some body -> { d with Ast.fd_body = Some (optimize ?log ?env ?instr body) }

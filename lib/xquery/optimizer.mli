@@ -42,13 +42,6 @@ val optimize :
     the purity-gated rewrites (default: builtins only, every other call
     impure). [instr] receives the per-pass timers. *)
 
-val optimize_decl :
-  ?log:(string -> unit) ->
-  ?env:Purity.env ->
-  ?instr:Instr.t ->
-  Ast.function_decl ->
-  Ast.function_decl
-
 type stats = {
   folded : int;
   inlined : int;  (** trivial inlines: literals and aliases *)

@@ -36,29 +36,53 @@ declare function ns2:getCustomer() as element(ns2:Customer)* {
 };
 |}
 
-let add_customers_service env =
+(* a logical service with one read function returning [elem] elements
+   of string [fields], its namespace declared as [prefix] *)
+let add_service env ~name ~namespace ~prefix ~elem ~fields ~read source =
   let svc =
-    Aldsp.Dataspace.create_entity_service env.FC.ds ~name:"Customers"
-      ~namespace:customers_ns
+    Aldsp.Dataspace.create_entity_service env.FC.ds ~name ~namespace
       ~shape:
         {
-          Xdm.Schema.name = Xdm.Qname.make ~uri:customers_ns "Customer";
+          Xdm.Schema.name = Xdm.Qname.make ~uri:namespace elem;
           type_def =
             Xdm.Schema.complex
-              [
-                Xdm.Schema.particle (Xdm.Qname.local "CID")
-                  (Xdm.Schema.simple (Xdm.Qname.xs "string"));
-                Xdm.Schema.particle (Xdm.Qname.local "LAST_NAME")
-                  (Xdm.Schema.simple (Xdm.Qname.xs "string"));
-              ];
+              (List.map
+                 (fun f ->
+                   Xdm.Schema.particle (Xdm.Qname.local f)
+                     (Xdm.Schema.simple (Xdm.Qname.xs "string")))
+                 fields);
         }
-      ~methods:[ ("getCustomer", Aldsp.Data_service.Read_function) ]
-      ~generate_cud:false customers_source
+      ~methods:[ (read, Aldsp.Data_service.Read_function) ]
+      ~generate_cud:false source
   in
   Xqse.Session.declare_namespace
     (Aldsp.Dataspace.session env.FC.ds)
-    "c2" customers_ns;
+    prefix namespace;
   svc
+
+let add_customers_service env =
+  add_service env ~name:"Customers" ~namespace:customers_ns ~prefix:"c2"
+    ~elem:"Customer" ~fields:[ "CID"; "LAST_NAME" ] ~read:"getCustomer"
+    customers_source
+
+(* a CUSTOMER read that also reads a document: its footprint is the
+   CUSTOMER table alone, so only the key prefix tells apart two
+   sessions that bind different documents at urn:tag *)
+let tagged_ns = "ld:Tagged"
+
+let tagged_source =
+  {|
+declare namespace tg = "ld:Tagged";
+declare namespace cus = "ld:db1/CUSTOMER";
+
+declare function tg:getTagged() as element(tg:Tagged)* {
+  for $c in cus:CUSTOMER()
+  return <tg:Tagged>
+    <CID>{fn:data($c/CID)}</CID>
+    <TAG>{fn:string(fn:doc("urn:tag")/t)}</TAG>
+  </tg:Tagged>
+};
+|}
 
 let cq = "c2:getCustomer()"
 
@@ -339,6 +363,46 @@ let fingerprint_tests =
             check_int (form ^ ": the source still hits") 1 hits;
             check_int (form ^ ": without a miss") 0 misses)
           [ ("expression", cq); ("block", "{ return value " ^ cq ^ "; }") ]);
+    case "a source and its fork that each register never share entries"
+      (fun () ->
+        (* generations are drawn process-wide: after one registration
+           each, the source and its fork key their reads apart, so the
+           fork never replays an entry computed over the source's
+           document *)
+        let instr = Instr.create () in
+        Instr.preregister instr;
+        Instr.enable instr;
+        let env = FC.make ~customers:1 ~instr () in
+        ignore
+          (add_service env ~name:"Tagged" ~namespace:tagged_ns ~prefix:"tg"
+             ~elem:"Tagged" ~fields:[ "CID"; "TAG" ] ~read:"getTagged"
+             tagged_source);
+        ignore (Aldsp.Dataspace.enable_result_cache env.FC.ds);
+        let sess = Aldsp.Dataspace.session env.FC.ds in
+        check_bool "the read's footprint is CUSTOMER alone" true
+          (Aldsp.Dataspace.footprint_of env.FC.ds
+             (Xdm.Qname.make ~uri:tagged_ns "getTagged")
+             0
+          = Some [ ("db1", "CUSTOMER") ]);
+        let fork = Xqse.Session.with_config sess (Xqse.Session.config sess) in
+        let tag s v =
+          Xqse.Session.register_doc s "urn:tag"
+            (Xdm.Xml_parse.parse (Printf.sprintf "<t>%s</t>" v))
+        in
+        tag sess "source";
+        tag fork "fork";
+        let read s =
+          Xqse.Session.eval_to_string s
+            "fn:string-join(tg:getTagged()/TAG, ',')"
+        in
+        check_string "the source reads its document" "source,source"
+          (read sess);
+        let hits = counter instr Instr.K.cache_hit in
+        check_string "the fork reads its own" "fork,fork" (read fork);
+        check_int "the fork hit nothing" hits (counter instr Instr.K.cache_hit);
+        check_string "the source replays its entry" "source,source"
+          (read sess);
+        check_int "and hits it" (hits + 1) (counter instr Instr.K.cache_hit));
   ]
 
 let suites =

@@ -38,27 +38,21 @@ let agree name src =
         Alcotest.failf
           "optimizer changed program semantics:\n%s\n  unoptimized: %s\n  optimized:   %s"
           src (show unopt) (show opt);
-      (* streaming vs forced-materializing: the cursor pipeline must be
-         invisible — same items, same errors, in both optimizer modes *)
-      let mat = outcome xq_nostream src in
-      if mat <> opt then
-        Alcotest.failf
-          "streaming changed program semantics:\n%s\n  materializing: %s\n  streaming:     %s"
-          src (show mat) (show opt);
-      let mat_noopt = outcome xq_noopt_nostream src in
-      if mat_noopt <> unopt then
-        Alcotest.failf
-          "streaming changed program semantics (unoptimized):\n\
-           %s\n  materializing: %s\n  streaming:     %s"
-          src (show mat_noopt) (show unopt);
-      (* compiled vs interpreted: closure-compiled plans must be
-         invisible — same items, same errors *)
+      (* compiled vs interpreted: closure-compiled plans and their
+         cursor pipelines must be invisible against the eager walker —
+         same items, same errors, in both optimizer modes *)
       let interp = outcome xq_noplans src in
       if interp <> opt then
         Alcotest.failf
           "closure compilation changed program semantics:\n\
            %s\n  interpreted: %s\n  compiled:    %s"
-          src (show interp) (show opt))
+          src (show interp) (show opt);
+      let interp_noopt = outcome xq_noopt_noplans src in
+      if interp_noopt <> unopt then
+        Alcotest.failf
+          "closure compilation changed program semantics (unoptimized):\n\
+           %s\n  interpreted: %s\n  compiled:    %s"
+          src (show interp_noopt) (show unopt))
 
 (* Session-level agreement: one shared session per mode (program
    declarations compile against copies, so corpus programs cannot leak
@@ -69,12 +63,6 @@ let session_noopt =
   lazy
     (Xqse.Session.create
        ~config:{ Xqse.Session.default_config with optimize = false }
-       ())
-
-let session_nostream =
-  lazy
-    (Xqse.Session.create
-       ~config:{ Xqse.Session.default_config with streaming = false }
        ())
 
 (* interpreted XQSE: plans off disables both the session plan cache and
@@ -95,12 +83,6 @@ let agree_session name src =
         Alcotest.failf
           "optimizer changed program semantics (session layer):\n%s\n  unoptimized: %s\n  optimized:   %s"
           src (show unopt) (show opt);
-      let mat = outcome (eval session_nostream) src in
-      if mat <> opt then
-        Alcotest.failf
-          "streaming changed program semantics (session layer):\n\
-           %s\n  materializing: %s\n  streaming:     %s"
-          src (show mat) (show opt);
       let interp = outcome (eval session_noplans) src in
       if interp <> opt then
         Alcotest.failf

@@ -301,7 +301,7 @@ let xqse_proc_verdict ?(register = fun _ -> ()) src local =
   let s = Xqse.Session.create () in
   register s;
   if src <> "" then Xqse.Session.load_library s src;
-  let reg = Xquery.Engine.registry (Xqse.Session.engine s) in
+  let reg = Xqse.Session.registry s in
   let env = Purity.env_for ~registry:reg [] in
   let fn =
     Context.fold reg ~init:None ~f:(fun acc f ->

@@ -240,21 +240,19 @@ let plan_cache_tests =
         Xqse.Session.load_library s "declare variable $lv := 5;";
         let _, d = delta instr (fun () -> Xqse.Session.eval_to_string s "1 + 2") in
         check_int "recompiled after load" 1 (counter d Instr.K.plan_cache_miss));
-    case "streaming and optimizer toggles are fingerprint misses" (fun () ->
+    case "optimizer toggles are fingerprint misses" (fun () ->
         (* the flags are fixed per session: toggling one means forking a
            differently-configured session, which compiles its own plans *)
         let s, instr = make () in
         let src = "sum(1 to 9)" in
         ignore (Xqse.Session.eval_to_string s src);
-        let fork change = Xqse.Session.with_config s (change (Xqse.Session.config s)) in
-        let nostream = fork (fun c -> { c with streaming = false }) in
-        let v, d = delta instr (fun () -> Xqse.Session.eval_to_string nostream src) in
-        check_string "same value materializing" "45" v;
-        check_int "streaming toggle misses" 1 (counter d Instr.K.plan_cache_miss);
-        let noopt = fork (fun c -> { c with optimize = false }) in
-        let v2, d2 = delta instr (fun () -> Xqse.Session.eval_to_string noopt src) in
-        check_string "same value unoptimized" "45" v2;
-        check_int "optimizer toggle misses" 1 (counter d2 Instr.K.plan_cache_miss);
+        let noopt =
+          Xqse.Session.with_config s
+            { (Xqse.Session.config s) with optimize = false }
+        in
+        let v, d = delta instr (fun () -> Xqse.Session.eval_to_string noopt src) in
+        check_string "same value unoptimized" "45" v;
+        check_int "optimizer toggle misses" 1 (counter d Instr.K.plan_cache_miss);
         (* each session keeps its own entry, so replaying is a hit again
            on every side *)
         List.iter
@@ -263,7 +261,7 @@ let plan_cache_tests =
             check_int "steady state hits" 1 (counter d3 Instr.K.plan_cache_hit);
             check_int "steady state does not recompile" 0
               (counter d3 Instr.K.queries_compiled))
-          [ s; nostream; noopt ]);
+          [ s; noopt ]);
     case "plans off bypasses the cache entirely" (fun () ->
         let s, instr = make ~plans:false () in
         ignore (Xqse.Session.eval_to_string s "1 + 2");
@@ -283,13 +281,16 @@ let config_tests =
   in
   [
     case "create ~config round-trips through config" (fun () ->
-        let cfg = { Xqse.Session.default_config with streaming = false } in
+        let instr = Instr.create () in
+        let cfg =
+          { Xqse.Session.default_config with optimize = false; instr }
+        in
         let s = Xqse.Session.create ~config:cfg () in
         let got = Xqse.Session.config s in
-        check_bool "streaming off" false got.Xqse.Session.streaming;
+        check_bool "optimize off" false got.Xqse.Session.optimize;
         check_bool "plans on" true got.Xqse.Session.plans;
-        check_bool "optimize on" true got.Xqse.Session.optimize;
-        check_bool "session agrees" false (Xqse.Session.streaming s));
+        check_bool "the given handle" true (got.Xqse.Session.instr == instr);
+        check_bool "session agrees" true (Xqse.Session.instr s == instr));
     case "with_config forks are independent both ways" (fun () ->
         let a = Xqse.Session.create () in
         Xqse.Session.load_library a "declare variable $base := 10;";
@@ -325,7 +326,7 @@ let config_tests =
             };|};
         let b =
           Xqse.Session.with_config a
-            { (Xqse.Session.config a) with streaming = false }
+            { (Xqse.Session.config a) with optimize = false }
         in
         check_string "procedure runs in the fork" "12"
           (Xqse.Session.eval_to_string b "local:triple(4)");
@@ -345,10 +346,11 @@ let config_tests =
             ()
         in
         let stop = Stdlib.Atomic.make false in
+        (* every registration invalidates the session's plans *)
         let invalidator =
           Domain.spawn (fun () ->
               while not (Stdlib.Atomic.get stop) do
-                Xqse.Session.invalidate_plans s
+                Xqse.Session.register_module s "urn:race" ""
               done)
         in
         (* at least 2,000 evaluations, and on until an invalidation has

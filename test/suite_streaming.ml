@@ -2,9 +2,10 @@
    through the evaluator to XQSE iterate.
 
    Two kinds of assertion:
-   - equivalence: streaming and forced-materializing modes return the
-     same serialized value (the differential corpus covers this broadly;
-     these tests pin the headline shapes);
+   - equivalence: compiled streaming plans and the eager reference
+     walker (plans off) return the same serialized value (the
+     differential corpus covers this broadly; these tests pin the
+     headline shapes);
    - laziness: early-exiting consumers (fn:exists, fn:head, EBV,
      positional [1], iterate+break) pull O(1) items from a large scan,
      proven on the [stream.pulled] / [rows.scanned] counters — a
@@ -18,31 +19,29 @@ module FE = Fixtures.Employees
 let counter stats name =
   match List.assoc_opt name stats.Instr.counters with Some n -> n | None -> 0
 
-(* one large-scan environment per streaming mode; 10_000 rows makes an
-   accidental full materialization unmistakable *)
+(* one large-scan environment; 10_000 rows makes an accidental full
+   materialization unmistakable *)
 let rows = 10_000
 
-let make_env ~streaming =
-  let instr = Instr.create () in
-  Instr.enable instr;
-  let env = FE.make ~employees:rows ~instr () in
-  let ds_sess = Aldsp.Dataspace.session env.FE.ds in
-  (* a config fork of the dataspace session: same sources and instr,
-     streaming fixed immutably for this environment *)
-  let sess =
-    Xqse.Session.with_config ds_sess
-      { (Xqse.Session.config ds_sess) with streaming }
-  in
-  (sess, instr)
+(* the dataspace session runs compiled plans; a plans-off config fork
+   over the same sources and instr runs the eager walker *)
+let env =
+  lazy
+    (let instr = Instr.create () in
+     Instr.enable instr;
+     let env = FE.make ~employees:rows ~instr () in
+     let sess = Aldsp.Dataspace.session env.FE.ds in
+     let walker =
+       Xqse.Session.with_config sess
+         { (Xqse.Session.config sess) with plans = false }
+     in
+     (sess, walker, instr))
 
-let streaming_env = lazy (make_env ~streaming:true)
-let materializing_env = lazy (make_env ~streaming:false)
-
-(* run [src] in both modes: return the streaming result plus the
-   streaming-mode counter delta, after checking the modes agree *)
+(* run [src] compiled and walked: return the compiled result plus its
+   counter delta, after checking the walker agrees *)
 let both src =
-  let run env =
-    let sess, instr = Lazy.force env in
+  let sess, walker, instr = Lazy.force env in
+  let run sess =
     let before = Instr.stats instr in
     let v =
       match Xqse.Session.eval_to_string sess src with
@@ -52,13 +51,12 @@ let both src =
     in
     (v, Instr.since instr before)
   in
-  let sv, sd = run streaming_env in
-  let mv, _ = run materializing_env in
-  if sv <> mv then
-    Alcotest.failf "modes disagree on %s:\n  streaming: %s\n  materializing: %s"
-      src
+  let sv, sd = run sess in
+  let wv, _ = run walker in
+  if sv <> wv then
+    Alcotest.failf "modes disagree on %s:\n  streaming: %s\n  walker: %s" src
       (match sv with Ok s -> s | Error c -> "error " ^ c)
-      (match mv with Ok s -> s | Error c -> "error " ^ c);
+      (match wv with Ok s -> s | Error c -> "error " ^ c);
   match sv with
   | Ok s -> (s, sd)
   | Error c -> Alcotest.failf "unexpected error %s on %s" c src
@@ -155,18 +153,20 @@ let early_exit_tests =
 
 (* range producers: no dataspace needed, a bare session streams *)
 let range_tests =
-  let eval ~streaming ~instr src =
-    Xqse.Session.eval_to_string
-      (Xqse.Session.create
-         ~config:{ Xqse.Session.default_config with streaming; instr }
-         ())
-      src
-  in
   let with_counters src =
     let instr = Instr.create () in
     Instr.enable instr;
-    let v = eval ~streaming:true ~instr src in
-    let v' = eval ~streaming:false ~instr:Instr.disabled src in
+    let s =
+      Xqse.Session.create
+        ~config:{ Xqse.Session.default_config with instr }
+        ()
+    in
+    let walker =
+      Xqse.Session.with_config s
+        { Xqse.Session.default_config with plans = false }
+    in
+    let v = Xqse.Session.eval_to_string s src in
+    let v' = Xqse.Session.eval_to_string walker src in
     check_string ("modes agree on " ^ src) v' v;
     (v, Instr.stats instr)
   in

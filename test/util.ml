@@ -13,23 +13,17 @@ let xq ?(config = Xqse.Session.default_config) ?context_item ?(vars = []) src
 let xq_noopt src =
   xq ~config:{ Xqse.Session.default_config with optimize = false } src
 
-(* forced-materializing mode: every cursor degenerates to eager
-   evaluation — the differential suites compare it against the default
-   streaming mode *)
-let xq_nostream src =
-  xq ~config:{ Xqse.Session.default_config with streaming = false } src
-
-let xq_noopt_nostream src =
-  xq
-    ~config:
-      { Xqse.Session.default_config with optimize = false; streaming = false }
-    src
-
 (* interpreted mode: closure compilation and the plan cache disabled —
-   every query walks the AST directly; the differential suites compare
-   it against the default compiled mode *)
+   every query walks the AST directly with the eager reference walker;
+   the differential suites compare it against the default compiled
+   (streaming) mode, in each optimizer mode *)
 let xq_noplans src =
   xq ~config:{ Xqse.Session.default_config with plans = false } src
+
+let xq_noopt_noplans src =
+  xq
+    ~config:{ Xqse.Session.default_config with optimize = false; plans = false }
+    src
 
 (* a test case asserting the serialized result of a query *)
 let q name expected src =

@@ -4,22 +4,19 @@
 
    Every generated program is evaluated through a fresh session of its
    own and through one session shared by the whole corpus, each with
-   the optimizer on and off, and — per MODE/EVAL — through
-   closure-compiled plans, with streaming on and/or forced off, and/or
-   through the eager reference walker (plans off). The walker never
-   streams, so its layers run once whatever MODE says: 12 layers under
-   "both both". A program that leaks state into a shared session
-   diverges from its fresh run. The compiled shared layers also replay
-   every program from the warm plan cache, so cold compile, warm cache
-   hit and the reference walker must all agree. Any disagreement in
-   outcome (serialized result, or dynamic error code) is reported and
-   fails the run.
+   the optimizer on and off, and — per EVAL — through closure-compiled
+   plans (which stream where the purity gates allow) and/or through the
+   eager reference walker (plans off): 8 layers under "both". A program
+   that leaks state into a shared session diverges from its fresh run.
+   The compiled shared layers also replay every program from the warm
+   plan cache, so cold compile, warm cache hit and the reference walker
+   must all agree. Any disagreement in outcome (serialized result, or
+   dynamic error code) is reported and fails the run.
 
-   Usage: corpus_check [SIZE] [SEED] [MODE] [EVAL]
-     defaults: 500 20260806 both both
-     MODE: streaming | materialize | both (compiled layers only)
+   Usage: corpus_check [SIZE] [SEED] [EVAL]
+     defaults: 500 20260806 both
      EVAL: compiled | interpreted | both
-     (CORPUS_MODE / CORPUS_EVAL in the environment set the defaults) *)
+     (CORPUS_EVAL in the environment sets the default) *)
 
 open Core
 
@@ -39,21 +36,9 @@ let () =
   let seed =
     if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 20260806
   in
-  let arg_or_env n env default =
-    if Array.length Sys.argv > n then Sys.argv.(n)
-    else Option.value (Sys.getenv_opt env) ~default
-  in
-  let mode = arg_or_env 3 "CORPUS_MODE" "both" in
-  let eval = arg_or_env 4 "CORPUS_EVAL" "both" in
-  let streaming_variants =
-    match mode with
-    | "streaming" -> [ true ]
-    | "materialize" | "materializing" -> [ false ]
-    | "both" -> [ true; false ]
-    | m ->
-      Printf.eprintf
-        "unknown mode %S (expected streaming | materialize | both)\n" m;
-      exit 2
+  let eval =
+    if Array.length Sys.argv > 3 then Sys.argv.(3)
+    else Option.value (Sys.getenv_opt "CORPUS_EVAL") ~default:"both"
   in
   let plan_variants =
     match eval with
@@ -66,27 +51,13 @@ let () =
       exit 2
   in
   let corpus = Fixtures.Gen_xquery.corpus ~seed size in
-  let session optimize streaming plans =
+  let session optimize plans =
     Xqse.Session.create
-      ~config:{ Xqse.Session.default_config with optimize; streaming; plans }
+      ~config:{ Xqse.Session.default_config with optimize; plans }
       ()
   in
-  let fresh optimize streaming plans src =
-    Xqse.Session.eval_to_string (session optimize streaming plans) src
-  in
-  let tag streaming plans =
-    if plans then
-      Printf.sprintf "%s, compiled"
-        (if streaming then "streaming" else "materializing")
-    else "interpreted"
-  in
-  (* (streaming, plans) per layer group: the walker ignores streaming *)
-  let variants =
-    List.concat_map
-      (fun plans ->
-        if plans then List.map (fun s -> (s, true)) streaming_variants
-        else [ (List.hd streaming_variants, false) ])
-      plan_variants
+  let fresh optimize plans src =
+    Xqse.Session.eval_to_string (session optimize plans) src
   in
   (* one shared session per layer beside the fresh ones: program
      declarations compile against copies, so corpus programs must not
@@ -95,8 +66,8 @@ let () =
      program must hit its cached plan) *)
   let layers =
     List.concat_map
-      (fun (streaming, plans) ->
-        let t = tag streaming plans in
+      (fun plans ->
+        let t = if plans then "compiled" else "interpreted" in
         let warm s src =
           let cold = Xqse.Session.eval_to_string s src in
           if not plans then cold
@@ -111,20 +82,16 @@ let () =
           end
         in
         [
-          ( Printf.sprintf "optimized fresh session, %s" t,
-            fresh true streaming plans );
-          ( Printf.sprintf "unoptimized fresh session, %s" t,
-            fresh false streaming plans );
+          (Printf.sprintf "optimized fresh session, %s" t, fresh true plans);
+          (Printf.sprintf "unoptimized fresh session, %s" t, fresh false plans);
           ( Printf.sprintf "optimized shared session, %s" t,
-            warm (session true streaming plans) );
+            warm (session true plans) );
           ( Printf.sprintf "unoptimized shared session, %s" t,
-            warm (session false streaming plans) );
+            warm (session false plans) );
         ])
-      variants
+      plan_variants
   in
-  let reference_layer =
-    fresh false (List.hd streaming_variants) (List.hd plan_variants)
-  in
+  let reference_layer = fresh false (List.hd plan_variants) in
   let failures = ref 0 in
   List.iteri
     (fun i src ->
