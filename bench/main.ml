@@ -1,13 +1,10 @@
-(* The benchmark harness: one Bechamel test per experiment in DESIGN.md
-   section 4, preceded by the experiment report that regenerates the
-   paper's reproducible artifacts (Figures 3-4 and use cases 1-4 carry no
-   measured numbers in the paper, so the report prints the qualitative
-   rows - who wins, what SQL is generated, where behavior crosses over -
-   and the micro-benchmarks quantify them).
+(* The experiment report: one section per experiment in DESIGN.md
+   section 4, regenerating the paper's reproducible artifacts (Figures 3-4
+   and use cases 1-4 carry no measured numbers in the paper, so the report
+   prints the qualitative rows - who wins, what SQL is generated, where
+   behavior crosses over - next to the numbers it measures).
 
-   Run with:  dune exec bench/main.exe            (report + benchmarks)
-              dune exec bench/main.exe -- report  (report only)
-              dune exec bench/main.exe -- bench   (benchmarks only)      *)
+   Run with:  dune exec bench/main.exe -- report                         *)
 
 open Core
 open Core.Xdm
@@ -18,11 +15,10 @@ module FE = Fixtures.Employees
 let uc local = Qname.make ~uri:FE.usecases_ns local
 
 (* ------------------------------------------------------------------ *)
-(* Shared workload setups (built once, reused by report and benches)    *)
+(* Shared workload setups (built once, reused across report sections)  *)
 (* ------------------------------------------------------------------ *)
 
 let profile_env_small = lazy (FC.make ~customers:10 ())
-let profile_env_mid = lazy (FC.make ~customers:50 ())
 
 let employees_chain =
   lazy
@@ -876,207 +872,10 @@ let report () =
 
   write_json_report (instrumented_counters ())
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment             *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let fig3_read =
-    [
-      Test.make ~name:"fig3/getProfile/N=10"
-        (Staged.stage (fun () -> getprofile (Lazy.force profile_env_small)));
-      Test.make ~name:"fig3/getProfile/N=50"
-        (Staged.stage (fun () -> getprofile (Lazy.force profile_env_mid)));
-      Test.make ~name:"fig3/getProfileById/N=50"
-        (Staged.stage (fun () ->
-             FC.get_profile_by_id (Lazy.force profile_env_mid) "C7"));
-    ]
-  in
-  let fig4 =
-    let flip = ref false in
-    [
-      Test.make ~name:"fig4/sdo_update_roundtrip"
-        (Staged.stage (fun () ->
-             let env = Lazy.force profile_env_small in
-             flip := not !flip;
-             submit_rename env "007" (if !flip then "Carey" else "Carrey")));
-      Test.make ~name:"fig4/parse_figure3_source"
-        (Staged.stage (fun () ->
-             Xqse.Parse.parse_program
-               (Xquery.Context.default_static ())
-               FC.profile_source));
-    ]
-  in
-  let uc2 =
-    let env = Lazy.force employees_chain in
-    [
-      Test.make ~name:"uc2/mgmt_chain/xqse_while"
-        (Staged.stage (fun () ->
-             Aldsp.Dataspace.call env.FE.ds (uc "getManagementChain")
-               [ Item.int 32 ]));
-      Test.make ~name:"uc2/mgmt_chain/xquery_recursive"
-        (Staged.stage (fun () ->
-             Aldsp.Dataspace.call env.FE.ds (uc "chainRec") [ Item.int 32 ]));
-    ]
-  in
-  let uc3 =
-    let env = Lazy.force employees_etl in
-    [
-      Test.make ~name:"uc3/etl_copy/N=50"
-        (Staged.stage (fun () ->
-             R.Table.clear env.FE.emp2;
-             Aldsp.Dataspace.call env.FE.ds (uc "copyAllToEMP2") []));
-    ]
-  in
-  let uc4 =
-    let env = Lazy.force employees_repl in
-    let id = ref 100000 in
-    [
-      Test.make ~name:"uc4/replicated_create"
-        (Staged.stage (fun () ->
-             incr id;
-             let emp =
-               List.hd
-                 (Xml_parse.parse_fragment
-                    (Printf.sprintf
-                       {|<e:Employee xmlns:e="urn:employees"><EmployeeID>%d</EmployeeID><Name>A B</Name><DeptNo>10</DeptNo><ManagerID>1</ManagerID><Salary>1</Salary></e:Employee>|}
-                       !id))
-             in
-             Aldsp.Dataspace.call env.FE.ds (uc "create") [ [ Item.Node emp ] ]));
-    ]
-  in
-  let occ =
-    let flip = ref false in
-    let mk_occ name policy =
-      Test.make ~name
-        (Staged.stage (fun () ->
-             let env = Lazy.force profile_env_small in
-             flip := not !flip;
-             submit_rename ~policy env "C1" (if !flip then "A" else "B")))
-    in
-    [
-      mk_occ "occ/read_values" Aldsp.Occ.Read_values;
-      mk_occ "occ/updated_values" Aldsp.Occ.Updated_values;
-      mk_occ "occ/chosen_subset" (Aldsp.Occ.Chosen [ "CID" ]);
-    ]
-  in
-  let xa =
-    let schema =
-      {
-        R.Table.tbl_name = "T";
-        columns = [ { R.Table.col_name = "ID"; col_type = R.Value.T_int; nullable = false } ];
-        primary_key = [ "ID" ];
-        foreign_keys = [];
-      }
-    in
-    let a = R.Database.create "xa_a" in
-    ignore (R.Database.add_table a schema);
-    let b = R.Database.create "xa_b" in
-    ignore (R.Database.add_table b schema);
-    let i = ref 0 in
-    [
-      Test.make ~name:"xa/two_phase_commit"
-        (Staged.stage (fun () ->
-             incr i;
-             match
-               R.Xa.run [ a; b ] (fun () ->
-                   ignore (R.Database.exec a
-                       (R.Database.Insert { table = "T"; columns = [ "ID" ]; values = [ R.Value.Int !i ] }));
-                   ignore (R.Database.exec b
-                       (R.Database.Insert { table = "T"; columns = [ "ID" ]; values = [ R.Value.Int !i ] }));
-                   ignore (R.Database.exec a
-                       (R.Database.Delete { table = "T"; where = R.Pred.eq "ID" (R.Value.Int !i) }));
-                   ignore (R.Database.exec b
-                       (R.Database.Delete { table = "T"; where = R.Pred.eq "ID" (R.Value.Int !i) })))
-             with
-             | Ok () -> ()
-             | Error m -> failwith m));
-    ]
-  in
-  let opt =
-    let compiled_on_100, compiled_off_100 = join_sessions 100 in
-    [
-      Test.make ~name:"opt/join_optimized/N=100"
-        (Staged.stage (fun () -> Xqse.Session.run compiled_on_100));
-      Test.make ~name:"opt/join_nested_loop/N=100"
-        (Staged.stage (fun () -> Xqse.Session.run compiled_off_100));
-    ]
-  in
-  let idx =
-    let env_i = FC.make ~customers:100 ~max_orders:4 () in
-    let env_s = FC.make ~customers:100 ~max_orders:4 () in
-    R.Table.drop_indexes env_s.FC.orders;
-    let nav env () =
-      Xqse.Session.eval
-        (Aldsp.Dataspace.session env.FC.ds)
-        "count(for $c in customer:CUSTOMER() return customer:getORDERS($c))"
-    in
-    [
-      Test.make ~name:"idx/nav_indexed/N=100" (Staged.stage (nav env_i));
-      Test.make ~name:"idx/nav_scan/N=100" (Staged.stage (nav env_s));
-    ]
-  in
-  let ovh =
-    let _sess, xqse_loop, xquery_sum, xquery_flwor =
-      Lazy.force dispatch_session
-    in
-    [
-      Test.make ~name:"ovh/xqse_while_1000"
-        (Staged.stage (fun () -> Xqse.Session.run xqse_loop));
-      Test.make ~name:"ovh/fn_sum_1000"
-        (Staged.stage (fun () -> Xqse.Session.run xquery_sum));
-      Test.make ~name:"ovh/flwor_sum_1000"
-        (Staged.stage (fun () -> Xqse.Session.run xquery_flwor));
-    ]
-  in
-  let xuf =
-    List.map
-      (fun n ->
-        let sess = Xqse.Session.create () in
-        let compiled = Xqse.Session.compile sess (snapshot_program n) in
-        Test.make
-          ~name:(Printf.sprintf "xuf/snapshot/N=%d" n)
-          (Staged.stage (fun () -> Xqse.Session.run compiled)))
-      [ 1; 100 ]
-  in
-  fig3_read @ fig4 @ uc2 @ uc3 @ uc4 @ occ @ xa @ opt @ idx @ ovh @ xuf
-
-let run_benchmarks () =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "\n================ Bechamel micro-benchmarks ================\n";
-  Printf.printf "%-36s %16s\n%!" "benchmark" "time/run";
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-            let human =
-              if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-              else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-              else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-              else Printf.sprintf "%8.0f ns" ns
-            in
-            Printf.printf "%-36s %16s\n%!" name human
-          | _ -> Printf.printf "%-36s %16s\n%!" name "n/a")
-        analyzed)
-    (bechamel_tests ())
-
 let () =
-  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  (match mode with
-  | "report" -> report ()
-  | "bench" -> run_benchmarks ()
+  (match Sys.argv with
+  | [| _ |] | [| _; "report" |] -> report ()
   | _ ->
-    report ();
-    run_benchmarks ());
+    prerr_endline "usage: main.exe [report]";
+    exit 2);
   Printf.printf "\ndone.\n"

@@ -811,10 +811,9 @@ let footprint_of t (q : Qname.t) arity =
         match owner with
         | None -> None
         | Some svc -> (
-          let env =
-            Xquery.Purity.env_for ~registry:(Xqse.Session.registry t.sess) []
-          in
-          match Xquery.Purity.lookup env q arity with
+          match
+            Xquery.Purity.lookup (Xqse.Session.purity_env t.sess) q arity
+          with
           | Some v when not v.Xquery.Purity.effects -> (
             match lineage_of t svc with
             | Ok blk -> (
@@ -1225,8 +1224,8 @@ let explain t svc ~meth =
       | None -> Error "the method is external"
       | Some body ->
         let env =
-          Xquery.Purity.env_for
-            ~registry:(Xqse.Session.registry t.sess)
+          Xquery.Purity.extend
+            (Xqse.Session.purity_env t.sess)
             prog.Xqse.Stmt.prog_functions
         in
         let optimized, stats = Xquery.Optimizer.optimize_with_stats ~env body in

@@ -303,10 +303,12 @@ module K = struct
      cache hits skip the compile span entirely, so hit + miss = lookups
      and miss >= queries.compiled (a failed parse is a miss that never
      becomes a compiled plan). [invalidate] counts cached entries
-     flushed by a registry-changing install. *)
+     flushed by a registry-changing install. [unit.built] counts
+     compilation units: one per session generation that compiles. *)
   let plan_cache_hit = "plan.cache.hit"
   let plan_cache_miss = "plan.cache.miss"
   let plan_cache_invalidate = "plan.cache.invalidate"
+  let plan_unit_built = "plan.unit.built"
   let optimizer_folded = "optimizer.folded"
   let optimizer_inlined = "optimizer.inlined"
   let optimizer_inlined_pure = "optimizer.inlined.pure"
@@ -394,6 +396,7 @@ let preregister t =
       K.plan_cache_hit;
       K.plan_cache_miss;
       K.plan_cache_invalidate;
+      K.plan_unit_built;
       K.optimizer_folded;
       K.optimizer_inlined;
       K.optimizer_inlined_pure;

@@ -112,11 +112,14 @@ module K : sig
       [hit + miss] is the number of lookups and [miss >=
       queries_compiled] (a failed parse is a miss that never becomes a
       plan). [invalidate] counts cached entries flushed by a
-      registry-changing install. *)
+      registry-changing install. [plan_unit_built] counts session
+      compilation units built: at most one per generation (registry
+      state), by the first compile or call after a registration. *)
 
   val plan_cache_hit : string
   val plan_cache_miss : string
   val plan_cache_invalidate : string
+  val plan_unit_built : string
   val optimizer_folded : string
   val optimizer_inlined : string
   val optimizer_inlined_pure : string

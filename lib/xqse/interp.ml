@@ -26,18 +26,19 @@ type runtime = {
   collections : (string * Node.t list) list ref;
       (* fn:doc / fn:collection bindings of every evaluation context
          under this runtime; a sub-runtime shares its parent's *)
-  mutable purity : Xquery.Ast.expr -> bool * bool * bool;
-      (* (effects, fallible, constructs) — the compile-time purity
-         verdicts the compiled streaming arms gate on; conservative
-         (all true) until the session installs a real environment *)
   mutable cache : unit -> Cache.bound option;
       (* result-cache view supplier, re-invoked per evaluation context
          so every key carries the session's *current* fingerprint; the
          session installs it, sub-runtimes inherit it *)
+  mutable build_compiler : unit -> Xquery.Eval.compiler;
+      (* how [comp] is built: the session installs one that layers a
+         compiler over [reg] on its compilation unit, with the unit's
+         purity verdicts (a program's runtime: the program's verdicts);
+         conservative (all-true verdicts, no unit) until then *)
   mutable comp : Xquery.Eval.compiler option;
-      (* lazily-built compilation unit over [reg], shared by every block
-         and procedure compiled under this runtime so user-function
-         plans compile once; dropped on [invalidate_plans] *)
+      (* the compiler every block and procedure under this runtime
+         compiles through, with the verdicts its streaming arms gate on;
+         built on first use, dropped on [invalidate_plans] *)
   mutable cblocks : (Stmt.block * cblock) list;
       (* compiled procedure/program bodies, keyed on block identity *)
 }
@@ -66,9 +67,6 @@ and outcome =
 and cblock = state -> outcome
 
 let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~plans reg =
-  let purity =
-    match parent with Some p -> p.purity | None -> fun _ -> (true, true, true)
-  in
   let cache =
     match parent with Some p -> p.cache | None -> fun () -> None
   in
@@ -82,8 +80,8 @@ let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~plans reg =
     docs = (match parent with Some p -> p.docs | None -> ref []);
     collections =
       (match parent with Some p -> p.collections | None -> ref []);
-    purity;
     cache;
+    build_compiler = (fun () -> Xquery.Eval.compiler reg);
     comp = None;
     cblocks = [];
   }
@@ -92,7 +90,6 @@ let registry rt = rt.reg
 let set_trace rt f = rt.trace <- f
 let instr rt = rt.instr
 let plans rt = rt.plans
-let set_purity rt f = rt.purity <- f
 let set_cache rt f = rt.cache <- f
 
 let register_doc rt uri node =
@@ -127,15 +124,18 @@ let invalidate_plans rt =
   rt.comp <- None;
   rt.cblocks <- []
 
-(* The runtime's compilation unit, built on first use so it sees the
-   purity environment the session installs after runtime creation (the
-   indirection through [rt.purity] keeps later [set_purity] effective
-   for everything compiled afterwards). *)
+let set_compiler rt f =
+  rt.build_compiler <- f;
+  invalidate_plans rt
+
+(* The runtime's compiler, built on first use: for the session runtime,
+   after the registration that dropped the last one, so it layers on the
+   compilation unit of the generation it compiles in. *)
 let compiler_of rt =
   match rt.comp with
   | Some cc -> cc
   | None ->
-    let cc = Xquery.Eval.compiler ~purity:(fun e -> rt.purity e) rt.reg in
+    let cc = rt.build_compiler () in
     rt.comp <- Some cc;
     cc
 
@@ -601,9 +601,11 @@ and cstmt_of rt scope (s : Stmt.statement) : cblock =
          constructions with per-pull construction in the source (row
          elements) would order them differently than the eager model,
          which finishes the whole binding sequence first. The verdict
-         is fixed at compile time: the purity environment is installed
-         before anything compiles. *)
-      let _, _, body_constructs = block_verdict ~purity:rt.purity body in
+         is fixed at compile time, by the verdicts of the runtime's
+         compiler. *)
+      let _, _, body_constructs =
+        block_verdict ~purity:(Xquery.Eval.verdict (compiler_of rt)) body
+      in
       fun st ->
         let run_body i item =
           let bindings = Qmap.add var [ item ] st.bindings in
@@ -867,8 +869,8 @@ let fork_runtime ?(trace = fun _ -> ()) ~instr ~plans src reg =
       plans;
       docs = ref !(src.docs);
       collections = ref !(src.collections);
-      purity = src.purity;
       cache = (fun () -> None);
+      build_compiler = (fun () -> Xquery.Eval.compiler reg);
       comp = None;
       cblocks = [];
     }

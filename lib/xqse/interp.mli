@@ -46,9 +46,9 @@ val create_runtime :
 (** A runtime over a registry, its {!plans} flag fixed for its
     lifetime. Every executed statement bumps the [xqse.statements]
     counter on [instr]. [parent] makes another runtime's procedures,
-    purity environment, result-cache view, documents and collections
-    visible (used to layer a per-program runtime over a session
-    runtime). *)
+    result-cache view, documents and collections visible (used to layer
+    a per-program runtime over a session runtime). Its compiler is
+    conservative until {!set_compiler}. *)
 
 val fork_runtime :
   ?trace:(string -> unit) ->
@@ -59,9 +59,11 @@ val fork_runtime :
   runtime
 (** [fork_runtime src reg] is a fresh parentless runtime over [reg] with
     the given [plans] flag, carrying every procedure visible from [src]
-    (innermost declaration wins), [src]'s purity environment and copies
-    of its documents and collections, but none of its mutable state — a
-    worker can execute against the fork while the source keeps serving.
+    (innermost declaration wins) and copies of its documents and
+    collections, but none of its mutable state — a worker can execute
+    against the fork while the source keeps serving. Its compiler is
+    conservative until {!set_compiler}: the forked session installs
+    its own.
     [reg] should be a copy of [src]'s registry: readonly procedures get
     their function entry re-registered in it so the closure captures the
     fork (the copied entry would otherwise call back into [src]). *)
@@ -97,16 +99,20 @@ val invalidate_plans : runtime -> unit
     stale name resolutions can never be replayed. *)
 
 val compiler : runtime -> Xquery.Eval.compiler
-(** The runtime's expression-compilation unit (built on first use, over
-    the runtime's registry and purity environment). The session compiles
-    query-body expressions through it so they share compiled
-    user-function plans with statement blocks. *)
+(** The runtime's expression compiler, built on first use by the
+    function {!set_compiler} installed. Statement blocks and procedure
+    bodies compile their expressions through it, and gate [iterate]'s
+    streaming schedule on its verdicts; the session compiles query-body
+    expressions through it too, so they share compiled user-function
+    plans with statement blocks. *)
 
-val set_purity : runtime -> (Xquery.Ast.expr -> bool * bool * bool) -> unit
-(** Install the compile-time [(effects, fallible, constructs)] verdicts
-    the compiled streaming arms gate on (the session builds them from
-    {!Xquery.Purity.analyze}). Defaults to the parent's, or all-[true]
-    (fully conservative) without a parent. *)
+val set_compiler : runtime -> (unit -> Xquery.Eval.compiler) -> unit
+(** Install how {!compiler} is built (and drop the compiled plans). The
+    session's own runtime builds a compiler layered on the session's
+    compilation unit, with the unit's verdicts, anew after each
+    {!invalidate_plans}; a program's runtime gets the program's
+    compiler. Defaults to a compiler over the runtime's registry with
+    all-[true] (fully conservative) verdicts. *)
 
 val set_cache : runtime -> (unit -> Cache.bound option) -> unit
 (** Install the result-cache view supplier threaded into every
@@ -138,7 +144,7 @@ val exec_block :
 type cblock
 (** A statement block compiled to closures, ready to run. Valid for the
     runtime it was compiled under, until that runtime's registry or
-    purity environment changes (see {!invalidate_plans}). *)
+    compiler changes (see {!invalidate_plans}). *)
 
 val compile_block : runtime -> Stmt.block -> cblock
 

@@ -27,15 +27,22 @@ type t = {
          (registrations, library loads, documents); the plan cache and
          the result-cache keys carry it. The flags need no such guard:
          they are fixed when the session is built. *)
-  cache_lock : Mutex.t;  (* guards [cache] and [calls] *)
+  cache_lock : Mutex.t;  (* guards [cache] and [unit] *)
   cache : (string, cache_entry) Hashtbl.t;  (* program text → plan *)
-  calls :
-    ( string * string * int,
-      int * (Ctx.dynamic -> Item.seq list -> Item.seq) )
-    Hashtbl.t;
-      (* (uri, local, arity) → the compiled callee {!call} runs *)
+  mutable unit : cunit option;
+      (* the compilation unit of the latest generation that compiled *)
   mutable result_cache : Cache.handle option;
       (* data-service result cache (lib/cache); [None] = caching off *)
+}
+
+(* What every program compiled in one generation shares: the registry's
+   purity verdicts (one fixpoint) and a compiler holding the body of
+   every registry user function, compiled. Immutable once built:
+   program compilers only read it (see [Eval.compiler ~base]). *)
+and cunit = {
+  u_generation : int;  (* read before the registry the unit compiled *)
+  u_env : Xquery.Purity.env;
+  u_compiler : Xquery.Eval.compiler;
 }
 
 and compiled = {
@@ -94,6 +101,36 @@ let set_result_cache s h =
   s.result_cache <- h;
   Interp.set_cache s.rt (fun () -> cache_bound s)
 
+(* The (effects, fallible, constructs) closure a compiler gates its
+   streaming arms on, over a compile-time purity environment. *)
+let purity_fn env e =
+  let v = Xquery.Purity.analyze env e in
+  (v.Xquery.Purity.effects, v.Xquery.Purity.fallible, v.Xquery.Purity.constructs)
+
+(* The unit of the current generation, built by the first compile or
+   call that needs it, under the lock, so it is built once and published
+   whole. The generation is read before the registry is copied: a
+   registration landing in between (mutate, then bump) leaves the unit
+   newer than its tag, never older, and the next lookup rebuilds it. *)
+let compilation_unit s =
+  Mutex.protect s.cache_lock (fun () ->
+      let gen = generation s in
+      match s.unit with
+      | Some u when u.u_generation = gen -> u
+      | _ ->
+        let reg = Ctx.copy_registry (registry s) in
+        (* the verdicts gate the compiled streaming arms even when the
+           optimizer is off, so both settings gate identically *)
+        let env = Xquery.Purity.env_for ~registry:reg [] in
+        let cc = Xquery.Eval.compiler ~purity:(purity_fn env) reg in
+        Xquery.Eval.compile_functions cc;
+        let u = { u_generation = gen; u_env = env; u_compiler = cc } in
+        s.unit <- Some u;
+        Instr.bump (instr s) Instr.K.plan_unit_built;
+        u)
+
+let purity_env s = (compilation_unit s).u_env
+
 (* The session record over a static context and a runtime. The
    runtime's result-cache view closes over this record — the one every
    registration moves the generation of — so it is installed only once
@@ -112,11 +149,16 @@ let assemble ~static ~optimize ~trace rt ~modules ~loaded_modules ~generation
       generation = Stdlib.Atomic.make generation;
       cache_lock = Mutex.create ();
       cache = Hashtbl.create 32;
-      calls = Hashtbl.create 8;
+      unit = None;
       result_cache = None;
     }
   in
   set_result_cache s result_cache;
+  (* the runtime's procedures compile against the current unit *)
+  Interp.set_compiler rt (fun () ->
+      let u = compilation_unit s in
+      Xquery.Eval.compiler ~base:u.u_compiler ~purity:(purity_fn u.u_env)
+        (registry s));
   s
 
 (* The default fn:trace destination is a note in the instrumentation
@@ -161,7 +203,6 @@ let invalidate_plans s =
   Stdlib.Atomic.set s.generation (fresh_generation ());
   Interp.invalidate_plans s.rt;
   Mutex.protect s.cache_lock (fun () ->
-      Hashtbl.reset s.calls;
       let n = Hashtbl.length s.cache in
       if n > 0 then begin
         Instr.bump (instr s) ~n Instr.K.plan_cache_invalidate;
@@ -301,21 +342,6 @@ let optimize_expr s ?where ~env e =
     e'
   end
 
-(* The purity environment for a compilation: the session's registry plus
-   the program's own not-yet-registered function declarations, so a call
-   from one declared function to another (or to itself) still analyzes
-   precisely instead of defaulting to impure. Built even when the
-   optimizer is off: the compiled streaming arms gate on the same
-   verdicts, and must gate identically in optimized and unoptimized
-   sessions. *)
-let purity_env s decls = Xquery.Purity.env_for ~registry:(registry s) decls
-
-(* The (effects, fallible, constructs) closure a compiler gates its
-   streaming arms on, over a compile-time purity environment. *)
-let purity_fn env e =
-  let v = Xquery.Purity.analyze env e in
-  (v.Xquery.Purity.effects, v.Xquery.Purity.fallible, v.Xquery.Purity.constructs)
-
 let supplied ctx name =
   match Ctx.lookup_var ctx name with
   | Some v -> v
@@ -357,14 +383,12 @@ let declare_variables s cc ?(missing = supplied) ctx decls =
   Ctx.set_globals f.Ctx.registry f.Ctx.vars;
   ctx
 
-let install_declarations s reg rt (prog : Stmt.program) =
+(* [env] holds the verdicts of the registry extended by the program's own
+   functions, so declaration bodies that call each other (or procedures
+   calling declared functions) analyze precisely. *)
+let install_declarations s ~env reg rt (prog : Stmt.program) =
   (* [optimize_expr] is the identity when optimization is off; [where]
-     attributes every rewrite note to its enclosing declaration. The
-     purity environment is built against the session registry plus the
-     program's own functions, so declaration bodies that call each
-     other (or procedures calling declared functions) analyze precisely.
-     Returned so [compile] can reuse it for the query body. *)
-  let env = purity_env s prog.Stmt.prog_functions in
+     attributes every rewrite note to its enclosing declaration *)
   let opt_in name e = optimize_expr s ~where:(Qname.to_string name) ~env e in
   List.iter
     (fun (decl : Xquery.Ast.function_decl) ->
@@ -397,8 +421,7 @@ let install_declarations s reg rt (prog : Stmt.program) =
           p_readonly = pd.Stmt.pd_readonly;
           p_impl = body;
         })
-    prog.Stmt.prog_procs;
-  env
+    prog.Stmt.prog_procs
 
 (* parse against a copy of the static context so a program's own
    namespace declarations do not leak into the session *)
@@ -432,14 +455,19 @@ and load_library s src =
      lazily), the caller reads the generation after import resolution,
      so the bumped generation is what gets cached. *)
   let reg = registry s in
-  let env = install_declarations s reg s.rt prog in
+  (* a registration, not a compile: the registry is solved here without
+     building a unit the install is about to make stale *)
+  install_declarations s
+    ~env:(Xquery.Purity.env_for ~registry:reg prog.Stmt.prog_functions)
+    reg s.rt prog;
   invalidate_plans s;
   (* library variable declarations evaluate now and persist as globals;
      after the invalidation, so an initializer calling a just-installed
-     readonly procedure compiles against the post-install registry *)
+     readonly procedure compiles against the post-install registry (and
+     its unit) *)
   if prog.Stmt.prog_variables <> [] then begin
     let ctx = Ctx.make_dynamic ~trace:s.trace ~instr:(instr s) reg in
-    let cc = Xquery.Eval.compiler ~purity:(purity_fn env) reg in
+    let cc = Interp.compiler s.rt in
     let missing _ name =
       Item.raise_error (Qname.err "XPDY0002")
         (Printf.sprintf "library variable $%s must have a value"
@@ -459,22 +487,28 @@ let register_module s uri src =
 (* Returns the generation observed when the registry was snapshotted —
    after import resolution (a mid-compile library load bumps it first,
    so the entry caches under the post-load context it actually compiled
-   against), before the registry copy (a registration landing later
-   moves the generation and the caller skips the insert). *)
+   against), before the registry copy and the unit (a registration
+   landing later moves the generation, maybe into a newer unit, and the
+   caller skips the insert). *)
 let compile_gen s src =
   Instr.span (instr s) "compile" (fun () ->
       let prog = parse s src in
       resolve_imports s prog;
       let gen = generation s in
       let reg = Ctx.copy_registry (registry s) in
+      let u = compilation_unit s in
       let rt =
         Interp.create_runtime ~trace:s.trace ~parent:s.rt ~instr:(instr s)
           ~plans:(plans s) reg
       in
-      let env = install_declarations s reg rt prog in
-      (* statement-level expression evaluation gates streaming on the
-         same compile-time verdicts as the query body *)
-      Interp.set_purity rt (purity_fn env);
+      let env = Xquery.Purity.extend u.u_env prog.Stmt.prog_functions in
+      install_declarations s ~env reg rt prog;
+      (* registry functions come compiled from the unit; statement-level
+         expressions gate streaming on the same verdicts as the body *)
+      let cc =
+        Xquery.Eval.compiler ~base:u.u_compiler ~purity:(purity_fn env) reg
+      in
+      Interp.set_compiler rt (fun () -> cc);
       let opt e = optimize_expr s ~env e in
       let body =
         Option.map
@@ -627,7 +661,9 @@ let explain s src =
   let log = ref [] in
   let total = ref Xquery.Optimizer.zero_stats in
   (* same purity environment as a real compilation of this program *)
-  let env = purity_env s prog.Stmt.prog_functions in
+  let env =
+    Xquery.Purity.extend (compilation_unit s).u_env prog.Stmt.prog_functions
+  in
   (* [where] (the enclosing function/procedure) prefixes each rewrite
      line, so multi-declaration programs attribute every rewrite; the
      query body stays unprefixed *)
@@ -682,33 +718,17 @@ let explain s src =
   in
   { ex_program = Pretty.program prog; ex_stats = !total; ex_log = List.rev !log }
 
-(* The compiled callee of [call], memoized per (name, arity) under the
-   generation it was compiled against, like a cached program plan. A
-   plan is compiled outside the lock (two racing callers both compile,
-   one entry wins) and only read once built, so workers sharing one
-   session may run it concurrently. *)
-let compiled_callee s name arity =
-  let key = (name.Qname.uri, name.Qname.local, arity) in
-  let gen = generation s in
-  match
-    Mutex.protect s.cache_lock (fun () -> Hashtbl.find_opt s.calls key)
-  with
-  | Some (gen', f) when gen' = gen -> f
-  | _ ->
-    let purity = purity_fn (purity_env s []) in
-    let f =
-      Xquery.Eval.compile_call
-        (Xquery.Eval.compiler ~purity (registry s))
-        name arity
-    in
-    Mutex.protect s.cache_lock (fun () -> Hashtbl.replace s.calls key (gen, f));
-    f
-
+(* A function call runs the unit's compiled body: every user function
+   of the unit's registry is already compiled there, so resolving the
+   callee writes nothing, and workers sharing one session may call
+   concurrently. *)
 let call s name args =
   in_scope s @@ fun () ->
   match Interp.find_procedure s.rt name (List.length args) with
   | Some _ -> Interp.call_procedure s.rt name args
   | None ->
     let ctx = Interp.context s.rt in
-    if plans s then compiled_callee s name (List.length args) ctx args
+    if plans s then
+      Xquery.Eval.compile_call (compilation_unit s).u_compiler name
+        (List.length args) ctx args
     else Xquery.Eval.call ctx name args

@@ -61,9 +61,14 @@ val instr : t -> Instr.t
 
 val registry : t -> Xquery.Context.registry
 (** The session's function registry: builtins plus everything
-    registered or loaded. Read it (e.g. to build a
-    {!Xquery.Purity.env_for} environment); register through the
-    session, so the plan cache and result-cache keys move. *)
+    registered or loaded. Read it; register through the session, so the
+    plan cache and result-cache keys move. *)
+
+val purity_env : t -> Xquery.Purity.env
+(** The purity verdicts of the session's registry: those of its
+    compilation unit for the current generation (see {!compile}), built
+    now if no compile or call has built it yet. Extend it by a
+    program's declarations with {!Xquery.Purity.extend}. *)
 
 val parse : t -> string -> Stmt.program
 (** Parse a program against a copy of the session's static context:
@@ -172,6 +177,15 @@ val compile : t -> string -> compiled
     the session executes plans ([config.plans]), the query body is
     closure-compiled inside the [compile] span, so {!run} measures pure
     execution. [queries.compiled] counts only successful compiles.
+
+    The registry-derived part of a compile is done once per generation,
+    by the first compile or {!call} after a registration, into the
+    session's compilation unit ([plan.unit.built] counts them): the
+    registry's purity verdicts and every registry user function,
+    compiled. A compile then solves purity over its own declarations
+    only, on top of the unit's verdicts, and compiles only its own
+    code: a registry function it calls runs the unit's plan. A
+    {!with_config} fork builds its own unit.
     @raise Xquery.Parser.Syntax_error / Xquery.Lexer.Lex_error on bad
     syntax, Xdm.Item.Error on static errors. *)
 
@@ -182,8 +196,10 @@ val compile_cached : t -> string -> compiled
     the [compile] span entirely); otherwise [plan.cache.miss] is bumped
     {e before} compiling, so failed compiles are misses that never
     become plans. Every registration moves the generation; the flags
-    need no key, being fixed for the session's lifetime. Bypassed when
-    plans are off. *)
+    need no key, being fixed for the session's lifetime. A compile that
+    a registration raced (the generation moved after the compile read
+    it) returns its plan without caching it. Bypassed when plans are
+    off. *)
 
 type exec_opts = {
   context_item : Item.t option;

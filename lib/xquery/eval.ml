@@ -1055,25 +1055,31 @@ end)
 type compiler = {
   c_purity : Ast.expr -> bool * bool * bool;
   c_registry : Context.registry;
+  c_base : compiler option;
+      (* compiled user functions this compiler reuses; only ever read *)
   c_eager : plan PhysTbl.t;
   c_cur : (Context.dynamic -> Item.t Cursor.t) PhysTbl.t;
   c_fns :
     ( string * string * int,
-      Context.dynamic -> Item.seq list -> Item.seq )
+      Ast.function_decl * (Context.dynamic -> Item.seq list -> Item.seq) )
     Hashtbl.t;
-      (* per-(uri, local, arity) compiled user-function bodies; entries
-         are installed as forward references before the body compiles,
-         which ties the knot for (mutually) recursive functions *)
+      (* per-(uri, local, arity) compiled user-function bodies, with the
+         declaration each was compiled from; entries are installed as
+         forward references before the body compiles, which ties the
+         knot for (mutually) recursive functions *)
 }
 
-let compiler ?(purity = fun _ -> (true, true, true)) registry =
+let compiler ?base ?(purity = fun _ -> (true, true, true)) registry =
   {
     c_purity = purity;
     c_registry = registry;
+    c_base = base;
     c_eager = PhysTbl.create 64;
     c_cur = PhysTbl.create 16;
     c_fns = Hashtbl.create 8;
   }
+
+let verdict cc e = cc.c_purity e
 
 (* ---- keyed-read predicate forms ---- *)
 
@@ -1952,9 +1958,10 @@ and compile_streaming_call cc name args =
 
 (* Function application with the callee resolved at compile time. A name
    absent from the compile registry falls back to a runtime lookup: it
-   may be registered later (XQSE readonly procedures declared mid-block)
-   and an unknown name must keep raising XPST0017 only when actually
-   executed. *)
+   may be registered later (XQSE readonly procedures declared mid-block),
+   or be declared by the program calling a registry function compiled
+   before it, and an unknown name must keep raising XPST0017 only when
+   actually executed. *)
 and compile_apply cc name args =
   let cargs = List.map (compile cc) args in
   let eval_args ctx = List.map (fun p -> p ctx) cargs in
@@ -1989,7 +1996,18 @@ and compile_user cc name decl =
   let key =
     (name.Qname.uri, name.Qname.local, List.length decl.Ast.fd_params)
   in
-  match Hashtbl.find_opt cc.c_fns key with
+  (* the base's plan only if it was compiled from this very declaration:
+     a registry that changed since the base was built resolves the name
+     to another one, which compiles here *)
+  let compiled cc =
+    match Hashtbl.find_opt cc.c_fns key with
+    | Some (d, f) when d == decl -> Some f
+    | _ -> None
+  in
+  let found =
+    match compiled cc with None -> Option.bind cc.c_base compiled | f -> f
+  in
+  match found with
   | Some f -> f
   | None ->
     let fwd =
@@ -1998,7 +2016,7 @@ and compile_user cc name decl =
           ignore arg_vals;
           assert false)
     in
-    Hashtbl.replace cc.c_fns key (fun ctx arg_vals -> !fwd ctx arg_vals);
+    Hashtbl.replace cc.c_fns key (decl, fun ctx arg_vals -> !fwd ctx arg_vals);
     let params = decl.Ast.fd_params in
     let cbody =
       match decl.Ast.fd_body with
@@ -2043,7 +2061,7 @@ and compile_user cc name decl =
         | None -> result)
     in
     fwd := impl;
-    Hashtbl.replace cc.c_fns key impl;
+    Hashtbl.replace cc.c_fns key (decl, impl);
     impl
 
 (* [call] on the compiled path: the callee resolved once, a user
@@ -2111,3 +2129,12 @@ and compile_cur_expr cc e =
 let compile_updating cc e =
   let p = compile cc e in
   fun ctx -> statement_updates ctx p
+
+let compile_functions cc =
+  Context.fold cc.c_registry ~init:() ~f:(fun () f ->
+      match f.Context.fn_impl with
+      | Context.User decl ->
+        ignore
+          (compile_user cc f.Context.fn_name decl
+            : Context.dynamic -> Item.seq list -> Item.seq)
+      | _ -> ())

@@ -10,9 +10,12 @@
     [eval], [call] and [eval_updating] walk the AST eagerly: every
     operand is evaluated in full before it is used. The session walks
     only with plans off, which is how the differential tests select the
-    eager reference for the compiled streaming arms; compiled plans use
-    [call] just to reach host functions and readonly procedures, never
-    a user function's body. *)
+    eager reference for the compiled streaming arms. Compiled plans use
+    [call] only for callees their compiler's registry lacked: host
+    functions and readonly procedures registered later, and, from a
+    registry function's body, a function only the calling program
+    declares (the session compiled that body before any program
+    existed), whose body [call] then walks. *)
 
 open Xdm
 
@@ -44,22 +47,39 @@ val eval_updating : Context.dynamic -> Ast.expr -> Update.t
     only where no consumer can tell. Plans never call back into the
     walker.
 
-    A compiler (and its plans) is valid for a fixed registry and purity
-    environment; the session keys its plan cache on exactly that pair
-    and recompiles after any registration. *)
+    A compiler (and its plans) is valid for the registry and purity
+    verdicts it was built with. A session builds one compiler per
+    generation that holds every registry user function compiled, and
+    layers each program's compiler on it ([~base]): the program
+    compiles only its own code. *)
 
 type plan = Context.dynamic -> Item.seq
 
 type compiler
 
 val compiler :
-  ?purity:(Ast.expr -> bool * bool * bool) -> Context.registry -> compiler
-(** A compilation unit over a registry snapshot. [purity] is the
-    compiled program's (effects, fallible, constructs) analysis —
-    conservative [(true, true, true)] by default, which disables the
-    streaming fast paths but stays correct. Sub-plans and compiled
-    user-function bodies are memoized per compiler, so compiling many
-    queries against one registry shares function plans. *)
+  ?base:compiler ->
+  ?purity:(Ast.expr -> bool * bool * bool) ->
+  Context.registry ->
+  compiler
+(** A compiler over a registry snapshot. [purity] is the compiled
+    program's (effects, fallible, constructs) analysis — conservative
+    [(true, true, true)] by default, which disables the streaming fast
+    paths but stays correct. Sub-plans and compiled user-function bodies
+    are memoized per compiler. A call that resolves to the very
+    declaration (physical identity) [base] compiled runs [base]'s plan;
+    any other function body compiles here. [base] is only read, so one
+    base can serve compilers on several domains. *)
+
+val compile_functions : compiler -> unit
+(** Compile the body of every user function in the compiler's registry.
+    Afterwards {!compile_call} on this compiler, and every compiler
+    built with it as [~base] over a copy of that registry, finds each of
+    them compiled and writes nothing here. *)
+
+val verdict : compiler -> Ast.expr -> bool * bool * bool
+(** The [(effects, fallible, constructs)] verdict the compiler gates its
+    streaming arms on. *)
 
 val compile : compiler -> Ast.expr -> plan
 

@@ -277,64 +277,31 @@ let is_total env e =
 (* Environment construction                                            *)
 (* ------------------------------------------------------------------ *)
 
-let env_for ~registry (decls : Ast.function_decl list) : env =
-  let users = ref Fmap.empty in
-  (* each key gets at most one body in [users]: two bodies under one key
-     would make the fixpoint below flip between their verdicts forever
-     whenever they disagree *)
-  let add_user key (d : Ast.function_decl) env =
-    if Fmap.mem key !users then env
-    else begin
-      users := Fmap.add key d !users;
-      (* optimistic seed: no effects/constructs until the fixpoint proves
-         otherwise; always fallible (bounded recursion depth) *)
-      Fmap.add key { total with fallible = true } env
-    end
-  in
-  (* decls first: on a name/arity collision with an already-registered
-     function (the registration itself will raise XQST0034 later, but
-     this environment is built before that) the decl's body is the one
-     analyzed and the registry entry is skipped *)
-  let decl_env =
+(* Each decl body starts from the optimistic seed (no effects or
+   constructs until the fixpoint proves otherwise; always fallible, for
+   the bounded recursion depth) and replaces a [base] entry under its
+   key; a body-less decl is impure. A key keeps the first body seen: two
+   bodies under one key would make the fixpoint flip between their
+   verdicts forever whenever they disagree. The fixpoint then ascends
+   over the decls' bodies only, every [base] verdict fixed; [analyze] is
+   monotone in the environment and the lattice is finite, so it
+   terminates. *)
+let extend base (decls : Ast.function_decl list) : env =
+  let verdicts, users, todo =
     List.fold_left
-      (fun env (d : Ast.function_decl) ->
+      (fun ((verdicts, users, todo) as acc) (d : Ast.function_decl) ->
         let key = (d.Ast.fd_name, List.length d.Ast.fd_params) in
-        match d.Ast.fd_body with
-        | Some _ -> add_user key d env
-        | None -> Fmap.add key impure env)
-      Fmap.empty decls
-  in
-  let verdicts =
-    Context.fold registry ~init:decl_env ~f:(fun env f ->
-        let key = (f.Context.fn_name, f.Context.fn_arity) in
-        if Fmap.mem key decl_env then env
+        if Fmap.mem key todo then acc
         else
-          match f.Context.fn_impl with
-          | Context.Builtin _ -> (
-            (* [lookup] falls back to the table, so only a builtin the
-               table does not describe needs an entry *)
-            match builtin_verdict f.Context.fn_name f.Context.fn_arity with
-            | Some _ when not f.Context.fn_side_effects -> env
-            | _ -> Fmap.add key impure env)
-          | Context.External _ | Context.External_cursor _ ->
-            (* externals are opaque here, but XQSE read-only procedures
-               arrive with a verdict computed from their statement body
-               at declaration time (see Interp.declare_procedure) *)
-            let v =
-              match f.Context.fn_purity with
-              | Some (effects, fallible, constructs)
-                when not f.Context.fn_side_effects ->
-                { effects; fallible; constructs }
-              | _ -> impure
-            in
-            Fmap.add key v env
-          | Context.User d -> (
-            match d.Ast.fd_body with
-            | Some _ -> add_user key d env
-            | None -> Fmap.add key impure env))
+          match d.Ast.fd_body with
+          | Some _ ->
+            ( Fmap.add key { total with fallible = true } verdicts,
+              Fmap.add key d users,
+              Fmap.add key d todo )
+          | None -> (Fmap.add key impure verdicts, Fmap.remove key users, todo))
+      (base.verdicts, base.users, Fmap.empty)
+      decls
   in
-  (* ascend from the optimistic seed until stable; [analyze] is monotone
-     in [env] and the lattice is finite, so this terminates *)
   let rec fix verdicts =
     let changed = ref false in
     let verdicts =
@@ -344,11 +311,37 @@ let env_for ~registry (decls : Ast.function_decl list) : env =
             analyze { empty_env with verdicts } (Option.get d.Ast.fd_body)
           in
           let v = { v with fallible = true } in
-          let cur = Fmap.find key verdicts in
-          if v <> cur then changed := true;
+          if v <> Fmap.find key verdicts then changed := true;
           Fmap.add key v verdicts)
-        !users verdicts
+        todo verdicts
     in
     if !changed then fix verdicts else verdicts
   in
-  { verdicts = fix verdicts; users = !users }
+  { verdicts = fix verdicts; users }
+
+let env_for ~registry (decls : Ast.function_decl list) : env =
+  let verdicts, user_decls =
+    Context.fold registry ~init:(Fmap.empty, []) ~f:(fun (env, ds) f ->
+        let key = (f.Context.fn_name, f.Context.fn_arity) in
+        match f.Context.fn_impl with
+        | Context.Builtin _ -> (
+          (* [lookup] falls back to the table, so only a builtin the
+             table does not describe needs an entry *)
+          match builtin_verdict f.Context.fn_name f.Context.fn_arity with
+          | Some _ when not f.Context.fn_side_effects -> (env, ds)
+          | _ -> (Fmap.add key impure env, ds))
+        | Context.External _ | Context.External_cursor _ ->
+          (* externals are opaque here, but XQSE read-only procedures
+             arrive with a verdict computed from their statement body
+             at declaration time (see Interp.declare_procedure) *)
+          let v =
+            match f.Context.fn_purity with
+            | Some (effects, fallible, constructs)
+              when not f.Context.fn_side_effects ->
+              { effects; fallible; constructs }
+            | _ -> impure
+          in
+          (Fmap.add key v env, ds)
+        | Context.User d -> (env, d :: ds))
+  in
+  extend (extend { verdicts; users = Fmap.empty } user_decls) decls

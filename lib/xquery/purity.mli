@@ -49,19 +49,29 @@ val empty_env : env
 (** Builtins only (via {!builtin_verdict}); any other call is impure. *)
 
 val env_for : registry:Context.registry -> Ast.function_decl list -> env
-(** Environment for the functions visible in [registry] plus the
-    not-yet-registered [decls] (which take precedence on collision):
-    builtins from the table, externals impure unless registered with a
-    verdict, user function bodies solved by fixpoint — but always
-    fallible, since recursion depth is checked dynamically. *)
+(** Environment for the functions visible in [registry], {!extend}ed by
+    the not-yet-registered [decls]: builtins from the table, externals
+    impure unless registered with a verdict, user function bodies solved
+    by fixpoint — but always fallible, since recursion depth is checked
+    dynamically. *)
+
+val extend : env -> Ast.function_decl list -> env
+(** [extend base decls] adds [decls] to [base], solving the fixpoint
+    over their bodies only: [base]'s verdicts stay as they are, and a
+    decl replaces a [base] entry under the same name and arity. A
+    session solves its registry once per generation and extends that
+    environment by each program's declarations. Solving [base]'s bodies
+    and [decls] together differs only where a [base] body calls a name
+    [decls] define: [base] was solved without that decl (a name unknown
+    then leaves its caller impure). *)
 
 val lookup : env -> Qname.t -> int -> verdict option
 
 val user_function : env -> Qname.t -> int -> Ast.function_decl option
-(** The declaration behind a user function of {!env_for}: one of the
-    [decls], else a [declare function] installed in the registry (whose
-    body the install already optimized). [None] for builtins, externals
-    and unknown names. *)
+(** The declaration behind a user function of {!env_for} or {!extend}:
+    one of the [decls], else a [declare function] installed in the
+    registry (whose body the install already optimized). [None] for
+    builtins, externals and unknown names. *)
 
 val analyze : env -> Ast.expr -> verdict
 

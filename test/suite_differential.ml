@@ -182,7 +182,7 @@ let xqse_escape_hatch =
      (replace value of node $x/b with 2, insert node <c/> into $x); \
      return value $x; }" )
 
-let against_walker name run src =
+let against_walker ?expect name run src =
   case name (fun () ->
       List.iter
         (fun optimize ->
@@ -192,7 +192,13 @@ let against_walker name run src =
             Alcotest.failf
               "compiled plans disagree with the reference walker \
                (optimize=%b):\n%s\n  walker:   %s\n  compiled: %s"
-              optimize src (show walker) (show compiled))
+              optimize src (show walker) (show compiled);
+          Option.iter
+            (fun v ->
+              if compiled <> Ok v then
+                Alcotest.failf "%s\n  expected: %s\n  got:      %s" src
+                  (show (Ok v)) (show compiled))
+            expect)
         [ true; false ])
 
 let escape_hatch_tests =
@@ -216,6 +222,77 @@ let escape_hatch_session_tests =
             src)
         src)
     (escape_hatches @ [ xqse_escape_hatch ])
+
+(* Directed XQSE statement cases: the compiled statement layer (cblock
+   closures, frame slots, iterate's two schedules) against the statement
+   walker, with the optimizer on and off. Each block runs as a program
+   body in fresh sessions, and as the body of a library readonly
+   procedure that a program calls: that body compiles on the session's
+   own runtime, with the verdicts of the session's compilation unit. *)
+let xqse_statements =
+  [
+    ( "iterate at, constructing body (materializing schedule)",
+      "<p>1</p><p>2</p>",
+      "{ declare $s := (); iterate $x at $i over (1, 2) { set $s := ($s, \
+       <p>{$i}</p>); } return value $s; }" );
+    ( "iterate at over a pure source (streaming schedule)",
+      "15 26 37 48",
+      "{ declare $s := (); iterate $x at $i over (5 to 8) { set $s := ($s, \
+       $i * 10 + $x); } return value $s; }" );
+    ( "break and continue in iterate",
+      "1 2 4 5 7 8 10",
+      "{ declare $out := (); iterate $x at $i over (1 to 20) { if ($x mod 3 \
+       eq 0) then continue(); if ($i gt 10) then break(); set $out := ($out, \
+       $i); } return value $out; }" );
+    ( "return value in iterate",
+      "18 5",
+      "{ declare $n := 0; iterate $x at $i over (3 to 30) { if ($x mod 7 eq \
+       0) then return value ($n, $i); set $n := $n + $x; } return value -1; }"
+    );
+    ( "break and continue in while",
+      "1 2 3 5 6 7 9",
+      "{ declare $i := 0, $out := (); while ($i lt 20) { set $i := $i + 1; \
+       if ($i mod 4 eq 0) then continue(); if ($i gt 9) then break(); set \
+       $out := ($out, $i); } return value $out; }" );
+    ( "return value in while",
+      "80",
+      "{ declare $i := 0; while (true()) { set $i := $i + 2; if ($i ge 7) \
+       then return value $i * 10; } return value 0; }" );
+    ( "nested blocks with a shadowing declare",
+      "12 100 200 1001",
+      "{ declare $x := 1, $out := (); { declare $x := 2; set $x := $x + 10; \
+       set $out := ($out, $x); } iterate $y over (1, 2) { declare $x := $y * \
+       100; set $out := ($out, $x); } set $x := $x + 1000; return value \
+       ($out, $x); }" );
+    ( "try/catch around 1 idiv 0",
+      "err:FOAR0001 -1",
+      "{ declare $r := 0; try { set $r := 1 idiv 0; } catch (err:FOAR0001 \
+       into $c, $m) { set $r := (string($c), -1); } return value $r; }" );
+  ]
+
+let xqse_statement_tests =
+  List.concat_map
+    (fun (name, expect, block) ->
+      [
+        against_walker ~expect ("xqse: " ^ name)
+          (fun ~optimize ~plans src ->
+            xq ~config:{ Xqse.Session.default_config with optimize; plans } src)
+          block;
+        against_walker ~expect ("xqse library procedure: " ^ name)
+          (fun ~optimize ~plans block ->
+            let s =
+              Xqse.Session.create
+                ~config:{ Xqse.Session.default_config with optimize; plans }
+                ()
+            in
+            Xqse.Session.load_library s
+              ("declare namespace t = \"urn:t\"; declare readonly procedure \
+                t:p() " ^ block ^ ";");
+            Xqse.Session.eval_to_string s
+              "declare namespace t = \"urn:t\"; t:p()")
+          block;
+      ])
+    xqse_statements
 
 (* Rewrite statistics for one corpus program, through the optimizer
    entry point compiles use. *)
@@ -454,7 +531,8 @@ let view_tests = unfold_tests ~fires:true unfolds @ unfold_tests ~fires:false no
 let suites =
   [
     ( "differential",
-      meta_tests @ directed_tests @ generated_tests @ escape_hatch_tests );
+      meta_tests @ directed_tests @ generated_tests @ escape_hatch_tests
+      @ xqse_statement_tests );
     ( "differential-session",
       directed_session_tests @ generated_session_tests
       @ escape_hatch_session_tests );

@@ -398,10 +398,86 @@ let config_tests =
           (Xqse.Session.eval_to_string a "count(doc('d.xml')/d/e)"));
   ]
 
+(* The compilation unit: the registry's verdicts and compiled user
+   functions, built once per generation and shared by every program
+   compiled in it. *)
+let unit_tests =
+  let counter stats name =
+    match List.assoc_opt name stats.Instr.counters with Some n -> n | None -> 0
+  in
+  [
+    case "one unit per generation, and one per fork" (fun () ->
+        let instr = Instr.create () in
+        Instr.enable instr;
+        let fc = Fixtures.Customer_profile.make ~customers:5 ~instr () in
+        let s = Aldsp.Dataspace.session fc.Fixtures.Customer_profile.ds in
+        let base = counter (Instr.stats instr) Instr.K.plan_unit_built in
+        let units () =
+          counter (Instr.stats instr) Instr.K.plan_unit_built - base
+        in
+        let program i =
+          Printf.sprintf
+            {|count(profile:getProfileById("C1")/CreditCards/CREDIT_CARD) + %d|}
+            i
+        in
+        let cards = Xqse.Session.eval_to_string s (program 0) in
+        for i = 1 to 49 do
+          check_string "value"
+            (string_of_int (int_of_string cards + i))
+            (Xqse.Session.eval_to_string s (program i))
+        done;
+        check_int "50 programs, one unit" 1 (units ());
+        let name = Xdm.Qname.make ~uri:"urn:host" ~prefix:"h" "f" in
+        Xqse.Session.register_function s name 0 (fun _ -> Xdm.Item.int 1);
+        check_int "a registration alone builds nothing" 1 (units ());
+        ignore (Xqse.Session.eval_to_string s (program 50));
+        check_int "the next compile builds the new generation's" 2 (units ());
+        let fork = Xqse.Session.with_config s (Xqse.Session.config s) in
+        check_string "the fork compiles" cards
+          (Xqse.Session.eval_to_string fork (program 0));
+        ignore (Xqse.Session.eval_to_string fork (program 51));
+        ignore (Xqse.Session.eval_to_string s (program 52));
+        check_int "the fork built its own, once" 3 (units ()));
+    case "a library function's late-bound call resolves per program"
+      (fun () ->
+        (* the unit compiles registry bodies before any program exists:
+           a name only a program declares is looked up when the call
+           runs, so it resolves to that program's declaration or raises
+           XPST0017 — in every configuration *)
+        List.iter
+          (fun (optimize, plans) ->
+            let s =
+              Xqse.Session.create
+                ~config:{ Xqse.Session.default_config with optimize; plans }
+                ()
+            in
+            Xqse.Session.load_library s
+              {|declare namespace lib = "urn:lib";
+                declare function lib:callsLater() { lib:later() + 1 };|};
+            let bare = {|declare namespace lib = "urn:lib"; lib:callsLater()|} in
+            let unknown () =
+              match Xqse.Session.eval_to_string s bare with
+              | v -> Alcotest.failf "expected XPST0017, got %s" v
+              | exception Xdm.Item.Error { code; _ } ->
+                check_string "code" "XPST0017" code.Xdm.Qname.local
+            in
+            unknown ();
+            check_string
+              (Printf.sprintf "declared (optimize=%b, plans=%b)" optimize plans)
+              "42"
+              (Xqse.Session.eval_to_string s
+                 {|declare namespace lib = "urn:lib";
+                   declare function lib:later() { 41 };
+                   lib:callsLater()|});
+            unknown ())
+          [ (true, true); (true, false); (false, true); (false, false) ]);
+  ]
+
 let suites =
   [
     ("session.persistence", persistence_tests);
     ("session.opt-equivalence", equivalence_tests);
     ("session.plan-cache", plan_cache_tests);
     ("session.config", config_tests);
+    ("session.unit", unit_tests);
   ]

@@ -141,6 +141,46 @@ let early_exit_tests =
         check_string "value" "1" v;
         check_bool "scanned O(1)" true
           (counter d Instr.K.rows_scanned <= small));
+    case "a library procedure's iterate exits early" (fun () ->
+        (* a library procedure runs on the session's own runtime, which
+           compiles with the verdicts of the session's compilation unit;
+           without them the body counts as constructing, and iterate
+           pulls and materializes the whole range first *)
+        let instr = Instr.create () in
+        Instr.enable instr;
+        let s =
+          Xqse.Session.create
+            ~config:{ Xqse.Session.default_config with instr }
+            ()
+        in
+        Xqse.Session.load_library s
+          {|declare namespace lib = "urn:lib";
+            declare readonly procedure lib:firstBig() {
+              iterate $x over (1 to 100000) {
+                if ($x gt 3) then { return value $x; } else { };
+              }
+              return value 0;
+            };|};
+        let walker =
+          Xqse.Session.with_config s
+            { Xqse.Session.default_config with plans = false }
+        in
+        let src = {|declare namespace lib = "urn:lib"; lib:firstBig()|} in
+        check_string "walker agrees" (Xqse.Session.eval_to_string walker src)
+          (Xqse.Session.eval_to_string s src);
+        let before = Instr.stats instr in
+        let v = Xqse.Session.eval_to_string s src in
+        let d = Instr.since instr before in
+        check_string "value" "4" v;
+        check_bool
+          (Printf.sprintf "stream.pulled %d <= %d"
+             (counter d Instr.K.stream_pulled) small)
+          true
+          (counter d Instr.K.stream_pulled <= small);
+        check_int "nothing materialized" 0
+          (counter d Instr.K.stream_materialized);
+        check_bool "an early exit was recorded" true
+          (counter d Instr.K.stream_early_exits > 0));
     case "full consumption pulls every row in both modes" (fun () ->
         (* the laziness counters must not come at the cost of losing
            rows: a fold over the whole scan sees all of them *)
