@@ -248,6 +248,31 @@ let report () =
   List.iter (fun s -> Printf.printf "  %s\n" s) r.Aldsp.Dataspace.sr_sql;
   ignore (submit_rename env "007" "Carrey");
 
+  section "ALLOC: minor words per request on the Figure 3/4 paths";
+  (* one domain, after warm-up; deterministic for a given build, and
+     bounded by the tier-1 alloc.read-path gate *)
+  let module A = Fixtures.Alloc_probe in
+  let a = A.measure () in
+  Printf.printf "%-56s %10s\n" "request" "words";
+  List.iter
+    (fun (label, key, w) ->
+      Printf.printf "%-56s %10d\n" label w;
+      record ("alloc." ^ key ^ ".words") (float_of_int w))
+    [
+      ( Printf.sprintf "by-id read of %s (%d customers)" A.by_id_customer
+          A.read_customers,
+        "by_id",
+        a.A.by_id );
+      ( Printf.sprintf "count(profile:getProfile()) (%d customers)"
+          A.read_customers,
+        "get_profile",
+        a.A.get_profile );
+      ( Printf.sprintf "Figure 4 get/change/submit of %s (%d customers, cache)"
+          A.cycle_customer A.cycle_customers,
+        "cycle",
+        a.A.cycle );
+    ];
+
   section "OCC: optimistic concurrency policies";
   Printf.printf "%-18s %-28s %-10s\n" "policy" "concurrent writer touched" "outcome";
   List.iter

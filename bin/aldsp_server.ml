@@ -241,6 +241,11 @@ let main workers jobs rate io_ms submit_io_ms seed customers mix chaos_seed
       (fun (label, msg) -> Printf.printf "error    %s: %s\n" label msg)
       rp.r_errors;
     if stats then begin
+      Printf.printf "words    %s (minor words per job)\n"
+        (String.concat "  "
+           (List.map
+              (fun (k, w) -> Printf.sprintf "%s %.0f" k w)
+              rp.r_kind_words));
       let st = Instr.stats instr in
       print_newline ();
       print_string (Instr.render st)
@@ -369,7 +374,10 @@ let cache =
   Arg.(value & flag & info [ "cache" ] ~doc)
 
 let stats =
-  let doc = "Print cumulative instrumentation counters after the run." in
+  let doc =
+    "Print the mean minor words each job kind allocated, then the cumulative \
+     instrumentation counters, after the run."
+  in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
 let smoke =

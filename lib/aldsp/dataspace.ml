@@ -307,22 +307,21 @@ let table_ns db_name table_name = Printf.sprintf "ld:%s/%s" db_name table_name
 (* one row element per pull; the row-to-XML mapping is total, so the
    mapped cursor keeps the scan/select cursor's purity (rows are
    snapshotted at open) and streaming consumers may abandon it early *)
-let rows_to_cursor tbl rows =
-  Cursor.map ~total:true
-    (fun row -> Item.Node (Rowxml.row_to_xml tbl row))
-    rows
+let rows_to_cursor to_xml rows =
+  Cursor.map ~total:true (fun row -> Item.Node (to_xml row)) rows
 
 (* A table read opened by its guarded call: the version is pinned once,
    and the consumer then reads all of it or only the rows whose text
-   column holds a key (the keyed read behind [T()[COL eq K]]). *)
-let table_read tbl r =
+   column holds a key (the keyed read behind [T()[COL eq K]]). [to_xml]
+   is {!Rowxml.row_to_xml} applied to the table once, at registration. *)
+let table_read to_xml r =
   {
     Xquery.Context.tr_empty = R.Table.read_is_empty r;
     tr_rows =
       (function
-      | None -> rows_to_cursor tbl (R.Table.read_scan r)
+      | None -> rows_to_cursor to_xml (R.Table.read_scan r)
       | Some (col, key) ->
-        rows_to_cursor tbl
+        rows_to_cursor to_xml
           (R.Table.read_select r (R.Pred.eq col (R.Value.Text key))));
     tr_release = (fun () -> R.Table.close_read r);
   }
@@ -365,10 +364,11 @@ let register_database t db =
         let fn local = Qname.make ~uri:ns local in
         (* --- read function:  t:TABLE() as element(TABLE)* --- *)
         let read_name = fn tname in
+        let to_xml = Rowxml.row_to_xml tbl in
         let open_read () =
           guarded_read t ~source:db_name ~empty:no_rows (fun () ->
               R.Database.read_check db;
-              table_read tbl (R.Table.open_read tbl))
+              table_read to_xml (R.Table.open_read tbl))
         in
         let text_columns =
           List.filter_map
@@ -537,6 +537,8 @@ let register_database t db =
           let nav_name =
             Qname.make ~uri:(table_ns db_name parent_name) ("get" ^ child_name)
           in
+          let child_xml = Rowxml.row_to_xml tbl
+          and parent_xml = Rowxml.row_to_xml parent_tbl in
           Xqse.Session.register_function_cursor t.sess nav_name 1
             ~purity:source_read_purity (fun args ->
               match args with
@@ -553,7 +555,7 @@ let register_database t db =
                 in
                 guarded_read t ~source:db_name ~empty:Cursor.empty (fun () ->
                     R.Database.read_check db;
-                    rows_to_cursor tbl (R.Table.select_cursor tbl pred))
+                    rows_to_cursor child_xml (R.Table.select_cursor tbl pred))
               | _ ->
                 Item.type_error
                   (Printf.sprintf "%s expects one %s row"
@@ -595,7 +597,8 @@ let register_database t db =
                 in
                 guarded_read t ~source:db_name ~empty:Cursor.empty (fun () ->
                     R.Database.read_check db;
-                    rows_to_cursor parent_tbl (R.Table.select_cursor parent_tbl pred))
+                    rows_to_cursor parent_xml
+                      (R.Table.select_cursor parent_tbl pred))
               | _ ->
                 Item.type_error
                   (Printf.sprintf "%s expects one %s row"
@@ -1045,9 +1048,8 @@ and generate_cud_methods t svc =
                        | None -> R.Pred.False)
                      c.Lineage.c_link)
               in
-              List.map
-                (fun row -> Item.Node (Rowxml.row_to_xml tbl row))
-                (R.Table.select tbl pred)
+              let to_xml = Rowxml.row_to_xml tbl in
+              List.map (fun row -> Item.Node (to_xml row)) (R.Table.select tbl pred)
             | _ ->
               Item.type_error
                 (Printf.sprintf "%s expects one %s instance"

@@ -1,20 +1,26 @@
 open Xdm
 module R = Relational
 
-let row_to_xml tbl row =
+let row_to_xml tbl =
   let schema = R.Table.schema tbl in
-  let children =
-    List.concat
-      (List.mapi
-         (fun i (c : R.Table.column) ->
-           match row.(i) with
-           | R.Value.Null -> []
-           | v ->
-             [ Node.element (Qname.local c.R.Table.col_name)
-                 [ Node.text (R.Value.to_string v) ] ])
+  let row_name = Qname.local schema.R.Table.tbl_name in
+  let columns =
+    Array.of_list
+      (List.map
+         (fun (c : R.Table.column) -> Qname.local c.R.Table.col_name)
          schema.R.Table.columns)
   in
-  Node.element (Qname.local schema.R.Table.tbl_name) children
+  fun row ->
+    let[@tail_mod_cons] rec children i =
+      if i = Array.length columns then []
+      else
+        match row.(i) with
+        | R.Value.Null -> children (i + 1)
+        | v ->
+          Node.element columns.(i) [ Node.text (R.Value.to_string v) ]
+          :: children (i + 1)
+    in
+    Node.element row_name (children 0)
 
 let col_of tbl name =
   List.find_opt

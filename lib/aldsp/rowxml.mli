@@ -8,6 +8,9 @@
 open Xdm
 
 val row_to_xml : Relational.Table.t -> Relational.Table.row -> Node.t
+(** [row_to_xml tbl] builds the table's row and column QNames once, at
+    partial application: apply it once per table and map many rows with
+    the result. *)
 
 val xml_to_pairs :
   Relational.Table.t -> Node.t -> (string * Relational.Value.t) list

@@ -16,30 +16,43 @@ let conj = function
   | [] -> True
   | p :: rest -> List.fold_left (fun acc q -> And (acc, q)) p rest
 
-let rec eval ~get p =
+let rec test ~column p =
   match p with
-  | True -> true
-  | False -> false
+  | True -> fun _ -> true
+  | False -> fun _ -> false
   | Cmp (op, col, v) -> (
-    let actual = get col in
-    match (actual, v) with
-    | Value.Null, _ | _, Value.Null -> false
-    | _ ->
-      let c = Value.compare actual v in
-      (match op with
-      | Eq -> c = 0
-      | Ne -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0))
+    let get = column col in
+    fun r ->
+      match (get r, v) with
+      | Value.Null, _ | _, Value.Null -> false
+      | actual, _ -> (
+        let c = Value.compare actual v in
+        match op with
+        | Eq -> c = 0
+        | Ne -> c <> 0
+        | Lt -> c < 0
+        | Le -> c <= 0
+        | Gt -> c > 0
+        | Ge -> c >= 0))
   | In (col, vs) ->
-    let actual = get col in
-    actual <> Value.Null && List.exists (Value.equal actual) vs
-  | Is_null col -> get col = Value.Null
-  | And (a, b) -> eval ~get a && eval ~get b
-  | Or (a, b) -> eval ~get a || eval ~get b
-  | Not a -> not (eval ~get a)
+    let get = column col in
+    fun r ->
+      let actual = get r in
+      actual <> Value.Null && List.exists (Value.equal actual) vs
+  | Is_null col ->
+    let get = column col in
+    fun r -> get r = Value.Null
+  | And (a, b) ->
+    let ta = test ~column a and tb = test ~column b in
+    fun r -> ta r && tb r
+  | Or (a, b) ->
+    let ta = test ~column a and tb = test ~column b in
+    fun r -> ta r || tb r
+  | Not a ->
+    let ta = test ~column a in
+    fun r -> not (ta r)
+
+let eval ~get p = test ~column:(fun col () -> get col) p ()
 
 let op_sql = function
   | Eq -> "="

@@ -20,5 +20,10 @@ val eval : get:(string -> Value.t) -> t -> bool
 (** Evaluate against a row accessor. SQL three-valued logic is
     approximated: comparisons with [Null] are false (use {!Is_null}). *)
 
+val test : column:(string -> 'r -> Value.t) -> t -> 'r -> bool
+(** [test ~column p] is [fun r -> eval ~get:(fun c -> column c r) p],
+    with [column] applied to each column of [p] once, before any row is
+    tested: resolve the columns once, then test many rows. *)
+
 val to_sql : t -> string
 val pp : Format.formatter -> t -> unit

@@ -113,6 +113,16 @@ let col_index t col =
   | None -> raise Not_found
 
 let get row t col = row.(col_index t col)
+
+(* [Pred.eval] over rows of [t], compiled once per read: each column is
+   resolved to its index up front, and a column the schema lacks raises
+   [Not_found] at the first row it is tested on, as [get] does *)
+let row_test t pred =
+  Pred.test pred ~column:(fun col ->
+      match Hashtbl.find_opt t.indices col with
+      | Some i -> fun (row : row) -> row.(i)
+      | None -> fun _ -> raise Not_found)
+
 let pk_of_row t row = List.map (fun k -> get row t k) t.schema.primary_key
 
 (* ---- the global publish lock (reentrant) ----
@@ -617,17 +627,16 @@ let probe t s pred =
     s.s_sec
 
 let store_select t s pred =
+  let test = row_test t pred in
   let result =
     match probe t s pred with
     | Some rows ->
       (* primary-key lookup or index probe: only the candidates are examined *)
       Instr.bump t.instr ~n:(List.length rows) Instr.K.rows_scanned;
-      List.filter (fun row -> Pred.eval ~get:(fun c -> get row t c) pred) rows
+      List.filter test rows
     | None ->
       Instr.bump t.instr ~n:(PkMap.cardinal s.s_rows) Instr.K.rows_scanned;
-      List.filter
-        (fun row -> Pred.eval ~get:(fun c -> get row t c) pred)
-        (store_rows s)
+      List.filter test (store_rows s)
   in
   Instr.bump t.instr ~n:(List.length result) Instr.K.rows_fetched;
   result
@@ -649,6 +658,7 @@ let read_select r pred =
     | Pred.Not a -> cols a
   in
   let pure = List.for_all (fun c -> Hashtbl.mem t.indices c) (cols pred) in
+  let test = row_test t pred in
   let pull_of_list rest () =
     let rec go () =
       match !rest with
@@ -656,7 +666,7 @@ let read_select r pred =
       | row :: tl ->
         rest := tl;
         Instr.bump t.instr Instr.K.rows_scanned;
-        if Pred.eval ~get:(fun c -> get row t c) pred then begin
+        if test row then begin
           Instr.bump t.instr Instr.K.rows_fetched;
           Some row
         end
@@ -686,7 +696,7 @@ let read_select r pred =
           let row = arr.(!i) in
           incr i;
           Instr.bump t.instr Instr.K.rows_scanned;
-          if Pred.eval ~get:(fun c -> get row t c) pred then begin
+          if test row then begin
             Instr.bump t.instr Instr.K.rows_fetched;
             Some row
           end

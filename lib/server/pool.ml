@@ -60,6 +60,7 @@ type report = {
   r_accepted_latency : latency;
   r_by_kind : (string * int) list;
   r_kind_latency : (string * latency) list;
+  r_kind_words : (string * float) list;
   r_trajectory : window list;
 }
 
@@ -190,6 +191,7 @@ let run ?(workers = 1) ?(window_ms = 250.) ?(overload = no_overload) ~session
   let instr = Xqse.Session.instr session in
   (* per-job slots: each index is written by exactly one worker *)
   let lat = Array.make n 0. in
+  let words = Array.make n 0. in
   let ok = Array.make n false in
   let accepted = Array.make n false in
   let shed = Array.make n false in
@@ -315,7 +317,11 @@ let run ?(workers = 1) ?(window_ms = 250.) ?(overload = no_overload) ~session
             (match j.j_kind with
             | Submit -> Instr.bump instr Instr.K.server_submits
             | Read | Script -> ());
-            j.j_run wsess
+            (* minor words are counted per domain: this worker's alone *)
+            let w0 = Gc.minor_words () in
+            Fun.protect
+              ~finally:(fun () -> words.(i) <- Gc.minor_words () -. w0)
+              (fun () -> j.j_run wsess)
           in
           let run_deadlined () =
             match budget with
@@ -376,6 +382,7 @@ let run ?(workers = 1) ?(window_ms = 250.) ?(overload = no_overload) ~session
          (Seq.init n Fun.id))
   in
   let n_ok = count ok in
+  let of_kind k = Array.mapi (fun i a -> a && jobs.(i).j_kind = k) accepted in
   {
     r_workers = workers;
     r_jobs = n;
@@ -396,12 +403,20 @@ let run ?(workers = 1) ?(window_ms = 250.) ?(overload = no_overload) ~session
     r_kind_latency =
       List.filter_map
         (fun k ->
-          let m =
-            Array.mapi (fun i a -> a && jobs.(i).j_kind = k) accepted
-          in
-          let samples = mask m in
+          let samples = mask (of_kind k) in
           if Array.length samples = 0 then None
           else Some (kind_name k, latency_of samples))
+        [ Read; Script; Submit ];
+    r_kind_words =
+      List.filter_map
+        (fun k ->
+          let m = of_kind k in
+          let ran = count m in
+          if ran = 0 then None
+          else
+            let total = ref 0. in
+            Array.iteri (fun i w -> if m.(i) then total := !total +. w) words;
+            Some (kind_name k, !total /. float_of_int ran))
         [ Read; Script; Submit ];
     r_trajectory = (if open_loop then trajectory ~window_ms jobs lat else []);
   }

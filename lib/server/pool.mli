@@ -125,6 +125,12 @@ type report = {
           jobs are omitted) — the mixed-workload headline: with MVCC
           snapshots a background submit stream must not drag read p99
           up to submit latency *)
+  r_kind_words : (string * float) list;
+      (** mean minor words a job's [j_run] allocated, per {!kind_name}
+          over accepted jobs (same omissions), counted on the worker's
+          own domain with [Gc.minor_words]. Every minor collection
+          stops all of OCaml 5's domains, so this is a request's share
+          of what couples the workers. *)
   r_trajectory : window list;
       (** the latency trajectory over arrival time — how p50/p95/p99
           evolve as a sustained-rate run progresses, which a single

@@ -23,10 +23,13 @@ let string_value = function
   | Atomic a -> Atomic.to_string a
   | Node n -> Node.string_value n
 
-let atomize seq =
-  List.concat_map
-    (function Atomic a -> [ a ] | Node n -> Node.typed_value n)
-    seq
+let atomize = function
+  | [ Node n ] -> Node.typed_value n
+  | [ Atomic a ] -> [ a ]
+  | seq ->
+    List.concat_map
+      (function Atomic a -> [ a ] | Node n -> Node.typed_value n)
+      seq
 
 let effective_boolean_value = function
   | [] -> false
@@ -70,15 +73,25 @@ let nodes_only seq =
 
 let string_of_item = string_value
 
+(* strictly ascending: already sorted, with no duplicate *)
+let rec ascending = function
+  | Node a :: (Node b :: _ as rest) -> Node.doc_order a b < 0 && ascending rest
+  | [ Node _ ] -> true
+  | _ -> false
+
 let doc_sort seq =
-  let nodes = nodes_only seq in
-  let sorted = List.stable_sort Node.doc_order nodes in
-  let rec dedupe = function
-    | a :: (b :: _ as rest) when Node.is_same a b -> dedupe rest
-    | a :: rest -> a :: dedupe rest
-    | [] -> []
-  in
-  List.map (fun n -> Node n) (dedupe sorted)
+  match seq with
+  | [] | [ Node _ ] -> seq
+  | _ when ascending seq -> seq
+  | _ ->
+    let nodes = nodes_only seq in
+    let sorted = List.stable_sort Node.doc_order nodes in
+    let rec dedupe = function
+      | a :: (b :: _ as rest) when Node.is_same a b -> dedupe rest
+      | a :: rest -> a :: dedupe rest
+      | [] -> []
+    in
+    List.map (fun n -> Node n) (dedupe sorted)
 
 let deep_equal s1 s2 =
   List.length s1 = List.length s2

@@ -55,7 +55,10 @@ val string_of_item : t -> string
 
 val doc_sort : seq -> seq
 (** Sort node items in document order and remove duplicates (by node
-    identity). @raise Error [err:XPTY0018] if any item is atomic. *)
+    identity). @raise Error [err:XPTY0018] if any item is atomic. The
+    empty sequence, one node, and nodes already in strictly ascending
+    document order come back as the same list, unsorted and
+    unallocated. *)
 
 val deep_equal : seq -> seq -> bool
 (** [fn:deep-equal] over sequences. *)

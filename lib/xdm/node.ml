@@ -72,19 +72,30 @@ let processing_instruction target data =
 
 let adopt parent child = child.parent <- Some parent
 
+let rec set_parent p = function
+  | [] -> ()
+  | c :: rest ->
+    c.parent <- p;
+    set_parent p rest
+
+(* nodes adopted together share one [Some parent] *)
+let adopt_all parent = function
+  | [] -> ()
+  | nodes -> set_parent (Some parent) nodes
+
 let element ?(attrs = []) name children =
   let n = fresh Element in
   n.name <- Some name;
   n.attrs <- List.map (fun (an, av) -> attribute an av) attrs;
-  List.iter (adopt n) n.attrs;
+  adopt_all n n.attrs;
   n.children <- children;
-  List.iter (adopt n) children;
+  adopt_all n children;
   n
 
 let document children =
   let n = fresh Document in
   n.children <- children;
-  List.iter (adopt n) children;
+  adopt_all n children;
   n
 
 let kind n = n.node_kind
@@ -111,16 +122,21 @@ let text_content n =
 let string_value n =
   match n.node_kind with
   | Text | Attribute | Comment | Processing_instruction -> n.content
-  | Document | Element ->
-    let buf = Buffer.create 32 in
-    let rec go n =
-      match n.node_kind with
-      | Text -> Buffer.add_string buf n.content
-      | Element | Document -> List.iter go n.children
-      | Attribute | Comment | Processing_instruction -> ()
-    in
-    go n;
-    Buffer.contents buf
+  | Document | Element -> (
+    (* a column or leaf element: no text to concatenate *)
+    match n.children with
+    | [] -> ""
+    | [ { node_kind = Text; content; _ } ] -> content
+    | _ ->
+      let buf = Buffer.create 32 in
+      let rec go n =
+        match n.node_kind with
+        | Text -> Buffer.add_string buf n.content
+        | Element | Document -> List.iter go n.children
+        | Attribute | Comment | Processing_instruction -> ()
+      in
+      go n;
+      Buffer.contents buf)
 
 let typed_value n =
   match n.node_kind with
@@ -197,10 +213,16 @@ let append_child parent child =
   parent.children <- parent.children @ [ child ];
   adopt parent child
 
+let rec check_children parent = function
+  | [] -> ()
+  | c :: rest ->
+    check_child_ok parent c;
+    check_children parent rest
+
 let insert_children parent ~pos nodes =
-  List.iter (check_child_ok parent) nodes;
+  check_children parent nodes;
   List.iter detach nodes;
-  List.iter (adopt parent) nodes;
+  adopt_all parent nodes;
   parent.children <-
     (match pos with
     | `First -> nodes @ parent.children
@@ -212,7 +234,7 @@ let insert_sibling target ~pos nodes =
   | Some p ->
     List.iter (check_child_ok p) nodes;
     List.iter detach nodes;
-    List.iter (adopt p) nodes;
+    adopt_all p nodes;
     let before, after = split_at_node target p.children in
     p.children <-
       (match pos with
@@ -291,20 +313,33 @@ let path_from_root n =
   in
   go [] n
 
+(* [a] before [b] under their shared parent [p]: a scan, no path built *)
+let sibling_order p a b =
+  let rec first = function
+    | [] -> assert false
+    | c :: rest -> if c == a then -1 else if c == b then 1 else first rest
+  in
+  first (if a.node_kind = Attribute then p.attrs else p.children)
+
 let doc_order a b =
   if a == b then 0
   else
-    let ra = root a and rb = root b in
-    if not (ra == rb) then compare ra.id rb.id
-    else
-      let rec cmp pa pb =
-        match (pa, pb) with
-        | [], [] -> 0
-        | [], _ -> -1 (* ancestor precedes descendant *)
-        | _, [] -> 1
-        | x :: xs, y :: ys -> if x = y then cmp xs ys else compare x y
-      in
-      cmp (path_from_root a) (path_from_root b)
+    match (a.parent, b.parent) with
+    | Some pa, Some pb
+      when pa == pb && (a.node_kind = Attribute) = (b.node_kind = Attribute) ->
+      sibling_order pa a b
+    | _ ->
+      let ra = root a and rb = root b in
+      if not (ra == rb) then compare ra.id rb.id
+      else
+        let rec cmp pa pb =
+          match (pa, pb) with
+          | [], [] -> 0
+          | [], _ -> -1 (* ancestor precedes descendant *)
+          | _, [] -> 1
+          | x :: xs, y :: ys -> if x = y then cmp xs ys else compare x y
+        in
+        cmp (path_from_root a) (path_from_root b)
 
 let rec deep_copy n =
   match n.node_kind with
@@ -317,14 +352,14 @@ let rec deep_copy n =
     let el = fresh Element in
     el.name <- n.name;
     el.attrs <- List.map deep_copy n.attrs;
-    List.iter (adopt el) el.attrs;
+    adopt_all el el.attrs;
     el.children <- List.map deep_copy n.children;
-    List.iter (adopt el) el.children;
+    adopt_all el el.children;
     el
   | Document ->
     let d = fresh Document in
     d.children <- List.map deep_copy n.children;
-    List.iter (adopt d) d.children;
+    adopt_all d d.children;
     d
 
 let qname_opt_equal a b =

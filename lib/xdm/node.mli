@@ -50,7 +50,9 @@ val text_content : t -> string
 
 val string_value : t -> string
 (** XDM string value: concatenated descendant text for documents and
-    elements, the stored string otherwise. *)
+    elements, the stored string otherwise. An element or document with
+    no children, or with one text child, returns [""] or that child's
+    string without building a new one. *)
 
 val typed_value : t -> Atomic.t list
 (** XDM typed value: [xs:untypedAtomic] of the string value for elements,
@@ -105,7 +107,9 @@ val is_same : t -> t -> bool
 
 val doc_order : t -> t -> int
 (** Document order; nodes from different trees are ordered by root id so
-    the order is stable and total. *)
+    the order is stable and total. Two children (or two attributes) of
+    one parent are ordered by a scan of that parent's list, without
+    building their paths from the root. *)
 
 val deep_copy : t -> t
 (** Structural copy with fresh node identities and no parent. *)

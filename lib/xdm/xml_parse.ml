@@ -30,9 +30,12 @@ let peek2 st =
 
 let advance st = st.pos <- st.pos + 1
 
+(* does [s] occur in [src] at [pos + i], from its [i]th character on? *)
+let rec matches_at src pos s i =
+  i = String.length s || (src.[pos + i] = s.[i] && matches_at src pos s (i + 1))
+
 let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
+  st.pos + String.length s <= String.length st.src && matches_at st.src st.pos s 0
 
 let expect st s =
   if looking_at st s then st.pos <- st.pos + String.length s
@@ -161,6 +164,12 @@ let read_attr_value st =
   go ();
   Buffer.contents buf
 
+(* character data up to the next markup or reference, in one piece *)
+let read_text_run st buf =
+  let start = st.pos in
+  while (not (eof st)) && peek st <> '<' && peek st <> '&' do advance st done;
+  Buffer.add_substring buf st.src start (st.pos - start)
+
 let skip_misc st =
   let continue = ref true in
   while !continue do
@@ -233,17 +242,23 @@ let rec parse_element st =
     el
   end
 
+(* The children are gathered newest first and set once, at the end tag. *)
 and parse_content st el =
   let buf = Buffer.create 16 in
+  let kids = ref [] in
+  let add n = kids := n :: !kids in
   let flush_text () =
     if Buffer.length buf > 0 then begin
-      Node.append_child el (Node.text (Buffer.contents buf));
+      add (Node.text (Buffer.contents buf));
       Buffer.clear buf
     end
   in
   let rec go () =
     if eof st then fail st "unexpected end of input inside element"
-    else if looking_at st "</" then flush_text ()
+    else if looking_at st "</" then begin
+      flush_text ();
+      Node.insert_children el ~pos:`Last (List.rev !kids)
+    end
     else if looking_at st "<!--" then begin
       flush_text ();
       st.pos <- st.pos + 4;
@@ -251,7 +266,7 @@ and parse_content st el =
       while (not (eof st)) && not (looking_at st "-->") do advance st done;
       let c = String.sub st.src start (st.pos - start) in
       expect st "-->";
-      Node.append_child el (Node.comment c);
+      add (Node.comment c);
       go ()
     end
     else if looking_at st "<![CDATA[" then begin
@@ -271,12 +286,12 @@ and parse_content st el =
       while (not (eof st)) && not (looking_at st "?>") do advance st done;
       let data = String.sub st.src start (st.pos - start) in
       expect st "?>";
-      Node.append_child el (Node.processing_instruction target data);
+      add (Node.processing_instruction target data);
       go ()
     end
     else if peek st = '<' then begin
       flush_text ();
-      Node.append_child el (parse_element st);
+      add (parse_element st);
       go ()
     end
     else if peek st = '&' then begin
@@ -284,8 +299,7 @@ and parse_content st el =
       go ()
     end
     else begin
-      Buffer.add_char buf (peek st);
-      advance st;
+      read_text_run st buf;
       go ()
     end
   in
@@ -343,8 +357,7 @@ let parse_fragment src =
         loop ()
       end
       else begin
-        Buffer.add_char buf (peek st);
-        advance st;
+        read_text_run st buf;
         loop ()
       end
     in

@@ -817,17 +817,13 @@ let call_procedure rt name arg_vals =
       (Printf.sprintf "unknown procedure %s/%d" (Qname.to_string name)
          (List.length arg_vals))
 
-(* Verdict of a declared procedure body, so {!Xquery.Purity} (and the
-   streaming gates behind it) can classify calls to a readonly procedure
-   precisely instead of treating them as opaque externals. *)
-let procedure_verdict reg (b : Stmt.block) =
-  let env = Xquery.Purity.env_for ~registry:reg [] in
+let procedure_verdict env (b : Stmt.block) =
   block_verdict b
     ~purity:(fun e ->
       let v = Xquery.Purity.analyze env e in
       (v.Xquery.Purity.effects, v.Xquery.Purity.fallible, v.Xquery.Purity.constructs))
 
-let declare_procedure rt proc =
+let declare_procedure ?purity rt proc =
   let key =
     (proc.p_name.Qname.uri, proc.p_name.Qname.local, List.length proc.p_params)
   in
@@ -840,11 +836,6 @@ let declare_procedure rt proc =
   if proc.p_readonly then
     (* a readonly procedure is callable as a function from XQuery; its
        body's purity verdict rides along so the analyzer can classify it *)
-    let purity =
-      match proc.p_impl with
-      | P_block body -> Some (procedure_verdict rt.reg body)
-      | P_external _ -> None
-    in
     Xquery.Context.register_external rt.reg ~side_effects:false ?purity
       proc.p_name
       (List.length proc.p_params)
@@ -857,7 +848,8 @@ let declare_procedure rt proc =
    the source keeps serving. Readonly procedures re-home their function
    registration in [reg]: the entry copied in from the source's registry
    closes over the *source* runtime (and would race on its plan memos),
-   so it is replaced by one closing over the fork. *)
+   so it is replaced by one closing over the fork, with the verdict the
+   source registered. *)
 let fork_runtime ?(trace = fun _ -> ()) ~instr ~plans src reg =
   let fresh =
     {
@@ -887,12 +879,11 @@ let fork_runtime ?(trace = fun _ -> ()) ~instr ~plans src reg =
     (fun _ p ->
       if p.p_readonly then begin
         let arity = List.length p.p_params in
-        Xquery.Context.unregister reg p.p_name arity;
         let purity =
-          match p.p_impl with
-          | P_block body -> Some (procedure_verdict reg body)
-          | P_external _ -> None
+          Option.bind (Xquery.Context.find reg p.p_name arity) (fun f ->
+              f.Xquery.Context.fn_purity)
         in
+        Xquery.Context.unregister reg p.p_name arity;
         Xquery.Context.register_external reg ~side_effects:false ?purity
           p.p_name arity
           (fun args -> run_procedure fresh p args)

@@ -121,10 +121,18 @@ val set_cache : runtime -> (unit -> Cache.bound option) -> unit
     Defaults to the parent's, or [fun () -> None]; {!fork_runtime}
     resets it — the forked session installs its own. *)
 
-val declare_procedure : runtime -> procedure -> unit
+val procedure_verdict : Xquery.Purity.env -> Stmt.block -> bool * bool * bool
+(** The (effects, fallible, constructs) verdict of a procedure body under
+    the function verdicts [env], so {!Xquery.Purity} (and the streaming
+    gates behind it) can classify calls to a readonly procedure
+    precisely instead of treating them as opaque externals. *)
+
+val declare_procedure :
+  ?purity:bool * bool * bool -> runtime -> procedure -> unit
 (** Add a procedure. Readonly procedures are additionally registered as
     functions in the registry so XQuery expressions can call them (paper
-    section III.A).
+    section III.A), with [purity] as their verdict (omitted: impure) —
+    for a body, its {!procedure_verdict}.
     @raise Xdm.Item.Error [err:XQST0034] on duplicates. *)
 
 val find_procedure : runtime -> Qname.t -> int -> procedure option

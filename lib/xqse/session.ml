@@ -385,43 +385,64 @@ let declare_variables s cc ?(missing = supplied) ctx decls =
 
 (* [env] holds the verdicts of the registry extended by the program's own
    functions, so declaration bodies that call each other (or procedures
-   calling declared functions) analyze precisely. *)
+   calling declared functions) analyze precisely. A readonly procedure is
+   classified in [env], extended by the functions as installed and by
+   each readonly procedure before it, without solving the registry
+   again: a later body (a procedure's, or a function's calling it) sees
+   an earlier procedure's verdict, as a solve of the whole registry
+   would show it. *)
 let install_declarations s ~env reg rt (prog : Stmt.program) =
   (* [optimize_expr] is the identity when optimization is off; [where]
      attributes every rewrite note to its enclosing declaration *)
   let opt_in name e = optimize_expr s ~where:(Qname.to_string name) ~env e in
-  List.iter
-    (fun (decl : Xquery.Ast.function_decl) ->
-      let decl =
+  let decls =
+    List.map
+      (fun (decl : Xquery.Ast.function_decl) ->
         {
           decl with
           Xquery.Ast.fd_body =
             Option.map (opt_in decl.Xquery.Ast.fd_name) decl.Xquery.Ast.fd_body;
-        }
-      in
-      Ctx.register_user reg decl)
-    prog.Stmt.prog_functions;
-  List.iter
-    (fun pd ->
-      let body =
-        match pd.Stmt.pd_body with
-        | Some b ->
-          Interp.P_block (optimize_block (opt_in pd.Stmt.pd_name) b)
-        | None ->
-          Item.raise_error (Qname.err "XPST0017")
-            (Printf.sprintf
-               "external procedure %s must be registered by the host"
-               (Qname.to_string pd.Stmt.pd_name))
-      in
-      Interp.declare_procedure rt
-        {
-          Interp.p_name = pd.Stmt.pd_name;
-          p_params = pd.Stmt.pd_params;
-          p_return = pd.Stmt.pd_return;
-          p_readonly = pd.Stmt.pd_readonly;
-          p_impl = body;
         })
-    prog.Stmt.prog_procs
+      prog.Stmt.prog_functions
+  in
+  List.iter (Ctx.register_user reg) decls;
+  let declare penv pd =
+    let body =
+      match pd.Stmt.pd_body with
+      | Some b -> optimize_block (opt_in pd.Stmt.pd_name) b
+      | None ->
+        Item.raise_error (Qname.err "XPST0017")
+          (Printf.sprintf "external procedure %s must be registered by the host"
+             (Qname.to_string pd.Stmt.pd_name))
+    in
+    let purity, penv =
+      if pd.Stmt.pd_readonly then
+        let ((effects, fallible, constructs) as v) =
+          Interp.procedure_verdict penv body
+        in
+        ( Some v,
+          Xquery.Purity.extend
+            (Xquery.Purity.add_verdict penv pd.Stmt.pd_name
+               (List.length pd.Stmt.pd_params)
+               { Xquery.Purity.effects; fallible; constructs })
+            decls )
+      else (None, penv)
+    in
+    Interp.declare_procedure ?purity rt
+      {
+        Interp.p_name = pd.Stmt.pd_name;
+        p_params = pd.Stmt.pd_params;
+        p_return = pd.Stmt.pd_return;
+        p_readonly = pd.Stmt.pd_readonly;
+        p_impl = Interp.P_block body;
+      };
+    penv
+  in
+  if prog.Stmt.prog_procs <> [] then
+    ignore
+      (List.fold_left declare (Xquery.Purity.extend env decls)
+         prog.Stmt.prog_procs
+        : Xquery.Purity.env)
 
 (* parse against a copy of the static context so a program's own
    namespace declarations do not leak into the session *)

@@ -72,41 +72,40 @@ let axis_nodes axis node =
         collect p acc
     in
     let all = collect node [] in
-    List.filter
-      (fun n -> not (List.exists (fun a -> Node.is_same a n) ancestors))
-      (List.sort Node.doc_order all)
+    (* nearest first, as a reverse axis presents its candidates *)
+    List.rev
+      (List.filter
+         (fun n -> not (List.exists (fun a -> Node.is_same a n) ancestors))
+         (List.sort Node.doc_order all))
 
-let nodetest_matches ~axis nt node =
-  let principal_element = axis <> Ast.Attribute_axis in
-  let name_ok f =
-    match Node.name node with Some qn -> f qn | None -> false
+(* The node test of a step, resolved once per step: a predicate over
+   candidate nodes that allocates nothing per candidate. *)
+let node_test ~axis nt : Node.t -> bool =
+  let principal =
+    if axis = Ast.Attribute_axis then Node.Attribute else Node.Element
   in
-  let kind_ok =
-    if principal_element then Node.kind node = Node.Element
-    else Node.kind node = Node.Attribute
+  let named kind p n =
+    Node.kind n = kind
+    && match Node.name n with Some qn -> p qn | None -> false
   in
   match nt with
-  | Ast.Name_test qn -> kind_ok && name_ok (Qname.equal qn)
-  | Ast.Any_name -> kind_ok
-  | Ast.Ns_wildcard uri -> kind_ok && name_ok (fun n -> n.Qname.uri = uri)
+  | Ast.Name_test q -> named principal (Qname.equal q)
+  | Ast.Any_name -> fun n -> Node.kind n = principal
+  | Ast.Ns_wildcard uri ->
+    named principal (fun qn -> String.equal qn.Qname.uri uri)
   | Ast.Local_wildcard local ->
-    kind_ok && name_ok (fun n -> n.Qname.local = local)
-  | Ast.Kind_node -> true
-  | Ast.Kind_text -> Node.kind node = Node.Text
-  | Ast.Kind_comment -> Node.kind node = Node.Comment
-  | Ast.Kind_pi target -> (
-    Node.kind node = Node.Processing_instruction
-    &&
-    match target with
-    | None -> true
-    | Some t -> name_ok (fun n -> n.Qname.local = t))
-  | Ast.Kind_element name -> (
-    Node.kind node = Node.Element
-    && match name with None -> true | Some qn -> name_ok (Qname.equal qn))
-  | Ast.Kind_attribute name -> (
-    Node.kind node = Node.Attribute
-    && match name with None -> true | Some qn -> name_ok (Qname.equal qn))
-  | Ast.Kind_document -> Node.kind node = Node.Document
+    named principal (fun qn -> String.equal qn.Qname.local local)
+  | Ast.Kind_node -> fun _ -> true
+  | Ast.Kind_text -> fun n -> Node.kind n = Node.Text
+  | Ast.Kind_comment -> fun n -> Node.kind n = Node.Comment
+  | Ast.Kind_pi None -> fun n -> Node.kind n = Node.Processing_instruction
+  | Ast.Kind_pi (Some t) ->
+    named Node.Processing_instruction (fun qn -> String.equal qn.Qname.local t)
+  | Ast.Kind_element None -> fun n -> Node.kind n = Node.Element
+  | Ast.Kind_element (Some q) -> named Node.Element (Qname.equal q)
+  | Ast.Kind_attribute None -> fun n -> Node.kind n = Node.Attribute
+  | Ast.Kind_attribute (Some q) -> named Node.Attribute (Qname.equal q)
+  | Ast.Kind_document -> fun n -> Node.kind n = Node.Document
 
 let reverse_axis = function
   | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Preceding_sibling
@@ -541,10 +540,7 @@ let rec eval ctx (e : Ast.expr) : Item.seq =
   | Ast.Step (axis, nt, preds) -> (
     match (Context.fields ctx).ctx_item with
     | Some (Item.Node n) ->
-      let candidates = axis_nodes axis n in
-      let matched =
-        List.filter (fun c -> nodetest_matches ~axis nt c) candidates
-      in
+      let matched = List.filter (node_test ~axis nt) (axis_nodes axis n) in
       (* candidates arrive in axis order (reverse axes: nearest first),
          which is what positional predicates must see; the step result
          itself is returned in document order *)
@@ -1143,6 +1139,84 @@ let text_key v =
   | [ (Atomic.String s | Atomic.Untyped s) ] -> Some s
   | _ -> None
 
+(* ---- construction on the compiled path (DESIGN.md §14) ---- *)
+
+(* Can a node that [e] yields only have been built by [e] itself, so that
+   nothing else reaches it once [e] returns? A constructor then adopts
+   such content instead of deep-copying it. Literals yield no node;
+   anything else (a variable, path, context item, call, typeswitch,
+   copy-modify, ...) may yield a node that is reachable elsewhere. *)
+let rec fresh_content = function
+  | Ast.Elem_ctor _ | Ast.Comp_elem _ | Ast.Comp_attr _ | Ast.Comp_text _
+  | Ast.Comp_doc _ | Ast.Comp_comment _ | Ast.Comp_pi _ | Ast.Literal _ ->
+    true
+  | Ast.If_expr (_, t, e) -> fresh_content t && fresh_content e
+  | Ast.Seq_expr es -> List.for_all fresh_content es
+  | Ast.Flwor (_, ret) -> fresh_content ret
+  | _ -> false
+
+(* A compiled constructor gathers its children newest first and sets
+   them once at the end. Adjacent text merges as it arrives, so the
+   children are the walker's [attach_content] then [merge_text_children]. *)
+let push_child rev n =
+  match rev with
+  | prev :: rest when Node.kind n = Node.Text && Node.kind prev = Node.Text ->
+    Node.text (Node.text_content prev ^ Node.text_content n) :: rest
+  | _ -> n :: rev
+
+(* [atoms] newest first *)
+let text_of_atoms = function
+  | [ a ] -> Node.text (Atomic.to_string a)
+  | atoms -> Node.text (String.concat " " (List.rev_map Atomic.to_string atoms))
+
+let flush_atoms atoms rev =
+  match atoms with [] -> rev | _ -> push_child rev (text_of_atoms atoms)
+
+(* a node of [fresh] content that has no parent is adopted, any other
+   node is deep-copied *)
+let own ~fresh n =
+  if fresh && Option.is_none (Node.parent n) then n else Node.deep_copy n
+
+let rec splice ~fresh rev = function
+  | [] -> rev
+  | c :: rest -> splice ~fresh (push_child rev (own ~fresh c)) rest
+
+(* [attach_content]'s rules over the children gathered so far ([rev],
+   newest first) and the atoms not yet flushed. The helpers are
+   top-level functions, so a constructor allocates only what it builds. *)
+let rec add_content el ~fresh atoms rev = function
+  | [] -> flush_atoms atoms rev
+  | Item.Atomic a :: rest -> add_content el ~fresh (a :: atoms) rev rest
+  | Item.Node n :: rest -> (
+    let rev = flush_atoms atoms rev in
+    match Node.kind n with
+    | Node.Attribute -> (
+      match Node.name n with
+      | Some an -> (
+        if rev <> [] then
+          err "XQTY0024" "attribute nodes must precede other element content";
+        match Node.attribute_value el an with
+        | Some _ ->
+          err "XQDY0025"
+            (Printf.sprintf "duplicate attribute %S" (Qname.to_string an))
+        | None ->
+          Node.set_attribute el an (Node.string_value n);
+          add_content el ~fresh [] rev rest)
+      | None -> add_content el ~fresh [] rev rest)
+    | Node.Document ->
+      add_content el ~fresh [] (splice ~fresh rev (Node.children n)) rest
+    | _ -> add_content el ~fresh [] (push_child rev (own ~fresh n)) rest)
+
+(* a direct constructor's content parts, in order *)
+let rec gather_parts ctx el rev = function
+  | [] -> rev
+  | `Text s :: rest -> gather_parts ctx el (push_child rev (Node.text s)) rest
+  | `Expr (p, fresh) :: rest ->
+    gather_parts ctx el (add_content el ~fresh [] rev (p ctx)) rest
+
+let attach_children parent rev =
+  Node.insert_children parent ~pos:`Last (List.rev rev)
+
 (* the eager FLWOR schedule over compiled clauses: every clause over all
    tuples in turn, then the return expression per tuple *)
 let run_clauses ctx cclauses pret tuples =
@@ -1380,27 +1454,37 @@ and compile_expr cc (e : Ast.expr) : plan =
        and may be fallible only over a pure left side (two fallible
        streams would reorder errors relative to the eager schedule). The
        result is still materialized and doc-sorted; the win is never
-       holding the full left sequence. *)
-    let pb = compile cc b in
+       holding the full left sequence, so a left side whose cursor would
+       only wrap its list (a variable, another path) is taken as that
+       list. A forward step from a single node needs no sort: its result
+       is already distinct and in document order. *)
     let eff, fall, cons = cc.c_purity b in
-    if eff || cons || mentions_last b then
+    let over, one_node = compile_path_step cc b in
+    if eff || cons || mentions_last b || not (cursor_streams a) then
       let pa = compile cc a in
-      fun ctx -> compile_path_over ctx (pa ctx) pb
+      fun ctx -> compile_path_over ctx ~one_node (pa ctx) over
     else
       let ca = compile_cur cc a in
       fun ctx ->
         let la = ca ctx in
         if fall && not (Cursor.is_pure la) then
-          compile_path_over ctx (materialize ctx la) pb
-        else
+          compile_path_over ctx ~one_node (materialize ctx la) over
+        else begin
           let rec go i acc =
             match Cursor.next la with
-            | None -> List.rev acc
-            | Some item ->
-              let r = pb (Context.with_focus ctx item ~pos:(i + 1) ~size:0) in
-              go (i + 1) (List.rev_append r acc)
+            | None -> path_finish (List.rev acc)
+            | Some item -> go (i + 1) (List.rev_append (over ctx item i 0) acc)
           in
-          path_finish (go 0 [])
+          match Cursor.next la with
+          | None -> []
+          | Some item -> (
+            let r = over ctx item 1 0 in
+            match Cursor.next la with
+            (* the step accepted [item], so it was a node *)
+            | None -> if one_node then r else path_finish r
+            | Some item2 ->
+              go 3 (List.rev_append (over ctx item2 2 0) (List.rev r)))
+        end
   | Ast.Root_expr -> (
     fun ctx ->
       match (Context.fields ctx).ctx_item with
@@ -1408,17 +1492,10 @@ and compile_expr cc (e : Ast.expr) : plan =
       | Some (Item.Atomic _) -> err "XPTY0020" "the context item is not a node"
       | None -> err "XPDY0002" "the context item is not defined")
   | Ast.Step (axis, nt, preds) -> (
-    let cpreds = compile_predicates cc preds in
-    let rev = reverse_axis axis in
+    let step = compile_step cc axis nt preds in
     fun ctx ->
       match (Context.fields ctx).ctx_item with
-      | Some (Item.Node n) ->
-        let candidates = axis_nodes axis n in
-        let matched =
-          List.filter (fun c -> nodetest_matches ~axis nt c) candidates
-        in
-        let filtered = cpreds ctx (List.map (fun n -> Item.Node n) matched) in
-        if rev then Item.doc_sort filtered else filtered
+      | Some (Item.Node n) -> step ctx n
       | Some (Item.Atomic _) -> err "XPTY0020" "the context item is not a node"
       | None -> err "XPDY0002" "the context item is not defined")
   | Ast.Filter (prim, preds) -> (
@@ -1469,41 +1546,38 @@ and compile_expr cc (e : Ast.expr) : plan =
       List.map
         (function
           | Ast.Content_text s -> `Text s
-          | Ast.Content_node e | Ast.Content_expr e -> `Expr (compile cc e))
+          | Ast.Content_node e | Ast.Content_expr e ->
+            `Expr (compile cc e, fresh_content e))
         contents
     in
     fun ctx ->
       let el = Node.element name [] in
-      List.iter
-        (fun (an, parts) ->
-          let v =
-            String.concat ""
-              (List.map
-                 (function
-                   | `Str s -> s
-                   | `Expr p ->
-                     String.concat " "
-                       (List.map Atomic.to_string (Item.atomize (p ctx))))
-                 parts)
-          in
-          Node.set_attribute el an v)
-        cattrs;
-      List.iter
-        (function
-          | `Text s -> Node.append_child el (Node.text s)
-          | `Expr p -> attach_content el (p ctx))
-        ccontents;
-      merge_text_children el;
+      if cattrs <> [] then
+        List.iter
+          (fun (an, parts) ->
+            let v =
+              String.concat ""
+                (List.map
+                   (function
+                     | `Str s -> s
+                     | `Expr p ->
+                       String.concat " "
+                         (List.map Atomic.to_string (Item.atomize (p ctx))))
+                   parts)
+            in
+            Node.set_attribute el an v)
+          cattrs;
+      attach_children el (gather_parts ctx el [] ccontents);
       [ Item.Node el ]
   | Ast.Comp_elem (name_spec, content) ->
     let cname = compile_name_spec cc ~element:true name_spec in
     let pc = compile cc content in
+    let fresh = fresh_content content in
     fun ctx ->
       let name = cname ctx in
       let items = pc ctx in
       let el = Node.element name [] in
-      attach_content el items;
-      merge_text_children el;
+      attach_children el (add_content el ~fresh [] [] items);
       [ Item.Node el ]
   | Ast.Comp_attr (name_spec, content) ->
     let cname = compile_name_spec cc ~element:false name_spec in
@@ -1526,13 +1600,15 @@ and compile_expr cc (e : Ast.expr) : plan =
         ])
   | Ast.Comp_doc content ->
     let pc = compile cc content in
+    let fresh = fresh_content content in
     fun ctx ->
       let items = pc ctx in
+      (* attributes land on the holder and are dropped, as the walker's *)
       let holder = Node.element (Qname.local "holder") [] in
-      attach_content holder items;
-      let children = Node.children holder in
-      List.iter Node.detach children;
-      [ Item.Node (Node.document children) ]
+      let rev = add_content holder ~fresh [] [] items in
+      let doc = Node.document [] in
+      attach_children doc rev;
+      [ Item.Node doc ]
   | Ast.Comp_comment content ->
     let pc = compile cc content in
     fun ctx ->
@@ -1668,14 +1744,48 @@ and compile_predicates cc preds =
           items)
       items cps
 
-and compile_path_over ctx left pb =
-  let size = List.length left in
-  path_finish
-    (List.concat
-       (List.mapi
-          (fun i item ->
-            pb (Context.with_focus ctx item ~pos:(i + 1) ~size))
-          left))
+(* A step from context node [n]: candidates in axis order (reverse axes:
+   nearest first), which is what positional predicates must see; the
+   result itself is in document order. *)
+and compile_step cc axis nt preds =
+  let test = node_test ~axis nt in
+  let rev = reverse_axis axis in
+  (* test and wrap in one pass *)
+  let[@tail_mod_cons] rec matching = function
+    | [] -> []
+    | c :: rest -> if test c then Item.Node c :: matching rest else matching rest
+  in
+  match preds with
+  | [] when not rev -> fun _ n -> matching (axis_nodes axis n)
+  | _ ->
+    let cpreds = compile_predicates cc preds in
+    fun ctx n ->
+      let filtered = cpreds ctx (matching (axis_nodes axis n)) in
+      if rev then Item.doc_sort filtered else filtered
+
+(* A path's right side as [over ctx item pos size], and whether its
+   result from one node is already in document order without
+   duplicates. A step reads the left item itself, with no focus record:
+   its predicates set their own. *)
+and compile_path_step cc = function
+  | Ast.Step (axis, nt, preds) ->
+    let step = compile_step cc axis nt preds in
+    ( (fun ctx item _ _ ->
+        match item with
+        | Item.Node n -> step ctx n
+        | Item.Atomic _ -> err "XPTY0020" "the context item is not a node"),
+      not (reverse_axis axis) )
+  | b ->
+    let pb = compile cc b in
+    ((fun ctx item pos size -> pb (Context.with_focus ctx item ~pos ~size)), false)
+
+and compile_path_over ctx ~one_node left over =
+  match left with
+  | [ (Item.Node _ as item) ] when one_node -> over ctx item 1 1
+  | _ ->
+    let size = List.length left in
+    path_finish
+      (List.concat (List.mapi (fun i item -> over ctx item (i + 1) size) left))
 
 and compile_clause cc = function
   | Ast.For_clause bindings ->
@@ -2017,7 +2127,24 @@ and compile_user cc name decl =
           assert false)
     in
     Hashtbl.replace cc.c_fns key (decl, fun ctx arg_vals -> !fwd ctx arg_vals);
-    let params = decl.Ast.fd_params in
+    (* the checks' error texts, formatted once *)
+    let params =
+      List.map
+        (fun (pname, pty) ->
+          ( pname,
+            Option.map
+              (fun ty ->
+                ( Printf.sprintf "argument $%s of %s" (Qname.to_string pname)
+                    (Qname.to_string name),
+                  ty ))
+              pty ))
+        decl.Ast.fd_params
+    in
+    let result_check =
+      Option.map
+        (fun ty -> (Printf.sprintf "result of %s" (Qname.to_string name), ty))
+        decl.Ast.fd_return
+    in
     let cbody =
       match decl.Ast.fd_body with
       | Some b -> Some (compile cc b)
@@ -2027,15 +2154,10 @@ and compile_user cc name decl =
       let ctx = Context.deeper ctx in
       let checked =
         List.map2
-          (fun (pname, pty) v ->
+          (fun (pname, check) v ->
             let v =
-              match pty with
-              | Some ty ->
-                Seqtype.check
-                  ~what:
-                    (Printf.sprintf "argument $%s of %s"
-                       (Qname.to_string pname) (Qname.to_string name))
-                  ty v
+              match check with
+              | Some (what, ty) -> Seqtype.check ~what ty v
               | None -> v
             in
             (pname, v))
@@ -2053,11 +2175,8 @@ and compile_user cc name decl =
       | Some cbody ->
         let fctx = Context.no_focus (Context.with_vars ctx vars) in
         let result = cbody fctx in
-        (match decl.Ast.fd_return with
-        | Some ty ->
-          Seqtype.check
-            ~what:(Printf.sprintf "result of %s" (Qname.to_string name))
-            ty result
+        (match result_check with
+        | Some (what, ty) -> Seqtype.check ~what ty result
         | None -> result)
     in
     fwd := impl;
@@ -2076,6 +2195,13 @@ and compile_call cc name arity =
       | Some b -> Cache.through b name arg_vals (fun () -> cfn ctx arg_vals)
       | None -> cfn ctx arg_vals)
   | _ -> fun ctx arg_vals -> call ctx name arg_vals
+
+(* Does [compile_cur] stream [e]? Any other expression's cursor only
+   wraps its eager value, so a consumer may as well take the list. *)
+and cursor_streams = function
+  | Ast.Seq_expr _ | Ast.Range _ | Ast.If_expr _ | Ast.Call _ | Ast.Flwor _ ->
+    true
+  | _ -> false
 
 and compile_cur_expr cc e =
   let eager () =

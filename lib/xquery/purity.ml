@@ -319,6 +319,12 @@ let extend base (decls : Ast.function_decl list) : env =
   in
   { verdicts = fix verdicts; users }
 
+let add_verdict env q arity v =
+  {
+    verdicts = Fmap.add (q, arity) v env.verdicts;
+    users = Fmap.remove (q, arity) env.users;
+  }
+
 let env_for ~registry (decls : Ast.function_decl list) : env =
   let verdicts, user_decls =
     Context.fold registry ~init:(Fmap.empty, []) ~f:(fun (env, ds) f ->
@@ -333,7 +339,7 @@ let env_for ~registry (decls : Ast.function_decl list) : env =
         | Context.External _ | Context.External_cursor _ ->
           (* externals are opaque here, but XQSE read-only procedures
              arrive with a verdict computed from their statement body
-             at declaration time (see Interp.declare_procedure) *)
+             at declaration time (see Session.install_declarations) *)
           let v =
             match f.Context.fn_purity with
             | Some (effects, fallible, constructs)

@@ -65,6 +65,13 @@ val extend : env -> Ast.function_decl list -> env
     [decls] define: [base] was solved without that decl (a name unknown
     then leaves its caller impure). *)
 
+val add_verdict : env -> Qname.t -> int -> verdict -> env
+(** [add_verdict env name arity v] classifies calls to [name]/[arity]
+    as [v], the way {!env_for} reads an external registered with a
+    verdict (an XQSE readonly procedure). The user functions of [env]
+    keep their verdicts: {!extend} them again to let their bodies see
+    [v]. *)
+
 val lookup : env -> Qname.t -> int -> verdict option
 
 val user_function : env -> Qname.t -> int -> Ast.function_decl option

@@ -1,0 +1,49 @@
+(* The allocation gate. Fixtures.Alloc_probe counts the minor words of
+   three requests on the Figure 3/4 paths; for a given build and OCaml
+   version the counts repeat exactly, so each bound is the count
+   measured when the gate was set plus 10%. Copying fresh constructor
+   content again fails the by-id and getProfile bounds (DESIGN.md §14,
+   "Construction"). *)
+
+open Core
+open Util
+module P = Fixtures.Alloc_probe
+
+(* words measured when the bounds were set; before adoption and the
+   one-node step rule the three allocated 11,889, 217,341 and 24,522 *)
+let by_id_words = 4_233
+let get_profile_words = 70_719
+let cycle_words = 16_391
+let bound words = words + (words / 10)
+let probe = lazy (P.measure ())
+
+let within what words measured =
+  let limit = bound words in
+  if measured > limit then
+    Alcotest.failf
+      "%s allocates %d minor words, over the gate of %d (%d + 10%%)" what
+      measured limit words
+
+let read_path_tests =
+  [
+    case
+      (Printf.sprintf "a by-id read at %d customers" P.read_customers)
+      (fun () ->
+        within
+          (Printf.sprintf "profile:getProfileById(%S)" P.by_id_customer)
+          by_id_words (Lazy.force probe).P.by_id);
+    case
+      (Printf.sprintf "count(profile:getProfile()) at %d customers"
+         P.read_customers)
+      (fun () ->
+        within "count(profile:getProfile())" get_profile_words
+          (Lazy.force probe).P.get_profile);
+    case
+      (Printf.sprintf "a Figure 4 cycle at %d customers, cache on"
+         P.cycle_customers)
+      (fun () ->
+        within "the Figure 4 get/change/submit cycle" cycle_words
+          (Lazy.force probe).P.cycle);
+  ]
+
+let suites = [ ("alloc.read-path", read_path_tests) ]

@@ -294,6 +294,100 @@ let xqse_statement_tests =
       ])
     xqse_statements
 
+(* Directed construction cases (DESIGN.md §14, "Construction"): the
+   compiled constructors adopt content their own expression just built
+   and copy everything else, and a path skips its document-order sort
+   after a forward step from a single node. The walker copies and sorts
+   always, so each case pins the two together, with the optimizer on and
+   off, and pins the value itself. *)
+let construction_cases =
+  [
+    ( "variable content is copied, twice",
+      "<r><a/><a/></r>",
+      "let $x := <a/> return (<r>{$x}{$x}</r>, $x/..)" );
+    ( "both copies are distinct and the variable stays parentless",
+      "2 false 0",
+      "let $x := <a/> let $r := <r>{$x}{$x}</r> return (count($r/a), \
+       $r/a[1] is $r/a[2], count($x/..))" );
+    ( "a copy is not the variable's node",
+      "false",
+      "let $x := <a/> return (<r>{$x}</r>)/a is $x" );
+    ( "a variable in one branch of an if is copied",
+      "false 0",
+      "let $x := <a><b/></a> let $r := <r>{if (1 eq 1) then $x else \
+       <c/>}</r> return ($r/a is $x, count($x/..))" );
+    ( "fresh content nested three deep",
+      "<r><a><b><c>1</c></b></a><a><b><c>2</c></b></a></r>",
+      "<r>{for $i in 1 to 2 return <a>{<b>{<c>{$i}</c>}</b>}</a>}</r>" );
+    ( "an adopted child's parent is the new element",
+      "r r true",
+      "let $r := <r>{for $i in 1 to 2 return <a/>}</r> return \
+       (for $a in $r/a return local-name($a/..), $r/a[1]/.. is $r)" );
+    ( "fresh content from an if and a sequence",
+      "<r><a/><b/></r>",
+      "<r>{if (1 eq 1) then <a/> else ()}{<b/>}</r>/*/.." );
+    ( "document content spliced into an element",
+      "<r><a/>t1</r>",
+      "<r>{document { <a/>, \"t\" }}{1}</r>" );
+    ( "a document in a variable keeps its children",
+      "<r><a/></r>1 1",
+      "let $d := document { <a/> } return (<r>{$d}</r>, count($d/a), \
+       count(<r>{$d}</r>/a))" );
+    ( "computed constructors, merged text",
+      "<r><a>1</a>xy</r>",
+      "element r { element a { 1 }, text { \"x\" }, text { \"y\" } }" );
+    ( "a computed document's children",
+      "<a>2</a>",
+      "document { for $i in 1 to 2 return <a>{$i}</a> }/a[2]" );
+    ("text merges across enclosed expressions", "<a>12</a>", "<a>{1}{2}</a>");
+    ("atoms of one expression join with a space", "<a>1 2</a>", "<a>{(1, 2)}</a>");
+    ("an empty string is an empty text node", "<a></a>", "<a>{\"\"}</a>");
+    ("the empty text node counts", "1", "count(<a>{\"\"}</a>/node())");
+    ("literal text merges with an atom", "<a>x1</a>", "<a>x{1}</a>");
+    ( "a function call's result is copied",
+      "<r><a/></r>false 0",
+      "declare variable $g := <a/>; declare function local:f() { $g }; \
+       (<r>{local:f()}</r>, <r>{local:f()}</r>/a is $g, count($g/..))" );
+    ( "one-node step on the following axis",
+      "c d d",
+      "let $p := <p><a/><b/><c><d/></c></p> return (for $n in \
+       $p/b/following::* return local-name($n), \
+       local-name($p/b/following::*[2]))" );
+    ( "one-node step on the preceding axis",
+      "a b b",
+      "let $p := <p><a/><b/><c><d/></c></p> return (for $n in \
+       $p/c/d/preceding::* return local-name($n), \
+       local-name($p/c/d/preceding::*[1]))" );
+    ( "one-node step on the ancestor axis",
+      "p c c",
+      "let $p := <p><a/><b/><c><d/></c></p> return (for $n in \
+       $p/c/d/ancestor::* return local-name($n), \
+       local-name($p/c/d/ancestor::*[1]))" );
+    ( "one-node step on the attribute axis",
+      "1 2",
+      "for $a in <e x=\"1\" y=\"2\"/>/@* return string($a)" );
+    ( "two left nodes still sort and deduplicate",
+      "<b/><b/><p><a><b/></a><a><b/></a></p>",
+      "let $p := <p><a><b/></a><a><b/></a></p> return ($p/a/b, $p/a/..)" );
+    ( "two left nodes in reverse document order",
+      "x y",
+      "let $p := <p><a><x/></a><b><y/></b></p> return for $n in \
+       ($p/b, $p/a)/* return local-name($n)" );
+    ("two left trees", "<b/><b/>", "(<a><b/></a>, <c><b/></c>)/b");
+    ( "two left trees in creation order",
+      "<b>2</b><b>1</b>",
+      "(<c><b>2</b></c>, <a><b>1</b></a>)/b" );
+  ]
+
+let construction_tests =
+  List.map
+    (fun (name, expect, src) ->
+      against_walker ~expect ("construction: " ^ name)
+        (fun ~optimize ~plans src ->
+          xq ~config:{ Xqse.Session.default_config with optimize; plans } src)
+        src)
+    construction_cases
+
 (* Rewrite statistics for one corpus program, through the optimizer
    entry point compiles use. *)
 let stats_of src =
@@ -537,4 +631,5 @@ let suites =
       directed_session_tests @ generated_session_tests
       @ escape_hatch_session_tests );
     ("differential-views", view_tests);
+    ("differential-construction", construction_tests);
   ]

@@ -294,8 +294,9 @@ let adversarial_tests =
   ]
 
 (* XQSE readonly procedures register as callable functions carrying the
-   purity verdict of their statement body (Interp.declare_procedure), so
-   [env_for] classifies calls to them instead of defaulting to impure. *)
+   purity verdict of their statement body (Session.install_declarations),
+   so [env_for] classifies calls to them instead of defaulting to
+   impure. *)
 
 let xqse_proc_verdict ?(register = fun _ -> ()) src local =
   let s = Xqse.Session.create () in
@@ -361,6 +362,52 @@ let xqse_procedure_tests =
             "loud"
         in
         check_bool "effects" true v.Purity.effects);
+    case "a procedure sees an earlier one through a function" (fun () ->
+        (* f is installed before p exists; q's body must still see p's
+           verdict through f, as a solve of the whole registry would *)
+        let v =
+          xqse_proc_verdict
+            {|declare function local:f() { local:p() };
+              declare readonly procedure local:p() { return value 1; };
+              declare readonly procedure local:q() { return value local:f(); };|}
+            "q"
+        in
+        check_bool "no effects" false v.Purity.effects;
+        check_bool "no construction" false v.Purity.constructs);
+    case "a fork keeps the verdicts its source registered" (fun () ->
+        (* t is declared while local:later is unknown, so it is impure;
+           a fork re-homes t without solving it again against the
+           registry of that later time *)
+        let s = Xqse.Session.create () in
+        Xqse.Session.load_library s
+          {|declare readonly procedure local:t() { return value local:later(); };
+            declare readonly procedure local:u() { return value 1; };|};
+        Xqse.Session.load_library s {|declare function local:later() { 5 };|};
+        let fork = Xqse.Session.with_config s (Xqse.Session.config s) in
+        let verdict sess local =
+          let reg = Xqse.Session.registry sess in
+          match
+            Context.fold reg ~init:None ~f:(fun acc f ->
+                if f.Context.fn_name.Xdm.Qname.local = local then Some f
+                else acc)
+          with
+          | None -> Alcotest.failf "%s is not registered" local
+          | Some f -> (
+            match
+              Purity.lookup
+                (Purity.env_for ~registry:reg [])
+                f.Context.fn_name f.Context.fn_arity
+            with
+            | Some v -> v
+            | None -> Alcotest.failf "no verdict for %s" local)
+        in
+        List.iter
+          (fun local ->
+            check_bool (local ^ ": the fork's verdict is the source's") true
+              (verdict s local = verdict fork local))
+          [ "t"; "u" ];
+        check_bool "t stays impure" true (verdict fork "t").Purity.effects;
+        check_bool "u is pure" false (verdict fork "u").Purity.effects);
     case "host-registered external procedure stays opaque" (fun () ->
         (* no body to analyze: calls must pessimize to impure *)
         let v =

@@ -244,6 +244,23 @@ let pool_tests =
         check_int "no server errors" 0 (c Instr.K.server_errors);
         check_int "submits counted" (List.assoc "submit" rp.Pool.r_by_kind)
           (c Instr.K.server_submits));
+    case "minor words are reported for every kind that ran" (fun () ->
+        let env = FC.make ~customers:3 () in
+        let sess = Aldsp.Dataspace.session env.FC.ds in
+        let jobs = Workload.jobs ~customers:3 ~seed:5 ~count:60 env in
+        let rp = Pool.run ~workers:2 ~session:sess jobs in
+        check_int "all ok" 60 rp.Pool.r_ok;
+        let ran = List.filter (fun (_, n) -> n > 0) rp.Pool.r_by_kind in
+        List.iter
+          (fun (kind, _) ->
+            match List.assoc_opt kind rp.Pool.r_kind_words with
+            | Some w ->
+              check_bool (Printf.sprintf "%s: %.0f words > 0" kind w) true
+                (w > 0.)
+            | None -> Alcotest.failf "no minor words for %s" kind)
+          ran;
+        check_int "one figure per kind that ran" (List.length ran)
+          (List.length rp.Pool.r_kind_words));
   ]
 
 let isolation_tests =

@@ -438,6 +438,37 @@ let unit_tests =
         ignore (Xqse.Session.eval_to_string fork (program 51));
         ignore (Xqse.Session.eval_to_string s (program 52));
         check_int "the fork built its own, once" 3 (units ()));
+    case "a readonly procedure compiles without solving the registry"
+      (fun () ->
+        (* its verdict comes from the purity environment the compile
+           already built, so declaring one costs about what declaring a
+           function does, not a fixpoint over every registry body *)
+        let fc = Fixtures.Customer_profile.make ~customers:5 () in
+        let s = Aldsp.Dataspace.session fc.Fixtures.Customer_profile.ds in
+        let fork = Xqse.Session.with_config s (Xqse.Session.config s) in
+        let words program =
+          ignore (Xqse.Session.compile fork (program 0) : Xqse.Session.compiled);
+          let n = 20 in
+          let before = Gc.minor_words () in
+          for i = 1 to n do
+            ignore (Xqse.Session.compile fork (program i) : Xqse.Session.compiled)
+          done;
+          (Gc.minor_words () -. before) /. float_of_int n
+        in
+        let procedure =
+          words
+            (Printf.sprintf
+               "declare readonly procedure local:p() { return value %d; }; \
+                local:p()")
+        in
+        let func =
+          words (Printf.sprintf "declare function local:p() { %d }; local:p()")
+        in
+        check_bool
+          (Printf.sprintf "procedure %.0f words, at most 1.5x function %.0f"
+             procedure func)
+          true
+          (procedure <= 1.5 *. func));
     case "a library function's late-bound call resolves per program"
       (fun () ->
         (* the unit compiles registry bodies before any program exists:

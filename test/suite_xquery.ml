@@ -218,6 +218,15 @@ let path_tests =
       "(<a><b>1</b><b>2</b></a>)/b/data(.)";
     q_err "mixed nodes and atomics in path" "XPTY0018"
       "(<a><b>1</b><b>2</b></a>)/b/(if (. eq '1') then data(.) else .)";
+    q "preceding::*[1] is the nearest" "b"
+      "let $p := <p><a/><b/><c><d/></c></p> return \
+       local-name($p/c/d/preceding::*[1])";
+    q "preceding::* comes back in document order" "a b"
+      "let $p := <p><a/><b/><c><d/></c></p> return for $n in \
+       $p/c/d/preceding::* return local-name($n)";
+    q "the first of the preceding nodes is the farthest" "a"
+      "let $p := <p><a/><b/><c><d/></c></p> return \
+       local-name(($p/c/d/preceding::*)[1])";
   ]
 
 let constructor_tests =
