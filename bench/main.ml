@@ -267,6 +267,10 @@ let report () =
           A.read_customers,
         "get_profile",
         a.A.get_profile );
+      ( Printf.sprintf "count(customer:getORDERS($c) per row) (%d customers)"
+          A.read_customers,
+        "nav",
+        a.A.nav );
       ( Printf.sprintf "Figure 4 get/change/submit of %s (%d customers, cache)"
           A.cycle_customer A.cycle_customers,
         "cycle",

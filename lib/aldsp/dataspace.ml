@@ -232,10 +232,11 @@ let invalidating t tables impl args =
 (* The source-call boundary                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every call into a registered source goes through [Control.guard]
-   here, so policies (timeout, retry, breaker) apply uniformly; guard
-   failures surface as XQSE-catchable errors with stable codes in the
-   err: namespace. *)
+(* Every call into a registered source goes through [Control.call] on
+   the source's guard state, resolved once at registration, so policies
+   (timeout, retry, breaker) apply uniformly without a lock per call;
+   guard failures surface as XQSE-catchable errors with stable codes in
+   the err: namespace. *)
 
 let raise_resil_error ~source code message =
   Item.raise_error
@@ -244,8 +245,8 @@ let raise_resil_error ~source code message =
 
 (* a statement-ish call (exec, ws invoke): native faults keep their
    legacy wrapping via [on_native] *)
-let guarded t ~source ~on_native f =
-  try Resilience.Control.guard t.resil ~source f with
+let guarded t src ~on_native f x =
+  try Resilience.Control.call t.resil src f x with
   | Resilience.Control.Error { source; code; message } ->
     raise_resil_error ~source code message
   | e -> on_native e
@@ -257,26 +258,24 @@ let guarded t ~source ~on_native f =
    epoch, so the PR 8 result cache refuses admission to anything
    evaluated under brownout (warm entries admitted before the brownout
    keep serving — they short-circuit above this boundary). *)
-let browned_out t ~source =
-  Resilience.Control.in_brownout t.resil
-  && Resilience.Control.is_degradable t.resil ~source
-
 let note_brownout t ~source =
   Log.info (fun m -> m "browned-out read of %s skipped" source);
   Resilience.Control.note_degraded t.resil ~source ~code:"BROWNOUT"
     ~message:"read degraded proactively under overload pressure"
 
-(* degradable sources degrade to [empty ()] plus a degradation report
-   instead of failing the read *)
-let degrade_on_error t ~source ~empty call =
-  if not (Resilience.Control.is_degradable t.resil ~source) then call ()
-  else if browned_out t ~source then begin
-    note_brownout t ~source;
+(* [call t src f x] guarded; a degradable source degrades to [empty ()]
+   plus a degradation report instead of failing the read. [call] is a
+   top-level function, so nothing here allocates a closure. *)
+let degrade_on_error t src ~empty call f x =
+  if not (Resilience.Control.degradable src) then call t src f x
+  else if Resilience.Control.in_brownout t.resil then begin
+    note_brownout t ~source:(Resilience.Control.source_name src);
     empty ()
   end
   else
-    try call ()
+    try call t src f x
     with Item.Error { code; message; _ } ->
+      let source = Resilience.Control.source_name src in
       Log.info (fun m ->
           m "degraded read of %s: %s %s" source (Qname.to_string code) message);
       Resilience.Control.note_degraded t.resil ~source ~code:code.Qname.local
@@ -291,12 +290,13 @@ let degrade_on_error t ~source ~empty call =
    stable code RESX0004 (source fault, no retry policy); a degraded
    read yields [empty ()]: the empty cursor, or a table read with no
    rows. *)
-let guarded_read t ~source ~empty f =
-  degrade_on_error t ~source ~empty (fun () ->
-      try Resilience.Control.guard t.resil ~source f with
-      | Resilience.Control.Error { source; code; message } ->
-        raise_resil_error ~source code message
-      | R.Database.Db_error msg -> Item.raise_error (Qname.err "RESX0004") msg)
+let read_call t src f x =
+  try Resilience.Control.call t.resil src f x with
+  | Resilience.Control.Error { source; code; message } ->
+    raise_resil_error ~source code message
+  | R.Database.Db_error msg -> Item.raise_error (Qname.err "RESX0004") msg
+
+let guarded_read t src ~empty f x = degrade_on_error t src ~empty read_call f x
 
 (* ------------------------------------------------------------------ *)
 (* Relational introspection                                            *)
@@ -304,25 +304,27 @@ let guarded_read t ~source ~empty f =
 
 let table_ns db_name table_name = Printf.sprintf "ld:%s/%s" db_name table_name
 
-(* one row element per pull; the row-to-XML mapping is total, so the
-   mapped cursor keeps the scan/select cursor's purity (rows are
-   snapshotted at open) and streaming consumers may abandon it early *)
-let rows_to_cursor to_xml rows =
-  Cursor.map ~total:true (fun row -> Item.Node (to_xml row)) rows
+(* [row_cursor tbl rows]: one row element per pull. The row-to-XML
+   mapping is total, so the mapped cursor keeps the scan/select cursor's
+   purity (rows are snapshotted at open) and streaming consumers may
+   abandon it early. Apply it to the table once, at registration: the
+   mapping's QNames are built then. *)
+let row_cursor tbl =
+  let to_xml = Rowxml.row_to_xml tbl in
+  let item row = Item.Node (to_xml row) in
+  fun rows -> Cursor.map ~total:true item rows
 
 (* A table read opened by its guarded call: the version is pinned once,
    and the consumer then reads all of it or only the rows whose text
-   column holds a key (the keyed read behind [T()[COL eq K]]). [to_xml]
-   is {!Rowxml.row_to_xml} applied to the table once, at registration. *)
-let table_read to_xml r =
+   column holds a key (the keyed read behind [T()[COL eq K]]). *)
+let table_read rows r =
   {
     Xquery.Context.tr_empty = R.Table.read_is_empty r;
     tr_rows =
       (function
-      | None -> rows_to_cursor to_xml (R.Table.read_scan r)
+      | None -> rows (R.Table.read_scan r)
       | Some (col, key) ->
-        rows_to_cursor to_xml
-          (R.Table.read_select r (R.Pred.eq col (R.Value.Text key))));
+        rows (R.Table.read_select r (R.Pred.eq col (R.Value.Text key))));
     tr_release = (fun () -> R.Table.close_read r);
   }
 
@@ -342,12 +344,31 @@ let one_table_arg what args =
 let elem_seqtype ?(occ = Seqtype.Star) name =
   Seqtype.Typed (Seqtype.Element_type (Some (Qname.local name)), occ)
 
+(* A navigation function's predicate on the rows it selects: each
+   column [to_cols] equals the matching [from_cols] column of the row
+   element passed in (a row of [from_tbl]), or [False] when that column
+   is absent. The row's columns are read with {!Rowxml.column_reader},
+   so an unbuilt row gives its cells without building its children. *)
+let link_pred from_tbl from_cols to_cols =
+  let reads =
+    List.map2
+      (fun from_col to_col -> (Rowxml.column_reader from_tbl from_col, to_col))
+      from_cols to_cols
+  in
+  let eq row (read, to_col) =
+    match read row with Some v -> R.Pred.eq to_col v | None -> R.Pred.False
+  in
+  match reads with
+  | [ one ] -> fun row -> eq row one
+  | _ -> fun row -> R.Pred.conj (List.map (eq row) reads)
+
 let register_database t db =
   let db_name = R.Database.name db in
   if Hashtbl.mem t.dbs db_name then
     invalid_arg (Printf.sprintf "database %s is already registered" db_name);
   R.Database.set_instr db (instr t);
   Resilience.Control.attach t.resil (R.Database.faults db);
+  let src = Resilience.Control.source t.resil db_name in
   Hashtbl.replace t.dbs db_name db;
   let new_services =
     List.map
@@ -364,12 +385,12 @@ let register_database t db =
         let fn local = Qname.make ~uri:ns local in
         (* --- read function:  t:TABLE() as element(TABLE)* --- *)
         let read_name = fn tname in
-        let to_xml = Rowxml.row_to_xml tbl in
-        let open_read () =
-          guarded_read t ~source:db_name ~empty:no_rows (fun () ->
-              R.Database.read_check db;
-              table_read to_xml (R.Table.open_read tbl))
+        let rows = row_cursor tbl in
+        let open_table () =
+          R.Database.read_check db;
+          table_read rows (R.Table.open_read tbl)
         in
+        let open_read () = guarded_read t src ~empty:no_rows open_table () in
         let text_columns =
           List.filter_map
             (fun (c : R.Table.column) ->
@@ -405,19 +426,18 @@ let register_database t db =
                   List.filter (fun (_, v) -> v <> R.Value.Null) pairs
                 in
                 ignore
-                  (guarded t ~source:db_name
+                  (guarded t src
                      ~on_native:(function
                        | R.Database.Db_error msg ->
                          Item.raise_error (Qname.make ~uri:ns "CreateError") msg
                        | e -> raise e)
-                     (fun () ->
-                       R.Database.exec db
-                         (R.Database.Insert
-                            {
-                              table = tname;
-                              columns = List.map fst pairs;
-                              values = List.map snd pairs;
-                            })));
+                     (R.Database.exec db)
+                     (R.Database.Insert
+                        {
+                          table = tname;
+                          columns = List.map fst pairs;
+                          values = List.map snd pairs;
+                        }));
                 let key_el =
                   Node.element
                     (Qname.local (tname ^ "_KEY"))
@@ -461,14 +481,13 @@ let register_database t db =
                     pairs
                 in
                 ignore
-                  (guarded t ~source:db_name
+                  (guarded t src
                      ~on_native:(function
                        | R.Database.Db_error msg ->
                          Item.raise_error (Qname.make ~uri:ns "UpdateError") msg
                        | e -> raise e)
-                     (fun () ->
-                       R.Database.exec db
-                         (R.Database.Update { table = tname; set; where }))))
+                     (R.Database.exec db)
+                     (R.Database.Update { table = tname; set; where })))
               rows;
             []));
         Data_service.add_method svc
@@ -492,14 +511,13 @@ let register_database t db =
                     Item.raise_error (Qname.make ~uri:ns "DeleteError") msg
                 in
                 ignore
-                  (guarded t ~source:db_name
+                  (guarded t src
                      ~on_native:(function
                        | R.Database.Db_error msg ->
                          Item.raise_error (Qname.make ~uri:ns "DeleteError") msg
                        | e -> raise e)
-                     (fun () ->
-                       R.Database.exec db
-                         (R.Database.Delete { table = tname; where }))))
+                     (R.Database.exec db)
+                     (R.Database.Delete { table = tname; where })))
               rows;
             []));
         Data_service.add_method svc
@@ -537,25 +555,22 @@ let register_database t db =
           let nav_name =
             Qname.make ~uri:(table_ns db_name parent_name) ("get" ^ child_name)
           in
-          let child_xml = Rowxml.row_to_xml tbl
-          and parent_xml = Rowxml.row_to_xml parent_tbl in
+          let child_rows = row_cursor tbl
+          and parent_rows = row_cursor parent_tbl in
+          let select_children pred =
+            R.Database.read_check db;
+            child_rows (R.Table.select_cursor tbl pred)
+          in
+          let child_pred =
+            link_pred parent_tbl fk.R.Table.fk_ref_columns
+              fk.R.Table.fk_columns
+          in
           Xqse.Session.register_function_cursor t.sess nav_name 1
             ~purity:source_read_purity (fun args ->
               match args with
               | [ [ Item.Node parent_row ] ] ->
-                let pred =
-                  R.Pred.conj
-                    (List.map2
-                       (fun ccol pcol ->
-                         let pairs = Rowxml.xml_to_pairs parent_tbl parent_row in
-                         match List.assoc_opt pcol pairs with
-                         | Some v -> R.Pred.eq ccol v
-                         | None -> R.Pred.False)
-                       fk.R.Table.fk_columns fk.R.Table.fk_ref_columns)
-                in
-                guarded_read t ~source:db_name ~empty:Cursor.empty (fun () ->
-                    R.Database.read_check db;
-                    rows_to_cursor child_xml (R.Table.select_cursor tbl pred))
+                guarded_read t src ~empty:Cursor.empty select_children
+                  (child_pred parent_row)
               | _ ->
                 Item.type_error
                   (Printf.sprintf "%s expects one %s row"
@@ -581,24 +596,19 @@ let register_database t db =
           let nav_back =
             Qname.make ~uri:(table_ns db_name child_name) ("get" ^ parent_name)
           in
+          let select_parent pred =
+            R.Database.read_check db;
+            parent_rows (R.Table.select_cursor parent_tbl pred)
+          in
+          let parent_pred =
+            link_pred tbl fk.R.Table.fk_columns fk.R.Table.fk_ref_columns
+          in
           Xqse.Session.register_function_cursor t.sess nav_back 1
             ~purity:source_read_purity (fun args ->
               match args with
               | [ [ Item.Node child_row ] ] ->
-                let pairs = Rowxml.xml_to_pairs tbl child_row in
-                let pred =
-                  R.Pred.conj
-                    (List.map2
-                       (fun ccol pcol ->
-                         match List.assoc_opt ccol pairs with
-                         | Some v -> R.Pred.eq pcol v
-                         | None -> R.Pred.False)
-                       fk.R.Table.fk_columns fk.R.Table.fk_ref_columns)
-                in
-                guarded_read t ~source:db_name ~empty:Cursor.empty (fun () ->
-                    R.Database.read_check db;
-                    rows_to_cursor parent_xml
-                      (R.Table.select_cursor parent_tbl pred))
+                guarded_read t src ~empty:Cursor.empty select_parent
+                  (parent_pred child_row)
               | _ ->
                 Item.type_error
                   (Printf.sprintf "%s expects one %s row"
@@ -634,6 +644,15 @@ let register_web_service t ws =
   Resilience.Control.attach t.resil (Webservice.faults ws);
   let ns = Webservice.namespace ws in
   let ws_name = Webservice.name ws in
+  let src = Resilience.Control.source t.resil ws_name in
+  let fault_name = Qname.make ~uri:ns "Fault" in
+  let on_fault = function
+    | Webservice.Fault { service; operation; message } ->
+      Item.raise_error fault_name
+        (Printf.sprintf "%s.%s: %s" service operation message)
+    | e -> raise e
+  in
+  let invoke_call t src f x = guarded t src ~on_native:on_fault f x in
   let svc =
     Data_service.make ~name:ws_name ~namespace:ns
       ~kind:Data_service.Library
@@ -642,25 +661,16 @@ let register_web_service t ws =
   List.iter
     (fun (op : Webservice.operation) ->
       let fname = Qname.make ~uri:ns op.Webservice.op_name in
+      let invoke request =
+        [ Item.Node (Webservice.invoke ws op.Webservice.op_name request) ]
+      in
       Xqse.Session.register_function t.sess fname 1 ~purity:source_read_purity
         (fun args ->
           match args with
           | [ [ Item.Node request ] ] ->
-            degrade_on_error t ~source:ws_name
+            degrade_on_error t src
               ~empty:(fun () -> [])
-              (fun () ->
-                guarded t ~source:ws_name
-                  ~on_native:(function
-                    | Webservice.Fault { service; operation; message } ->
-                      Item.raise_error
-                        (Qname.make ~uri:ns "Fault")
-                        (Printf.sprintf "%s.%s: %s" service operation message)
-                    | e -> raise e)
-                  (fun () ->
-                    [
-                      Item.Node
-                        (Webservice.invoke ws op.Webservice.op_name request);
-                    ]))
+              invoke_call invoke request
           | _ ->
             Item.type_error
               (Printf.sprintf "%s expects one request element"

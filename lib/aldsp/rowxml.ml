@@ -10,22 +10,31 @@ let row_to_xml tbl =
          (fun (c : R.Table.column) -> Qname.local c.R.Table.col_name)
          schema.R.Table.columns)
   in
+  let is_null = function R.Value.Null -> true | _ -> false in
   fun row ->
-    let[@tail_mod_cons] rec children i =
-      if i = Array.length columns then []
-      else
-        match row.(i) with
-        | R.Value.Null -> children (i + 1)
-        | v ->
-          Node.element columns.(i) [ Node.text (R.Value.to_string v) ]
-          :: children (i + 1)
-    in
-    Node.element row_name (children 0)
+    if not (Array.exists is_null row) then
+      Node.row row_name columns (Array.map R.Value.to_string row)
+    else begin
+      (* NULL columns have no child: keep the others, in table order *)
+      let present = ref [] in
+      for i = Array.length row - 1 downto 0 do
+        if not (is_null row.(i)) then present := i :: !present
+      done;
+      let present = Array.of_list !present in
+      Node.row row_name
+        (Array.map (fun i -> columns.(i)) present)
+        (Array.map (fun i -> R.Value.to_string row.(i)) present)
+    end
 
 let col_of tbl name =
   List.find_opt
     (fun (c : R.Table.column) -> c.R.Table.col_name = name)
     (R.Table.schema tbl).R.Table.columns
+
+(* a column child's text as the column's value *)
+let parse_column (c : R.Table.column) s =
+  if s = "" && c.R.Table.col_type <> R.Value.T_text then R.Value.Null
+  else R.Value.of_string c.R.Table.col_type s
 
 let xml_to_pairs tbl node =
   List.filter_map
@@ -38,14 +47,27 @@ let xml_to_pairs tbl node =
           match col_of tbl qn.Qname.local with
           | None -> None
           | Some c ->
-            let s = Node.string_value child in
-            let v =
-              if s = "" && c.R.Table.col_type <> R.Value.T_text then
-                R.Value.Null
-              else R.Value.of_string c.R.Table.col_type s
-            in
-            Some (c.R.Table.col_name, v)))
+            Some (c.R.Table.col_name, parse_column c (Node.string_value child))))
     (Node.children node)
+
+let column_reader tbl col =
+  let c =
+    match col_of tbl col with
+    | Some c -> c
+    | None -> invalid_arg ("Rowxml.column_reader: no column " ^ col)
+  in
+  let row_name = Qname.local (R.Table.schema tbl).R.Table.tbl_name
+  and col_name = Qname.local col in
+  fun node ->
+    let own_row =
+      Node.unbuilt_row node
+      && match Node.name node with
+         | Some q -> Qname.equal q row_name
+         | None -> false
+    in
+    if own_row then
+      Option.map (parse_column c) (Node.cell node col_name)
+    else List.assoc_opt col (xml_to_pairs tbl node)
 
 let xml_to_row tbl node =
   let pairs = xml_to_pairs tbl node in

@@ -8,9 +8,13 @@
 open Xdm
 
 val row_to_xml : Relational.Table.t -> Relational.Table.row -> Node.t
-(** [row_to_xml tbl] builds the table's row and column QNames once, at
-    partial application: apply it once per table and map many rows with
-    the result. *)
+(** A {!Node.row} element: it keeps the row's non-NULL values as text
+    ([Relational.Value.to_string]) and builds its column children only
+    when something navigates into it, so a read that only takes
+    [fn:data($row/COL)] never builds them. [row_to_xml tbl] builds the
+    table's row and column QNames once, at partial application: apply
+    it once per table and map many rows with the result. A row with no
+    NULL shares the table's column array. *)
 
 val xml_to_pairs :
   Relational.Table.t -> Node.t -> (string * Relational.Value.t) list
@@ -18,6 +22,16 @@ val xml_to_pairs :
     elements that are not columns of the table; absent columns are
     omitted, empty elements of text type map to empty strings).
     @raise Failure on values that do not parse as the column type. *)
+
+val column_reader :
+  Relational.Table.t -> string -> Node.t -> Relational.Value.t option
+(** [column_reader tbl col] reads column [col] of a row element as
+    {!xml_to_pairs} would: [Some v] for the column's child, [None] when
+    there is none. An unbuilt row element of [tbl] (named after it) is
+    read from its cell, without building its children or parsing its
+    other columns; any other node goes through {!xml_to_pairs}. Apply it
+    once per column and read many rows with the result.
+    @raise Invalid_argument if [tbl] has no column [col]. *)
 
 val xml_to_row : Relational.Table.t -> Node.t -> Relational.Table.row
 (** Like {!xml_to_pairs} but positional, with [Null] for absent

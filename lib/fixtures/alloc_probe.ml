@@ -2,7 +2,7 @@ open Xdm
 module FC = Customer_profile
 module R = Relational
 
-type t = { by_id : int; get_profile : int; cycle : int }
+type t = { by_id : int; get_profile : int; nav : int; cycle : int }
 
 let read_customers = 20
 let cycle_customers = 10
@@ -55,5 +55,9 @@ let measure () =
       (Printf.sprintf {|profile:getProfileById("%s")|} by_id_customer)
   in
   let get_profile = read_words reads "count(profile:getProfile())" in
+  let nav =
+    read_words reads
+      "count(for $c in customer:CUSTOMER() return customer:getORDERS($c))"
+  in
   let cycle = cycle_words (FC.make ~customers:cycle_customers ()) in
-  { by_id; get_profile; cycle }
+  { by_id; get_profile; nav; cycle }

@@ -1,5 +1,5 @@
-(** Minor words allocated by one request on the Figure 3 read path and
-    by one Figure 4 cycle: the figures the experiment report's ALLOC
+(** Minor words allocated by one request on the Figure 3 read path, by
+    one navigation per customer row and by one Figure 4 cycle: the figures the experiment report's ALLOC
     section prints and the tier-1 allocation gate bounds.
 
     Each request runs on a {!Customer_profile} dataspace the way a pool
@@ -17,6 +17,10 @@ type t = {
           {!read_customers} customers *)
   get_profile : int;
       (** [count(profile:getProfile())] at {!read_customers} customers *)
+  nav : int;
+      (** [count(for $c in customer:CUSTOMER() return
+          customer:getORDERS($c))] at {!read_customers} customers: one
+          navigation call per customer row *)
   cycle : int;
       (** one Figure 4 cycle on {!cycle_customer} at {!cycle_customers}
           customers with the result cache on: get the profile, change
@@ -39,4 +43,4 @@ val warmups : int
 (** 3 untimed runs before the counted one. *)
 
 val measure : unit -> t
-(** Build the two dataspaces and measure the three requests. *)
+(** Build the two dataspaces and measure the four requests. *)

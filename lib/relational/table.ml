@@ -28,9 +28,10 @@ module PkMap = Map.Make (struct
 end)
 
 (* The versioned store: rows plus the secondary indexes (key values ->
-   pk list). Indexes live inside the store so a reader pinned to an
-   older version keeps a consistent plan. All maps are persistent —
-   versions share structure, so publishing one copies nothing. *)
+   pk list, in ascending pk order). Indexes live inside the store so a
+   reader pinned to an older version keeps a consistent plan. All maps
+   are persistent — versions share structure, so publishing one copies
+   nothing. *)
 type store = {
   s_rows : row PkMap.t;
   s_sec : (string list * Value.t list list PkMap.t) list;
@@ -384,13 +385,19 @@ let check_row t row =
 
 let index_key t cols row = List.map (fun c -> get row t c) cols
 
+(* [pk] into an ascending pk list, kept ascending: a probe then yields
+   its candidates in pk order without sorting them *)
+let rec insert_pk pk = function
+  | p :: rest when compare p pk < 0 -> p :: insert_pk pk rest
+  | l -> pk :: l
+
 let sec_add t row sec =
   let pk = pk_of_row t row in
   List.map
     (fun (cols, m) ->
       let key = index_key t cols row in
       let l = match PkMap.find_opt key m with Some l -> l | None -> [] in
-      (cols, PkMap.add key (pk :: l) m))
+      (cols, PkMap.add key (insert_pk pk l) m))
     sec
 
 let sec_remove t row sec =
@@ -428,15 +435,17 @@ let create_index t cols =
   mutate t (fun s ->
       if List.exists (fun (cs, _) -> cs = cols) s.s_sec then (s, ())
       else begin
+        (* rows in descending pk order, each consed on: lists ascend *)
         let m =
-          PkMap.fold
-            (fun pk row m ->
+          Seq.fold_left
+            (fun m (pk, row) ->
               let key = index_key t cols row in
               let l =
                 match PkMap.find_opt key m with Some l -> l | None -> []
               in
               PkMap.add key (pk :: l) m)
-            s.s_rows PkMap.empty
+            PkMap.empty
+            (PkMap.to_rev_seq s.s_rows)
         in
         ({ s with s_sec = (cols, m) :: s.s_sec }, ())
       end)
@@ -596,35 +605,46 @@ let pk_lookup t s eqs =
     Some (Option.to_list (PkMap.find_opt (List.map Option.get key) s.s_rows))
   else None
 
+(* the rows of an index entry's pks, which ascend: in pk order *)
+let index_rows s key m =
+  match PkMap.find_opt key m with
+  | Some pks -> List.filter_map (fun pk -> PkMap.find_opt pk s.s_rows) pks
+  | None -> []
+
 (* candidate rows — a primary-key lookup, else an index probe — or None
-   when neither covers the predicate *)
+   when neither covers the predicate. A lone [col = v] is matched
+   without building the binding list; the result is the same. *)
 let probe t s pred =
-  let eqs = eq_bindings pred in
-  match pk_lookup t s eqs with
-  | Some _ as rows -> rows
-  | None ->
-  List.find_map
-    (fun (cols, m) ->
-      match
-        List.fold_left
-          (fun acc c ->
-            match (acc, List.assoc_opt c eqs) with
-            | Some key, Some v -> Some (v :: key)
-            | _ -> None)
-          (Some []) (List.rev cols)
-      with
-      | Some key -> (
-        match PkMap.find_opt key m with
-        | Some pks ->
-          Some
-            (List.sort
-               (fun a b -> compare (pk_of_row t a) (pk_of_row t b))
-               (List.filter_map
-                  (fun pk -> PkMap.find_opt pk s.s_rows)
-                  pks))
-        | None -> Some [])
-      | None -> None)
-    s.s_sec
+  match pred with
+  | Pred.Cmp (Pred.Eq, col, v) -> (
+    match t.schema.primary_key with
+    | [ k ] when String.equal k col && exact_key t col v ->
+      Some (Option.to_list (PkMap.find_opt [ v ] s.s_rows))
+    | _ ->
+      List.find_map
+        (fun (cols, m) ->
+          if List.for_all (String.equal col) cols then
+            Some (index_rows s (List.map (fun _ -> v) cols) m)
+          else None)
+        s.s_sec)
+  | _ -> (
+    let eqs = eq_bindings pred in
+    match pk_lookup t s eqs with
+    | Some _ as rows -> rows
+    | None ->
+      List.find_map
+        (fun (cols, m) ->
+          match
+            List.fold_left
+              (fun acc c ->
+                match (acc, List.assoc_opt c eqs) with
+                | Some key, Some v -> Some (v :: key)
+                | _ -> None)
+              (Some []) (List.rev cols)
+          with
+          | Some key -> Some (index_rows s key m)
+          | None -> None)
+        s.s_sec)
 
 let store_select t s pred =
   let test = row_test t pred in

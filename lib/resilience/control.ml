@@ -34,19 +34,33 @@ type degradation = {
   dg_at : float;
 }
 
+(* A source's guard state, resolved once: what [guard] needs about the
+   source. The record is immutable; a setter replaces it under the
+   control's lock, and the next call on any domain reads the new one. *)
+type state = {
+  st_policy : Policy.t;
+  st_breaker : Breaker.t option;
+  st_faults : Faults.t option;
+  st_degradable : bool;
+}
+
+type source = { src_name : string; src_state : state Atomic.t }
+
+let unguarded =
+  { st_policy = Policy.default; st_breaker = None; st_faults = None;
+    st_degradable = false }
+
 type t = {
   clock : Clock.t;
   lock : Mutex.t;
-      (* guards the tables, the degradation log and the jitter RNG —
-         everything here but the clock (atomic), the breakers and the
+      (* guards the source table, the degradation log and the jitter
+         RNG — everything here but the clock (atomic), the sources'
+         states (atomic, replaced under this lock), the breakers and the
          fault handles (own locks) *)
   jitter_rng : Rng.t;
   plan : Plan.t option;
   mutable instr : Instr.t;
-  policies : (string, Policy.t) Hashtbl.t;
-  breakers : (string, Breaker.t) Hashtbl.t;
-  faults : (string, Faults.t) Hashtbl.t;
-  degradable : (string, unit) Hashtbl.t;
+  sources : (string, source) Hashtbl.t;
   mutable degradations : degradation list;  (* newest first *)
   degraded : int Atomic.t;  (* [List.length degradations], read lock-free *)
   brownout : bool Atomic.t;
@@ -67,10 +81,7 @@ let create ?seed ?plan ?(instr = Instr.disabled) () =
     jitter_rng = Rng.make (seed lxor 0x5EED);
     plan;
     instr;
-    policies = Hashtbl.create 8;
-    breakers = Hashtbl.create 8;
-    faults = Hashtbl.create 8;
-    degradable = Hashtbl.create 4;
+    sources = Hashtbl.create 8;
     degradations = [];
     degraded = Atomic.make 0;
     brownout = Atomic.make false;
@@ -79,6 +90,30 @@ let create ?seed ?plan ?(instr = Instr.disabled) () =
 let clock t = t.clock
 let plan t = t.plan
 let set_instr t instr = t.instr <- instr
+
+(* under [t.lock] *)
+let source_locked t name =
+  match Hashtbl.find_opt t.sources name with
+  | Some h -> h
+  | None ->
+    let h = { src_name = name; src_state = Atomic.make unguarded } in
+    Hashtbl.replace t.sources name h;
+    h
+
+let source t name = Mutex.protect t.lock (fun () -> source_locked t name)
+let source_name h = h.src_name
+let degradable h = (Atomic.get h.src_state).st_degradable
+
+let state t name =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.sources name with
+      | Some h -> Atomic.get h.src_state
+      | None -> unguarded)
+
+let update t name f =
+  Mutex.protect t.lock (fun () ->
+      let h = source_locked t name in
+      Atomic.set h.src_state (f (Atomic.get h.src_state)))
 
 let reschedule t faults =
   let source = Faults.source faults in
@@ -90,29 +125,30 @@ let reschedule t faults =
 let attach t faults =
   Faults.set_clock faults t.clock;
   reschedule t faults;
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.faults (Faults.source faults) faults)
+  update t (Faults.source faults) (fun st -> { st with st_faults = Some faults })
 
 let attached t =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun k _ acc -> k :: acc) t.faults [])
+      Hashtbl.fold
+        (fun k h acc ->
+          match (Atomic.get h.src_state).st_faults with
+          | Some _ -> k :: acc
+          | None -> acc)
+        t.sources [])
 
 let set_policy t ~source policy =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.policies source policy;
-      match policy.Policy.breaker with
-      | Some config ->
-        Hashtbl.replace t.breakers source (Breaker.create ~config t.clock)
-      | None -> Hashtbl.remove t.breakers source)
+  update t source (fun st ->
+      {
+        st with
+        st_policy = policy;
+        st_breaker =
+          Option.map
+            (fun config -> Breaker.create ~config t.clock)
+            policy.Policy.breaker;
+      })
 
-let policy t ~source =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.policies source with
-      | Some p -> p
-      | None -> Policy.default)
-
-let breaker t ~source =
-  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.breakers source)
+let policy t ~source = (state t source).st_policy
+let breaker t ~source = (state t source).st_breaker
 let breaker_state t ~source = Option.map Breaker.state (breaker t ~source)
 
 let trip t ~source =
@@ -126,10 +162,9 @@ let trip t ~source =
 (* ---- degradation ---- *)
 
 let set_degradable t ~source =
-  Mutex.protect t.lock (fun () -> Hashtbl.replace t.degradable source ())
+  update t source (fun st -> { st with st_degradable = true })
 
-let is_degradable t ~source =
-  Mutex.protect t.lock (fun () -> Hashtbl.mem t.degradable source)
+let is_degradable t ~source = (state t source).st_degradable
 
 let note_degraded t ~source ~code ~message =
   Instr.bump t.instr Instr.K.resil_degraded;
@@ -191,102 +226,111 @@ let fail_deadline t ~source d =
            Printf.sprintf "request budget of %.0fms exhausted (%.0fms elapsed)"
              (Deadline.budget_ms d) (Deadline.elapsed_ms d) })
 
-let guard t ~source f =
-  let policy = policy t ~source in
+(* The guard's steps are top-level functions over the resolved state,
+   so a call allocates no closures. *)
+let check_deadline t ~source = function
+  | Some d when Deadline.expired d -> fail_deadline t ~source d
+  | _ -> ()
+
+(* effective per-attempt timeout: min(policy timeout, remaining budget)
+   — whichever bound the attempt actually blew names the error
+   (RESX0001 for the policy, RESX0005 for the request budget) *)
+let timed_out t st t0 =
+  match st.st_policy.Policy.timeout_ms with
+  | Some tmo -> Clock.now t.clock -. t0 > tmo
+  | None -> false
+
+let fail_timeout t ~source st t0 =
+  breaker_failure t st.st_breaker;
+  Instr.bump t.instr Instr.K.resil_timeouts;
+  raise
+    (Error
+       { source; code = Timeout;
+         message =
+           Printf.sprintf "call took %.0fms of a %.0fms budget"
+             (Clock.now t.clock -. t0)
+             (Option.value st.st_policy.Policy.timeout_ms ~default:0.) })
+
+let rec attempt t ~source st deadline f x n =
+  let policy = st.st_policy in
+  let t0 = Clock.now t.clock in
+  match f x with
+  | v ->
+    (* a timed-out success is a failure: the client already gave up.
+       It is never retried — the work may have happened. *)
+    if timed_out t st t0 then fail_timeout t ~source st t0
+    else begin
+      (match st.st_breaker with Some b -> Breaker.on_success b | None -> ());
+      check_deadline t ~source deadline;
+      v
+    end
+  | exception e ->
+    let injected =
+      match st.st_faults with Some fl -> Faults.take_last fl | None -> None
+    in
+    if timed_out t st t0 then fail_timeout t ~source st t0
+    else begin
+      match injected with
+      | Some { Faults.f_transient = true; f_message } ->
+        if n < policy.Policy.max_retries then begin
+          (* no retry on a dead budget: the backoff plus another
+             attempt can only waste a worker the client abandoned *)
+          check_deadline t ~source deadline;
+          Instr.bump t.instr Instr.K.resil_retries;
+          let wait =
+            Policy.backoff policy ~attempt:n
+            +.
+            if policy.Policy.jitter_ms > 0. then
+              Mutex.protect t.lock (fun () ->
+                  Rng.float t.jitter_rng policy.Policy.jitter_ms)
+            else 0.
+          in
+          Clock.advance t.clock wait;
+          (* the backoff itself may have spent what was left *)
+          check_deadline t ~source deadline;
+          attempt t ~source st deadline f x (n + 1)
+        end
+        else begin
+          breaker_failure t st.st_breaker;
+          if policy.Policy.max_retries > 0 then
+            raise
+              (Error
+                 { source; code = Retries_exhausted;
+                   message =
+                     Printf.sprintf "%d attempts failed, last: %s" (n + 1)
+                       f_message })
+          else
+            (* pass-through policy: the source's native exception
+               keeps its original surface *)
+            raise e
+        end
+      | Some { Faults.f_transient = false; _ } ->
+        breaker_failure t st.st_breaker;
+        raise e
+      | None ->
+        (* genuine (non-injected) failure: application-level, not a
+           source-health signal — never retried, never fed to the
+           breaker *)
+        raise e
+    end
+
+let call t h f x =
+  let source = h.src_name in
+  let st = Atomic.get h.src_state in
   let deadline = Deadline.current () in
-  let check_deadline () =
-    match deadline with
-    | Some d when Deadline.expired d -> fail_deadline t ~source d
-    | _ -> ()
-  in
-  check_deadline ();
-  let br = breaker t ~source in
-  (match br with
+  check_deadline t ~source deadline;
+  (match st.st_breaker with
    | Some b when not (Breaker.allow b) -> reject t ~source
    | _ -> ());
-  let fl = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.faults source) in
-  (* effective per-attempt timeout: min(policy timeout, remaining
-     budget) — whichever bound the attempt actually blew names the error
-     (RESX0001 for the policy, RESX0005 for the request budget) *)
-  let timed_out t0 =
-    match policy.Policy.timeout_ms with
-    | Some tmo -> Clock.now t.clock -. t0 > tmo
-    | None -> false
-  in
-  let fail_timeout t0 =
-    breaker_failure t br;
-    Instr.bump t.instr Instr.K.resil_timeouts;
-    raise
-      (Error
-         { source; code = Timeout;
-           message =
-             Printf.sprintf "call took %.0fms of a %.0fms budget"
-               (Clock.now t.clock -. t0)
-               (Option.value policy.Policy.timeout_ms ~default:0.) })
-  in
-  let rec attempt n =
-    let t0 = Clock.now t.clock in
-    match f () with
-    | v ->
-      (* a timed-out success is a failure: the client already gave up.
-         It is never retried — the work may have happened. *)
-      if timed_out t0 then fail_timeout t0
-      else begin
-        (match br with Some b -> Breaker.on_success b | None -> ());
-        check_deadline ();
-        v
-      end
-    | exception e ->
-      let injected =
-        match fl with Some fl -> Faults.take_last fl | None -> None
-      in
-      if timed_out t0 then fail_timeout t0
-      else begin
-        match injected with
-        | Some { Faults.f_transient = true; f_message } ->
-          if n < policy.Policy.max_retries then begin
-            (* no retry on a dead budget: the backoff plus another
-               attempt can only waste a worker the client abandoned *)
-            check_deadline ();
-            Instr.bump t.instr Instr.K.resil_retries;
-            let wait =
-              Policy.backoff policy ~attempt:n
-              +.
-              if policy.Policy.jitter_ms > 0. then
-                Mutex.protect t.lock (fun () ->
-                    Rng.float t.jitter_rng policy.Policy.jitter_ms)
-              else 0.
-            in
-            Clock.advance t.clock wait;
-            (* the backoff itself may have spent what was left *)
-            check_deadline ();
-            attempt (n + 1)
-          end
-          else begin
-            breaker_failure t br;
-            if policy.Policy.max_retries > 0 then
-              raise
-                (Error
-                   { source; code = Retries_exhausted;
-                     message =
-                       Printf.sprintf "%d attempts failed, last: %s" (n + 1)
-                         f_message })
-            else
-              (* pass-through policy: the source's native exception
-                 keeps its original surface *)
-              raise e
-          end
-        | Some { Faults.f_transient = false; _ } ->
-          breaker_failure t br;
-          raise e
-        | None ->
-          (* genuine (non-injected) failure: application-level, not a
-             source-health signal — never retried, never fed to the
-             breaker *)
-          raise e
-      end
-  in
   if Instr.enabled t.instr then
     Instr.span t.instr ~attrs:[ ("source", source) ] "resil.guard" (fun () ->
-        attempt 0)
-  else attempt 0
+        attempt t ~source st deadline f x 0)
+  else attempt t ~source st deadline f x 0
+
+let guard t ~source f =
+  let h =
+    match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.sources source) with
+    | Some h -> h
+    | None -> { src_name = source; src_state = Atomic.make unguarded }
+  in
+  call t h f ()

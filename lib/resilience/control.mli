@@ -37,6 +37,23 @@ val clock : t -> Clock.t
 val plan : t -> Plan.t option
 val set_instr : t -> Instr.t -> unit
 
+type source
+(** A source's guard state, resolved once: its policy, breaker, fault
+    handle and degradable flag. {!set_policy}, {!set_degradable} and
+    {!attach} replace it under the control's lock; the next {!call} on
+    any domain reads the new state without taking a lock. *)
+
+val source : t -> string -> source
+(** The named source's state cell, created (unguarded: the default
+    policy, no breaker, no fault handle, not degradable) on first use.
+    Resolve it once, when the source is registered, and guard every
+    call through it. *)
+
+val source_name : source -> string
+
+val degradable : source -> bool
+(** {!is_degradable}, read from the resolved state. *)
+
 val attach : t -> Faults.t -> unit
 (** Put a source's fault handle under this control: share the virtual
     clock and assign the plan's schedule for that source. *)
@@ -92,7 +109,15 @@ val guard : t -> source:string -> (unit -> 'a) -> 'a
     The effective per-attempt bound is therefore
     [min(policy timeout, remaining budget)], with the error naming
     whichever bound was actually hit. Deadline expiry never feeds the
-    breaker: it is client impatience, not a source-health signal. *)
+    breaker: it is client impatience, not a source-health signal.
+
+    [guard] looks the source up by name on every call; a registered
+    source's calls go through {!call} instead. *)
+
+val call : t -> source -> ('a -> 'b) -> 'a -> 'b
+(** [call t src f x] is {!guard} over [f x] with [src]'s resolved state:
+    it takes no lock of the control's and allocates no closure unless
+    instrumentation is on or a retry draws jitter. *)
 
 val check_strict : t -> source:string -> unit
 (** Strict admission for SDO submit: raises {!Error} with

@@ -11,7 +11,14 @@
    The source itself raises its native exception ([Db_error], [Fault])
    when a consultation returns a fault; [take_last] is the side channel
    the resilience guard uses to tell injected (retryable) failures from
-   genuine ones. *)
+   genuine ones.
+
+   Until something is armed — an ad-hoc injection or a schedule that can
+   fault — a consultation only advances the two cursors, which are
+   atomic, and takes no lock: it would find nothing to hand out. Every
+   injection and every non-empty schedule sets [armed], one atomic flag
+   that stays set, and from then on every consultation takes the lock as
+   before. *)
 
 type fault = { f_message : string; f_transient : bool }
 type kind = Statement | Read
@@ -24,10 +31,11 @@ type t = {
          record) must be atomic under concurrent worker domains, or two
          calls could claim the same schedule index / lose an injected
          fault *)
+  armed : bool Atomic.t;
   mutable clock : Clock.t;
   mutable schedule : Plan.schedule;
-  mutable calls : int;        (* schedule cursor: statements + reads *)
-  mutable stmts : int;        (* ad-hoc cursor: statements only *)
+  calls : int Atomic.t;       (* schedule cursor: statements + reads *)
+  stmts : int Atomic.t;       (* ad-hoc cursor: statements only *)
   mutable next : fault option;
   mutable every : int option;
   mutable after : int option;
@@ -41,10 +49,11 @@ let create ?clock ~source () =
   {
     source;
     lock = Mutex.create ();
+    armed = Atomic.make false;
     clock = (match clock with Some c -> c | None -> Clock.create ());
     schedule = Plan.empty ~source;
-    calls = 0;
-    stmts = 0;
+    calls = Atomic.make 0;
+    stmts = Atomic.make 0;
     next = None;
     every = None;
     after = None;
@@ -57,18 +66,35 @@ let create ?clock ~source () =
 let source t = t.source
 let clock t = t.clock
 let set_clock t c = t.clock <- c
-let set_schedule t s = t.schedule <- s
+let arm t = Atomic.set t.armed true
+
+let set_schedule t s =
+  t.schedule <- s;
+  match s with
+  | { Plan.s_transients = []; s_spikes = []; s_windows = []; s_prepares = [];
+      s_commits = []; _ } -> ()
+  | _ -> arm t
+
 let schedule t = t.schedule
 
 (* ---- ad-hoc injection ---- *)
 
 let inject_next ?(transient = true) t message =
   Mutex.protect t.lock (fun () ->
-      t.next <- Some { f_message = message; f_transient = transient })
+      t.next <- Some { f_message = message; f_transient = transient });
+  arm t
 
-let set_fail_every t n = t.every <- n
-let set_fail_after t n = t.after <- n
-let set_fail_on_prepare t b = t.prepare_flag <- b
+let set_fail_every t n =
+  t.every <- n;
+  arm t
+
+let set_fail_after t n =
+  t.after <- n;
+  arm t
+
+let set_fail_on_prepare t b =
+  t.prepare_flag <- b;
+  arm t
 
 (* ---- consultation ---- *)
 
@@ -82,7 +108,7 @@ let take_last t =
       t.last <- None;
       f)
 
-let adhoc_fault t =
+let adhoc_fault t stmts =
   match t.next with
   | Some f ->
     t.next <- None;
@@ -97,16 +123,16 @@ let adhoc_fault t =
       None
     | None -> (
       match t.every with
-      | Some n when n > 0 && t.stmts mod n = 0 ->
+      | Some n when n > 0 && stmts mod n = 0 ->
         record t
           { f_message = Printf.sprintf "injected failure (every %d)" n;
             f_transient = true }
       | _ -> None))
 
-let scheduled_fault t =
-  if List.mem t.calls t.schedule.Plan.s_transients then
+let scheduled_fault t calls =
+  if List.mem calls t.schedule.Plan.s_transients then
     record t
-      { f_message = Printf.sprintf "scheduled transient (call %d)" t.calls;
+      { f_message = Printf.sprintf "scheduled transient (call %d)" calls;
         f_transient = true }
   else
     let now = Clock.now t.clock in
@@ -123,25 +149,33 @@ let scheduled_fault t =
           f_transient = true }
     | None -> None
 
+let quiet = { v_latency = 0.; v_fault = None }
+
 let on_call t kind =
-  Mutex.protect t.lock @@ fun () ->
-  t.calls <- t.calls + 1;
-  let latency =
-    match List.assoc_opt t.calls t.schedule.Plan.s_spikes with
-    | Some ms -> ms
-    | None -> 0.
-  in
-  Clock.advance t.clock latency;
-  let fault =
-    match kind with
-    | Statement ->
-      t.stmts <- t.stmts + 1;
-      (match adhoc_fault t with
-       | Some f -> Some f
-       | None -> scheduled_fault t)
-    | Read -> scheduled_fault t
-  in
-  { v_latency = latency; v_fault = fault }
+  if not (Atomic.get t.armed) then begin
+    Atomic.incr t.calls;
+    (match kind with Statement -> Atomic.incr t.stmts | Read -> ());
+    quiet
+  end
+  else
+    Mutex.protect t.lock @@ fun () ->
+    let calls = Atomic.fetch_and_add t.calls 1 + 1 in
+    let latency =
+      match List.assoc_opt calls t.schedule.Plan.s_spikes with
+      | Some ms -> ms
+      | None -> 0.
+    in
+    Clock.advance t.clock latency;
+    let fault =
+      match kind with
+      | Statement ->
+        let stmts = Atomic.fetch_and_add t.stmts 1 + 1 in
+        (match adhoc_fault t stmts with
+         | Some f -> Some f
+         | None -> scheduled_fault t calls)
+      | Read -> scheduled_fault t calls
+    in
+    { v_latency = latency; v_fault = fault }
 
 (* prepare/commit faults are consumed by the XA coordinator directly and
    never by the retry guard, so they deliberately do not go through
@@ -166,4 +200,4 @@ let on_commit t =
         f_transient = true }
   else None
 
-let calls t = t.calls
+let calls t = Atomic.get t.calls

@@ -48,7 +48,9 @@ val set_fail_on_prepare : t -> bool -> unit
 val on_call : t -> kind -> verdict
 (** Advance the call cursor, charge any scheduled latency spike to the
     clock, and decide whether this call faults (ad-hoc stream first,
-    then scheduled transients / hard-down windows). *)
+    then scheduled transients / hard-down windows). Until an injection
+    or a schedule that can fault is set on [t], the consultation only
+    advances its cursors and takes no lock. *)
 
 val on_prepare : t -> fault option
 (** Consult the XA prepare round: sticky flag, then the schedule. *)

@@ -6,15 +6,35 @@ type kind =
   | Comment
   | Processing_instruction
 
+(* A node's stored kind. [Row] is an element made from a source row: it
+   keeps the row's cells and builds its column children only when
+   something navigates into it; {!kind} reports it as [Element]. Every
+   other node keeps its children in [children]. *)
 type t = {
   id : int;
   mutable parent : t option;
   mutable name : Qname.t option;  (* element, attribute, PI target *)
   mutable content : string;  (* text, comment, PI data, attribute value *)
   mutable attrs : t list;  (* elements only *)
-  mutable children : t list;  (* documents and elements *)
-  node_kind : kind;
+  mutable children : t list;  (* documents and elements other than rows *)
+  node_kind : stored;
 }
+
+and stored =
+  | Document
+  | Element
+  | Attribute
+  | Text
+  | Comment
+  | Processing_instruction
+  | Row of {
+      columns : Qname.t array;  (* the non-NULL columns, in table order *)
+      cells : string array;  (* their values as text *)
+      built : t list option Stdlib.Atomic.t;
+          (* [None] until the children are built. They are published
+             here with one compare-and-set, and every later read or
+             write of the row's children goes through this cell. *)
+    }
 
 (* Node ids are unique across domains: each domain draws a block of ids
    with one atomic fetch-and-add and hands them out from a domain-local
@@ -92,18 +112,93 @@ let element ?(attrs = []) name children =
   adopt_all n children;
   n
 
+let row name columns cells =
+  if Array.length columns <> Array.length cells then
+    invalid_arg "Node.row: one cell per column";
+  let n = fresh (Row { columns; cells; built = Stdlib.Atomic.make None }) in
+  n.name <- Some name;
+  n
+
 let document children =
   let n = fresh Document in
   n.children <- children;
   adopt_all n children;
   n
 
-let kind n = n.node_kind
+(* a row's column children, as [element c [text cell]] builds them *)
+let build_columns n columns cells =
+  let parent = Some n in
+  let[@tail_mod_cons] rec go i =
+    if i = Array.length columns then []
+    else begin
+      let col = fresh Element in
+      col.parent <- parent;
+      col.name <- Some columns.(i);
+      let txt = fresh Text in
+      txt.content <- cells.(i);
+      txt.parent <- Some col;
+      col.children <- [ txt ];
+      col :: go (i + 1)
+    end
+  in
+  go 0
+
+(* The children of a document or element. A row builds them on first
+   use: of two domains building at once, the first compare-and-set
+   publishes its list and the other returns that list. *)
+let rec kids n =
+  match n.node_kind with
+  | Row { columns; cells; built } -> (
+    match Stdlib.Atomic.get built with
+    | Some l -> l
+    | None ->
+      let l = build_columns n columns cells in
+      if Stdlib.Atomic.compare_and_set built None (Some l) then l else kids n)
+  | Document | Element | Attribute | Text | Comment | Processing_instruction ->
+    n.children
+
+(* callers pass a list derived from [kids n], so a row is built *)
+let set_kids n l =
+  match n.node_kind with
+  | Row { built; _ } -> Stdlib.Atomic.set built (Some l)
+  | Document | Element | Attribute | Text | Comment | Processing_instruction ->
+    n.children <- l
+
+let is_attribute n = match n.node_kind with Attribute -> true | _ -> false
+
+let kind n : kind =
+  match n.node_kind with
+  | Document -> Document
+  | Element | Row _ -> Element
+  | Attribute -> Attribute
+  | Text -> Text
+  | Comment -> Comment
+  | Processing_instruction -> Processing_instruction
+
 let id n = n.id
 let name n = n.name
 let parent n = n.parent
-let children n = n.children
+let children = kids
 let attributes n = n.attrs
+
+let unbuilt_row n =
+  match n.node_kind with
+  | Row { built; _ } -> (
+    match Stdlib.Atomic.get built with None -> true | Some _ -> false)
+  | Document | Element | Attribute | Text | Comment | Processing_instruction ->
+    false
+
+let cell n q =
+  match n.node_kind with
+  | Row { columns; cells; _ } ->
+    let rec find i =
+      if i = Array.length columns then None
+      else if Qname.equal columns.(i) q then Some cells.(i)
+      else find (i + 1)
+    in
+    find 0
+  | Document | Element | Attribute | Text | Comment | Processing_instruction ->
+    invalid_arg "Node.cell: not a row element"
 
 let attribute_value n qn =
   List.find_map
@@ -116,15 +211,22 @@ let attribute_value n qn =
 let text_content n =
   match n.node_kind with
   | Text | Comment | Processing_instruction | Attribute -> n.content
-  | Document | Element ->
+  | Document | Element | Row _ ->
     invalid_arg "Node.text_content: document or element node"
+
+let concat_cells cells =
+  match cells with
+  | [||] -> ""
+  | [| c |] -> c
+  | _ -> String.concat "" (Array.to_list cells)
 
 let string_value n =
   match n.node_kind with
   | Text | Attribute | Comment | Processing_instruction -> n.content
-  | Document | Element -> (
+  | Row { cells; _ } when unbuilt_row n -> concat_cells cells
+  | Document | Element | Row _ -> (
     (* a column or leaf element: no text to concatenate *)
-    match n.children with
+    match kids n with
     | [] -> ""
     | [ { node_kind = Text; content; _ } ] -> content
     | _ ->
@@ -132,7 +234,9 @@ let string_value n =
       let rec go n =
         match n.node_kind with
         | Text -> Buffer.add_string buf n.content
-        | Element | Document -> List.iter go n.children
+        | Row { cells; _ } when unbuilt_row n ->
+          Array.iter (Buffer.add_string buf) cells
+        | Element | Document | Row _ -> List.iter go (kids n)
         | Attribute | Comment | Processing_instruction -> ()
       in
       go n;
@@ -141,7 +245,8 @@ let string_value n =
 let typed_value n =
   match n.node_kind with
   | Comment | Processing_instruction -> []
-  | Document | Element | Attribute | Text -> [ Atomic.Untyped (string_value n) ]
+  | Document | Element | Row _ | Attribute | Text ->
+    [ Atomic.Untyped (string_value n) ]
 
 let rec root n = match n.parent with None -> n | Some p -> root p
 
@@ -152,7 +257,7 @@ let descendants n =
       (fun c ->
         acc := c :: !acc;
         go c)
-      n.children
+      (kids n)
   in
   go n;
   List.rev !acc
@@ -169,7 +274,7 @@ let ancestors n =
 let siblings_of n =
   match n.parent with
   | None -> []
-  | Some p -> if n.node_kind = Attribute then [] else p.children
+  | Some p -> if is_attribute n then [] else kids p
 
 let rec split_at_node n = function
   | [] -> ([], [])
@@ -191,26 +296,26 @@ let detach n =
   match n.parent with
   | None -> ()
   | Some p ->
-    if n.node_kind = Attribute then
+    if is_attribute n then
       p.attrs <- List.filter (fun a -> not (a == n)) p.attrs
-    else p.children <- List.filter (fun c -> not (c == n)) p.children;
+    else set_kids p (List.filter (fun c -> not (c == n)) (kids p));
     n.parent <- None
 
 let check_child_ok parent child =
   (match parent.node_kind with
-  | Document | Element -> ()
+  | Document | Element | Row _ -> ()
   | Attribute | Text | Comment | Processing_instruction ->
     invalid_arg "Node: this node kind cannot have children");
   match child.node_kind with
   | Attribute -> invalid_arg "Node: attribute nodes are not children"
   | Document ->
     invalid_arg "Node: document nodes cannot be inserted as children"
-  | Element | Text | Comment | Processing_instruction -> ()
+  | Element | Row _ | Text | Comment | Processing_instruction -> ()
 
 let append_child parent child =
   check_child_ok parent child;
   detach child;
-  parent.children <- parent.children @ [ child ];
+  set_kids parent (kids parent @ [ child ]);
   adopt parent child
 
 let rec check_children parent = function
@@ -223,10 +328,10 @@ let insert_children parent ~pos nodes =
   check_children parent nodes;
   List.iter detach nodes;
   adopt_all parent nodes;
-  parent.children <-
+  set_kids parent
     (match pos with
-    | `First -> nodes @ parent.children
-    | `Last -> parent.children @ nodes)
+    | `First -> nodes @ kids parent
+    | `Last -> kids parent @ nodes)
 
 let insert_sibling target ~pos nodes =
   match target.parent with
@@ -235,15 +340,17 @@ let insert_sibling target ~pos nodes =
     List.iter (check_child_ok p) nodes;
     List.iter detach nodes;
     adopt_all p nodes;
-    let before, after = split_at_node target p.children in
-    p.children <-
+    let before, after = split_at_node target (kids p) in
+    set_kids p
       (match pos with
       | `Before -> before @ nodes @ (target :: after)
       | `After -> before @ (target :: nodes) @ after)
 
 let set_attribute el qn value =
-  if el.node_kind <> Element then
-    invalid_arg "Node.set_attribute: not an element";
+  (match el.node_kind with
+  | Element | Row _ -> ()
+  | Document | Attribute | Text | Comment | Processing_instruction ->
+    invalid_arg "Node.set_attribute: not an element");
   match
     List.find_opt
       (fun a -> match a.name with Some an -> Qname.equal an qn | None -> false)
@@ -265,24 +372,25 @@ let remove_attribute el qn =
 let set_text n s =
   match n.node_kind with
   | Text | Comment | Attribute | Processing_instruction -> n.content <- s
-  | Document | Element -> invalid_arg "Node.set_text: document or element"
+  | Document | Element | Row _ ->
+    invalid_arg "Node.set_text: document or element"
 
 let rename n qn =
   match n.node_kind with
-  | Element | Attribute | Processing_instruction -> n.name <- Some qn
+  | Element | Row _ | Attribute | Processing_instruction -> n.name <- Some qn
   | Document | Text | Comment ->
     invalid_arg "Node.rename: node kind has no name"
 
 let replace_children_with_text el s =
   (match el.node_kind with
-  | Element -> ()
+  | Element | Row _ -> ()
   | _ -> invalid_arg "Node.replace_children_with_text: not an element");
-  List.iter (fun c -> c.parent <- None) el.children;
-  if s = "" then el.children <- []
+  List.iter (fun c -> c.parent <- None) (kids el);
+  if s = "" then set_kids el []
   else begin
     let t = text s in
     adopt el t;
-    el.children <- [ t ]
+    set_kids el [ t ]
   end
 
 let is_same a b = a == b
@@ -295,7 +403,7 @@ let path_from_root n =
     | None -> acc
     | Some p ->
       let idx =
-        if n.node_kind = Attribute then
+        if is_attribute n then
           let rec find i = function
             | [] -> assert false
             | a :: rest -> if a == n then i else find (i + 1) rest
@@ -307,7 +415,7 @@ let path_from_root n =
             | [] -> assert false
             | c :: rest -> if c == n then i else find (i + 1) rest
           in
-          find 0 p.children
+          find 0 (kids p)
       in
       go (idx :: acc) p
   in
@@ -319,14 +427,13 @@ let sibling_order p a b =
     | [] -> assert false
     | c :: rest -> if c == a then -1 else if c == b then 1 else first rest
   in
-  first (if a.node_kind = Attribute then p.attrs else p.children)
+  first (if is_attribute a then p.attrs else kids p)
 
 let doc_order a b =
   if a == b then 0
   else
     match (a.parent, b.parent) with
-    | Some pa, Some pb
-      when pa == pb && (a.node_kind = Attribute) = (b.node_kind = Attribute) ->
+    | Some pa, Some pb when pa == pb && is_attribute a = is_attribute b ->
       sibling_order pa a b
     | _ ->
       let ra = root a and rb = root b in
@@ -348,19 +455,32 @@ let rec deep_copy n =
   | Attribute -> attribute (Option.get n.name) n.content
   | Processing_instruction ->
     processing_instruction (Option.get n.name).Qname.local n.content
-  | Element ->
-    let el = fresh Element in
-    el.name <- n.name;
-    el.attrs <- List.map deep_copy n.attrs;
-    adopt_all el el.attrs;
-    el.children <- List.map deep_copy n.children;
-    adopt_all el el.children;
-    el
+  | Row { columns; cells; built } -> (
+    match Stdlib.Atomic.get built with
+    | None ->
+      (* the cells are immutable: the copy shares them, unbuilt *)
+      let el = row (Option.get n.name) columns cells in
+      copy_attrs n el;
+      el
+    | Some l -> copy_element n l)
+  | Element -> copy_element n n.children
   | Document ->
     let d = fresh Document in
     d.children <- List.map deep_copy n.children;
     adopt_all d d.children;
     d
+
+and copy_attrs n el =
+  el.attrs <- List.map deep_copy n.attrs;
+  adopt_all el el.attrs
+
+and copy_element n children =
+  let el = fresh Element in
+  el.name <- n.name;
+  copy_attrs n el;
+  el.children <- List.map deep_copy children;
+  adopt_all el el.children;
+  el
 
 let qname_opt_equal a b =
   match (a, b) with
@@ -369,10 +489,10 @@ let qname_opt_equal a b =
   | _ -> false
 
 let rec deep_equal a b =
-  a.node_kind = b.node_kind
+  kind a = kind b
   && qname_opt_equal a.name b.name
   &&
-  match a.node_kind with
+  match kind a with
   | Text | Comment | Processing_instruction | Attribute ->
     String.equal a.content b.content
   | Element ->
@@ -387,7 +507,7 @@ let rec deep_equal a b =
     && List.for_all2
          (fun (n1, v1) (n2, v2) -> Qname.equal n1 n2 && String.equal v1 v2)
          (sort a.attrs) (sort b.attrs)
-    && content_equal a.children b.children
+    && content_equal (kids a) (kids b)
   | Document -> content_equal a.children b.children
 
 and content_equal ca cb =
@@ -400,7 +520,7 @@ and content_equal ca cb =
 let pp ppf n =
   match n.node_kind with
   | Document -> Format.fprintf ppf "document#%d" n.id
-  | Element ->
+  | Element | Row _ ->
     Format.fprintf ppf "element(%s)#%d" (Qname.to_string (Option.get n.name)) n.id
   | Attribute ->
     Format.fprintf ppf "attribute(%s=%S)#%d"

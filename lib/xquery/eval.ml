@@ -43,7 +43,7 @@ let axis_nodes axis node =
   | Ast.Preceding_sibling -> Node.preceding_siblings node
   | Ast.Ancestor -> Node.ancestors node
   | Ast.Ancestor_or_self -> node :: Node.ancestors node
-  | Ast.Following ->
+  | Ast.Following -> (
     (* nodes after this node in document order, excluding descendants *)
     let rec collect n acc =
       match Node.parent n with
@@ -56,7 +56,11 @@ let axis_nodes axis node =
         in
         collect p acc
     in
-    collect node []
+    (* an attribute precedes its owner's children: they follow it, then
+       what follows the owner (attributes are never on this axis) *)
+    match (Node.kind node, Node.parent node) with
+    | Node.Attribute, Some owner -> collect owner (Node.descendants owner)
+    | _ -> collect node [])
   | Ast.Preceding ->
     let ancestors = Node.ancestors node in
     let rec collect n acc =
@@ -1079,16 +1083,32 @@ let verdict cc e = cc.c_purity e
 
 (* ---- keyed-read predicate forms ---- *)
 
-(* [fn:data(e)] compares like [e]: comparisons atomize their operands *)
-let strip_data cc = function
+(* the argument of a call to the built-in [fn:data] *)
+let data_arg cc = function
   | Ast.Call (q, [ e ])
     when String.equal q.Qname.uri Qname.fn_ns
          && String.equal q.Qname.local "data"
          && (match Context.find cc.c_registry q 1 with
             | Some { Context.fn_impl = Context.Builtin _; _ } -> true
             | _ -> false) ->
-    e
-  | e -> e
+    Some e
+  | _ -> None
+
+(* [fn:data(e)] compares like [e]: comparisons atomize their operands *)
+let strip_data cc e = match data_arg cc e with Some a -> a | None -> e
+
+(* [$v/COL]: a child step by an unprefixed name from a variable. When
+   [$v] holds exactly one unbuilt row element (DESIGN.md §13), the
+   column is that row's cell: the row has one child named COL, whose
+   text is the cell, or none when the column is NULL. The compiled
+   plans read [fn:data($v/COL)], a keyed read's key [$v/COL] and the
+   leaf [<N>{fn:data($v/COL)}</N>] from the cell; anything else takes
+   the general plan. *)
+let row_column = function
+  | Ast.Path (Ast.Var v, Ast.Step (Ast.Child, Ast.Name_test q, []))
+    when String.equal q.Qname.uri "" ->
+    Some (v, q)
+  | _ -> None
 
 (* the row side: a child step naming one of the read's text columns,
    or that step projected through an element constructor — an unfolded
@@ -1530,45 +1550,26 @@ and compile_expr cc (e : Ast.expr) : plan =
     | [] -> eager ())
   | Ast.Call (name, args) ->
     compile_streaming_call cc name args
-  | Ast.Elem_ctor (name, attrs, contents) ->
-    let cattrs =
-      List.map
-        (fun (an, parts) ->
-          ( an,
-            List.map
-              (function
-                | Ast.Attr_str s -> `Str s
-                | Ast.Attr_expr e -> `Expr (compile cc e))
-              parts ))
-        attrs
-    in
-    let ccontents =
-      List.map
-        (function
-          | Ast.Content_text s -> `Text s
-          | Ast.Content_node e | Ast.Content_expr e ->
-            `Expr (compile cc e, fresh_content e))
-        contents
-    in
-    fun ctx ->
-      let el = Node.element name [] in
-      if cattrs <> [] then
-        List.iter
-          (fun (an, parts) ->
-            let v =
-              String.concat ""
-                (List.map
-                   (function
-                     | `Str s -> s
-                     | `Expr p ->
-                       String.concat " "
-                         (List.map Atomic.to_string (Item.atomize (p ctx))))
-                   parts)
-            in
-            Node.set_attribute el an v)
-          cattrs;
-      attach_children el (gather_parts ctx el [] ccontents);
-      [ Item.Node el ]
+  | Ast.Elem_ctor (name, attrs, contents) -> (
+    let general = compile_elem_ctor cc name attrs contents in
+    (* the data-service leaf [<N>{fn:data($v/COL)}</N>] over one unbuilt
+       row: the general plan's element, with the cell as its one text
+       child (none when NULL), made in the same order *)
+    match (attrs, contents) with
+    | [], [ Ast.Content_expr c ] -> (
+      match Option.bind (data_arg cc c) row_column with
+      | None -> general
+      | Some (v, q) -> (
+        fun ctx ->
+          match Context.lookup_var ctx v with
+          | Some [ Item.Node n ] when Node.unbuilt_row n ->
+            let el = Node.element name [] in
+            (match Node.cell n q with
+            | Some s -> Node.insert_children el ~pos:`Last [ Node.text s ]
+            | None -> ());
+            [ Item.Node el ]
+          | _ -> general ctx))
+    | _ -> general)
   | Ast.Comp_elem (name_spec, content) ->
     let cname = compile_name_spec cc ~element:true name_spec in
     let pc = compile cc content in
@@ -1682,6 +1683,46 @@ and compile_name_spec cc ~element = function
     let pe = compile cc e in
     fun ctx -> name_spec_atom ~element (Item.one_atom (pe ctx))
 
+and compile_elem_ctor cc name attrs contents =
+  let cattrs =
+    List.map
+      (fun (an, parts) ->
+        ( an,
+          List.map
+            (function
+              | Ast.Attr_str s -> `Str s
+              | Ast.Attr_expr e -> `Expr (compile cc e))
+            parts ))
+      attrs
+  in
+  let ccontents =
+    List.map
+      (function
+        | Ast.Content_text s -> `Text s
+        | Ast.Content_node e | Ast.Content_expr e ->
+          `Expr (compile cc e, fresh_content e))
+      contents
+  in
+  fun ctx ->
+    let el = Node.element name [] in
+    if cattrs <> [] then
+      List.iter
+        (fun (an, parts) ->
+          let v =
+            String.concat ""
+              (List.map
+                 (function
+                   | `Str s -> s
+                   | `Expr p ->
+                     String.concat " "
+                       (List.map Atomic.to_string (Item.atomize (p ctx))))
+                 parts)
+          in
+          Node.set_attribute el an v)
+        cattrs;
+    attach_children el (gather_parts ctx el [] ccontents);
+    [ Item.Node el ]
+
 (* The keyed read: [T()[COL eq K] ...] over a keyed table read makes
    the read's one guarded open, then — only when the opened version has
    rows — evaluates K once. A single string-like key selects the rows
@@ -1703,6 +1744,15 @@ and compile_keyed_filter cc prim first rest =
       | None -> None
       | Some (column, projected, key) ->
         let ckey = compile cc key in
+        let key_text =
+          match row_column key with
+          | None -> fun ctx -> text_key (ckey ctx)
+          | Some (v, q) -> (
+            fun ctx ->
+              match Context.lookup_var ctx v with
+              | Some [ Item.Node n ] when Node.unbuilt_row n -> Node.cell n q
+              | _ -> text_key (ckey ctx))
+        in
         let cfirst = compile_predicates cc [ first ] in
         let crest = compile_predicates cc rest in
         Some
@@ -1715,7 +1765,7 @@ and compile_keyed_filter cc prim first rest =
                 []
               end
               else
-                match text_key (ckey ctx) with
+                match key_text ctx with
                 | Some k when not (projected && k = "") ->
                   materialize ctx (r.Context.tr_rows (Some (column, k)))
                 | Some _ | None ->
@@ -2064,6 +2114,18 @@ and compile_streaming_call cc name args =
           streaming_subsequence ctx c
             (fun () -> cstart ctx)
             (Some (fun () -> clen ctx)))
+    | "data", [ e ] -> (
+      match row_column e with
+      | None -> plain ()
+      | Some (v, q) -> (
+        let general = plain () in
+        fun ctx ->
+          match Context.lookup_var ctx v with
+          | Some [ Item.Node n ] when Node.unbuilt_row n -> (
+            match Node.cell n q with
+            | Some s -> [ Item.Atomic (Atomic.Untyped s) ]
+            | None -> [])
+          | _ -> general ctx))
     | _ -> plain ()
 
 (* Function application with the callee resolved at compile time. A name

@@ -1,19 +1,25 @@
 (* The allocation gate. Fixtures.Alloc_probe counts the minor words of
-   three requests on the Figure 3/4 paths; for a given build and OCaml
+   four requests on the Figure 3/4 paths; for a given build and OCaml
    version the counts repeat exactly, so each bound is the count
    measured when the gate was set plus 10%. Copying fresh constructor
    content again fails the by-id and getProfile bounds (DESIGN.md §14,
-   "Construction"). *)
+   "Construction"); building every row's children at the read again
+   fails the by-id, getProfile and navigation bounds (DESIGN.md §13,
+   "Row elements"). *)
 
 open Core
 open Util
 module P = Fixtures.Alloc_probe
 
-(* words measured when the bounds were set; before adoption and the
-   one-node step rule the three allocated 11,889, 217,341 and 24,522 *)
-let by_id_words = 4_233
-let get_profile_words = 70_719
-let cycle_words = 16_391
+(* words measured when the bounds were set. Before adoption and the
+   one-node step rule the by-id read, getProfile and the cycle allocated
+   11,889, 217,341 and 24,522; before row elements, cell reads and the
+   resolved guard state they allocated 4,233, 70,719 and 16,391, and
+   the navigation count 18,993. *)
+let by_id_words = 2_767
+let get_profile_words = 42_973
+let nav_words = 7_698
+let cycle_words = 15_306
 let bound words = words + (words / 10)
 let probe = lazy (P.measure ())
 
@@ -38,6 +44,12 @@ let read_path_tests =
       (fun () ->
         within "count(profile:getProfile())" get_profile_words
           (Lazy.force probe).P.get_profile);
+    case
+      (Printf.sprintf "one getORDERS navigation per customer at %d customers"
+         P.read_customers)
+      (fun () ->
+        within "count(for $c in customer:CUSTOMER() return customer:getORDERS($c))"
+          nav_words (Lazy.force probe).P.nav);
     case
       (Printf.sprintf "a Figure 4 cycle at %d customers, cache on"
          P.cycle_customers)

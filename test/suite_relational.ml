@@ -546,6 +546,43 @@ let pk_lookup_tests =
           (after <> pinned
           && List.map (fun row -> Table.get row t "NAME") after
              = [ Value.Text "changed" ]));
+    case "an index probe yields its candidates in pk order" (fun () ->
+        (* inserted out of pk order, some before the index exists and
+           some after; then a delete and an update that moves a row
+           between index entries *)
+        let db, scanned = counted () in
+        let t =
+          Database.add_table db
+            {
+              Table.tbl_name = "G";
+              columns = [ col "ID" Value.T_int false; col "GRP" Value.T_text false ];
+              primary_key = [ "ID" ];
+              foreign_keys = [];
+            }
+        in
+        let add id grp = Table.insert t [| Value.Int id; Text grp |] in
+        List.iter (fun id -> add id (if id mod 2 = 0 then "a" else "b")) [ 9; 4; 7; 2 ];
+        Table.create_index t [ "GRP" ];
+        List.iter (fun id -> add id (if id mod 2 = 0 then "a" else "b")) [ 6; 1; 8; 3; 10 ];
+        ignore (Database.exec db (Delete { table = "G"; where = Pred.eq "ID" (Value.Int 6) }));
+        ignore
+          (Database.exec db
+             (Update
+                { table = "G"; set = [ ("GRP", Value.Text "a") ];
+                  where = Pred.eq "ID" (Value.Int 7) }));
+        let ids rows = List.map (fun row -> Table.get row t "ID") rows in
+        let a = Pred.eq "GRP" (Value.Text "a") in
+        check_bool "group a in pk order" true
+          (ids (check_reads scanned t a ~examined:5)
+          = List.map (fun i -> Value.Int i) [ 2; 4; 7; 8; 10 ]);
+        check_bool "a conjunction probes the same entry, in pk order" true
+          (ids
+             (check_reads scanned t ~examined:5
+                (Pred.And (a, Pred.Cmp (Pred.Gt, "ID", Value.Int 4))))
+          = List.map (fun i -> Value.Int i) [ 7; 8; 10 ]);
+        check_int "group b" 3
+          (List.length
+             (check_reads scanned t (Pred.eq "GRP" (Value.Text "b")) ~examined:3)));
     case "a numeric key on a DOUBLE primary key still scans" (fun () ->
         (* Int 3 equals Float 3.0 under the predicate but not in the row
            map, so the lookup would miss the row *)

@@ -227,6 +227,18 @@ let path_tests =
     q "the first of the preceding nodes is the farthest" "a"
       "let $p := <p><a/><b/><c><d/></c></p> return \
        local-name(($p/c/d/preceding::*)[1])";
+    q "following:: from an attribute reaches its owner's children" "1"
+      "count(<a x=\"1\"><b/></a>/@x/following::*)";
+    q "following:: from an attribute: owner's children, then after it"
+      "b d"
+      "let $r := <r><a x=\"1\"><b/></a><d/></r> return \
+       string-join(for $n in $r/a/@x/following::* return local-name($n), \" \")";
+    q "following::node() from an attribute skips the other attributes" "1"
+      "let $r := <r><a x=\"1\" y=\"2\"><b/></a></r> return \
+       count($r/a/@x/following::node())";
+    q "following:: from an element is what follows it" "d"
+      "let $r := <r><a x=\"1\"><b/></a><d/></r> return \
+       string-join(for $n in $r/a/b/following::* return local-name($n), \" \")";
   ]
 
 let constructor_tests =
