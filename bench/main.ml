@@ -275,6 +275,9 @@ let report () =
           A.cycle_customer A.cycle_customers,
         "cycle",
         a.A.cycle );
+      ( Printf.sprintf "Sdo.parse (Sdo.serialize dg) of that cycle's datagraph",
+        "wire",
+        a.A.wire );
     ];
 
   section "OCC: optimistic concurrency policies";

@@ -786,8 +786,16 @@ and resolve_source_fn t current_name (q : Qname.t) =
 (* Is a call to (name, arity) cacheable, and over which tables? The
    admission policy, in decreasing specificity:
 
-   - physical reads and navigations (the [source_fns] table) are pure by
-     construction and footprint exactly the table they scan;
+   - physical reads (the [source_fns] table) are pure by construction
+     and footprint exactly the table they scan;
+   - navigation functions bypass the cache. A navigation is one index
+     probe, cheaper than its entry: the key serializes the parent row,
+     the result is copied on store and on every hit, and a miss takes
+     the store lock twice. Its entry is keyed by the whole parent row
+     but evicted only by writes to the child table, so every write of
+     the parent row strands one entry, which each submit's eviction
+     sweep then walks under the store lock. The data-service calls that
+     navigate stay cached, so their hits still skip every navigation;
    - a logical service's [Read_function] methods qualify when the purity
      analysis finds the function effect-free *and* the service's lineage
      is analyzable — the footprint is every table the lineage touches;
@@ -807,7 +815,7 @@ let footprint_of t (q : Qname.t) arity =
     let result =
       match Hashtbl.find_opt t.source_fns (q.Qname.uri, q.Qname.local) with
       | Some (Lineage.Read_fn { db; table }) -> Some [ (db, table) ]
-      | Some (Lineage.Nav_fn { db; table; _ }) -> Some [ (db, table) ]
+      | Some (Lineage.Nav_fn _) -> None
       | Some (Lineage.Logical_fn blk) -> Some (lineage_tables blk)
       | None -> (
         let owner =

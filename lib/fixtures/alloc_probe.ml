@@ -2,7 +2,7 @@ open Xdm
 module FC = Customer_profile
 module R = Relational
 
-type t = { by_id : int; get_profile : int; nav : int; cycle : int }
+type t = { by_id : int; get_profile : int; nav : int; cycle : int; wire : int }
 
 let read_customers = 20
 let cycle_customers = 10
@@ -31,19 +31,24 @@ let read_words fc text =
       ignore
         (R.Table.with_snapshot tables (fun () -> Xqse.Session.run c) : Item.seq))
 
+(* the Figure 4 client change: get the profile, change two leaves *)
+let changed_profile fc tag =
+  let dg =
+    Aldsp.Dataspace.get fc.FC.ds fc.FC.svc ~meth:"getProfileById"
+      [ [ Item.Atomic (Atomic.String cycle_customer) ] ]
+  in
+  Sdo.set_leaf dg 1 [ ("LAST_NAME", 1) ] (Printf.sprintf "L%d" tag);
+  Sdo.set_leaf dg 1
+    [ ("CreditCards", 1); ("CREDIT_CARD", 1); ("BRAND", 1) ]
+    (Printf.sprintf "B%d" tag);
+  dg
+
 let cycle_words fc =
   ignore (Aldsp.Dataspace.enable_result_cache fc.FC.ds);
   let tag = ref 0 in
   words (fun () ->
       incr tag;
-      let dg =
-        Aldsp.Dataspace.get fc.FC.ds fc.FC.svc ~meth:"getProfileById"
-          [ [ Item.Atomic (Atomic.String cycle_customer) ] ]
-      in
-      Sdo.set_leaf dg 1 [ ("LAST_NAME", 1) ] (Printf.sprintf "L%d" !tag);
-      Sdo.set_leaf dg 1
-        [ ("CreditCards", 1); ("CREDIT_CARD", 1); ("BRAND", 1) ]
-        (Printf.sprintf "B%d" !tag);
+      let dg = changed_profile fc !tag in
       let r = Aldsp.Dataspace.submit fc.FC.ds fc.FC.svc dg in
       if not r.Aldsp.Dataspace.sr_committed then
         failwith "Alloc_probe: the Figure 4 submit did not commit")
@@ -59,5 +64,8 @@ let measure () =
     read_words reads
       "count(for $c in customer:CUSTOMER() return customer:getORDERS($c))"
   in
-  let cycle = cycle_words (FC.make ~customers:cycle_customers ()) in
-  { by_id; get_profile; nav; cycle }
+  let fc = FC.make ~customers:cycle_customers () in
+  let cycle = cycle_words fc in
+  let dg = changed_profile fc 0 in
+  let wire = words (fun () -> ignore (Sdo.parse (Sdo.serialize dg) : Sdo.t)) in
+  { by_id; get_profile; nav; cycle; wire }

@@ -1,5 +1,6 @@
 (** Minor words allocated by one request on the Figure 3 read path, by
-    one navigation per customer row and by one Figure 4 cycle: the figures the experiment report's ALLOC
+    one navigation per customer row, by one Figure 4 cycle and by the
+    cycle's wire round trip: the figures the experiment report's ALLOC
     section prints and the tier-1 allocation gate bounds.
 
     Each request runs on a {!Customer_profile} dataspace the way a pool
@@ -25,6 +26,9 @@ type t = {
       (** one Figure 4 cycle on {!cycle_customer} at {!cycle_customers}
           customers with the result cache on: get the profile, change
           its LAST_NAME and its first card's BRAND, submit *)
+  wire : int;
+      (** [Sdo.serialize], then [Sdo.parse], of that cycle's changed
+          datagraph: the wire round trip every submit makes *)
 }
 
 val read_customers : int
@@ -43,4 +47,4 @@ val warmups : int
 (** 3 untimed runs before the counted one. *)
 
 val measure : unit -> t
-(** Build the two dataspaces and measure the four requests. *)
+(** Build the two dataspaces and measure the five counts. *)

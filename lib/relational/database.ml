@@ -24,23 +24,39 @@ type t = {
   db_name : string;
   tbls : (string, Table.t) Hashtbl.t;
   mutable order : string list;  (* table creation order *)
+  log_lock : Mutex.t;  (* guards [log]: every domain appends to it *)
   mutable log : string list;  (* newest first *)
-  (* open transaction: the tables it has written, each tagged with
-     whether the transaction acquired the write lock itself (a
-     coordinator like Decompose pre-acquires ordered locksets, in which
-     case the lock is not ours to release) *)
-  mutable tx : (Table.t * bool) list option;
   faults : Resilience.Faults.t;  (* all failure injection lives here *)
   mutable instr : Instr.t;
 }
+
+(* An open transaction: the tables it has written, each tagged with
+   whether the transaction acquired the write lock itself (a
+   coordinator like Decompose pre-acquires ordered locksets, in which
+   case the lock is not ours to release). *)
+type tx = { mutable written : (Table.t * bool) list }
+
+(* The calling domain's open transactions, one per database. A
+   transaction belongs to the domain that began it, as a table's write
+   lock and ambient snapshot do, so submits on two domains whose
+   locksets are disjoint tables of one database run their XA rounds
+   side by side. *)
+let open_txs : (t * tx) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let current_tx t = List.assq_opt t !(Domain.DLS.get open_txs)
+
+let close_tx t =
+  let txs = Domain.DLS.get open_txs in
+  txs := List.filter (fun (d, _) -> d != t) !txs
 
 let create name =
   {
     db_name = name;
     tbls = Hashtbl.create 8;
     order = [];
+    log_lock = Mutex.create ();
     log = [];
-    tx = None;
     faults = Resilience.Faults.create ~source:name ();
     instr = Instr.disabled;
   }
@@ -66,9 +82,12 @@ let table t name =
   | None -> raise (Db_error (Printf.sprintf "%s: unknown table %s" t.db_name name))
 
 let tables t = List.map (fun n -> Hashtbl.find t.tbls n) t.order
-let sql_log t = List.rev t.log
-let clear_log t = t.log <- []
-let log_size t = List.length t.log
+let append_log t entry =
+  Mutex.protect t.log_lock (fun () -> t.log <- entry :: t.log)
+
+let sql_log t = Mutex.protect t.log_lock (fun () -> List.rev t.log)
+let clear_log t = Mutex.protect t.log_lock (fun () -> t.log <- [])
+let log_size t = Mutex.protect t.log_lock (fun () -> List.length t.log)
 
 (* A statement's target table joins the open transaction on first
    write: lock it (unless a coordinator already holds it for us) so the
@@ -76,15 +95,12 @@ let log_size t = List.length t.log
    are taken lazily in statement order — concurrent multi-table writers
    must pre-acquire their locksets in the global (db, table) order, as
    {!Decompose.execute} does. *)
-let ensure_tx_table t tbl =
-  match t.tx with
-  | None -> ()
-  | Some entries ->
-    if not (List.exists (fun (tb, _) -> tb == tbl) entries) then begin
-      let owned = not (Table.holds_write tbl) in
-      if owned then Table.lock_write tbl;
-      t.tx <- Some ((tbl, owned) :: entries)
-    end
+let ensure_tx_table tx tbl =
+  if not (List.exists (fun (tb, _) -> tb == tbl) tx.written) then begin
+    let owned = not (Table.holds_write tbl) in
+    if owned then Table.lock_write tbl;
+    tx.written <- (tbl, owned) :: tx.written
+  end
 
 let faults t = t.faults
 
@@ -179,10 +195,10 @@ let exec t dml =
     with Table.Constraint_violation msg -> raise (Db_error msg)
   in
   let affected =
-    match t.tx with
-    | Some _ ->
+    match current_tx t with
+    | Some tx ->
       (* changes accumulate in the table's working store until commit *)
-      ensure_tx_table t tbl;
+      ensure_tx_table tx tbl;
       run ()
     | None ->
       if Table.holds_write tbl then
@@ -205,19 +221,20 @@ let exec t dml =
               raise e)
       end
   in
-  t.log <- sql :: t.log;
+  append_log t sql;
   affected
 
-let in_tx t = t.tx <> None
+let in_tx t = current_tx t <> None
 
 let begin_tx t =
   if in_tx t then raise (Db_error (t.db_name ^ ": transaction already open"));
-  t.tx <- Some []
+  let txs = Domain.DLS.get open_txs in
+  txs := (t, { written = [] }) :: !txs
 
 let commit t =
-  match t.tx with
+  match current_tx t with
   | None -> raise (Db_error (t.db_name ^ ": no open transaction"))
-  | Some entries -> (
+  | Some tx -> (
     (* an injected commit fault leaves the transaction open — working
        stores and locks intact: a prepared participant stays prepared
        and the coordinator may retry *)
@@ -232,21 +249,23 @@ let commit t =
          respect to snapshot capture (the lock is reentrant, so an XA
          coordinator can hold it across all participants) *)
       Table.publish_all (fun () ->
-          List.iter (fun (tb, _) -> Table.commit_write tb) entries);
-      List.iter (fun (tb, owned) -> if owned then Table.unlock_write tb) entries;
-      t.tx <- None)
+          List.iter (fun (tb, _) -> Table.commit_write tb) tx.written);
+      List.iter
+        (fun (tb, owned) -> if owned then Table.unlock_write tb)
+        tx.written;
+      close_tx t)
 
 let rollback t =
-  match t.tx with
+  match current_tx t with
   | None -> raise (Db_error (t.db_name ^ ": no open transaction"))
-  | Some entries ->
+  | Some tx ->
     List.iter
       (fun (tb, owned) ->
         Table.discard_write tb;
         if owned then Table.unlock_write tb)
-      entries;
-    t.tx <- None;
-    t.log <- Printf.sprintf "ROLLBACK -- %s" t.db_name :: t.log
+      tx.written;
+    close_tx t;
+    append_log t (Printf.sprintf "ROLLBACK -- %s" t.db_name)
 
 let prepare_fault t =
   match Resilience.Faults.on_prepare t.faults with

@@ -46,15 +46,22 @@ val read_check : t -> unit
     @raise Db_error when an injected fault fires. *)
 
 val sql_log : t -> string list
-(** All SQL statements executed so far, oldest first. *)
+(** All SQL statements executed so far, by every domain, oldest
+    first. *)
 
 val clear_log : t -> unit
 val log_size : t -> int
 
-(** {1 Transactions} *)
+(** {1 Transactions}
+
+    A transaction belongs to the domain that began it: {!exec},
+    {!commit}, {!rollback} and {!in_tx} see the calling domain's open
+    transaction on the database, so domains whose writes touch disjoint
+    tables of one database can each have one open at once. *)
 
 val begin_tx : t -> unit
-(** @raise Db_error if a transaction is already open. *)
+(** Open a transaction for the calling domain.
+    @raise Db_error if the calling domain already has one open. *)
 
 val commit : t -> unit
 (** Publish every written table's new version (atomically with respect

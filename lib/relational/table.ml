@@ -491,11 +491,27 @@ let insert_named t pairs =
 
 (* ---- reads ---- *)
 
+(* the rows in ascending pk order, in one pass into an array of the
+   version's row count *)
+let rows_array rows =
+  match PkMap.min_binding_opt rows with
+  | None -> [||]
+  | Some (_, first) ->
+    let a = Array.make (PkMap.cardinal rows) first in
+    ignore
+      (PkMap.fold
+         (fun _ row i ->
+           a.(i) <- row;
+           i + 1)
+         rows 0
+        : int);
+    a
+
 let scan_array v =
   match Atomic.get v.v_scan with
   | Some a -> a
   | None ->
-    let a = Array.of_seq (Seq.map snd (PkMap.to_seq v.v_store.s_rows)) in
+    let a = rows_array v.v_store.s_rows in
     Atomic.set v.v_scan (Some a);
     a
 

@@ -197,30 +197,39 @@ let ref_of t i =
   in
   Printf.sprintf "#/sdo:datagraph/%s[%d]" local i
 
-let summary_entry t i (oc : object_change) =
+module W = Xml_serialize
+
+let sdo_datagraph = sdo "datagraph"
+let change_summary = Qname.local "changeSummary"
+let sdo_ref = sdo "ref"
+let sdo_path = sdo "path"
+let sdo_idx = sdo "idx"
+
+(* One object's entry in the change summary: old values of its leaves
+   (Figure 4's shape for top-level ones), deleted elements in full, and
+   where elements were inserted. *)
+let write_summary_entry w t i (oc : object_change) =
   let e = entry t i in
   let obj_name =
     match Node.name e.node with Some q -> q | None -> Qname.local "object"
   in
-  let el = Node.element obj_name [] in
-  Node.set_attribute el (sdo "ref") (ref_of t i);
+  W.start_element ~attr:(sdo_ref, ref_of t i) w obj_name;
   List.iter
     (fun lc ->
-      match lc.leaf_path with
-      | [ (leaf, 1) ] ->
-        (* Figure 4 shape for top-level leaves *)
-        Node.append_child el
-          (Node.element (Qname.local leaf) [ Node.text lc.old_value ])
+      (match lc.leaf_path with
+      | [ (leaf, 1) ] -> W.start_element w (Qname.local leaf)
       | p ->
-        let ov = Node.element (sdo "oldValue") [ Node.text lc.old_value ] in
-        Node.set_attribute ov (sdo "path") (path_to_string p);
-        Node.append_child el ov)
+        W.start_element ~attr:(sdo_path, path_to_string p) w (sdo "oldValue"));
+      W.text w lc.old_value;
+      W.end_element w)
     oc.leaves;
   List.iter
     (fun d ->
-      let del = Node.element (sdo "deletedElement") [ Node.deep_copy d.deleted_old ] in
-      Node.set_attribute del (sdo "path") (path_to_string d.deleted_path);
-      Node.append_child el del)
+      W.start_element
+        ~attr:(sdo_path, path_to_string d.deleted_path)
+        w (sdo "deletedElement");
+      W.node w d.deleted_old;
+      W.end_element w)
     oc.element_deletes;
   List.iter
     (fun ins ->
@@ -233,38 +242,39 @@ let summary_entry t i (oc : object_change) =
               occurrence_index ins.inserted_node );
           ]
       in
-      let mark = Node.element (sdo "insertedElement") [] in
-      Node.set_attribute mark (sdo "path") (path_to_string path);
-      Node.append_child el mark)
+      W.start_element ~attr:(sdo_path, path_to_string path) w
+        (sdo "insertedElement");
+      W.end_element w)
     oc.element_inserts;
-  el
+  W.end_element w
 
+(* The client's objects are written where they stand: the wire wraps
+   them without re-parenting or copying them, and each live object
+   carries its original index as an sdo:idx attribute on the wire
+   only. *)
 let serialize t =
-  let summary = Node.element (Qname.local "changeSummary") [] in
+  let w = W.create () in
+  W.start_element w sdo_datagraph;
+  W.start_element w change_summary;
   List.iter
     (fun change ->
       match change with
-      | Modified (i, oc) -> Node.append_child summary (summary_entry t i oc)
+      | Modified (i, oc) -> write_summary_entry w t i oc
       | Created i ->
-        let c = Node.element (sdo "created") [] in
-        Node.set_attribute c (sdo "ref") (ref_of t i);
-        Node.append_child summary c
+        W.start_element ~attr:(sdo_ref, ref_of t i) w (sdo "created");
+        W.end_element w
       | Deleted (i, old) ->
-        let d = Node.element (sdo "deleted") [ Node.deep_copy old ] in
-        Node.set_attribute d (sdo "ref") (ref_of t i);
-        Node.append_child summary d)
+        W.start_element ~attr:(sdo_ref, ref_of t i) w (sdo "deleted");
+        W.node w old;
+        W.end_element w)
     (changes t);
-  let dg = Node.element (sdo "datagraph") [] in
-  Node.append_child dg summary;
+  W.end_element w;
   List.iteri
     (fun idx e ->
-      if e.alive then begin
-        let copy = Node.deep_copy e.node in
-        Node.set_attribute copy (sdo "idx") (string_of_int (idx + 1));
-        Node.append_child dg copy
-      end)
+      if e.alive then W.node ~attr:(sdo_idx, string_of_int (idx + 1)) w e.node)
     t.entries;
-  Xml_serialize.to_string dg
+  W.end_element w;
+  W.contents w
 
 let index_of_ref s =
   (* "#/sdo:datagraph/NAME[i]" -> i *)
@@ -272,6 +282,10 @@ let index_of_ref s =
   | Some i, Some j when j > i ->
     int_of_string (String.sub s (i + 1) (j - i - 1))
   | _ -> failwith (Printf.sprintf "invalid sdo:ref %S" s)
+
+let taken n =
+  Node.detach n;
+  n
 
 let parse src =
   let doc = Xml_parse.parse src in
@@ -297,14 +311,14 @@ let parse src =
     List.map
       (fun o ->
         let idx =
-          match Node.attribute_value o (sdo "idx") with
+          match Node.attribute_value o sdo_idx with
           | Some s -> int_of_string s
           | None ->
             incr max_idx;
             !max_idx
         in
         max_idx := max idx !max_idx;
-        Node.remove_attribute o (sdo "idx");
+        Node.remove_attribute o sdo_idx;
         (idx, o))
       objects
   in
@@ -317,10 +331,12 @@ let parse src =
       | None -> ())
     summary_entries;
   let slots = Array.make (max !max_idx 0) None in
+  (* nothing else holds the parsed nodes: the objects, deleted objects
+     and deleted elements are taken out of the parsed document, not
+     copied *)
   List.iter
     (fun (idx, o) ->
-      let o = Node.deep_copy o in
-      slots.(idx - 1) <- Some { node = o; alive = true; created = false })
+      slots.(idx - 1) <- Some { node = taken o; alive = true; created = false })
     indexed;
   let t = { entries = []; change_order = [] } in
   (* process the summary *)
@@ -339,7 +355,7 @@ let parse src =
       | Some q when q.Qname.uri = sdo_ns && q.Qname.local = "deleted" ->
         let old =
           match child_elements e with
-          | [ o ] -> Node.deep_copy o
+          | [ o ] -> taken o
           | _ -> failwith "sdo:deleted must contain the old object"
         in
         slots.(ref_idx - 1) <-
@@ -367,7 +383,7 @@ let parse src =
               in
               let old =
                 match child_elements part with
-                | [ o ] -> Node.deep_copy o
+                | [ o ] -> taken o
                 | _ -> failwith "sdo:deletedElement must contain the old element"
               in
               oc.element_deletes <-

@@ -96,6 +96,13 @@ val delete_object : t -> int -> unit
 (** {1 Wire format} *)
 
 val serialize : t -> string
+(** The wire form. The datagraph is left as it is: its objects are
+    written where they stand, with no copy, no parent and no [sdo:idx]
+    attribute of their own, even when serialization raises. *)
+
 val parse : string -> t
-(** Round-trips {!serialize}. @raise Xdm.Xml_parse.Parse_error /
-    Failure on malformed datagraphs. *)
+(** Round-trips {!serialize}. The objects, deleted objects and deleted
+    elements are the parsed nodes themselves, detached from the parsed
+    document rather than copied.
+    @raise Xdm.Xml_parse.Parse_error / Failure on malformed
+    datagraphs. *)

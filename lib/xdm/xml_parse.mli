@@ -13,4 +13,5 @@ val parse : string -> Node.t
 
 val parse_fragment : string -> Node.t list
 (** Parse mixed content (possibly several top-level elements and text
-    runs); returns the nodes without a document wrapper. *)
+    runs), read as an element's content is; returns the nodes without
+    a document wrapper or parent. *)

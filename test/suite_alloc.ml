@@ -1,11 +1,13 @@
 (* The allocation gate. Fixtures.Alloc_probe counts the minor words of
-   four requests on the Figure 3/4 paths; for a given build and OCaml
-   version the counts repeat exactly, so each bound is the count
-   measured when the gate was set plus 10%. Copying fresh constructor
-   content again fails the by-id and getProfile bounds (DESIGN.md §14,
-   "Construction"); building every row's children at the read again
-   fails the by-id, getProfile and navigation bounds (DESIGN.md §13,
-   "Row elements"). *)
+   four requests on the Figure 3/4 paths and of the Figure 4 wire round
+   trip; for a given build and OCaml version the counts repeat exactly,
+   so each bound is the count measured when the gate was set plus 10%.
+   Copying fresh constructor content again fails the by-id and
+   getProfile bounds (DESIGN.md §14, "Construction"); building every
+   row's children at the read again fails the by-id, getProfile and
+   navigation bounds (DESIGN.md §13, "Row elements"); deep-copying the
+   datagraph's objects on the wire again fails the wire and cycle
+   bounds (DESIGN.md §19, the wire round trip). *)
 
 open Core
 open Util
@@ -15,11 +17,15 @@ module P = Fixtures.Alloc_probe
    one-node step rule the by-id read, getProfile and the cycle allocated
    11,889, 217,341 and 24,522; before row elements, cell reads and the
    resolved guard state they allocated 4,233, 70,719 and 16,391, and
-   the navigation count 18,993. *)
+   the navigation count 18,993. Before the one-buffer serializer, the
+   closure-free parser, the copy-free SDO wire, the navigation bypass
+   of the result cache and the one-pass scan array the cycle allocated
+   15,306 and the wire round trip 6,515. *)
 let by_id_words = 2_767
 let get_profile_words = 42_973
 let nav_words = 7_698
-let cycle_words = 15_306
+let cycle_words = 9_451
+let wire_words = 1_766
 let bound words = words + (words / 10)
 let probe = lazy (P.measure ())
 
@@ -56,6 +62,12 @@ let read_path_tests =
       (fun () ->
         within "the Figure 4 get/change/submit cycle" cycle_words
           (Lazy.force probe).P.cycle);
+    case
+      (Printf.sprintf "the Figure 4 wire round trip at %d customers"
+         P.cycle_customers)
+      (fun () ->
+        within "Sdo.parse (Sdo.serialize dg)" wire_words
+          (Lazy.force probe).P.wire);
   ]
 
 let suites = [ ("alloc.read-path", read_path_tests) ]

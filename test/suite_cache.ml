@@ -106,6 +106,9 @@ let admission_tests =
           (fp customers_ns "getCustomer" 0 = Some [ ("db1", "CUSTOMER") ]);
         check_bool "ws operation has no footprint, never cacheable" true
           (fp "urn:creditrating" "getCreditRating" 1 = None);
+        check_bool "a navigation function has no footprint: an index probe"
+          true
+          (fp "ld:db1/CUSTOMER" "getORDERS" 1 = None);
         check_bool "physical procedure never cacheable" true
           (fp "ld:db1/CUSTOMER" "createCUSTOMER" 1 = None));
     case "counters pin across miss, hit, evict, bypass" (fun () ->
@@ -218,6 +221,30 @@ let admission_tests =
         done;
         check_int "the log agrees" 3
           (List.length (Resilience.Control.degradations ctl)));
+    case "navigation calls bypass; the call that navigates still hits"
+      (fun () ->
+        let instr = Instr.create () in
+        Instr.preregister instr;
+        Instr.enable instr;
+        let env = FC.make ~customers:2 ~instr () in
+        let h = Aldsp.Dataspace.enable_result_cache env.FC.ds in
+        let sess = Aldsp.Dataspace.session env.FC.ds in
+        let c = counter instr in
+        let nav = "for $c in customer:CUSTOMER() return customer:getORDERS($c)" in
+        let n1 = Xqse.Session.eval_to_string sess nav in
+        check_int "one bypass per customer row" 3 (c Instr.K.cache_bypass);
+        check_int "only the CUSTOMER read is admitted" 1
+          (Cache.Store.size (Cache.store h));
+        let n2 = Xqse.Session.eval_to_string sess nav in
+        check_string "same orders" n1 n2;
+        check_int "the navigations bypass again" 6 (c Instr.K.cache_bypass);
+        let q = {|profile:getProfileById("007")|} in
+        let r1 = Xqse.Session.eval_to_string sess q in
+        let b = c Instr.K.cache_bypass and hits = c Instr.K.cache_hit in
+        let r2 = Xqse.Session.eval_to_string sess q in
+        check_string "the hit replays the miss" r1 r2;
+        check_int "the outer call hits" (hits + 1) (c Instr.K.cache_hit);
+        check_int "and skips its navigation" b (c Instr.K.cache_bypass));
   ]
 
 let invalidation_tests =
@@ -269,6 +296,28 @@ let invalidation_tests =
           (counter instr Instr.K.cache_miss);
         check_bool "fresh read sees the committed LAST_NAME" true
           (contains after "Moneypenny"));
+    case "Figure 4 cycles strand no entries" (fun () ->
+        (* each cycle rewrites 007's row; an entry keyed by that row and
+           evicted only by writes to another table would be left behind
+           by every cycle until the store's cap flushed it *)
+        let env = FC.make ~customers:10 () in
+        let h = Aldsp.Dataspace.enable_result_cache env.FC.ds in
+        let largest = ref 0 and committed = ref 0 in
+        for k = 1 to 600 do
+          let dg = FC.get_profile_by_id env "007" in
+          Sdo.set_leaf dg 1 [ ("LAST_NAME", 1) ] (Printf.sprintf "L%d" k);
+          Sdo.set_leaf dg 1
+            [ ("CreditCards", 1); ("CREDIT_CARD", 1); ("BRAND", 1) ]
+            (Printf.sprintf "B%d" k);
+          let r = Aldsp.Dataspace.submit env.FC.ds env.FC.svc dg in
+          if r.Aldsp.Dataspace.sr_committed then incr committed;
+          largest := max !largest (Cache.Store.size (Cache.store h))
+        done;
+        check_int "every submit committed" 600 !committed;
+        check_bool
+          (Printf.sprintf "the store stays at a handful of entries (at most %d)"
+             !largest)
+          true (!largest <= 5));
   ]
 
 let fingerprint_tests =

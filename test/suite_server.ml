@@ -934,6 +934,57 @@ let mvcc_tests =
           ((text (lastname env), text (brand env)) = ("Name9", "BRAND9"));
         check_int "superseded version collected on release" live0
           (R.Table.live_versions env.FC.customer));
+    case "two domains' transactions on one database stay apart" (fun () ->
+        (* one client rewrites 007's LAST_NAME (a plan on db1/CUSTOMER
+           alone), the other C1's first order STATUS (db1/ORDERS alone):
+           disjoint locksets, so their XA rounds on db1 overlap, and
+           each domain must commit its own transaction, never the
+           other's *)
+        let env = FC.make ~customers:2 () in
+        let n = 1_000 in
+        let client cid path prefix =
+          Domain.spawn (fun () ->
+              let aborted = ref [] in
+              for i = 1 to n do
+                let dg = FC.get_profile_by_id env cid in
+                Sdo.set_leaf dg 1 path (Printf.sprintf "%s%d" prefix i);
+                let r = Aldsp.Dataspace.submit env.FC.ds env.FC.svc dg in
+                if not r.Aldsp.Dataspace.sr_committed then
+                  aborted :=
+                    Option.value r.Aldsp.Dataspace.sr_reason ~default:"?"
+                    :: !aborted
+              done;
+              !aborted)
+        in
+        let names = client "007" [ ("LAST_NAME", 1) ] "L"
+        and statuses =
+          client "C1" [ ("Orders", 1); ("ORDERS", 1); ("STATUS", 1) ] "S"
+        in
+        let outcome d =
+          match Domain.join d with
+          | [] -> "all committed"
+          | reasons ->
+            Printf.sprintf "%d aborted, first: %s" (List.length reasons)
+              (List.hd reasons)
+          | exception e -> "raised " ^ Printexc.to_string e
+        in
+        check_string "the LAST_NAME client" "all committed" (outcome names);
+        check_string "the STATUS client" "all committed" (outcome statuses);
+        List.iter
+          (fun tbl ->
+            check_int (R.Table.name tbl ^ ": one live version") 1
+              (R.Table.live_versions tbl);
+            check_bool (R.Table.name tbl ^ ": no lock held") true
+              (R.Table.lock_info tbl = (None, 0)))
+          [ env.FC.customer; env.FC.orders ];
+        check_string "007's last write" (Printf.sprintf "L%d" n)
+          (text (lastname env));
+        let first_order =
+          List.hd
+            (R.Table.select env.FC.orders (R.Pred.eq "CID" (R.Value.Text "C1")))
+        in
+        check_string "C1's first order's last write" (Printf.sprintf "S%d" n)
+          (text (R.Table.get first_order env.FC.orders "STATUS")));
   ]
 
 let suites =
