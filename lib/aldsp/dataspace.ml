@@ -235,21 +235,31 @@ let invalidating t tables impl args =
 (* Every call into a registered source goes through [Control.call] on
    the source's guard state, resolved once at registration, so policies
    (timeout, retry, breaker) apply uniformly without a lock per call;
-   guard failures surface as XQSE-catchable errors with stable codes in
-   the err: namespace. *)
+   the guard's refusals arrive as XQSE-catchable errors with stable
+   codes in the err: namespace. What a source's native failure becomes
+   is decided once too, at registration: a [native] map turns it into
+   the XQSE error callers see and leaves every other exception alone. *)
 
-let raise_resil_error ~source code message =
-  Item.raise_error
-    (Qname.err (Resilience.Control.code_name code))
-    (Printf.sprintf "%s: %s" source message)
+let resx0004 = Qname.err "RESX0004"
 
-(* a statement-ish call (exec, ws invoke): native faults keep their
-   legacy wrapping via [on_native] *)
-let guarded t src ~on_native f x =
-  try Resilience.Control.call t.resil src f x with
-  | Resilience.Control.Error { source; code; message } ->
-    raise_resil_error ~source code message
-  | e -> on_native e
+(* a database read's native failure: RESX0004, a source fault no retry
+   policy absorbed *)
+let read_failure = function
+  | R.Database.Db_error message ->
+    Item.Error { code = resx0004; message; items = [] }
+  | e -> e
+
+(* a statement's: the procedure's own error, e.g. [{ns}CreateError] *)
+let statement_failure code = function
+  | R.Database.Db_error message -> Item.Error { code; message; items = [] }
+  | e -> e
+
+(* One guarded source call: [f x] under the guard, its native failure
+   mapped. A statement makes it as is — a write is never degraded — and
+   a read through [guarded_read]. [f] and [native] are registration-time
+   values, so nothing here allocates a closure. *)
+let guarded_statement t src ~native f x =
+  try Resilience.Control.call t.resil src f x with e -> raise (native e)
 
 (* Overload brownout: while the server's pressure signal is asserted,
    a degradable source degrades *proactively* — the call is skipped
@@ -263,17 +273,22 @@ let note_brownout t ~source =
   Resilience.Control.note_degraded t.resil ~source ~code:"BROWNOUT"
     ~message:"read degraded proactively under overload pressure"
 
-(* [call t src f x] guarded; a degradable source degrades to [empty ()]
-   plus a degradation report instead of failing the read. [call] is a
-   top-level function, so nothing here allocates a closure. *)
-let degrade_on_error t src ~empty call f x =
-  if not (Resilience.Control.degradable src) then call t src f x
+(* A query-path read: the guard and the degrade decision wrap the *open*
+   — the read check plus cursor (or opened table read) construction, or
+   the web-service invoke — so exactly one guarded call happens per read
+   invocation; row pulls then stream outside the guard (they cannot
+   fail: the cursors snapshot their rows at open). A degradable source
+   degrades to [empty ()] plus a degradation report instead of failing:
+   the empty cursor, a table read with no rows, no response. *)
+let guarded_read t src ~native ~empty f x =
+  if not (Resilience.Control.degradable src) then
+    guarded_statement t src ~native f x
   else if Resilience.Control.in_brownout t.resil then begin
     note_brownout t ~source:(Resilience.Control.source_name src);
     empty ()
   end
   else
-    try call t src f x
+    try guarded_statement t src ~native f x
     with Item.Error { code; message; _ } ->
       let source = Resilience.Control.source_name src in
       Log.info (fun m ->
@@ -282,21 +297,50 @@ let degrade_on_error t src ~empty call f x =
         ~message;
       empty ()
 
-(* A query-path read: the guard and the degrade decision wrap the *open*
-   — the read check plus cursor (or opened table read) construction —
-   so exactly one guarded call happens per read invocation; row pulls
-   then stream outside the guard (they cannot fail: the cursors below
-   snapshot their rows at open). Leftover injected faults get their own
-   stable code RESX0004 (source fault, no retry policy); a degraded
-   read yields [empty ()]: the empty cursor, or a table read with no
-   rows. *)
-let read_call t src f x =
-  try Resilience.Control.call t.resil src f x with
-  | Resilience.Control.Error { source; code; message } ->
-    raise_resil_error ~source code message
-  | R.Database.Db_error msg -> Item.raise_error (Qname.err "RESX0004") msg
+(* Strict admission of a write: every named source's breaker must
+   admit a call, or the write fails here with [err:RESX0002]. *)
+let rec admit t ~name = function
+  | [] -> ()
+  | source :: rest ->
+    (try Resilience.Control.check_strict t.resil ~source
+     with Item.Error { message; _ } as e ->
+       Log.info (fun m -> m "%s rejected strictly: %s" name message);
+       raise e);
+    admit t ~name rest
 
-let guarded_read t src ~empty f x = degrade_on_error t src ~empty read_call f x
+(* the source a dependency names: "db1/CUSTOMER" is db1's *)
+let dependency_source d =
+  match String.index_opt d '/' with Some i -> String.sub d 0 i | None -> d
+
+(* The one executor of decomposition plans, for SDO submits and the
+   generated create/update/delete alike. Admission comes first, so a
+   refused plan runs no statement anywhere: an expired request deadline
+   refuses it, then an open breaker on any source the service depends
+   on. [make_plan] runs next (a submit's wire round trip and planning),
+   then the databases the plan targets, which may be a subset or
+   superset of the dependencies, must admit it too: a write is never
+   served degraded. The plan then runs as one XA transaction, and the
+   write set's cache entries go after the commit, never before — a read
+   racing the write may cache the pre-image until the data actually
+   changes, but once the commit lands the entries are gone. *)
+let execute_plan t (svc : Data_service.t) make_plan =
+  let name = svc.Data_service.ds_name in
+  Resilience.Deadline.check ~source:name (Resilience.Deadline.current ());
+  admit t ~name
+    (List.sort_uniq compare
+       (List.map dependency_source svc.Data_service.ds_dependencies));
+  let plan = make_plan () in
+  admit t ~name
+    (List.sort_uniq compare (List.map (fun s -> s.Decompose.step_db) plan));
+  let outcome = Decompose.execute ~db_of:(fun n -> database t n) plan in
+  if outcome.Decompose.committed then
+    invalidate_cache_tables t (plan_tables plan);
+  {
+    sr_committed = outcome.Decompose.committed;
+    sr_statements = outcome.Decompose.statements;
+    sr_sql = Decompose.plan_to_strings plan;
+    sr_reason = outcome.Decompose.reason;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Relational introspection                                            *)
@@ -336,7 +380,7 @@ let no_rows () =
     tr_release = ignore;
   }
 
-let one_table_arg what args =
+let nodes_arg what args =
   match args with
   | [ seq ] -> Item.nodes_only seq
   | _ -> Item.type_error (what ^ ": expected one argument")
@@ -362,6 +406,37 @@ let link_pred from_tbl from_cols to_cols =
   | [ one ] -> fun row -> eq row one
   | _ -> fun row -> R.Pred.conj (List.map (eq row) reads)
 
+(* One navigation function [name]: from the node passed in to the rows
+   of [tbl], a table of [db], that [pred node] selects — the rows a
+   foreign key links to a row, in either direction, or the current
+   source rows under a logical service instance ([pred] gives [False]
+   when the node lacks the key). A navigation is a read like any other:
+   one guarded cursor open on [db]'s source per call. *)
+let register_navigation t svc db tbl ~name ~expects ~doc pred =
+  let db_name = R.Database.name db in
+  let src = Resilience.Control.source t.resil db_name in
+  let rows = row_cursor tbl in
+  let select p =
+    R.Database.read_check db;
+    rows (R.Table.select_cursor tbl p)
+  in
+  Xqse.Session.register_function_cursor t.sess name 1
+    ~purity:source_read_purity (function
+    | [ [ Item.Node node ] ] ->
+      guarded_read t src ~native:read_failure ~empty:Cursor.empty select
+        (pred node)
+    | _ ->
+      Item.type_error
+        (Printf.sprintf "%s expects one %s" (Qname.to_string name) expects));
+  Data_service.add_method svc
+    {
+      Data_service.m_name = name;
+      m_kind =
+        Data_service.Navigation_function (db_name ^ "/" ^ R.Table.name tbl);
+      m_arity = 1;
+      m_doc = doc;
+    }
+
 let register_database t db =
   let db_name = R.Database.name db in
   if Hashtbl.mem t.dbs db_name then
@@ -369,6 +444,7 @@ let register_database t db =
   R.Database.set_instr db (instr t);
   Resilience.Control.attach t.resil (R.Database.faults db);
   let src = Resilience.Control.source t.resil db_name in
+  let exec = R.Database.exec db in
   Hashtbl.replace t.dbs db_name db;
   let new_services =
     List.map
@@ -390,7 +466,9 @@ let register_database t db =
           R.Database.read_check db;
           table_read rows (R.Table.open_read tbl)
         in
-        let open_read () = guarded_read t src ~empty:no_rows open_table () in
+        let open_read () =
+          guarded_read t src ~native:read_failure ~empty:no_rows open_table ()
+        in
         let text_columns =
           List.filter_map
             (fun (c : R.Table.column) ->
@@ -412,129 +490,86 @@ let register_database t db =
             m_arity = 0;
             m_doc = Printf.sprintf "all rows of %s.%s" db_name tname;
           };
-        (* --- create procedure --- *)
-        let create_name = fn ("create" ^ tname) in
-        Xqse.Session.register_procedure t.sess create_name 1
-          ~params:[ (Qname.local "rows", Some (elem_seqtype tname)) ]
+        (* --- create/update/delete procedures: one guarded statement
+           per row element; [statement error node] is the row's
+           statement and what the call returns for it, and a failed
+           statement raises the procedure's [error], e.g.
+           [{ns}CreateError] --- *)
+        let statement_procedure verb kind ?return ~doc statement =
+          let name = fn (verb ^ tname) in
+          let error =
+            Qname.make ~uri:ns (String.capitalize_ascii verb ^ "Error")
+          in
+          let native = statement_failure error in
+          Xqse.Session.register_procedure t.sess name 1
+            ~params:[ (Qname.local "rows", Some (elem_seqtype tname)) ]
+            ?return
+            (invalidating t [ (db_name, tname) ] (fun args ->
+                 List.concat_map
+                   (fun node ->
+                     let dml, result = statement error node in
+                     ignore (guarded_statement t src ~native exec dml : int);
+                     result)
+                   (nodes_arg (verb ^ tname) args)));
+          Data_service.add_method svc
+            {
+              Data_service.m_name = name;
+              m_kind = kind;
+              m_arity = 1;
+              m_doc = doc;
+            }
+        in
+        let pk = schema.R.Table.primary_key in
+        let pk_where error node =
+          try Rowxml.pk_pred_of_xml tbl node
+          with Failure msg -> Item.raise_error error msg
+        in
+        statement_procedure "create" Data_service.Create_procedure
           ~return:(elem_seqtype (tname ^ "_KEY"))
-          (invalidating t [ (db_name, tname) ] (fun args ->
-            let rows = one_table_arg ("create" ^ tname) args in
-            List.map
-              (fun node ->
-                let pairs = Rowxml.xml_to_pairs tbl node in
-                let pairs =
-                  List.filter (fun (_, v) -> v <> R.Value.Null) pairs
-                in
-                ignore
-                  (guarded t src
-                     ~on_native:(function
-                       | R.Database.Db_error msg ->
-                         Item.raise_error (Qname.make ~uri:ns "CreateError") msg
-                       | e -> raise e)
-                     (R.Database.exec db)
-                     (R.Database.Insert
-                        {
-                          table = tname;
-                          columns = List.map fst pairs;
-                          values = List.map snd pairs;
-                        }));
-                let key_el =
-                  Node.element
-                    (Qname.local (tname ^ "_KEY"))
-                    (List.map
-                       (fun k ->
-                         Node.element (Qname.local k)
-                           [
-                             Node.text
-                               (match List.assoc_opt k pairs with
-                               | Some v -> R.Value.to_string v
-                               | None -> "");
-                           ])
-                       schema.R.Table.primary_key)
-                in
-                Item.Node key_el)
-              rows));
-        Data_service.add_method svc
-          {
-            Data_service.m_name = create_name;
-            m_kind = Data_service.Create_procedure;
-            m_arity = 1;
-            m_doc = "insert rows";
-          };
-        (* --- update procedure --- *)
-        let update_name = fn ("update" ^ tname) in
-        Xqse.Session.register_procedure t.sess update_name 1
-          ~params:[ (Qname.local "rows", Some (elem_seqtype tname)) ]
-          (invalidating t [ (db_name, tname) ] (fun args ->
-            let rows = one_table_arg ("update" ^ tname) args in
-            List.iter
-              (fun node ->
-                let pairs = Rowxml.xml_to_pairs tbl node in
-                let where =
-                  try Rowxml.pk_pred_of_xml tbl node
-                  with Failure msg ->
-                    Item.raise_error (Qname.make ~uri:ns "UpdateError") msg
-                in
-                let set =
-                  List.filter
-                    (fun (c, _) -> not (List.mem c schema.R.Table.primary_key))
-                    pairs
-                in
-                ignore
-                  (guarded t src
-                     ~on_native:(function
-                       | R.Database.Db_error msg ->
-                         Item.raise_error (Qname.make ~uri:ns "UpdateError") msg
-                       | e -> raise e)
-                     (R.Database.exec db)
-                     (R.Database.Update { table = tname; set; where })))
-              rows;
-            []));
-        Data_service.add_method svc
-          {
-            Data_service.m_name = update_name;
-            m_kind = Data_service.Update_procedure;
-            m_arity = 1;
-            m_doc = "update rows by primary key";
-          };
-        (* --- delete procedure --- *)
-        let delete_name = fn ("delete" ^ tname) in
-        Xqse.Session.register_procedure t.sess delete_name 1
-          ~params:[ (Qname.local "rows", Some (elem_seqtype tname)) ]
-          (invalidating t [ (db_name, tname) ] (fun args ->
-            let rows = one_table_arg ("delete" ^ tname) args in
-            List.iter
-              (fun node ->
-                let where =
-                  try Rowxml.pk_pred_of_xml tbl node
-                  with Failure msg ->
-                    Item.raise_error (Qname.make ~uri:ns "DeleteError") msg
-                in
-                ignore
-                  (guarded t src
-                     ~on_native:(function
-                       | R.Database.Db_error msg ->
-                         Item.raise_error (Qname.make ~uri:ns "DeleteError") msg
-                       | e -> raise e)
-                     (R.Database.exec db)
-                     (R.Database.Delete { table = tname; where })))
-              rows;
-            []));
-        Data_service.add_method svc
-          {
-            Data_service.m_name = delete_name;
-            m_kind = Data_service.Delete_procedure;
-            m_arity = 1;
-            m_doc = "delete rows by primary key";
-          };
+          ~doc:"insert rows"
+          (fun _ node ->
+            let pairs =
+              List.filter
+                (fun (_, v) -> v <> R.Value.Null)
+                (Rowxml.xml_to_pairs tbl node)
+            in
+            let key =
+              List.map
+                (fun k ->
+                  Node.element (Qname.local k)
+                    [
+                      Node.text
+                        (match List.assoc_opt k pairs with
+                        | Some v -> R.Value.to_string v
+                        | None -> "");
+                    ])
+                pk
+            in
+            ( R.Database.Insert
+                {
+                  table = tname;
+                  columns = List.map fst pairs;
+                  values = List.map snd pairs;
+                },
+              [ Item.Node (Node.element (Qname.local (tname ^ "_KEY")) key) ]
+            ));
+        statement_procedure "update" Data_service.Update_procedure
+          ~doc:"update rows by primary key" (fun error node ->
+            let pairs = Rowxml.xml_to_pairs tbl node in
+            let where = pk_where error node in
+            let set = List.filter (fun (c, _) -> not (List.mem c pk)) pairs in
+            (R.Database.Update { table = tname; set; where }, []));
+        statement_procedure "delete" Data_service.Delete_procedure
+          ~doc:"delete rows by primary key" (fun error node ->
+            ( R.Database.Delete { table = tname; where = pk_where error node },
+              [] ));
         svc)
       (R.Database.tables db)
   in
   (* navigation functions from foreign keys (both directions) *)
   List.iter
     (fun tbl ->
-      let schema = R.Table.schema tbl in
-      let child_name = schema.R.Table.tbl_name in
+      let child_name = R.Table.name tbl in
       List.iter
         (fun (fk : R.Table.foreign_key) ->
           let parent_name = fk.R.Table.fk_ref_table in
@@ -542,95 +577,41 @@ let register_database t db =
           (* navigation functions probe the child by its FK columns, so
              introspection builds a hash index over them *)
           R.Table.create_index tbl fk.R.Table.fk_columns;
-          let parent_svc =
-            List.find
-              (fun s -> s.Data_service.ds_name = db_name ^ "/" ^ parent_name)
-              new_services
-          and child_svc =
-            List.find
-              (fun s -> s.Data_service.ds_name = db_name ^ "/" ^ child_name)
-              new_services
+          (* from a row of [from_tbl] to the rows of [to_tbl] whose
+             [to_cols] equal its [from_cols] *)
+          let navigation from_tbl from_cols to_tbl to_cols ~doc =
+            let from = R.Table.name from_tbl and target = R.Table.name to_tbl in
+            let name =
+              Qname.make ~uri:(table_ns db_name from) ("get" ^ target)
+            in
+            register_navigation t
+              (List.find
+                 (fun s -> s.Data_service.ds_name = db_name ^ "/" ^ from)
+                 new_services)
+              db to_tbl ~name ~expects:(from ^ " row") ~doc
+              (link_pred from_tbl from_cols to_cols);
+            Hashtbl.replace t.source_fns (name.Qname.uri, name.Qname.local)
+              (Lineage.Nav_fn
+                 {
+                   db = db_name;
+                   table = target;
+                   parent_table = from;
+                   link = List.combine to_cols from_cols;
+                 })
           in
-          (* parent -> children:  cus:getORDER($customer) *)
-          let nav_name =
-            Qname.make ~uri:(table_ns db_name parent_name) ("get" ^ child_name)
-          in
-          let child_rows = row_cursor tbl
-          and parent_rows = row_cursor parent_tbl in
-          let select_children pred =
-            R.Database.read_check db;
-            child_rows (R.Table.select_cursor tbl pred)
-          in
-          let child_pred =
-            link_pred parent_tbl fk.R.Table.fk_ref_columns
-              fk.R.Table.fk_columns
-          in
-          Xqse.Session.register_function_cursor t.sess nav_name 1
-            ~purity:source_read_purity (fun args ->
-              match args with
-              | [ [ Item.Node parent_row ] ] ->
-                guarded_read t src ~empty:Cursor.empty select_children
-                  (child_pred parent_row)
-              | _ ->
-                Item.type_error
-                  (Printf.sprintf "%s expects one %s row"
-                     (Qname.to_string nav_name) parent_name));
-          Hashtbl.replace t.source_fns (nav_name.Qname.uri, nav_name.Qname.local)
-            (Lineage.Nav_fn
-               {
-                 db = db_name;
-                 table = child_name;
-                 parent_table = parent_name;
-                 link = List.combine fk.R.Table.fk_columns fk.R.Table.fk_ref_columns;
-               });
-          Data_service.add_method parent_svc
-            {
-              Data_service.m_name = nav_name;
-              m_kind = Data_service.Navigation_function (db_name ^ "/" ^ child_name);
-              m_arity = 1;
-              m_doc =
-                Printf.sprintf "rows of %s referencing this %s row" child_name
-                  parent_name;
-            };
+          (* parent -> children:  cus:getORDERS($customer) *)
+          navigation parent_tbl fk.R.Table.fk_ref_columns tbl
+            fk.R.Table.fk_columns
+            ~doc:
+              (Printf.sprintf "rows of %s referencing this %s row" child_name
+                 parent_name);
           (* child -> parent:  ord:getCUSTOMER($order) *)
-          let nav_back =
-            Qname.make ~uri:(table_ns db_name child_name) ("get" ^ parent_name)
-          in
-          let select_parent pred =
-            R.Database.read_check db;
-            parent_rows (R.Table.select_cursor parent_tbl pred)
-          in
-          let parent_pred =
-            link_pred tbl fk.R.Table.fk_columns fk.R.Table.fk_ref_columns
-          in
-          Xqse.Session.register_function_cursor t.sess nav_back 1
-            ~purity:source_read_purity (fun args ->
-              match args with
-              | [ [ Item.Node child_row ] ] ->
-                guarded_read t src ~empty:Cursor.empty select_parent
-                  (parent_pred child_row)
-              | _ ->
-                Item.type_error
-                  (Printf.sprintf "%s expects one %s row"
-                     (Qname.to_string nav_back) child_name));
-          Hashtbl.replace t.source_fns (nav_back.Qname.uri, nav_back.Qname.local)
-            (Lineage.Nav_fn
-               {
-                 db = db_name;
-                 table = parent_name;
-                 parent_table = child_name;
-                 link = List.combine fk.R.Table.fk_ref_columns fk.R.Table.fk_columns;
-               });
-          Data_service.add_method child_svc
-            {
-              Data_service.m_name = nav_back;
-              m_kind = Data_service.Navigation_function (db_name ^ "/" ^ parent_name);
-              m_arity = 1;
-              m_doc =
-                Printf.sprintf "the %s row this %s row references" parent_name
-                  child_name;
-            })
-        schema.R.Table.foreign_keys)
+          navigation tbl fk.R.Table.fk_columns parent_tbl
+            fk.R.Table.fk_ref_columns
+            ~doc:
+              (Printf.sprintf "the %s row this %s row references" parent_name
+                 child_name))
+        (R.Table.schema tbl).R.Table.foreign_keys)
     (R.Database.tables db);
   t.svcs <- t.svcs @ new_services;
   new_services
@@ -639,6 +620,9 @@ let register_database t db =
 (* Web-service introspection                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* what a degraded or browned-out invoke yields *)
+let no_response () = []
+
 let register_web_service t ws =
   Webservice.set_instr ws (instr t);
   Resilience.Control.attach t.resil (Webservice.faults ws);
@@ -646,13 +630,16 @@ let register_web_service t ws =
   let ws_name = Webservice.name ws in
   let src = Resilience.Control.source t.resil ws_name in
   let fault_name = Qname.make ~uri:ns "Fault" in
-  let on_fault = function
+  let native = function
     | Webservice.Fault { service; operation; message } ->
-      Item.raise_error fault_name
-        (Printf.sprintf "%s.%s: %s" service operation message)
-    | e -> raise e
+      Item.Error
+        {
+          code = fault_name;
+          message = Printf.sprintf "%s.%s: %s" service operation message;
+          items = [];
+        }
+    | e -> e
   in
-  let invoke_call t src f x = guarded t src ~on_native:on_fault f x in
   let svc =
     Data_service.make ~name:ws_name ~namespace:ns
       ~kind:Data_service.Library
@@ -668,9 +655,7 @@ let register_web_service t ws =
         (fun args ->
           match args with
           | [ [ Item.Node request ] ] ->
-            degrade_on_error t src
-              ~empty:(fun () -> [])
-              invoke_call invoke request
+            guarded_read t src ~native ~empty:no_response invoke request
           | _ ->
             Item.type_error
               (Printf.sprintf "%s expects one request element"
@@ -877,8 +862,134 @@ let enable_result_cache ?cap t =
 
 let result_cache t = t.ds_cache
 
-let rec create_entity_service t ~name ~namespace ~shape ~methods ?primary_read
-    ?(dependencies = []) ?(generate_cud = true) source =
+(* Auto-generate create/update/delete methods for a logical service
+   whose primary read lineage is analyzable (paper III.D.1), and a
+   navigation function per nested block. Silently skipped when the
+   lineage cannot be reverse-engineered. *)
+let generate_methods t svc =
+  match lineage_of t svc with
+  | Error _ -> ()
+  | Ok lineage ->
+    let ns = svc.Data_service.ds_namespace in
+    let shape_local = lineage.Lineage.b_row_elem in
+    let lookup ~db ~table = lookup_table t ~db ~table in
+    (* the instance element carrying a lineage field, by element name *)
+    let field_value obj elem =
+      List.find_map
+        (fun ch ->
+          match Node.name ch with
+          | Some q when q.Qname.local = elem && Node.kind ch = Node.Element ->
+            Some (Node.string_value ch)
+          | _ -> None)
+        (Node.children obj)
+    in
+    let key_elem node =
+      (* <Shape_KEY> with the primary-key leaf elements of the root row *)
+      let tbl =
+        lookup ~db:lineage.Lineage.b_db ~table:lineage.Lineage.b_table
+      in
+      let pks = (R.Table.schema tbl).R.Table.primary_key in
+      let leaves =
+        List.filter_map
+          (fun col ->
+            List.find_opt
+              (fun (f : Lineage.field) -> f.Lineage.f_column = col)
+              lineage.Lineage.b_fields
+            |> Option.map (fun (f : Lineage.field) ->
+                   let v =
+                     Option.value ~default:""
+                       (field_value node f.Lineage.f_elem)
+                   in
+                   Node.element (Qname.local f.Lineage.f_elem) [ Node.text v ]))
+          pks
+      in
+      Node.element (Qname.make ~uri:ns (shape_local ^ "_KEY")) leaves
+    in
+    (* one procedure per verb: each instance element's plan runs through
+       the plan executor; an aborted plan raises [{ns}<Verb>Error] *)
+    let procedure verb kind plan_of ~result =
+      let name = Qname.make ~uri:ns (verb ^ shape_local) in
+      let error =
+        Qname.make ~uri:ns (String.capitalize_ascii verb ^ "Error")
+      in
+      Xqse.Session.register_procedure t.sess name 1 (fun args ->
+          List.concat_map
+            (fun node ->
+              let r = execute_plan t svc (fun () -> plan_of node) in
+              if not r.sr_committed then
+                Item.raise_error error
+                  (Option.value ~default:"update aborted" r.sr_reason);
+              result node)
+            (nodes_arg (verb ^ shape_local) args));
+      Data_service.add_method svc
+        {
+          Data_service.m_name = name;
+          m_kind = kind;
+          m_arity = 1;
+          m_doc = "auto-generated from the primary read lineage";
+        }
+    in
+    procedure "create" Data_service.Create_procedure
+      (Decompose.plan_create_object ~lookup_table:lookup ~lineage)
+      ~result:(fun node -> [ Item.Node (key_elem node) ]);
+    procedure "update" Data_service.Update_procedure
+      (Decompose.plan_replace_object ~lookup_table:lookup ~lineage)
+      ~result:(fun _ -> []);
+    procedure "delete" Data_service.Delete_procedure
+      (Decompose.plan_delete_object ~lookup_table:lookup
+         ~policy:Occ.Updated_values ~lineage)
+      ~result:(fun _ -> []);
+    (* navigation functions for each nested block: from one service
+       instance to the *current* related source rows (paper II.A:
+       "traversal from one instance object ... to one or more instances
+       from a related data service"). The key is read from the
+       instance through the root block's fields. *)
+    List.iter
+      (fun (c : Lineage.child) ->
+        let child_blk = c.Lineage.c_block in
+        let db = database t child_blk.Lineage.b_db in
+        let tbl = R.Database.table db child_blk.Lineage.b_table in
+        let cols = (R.Table.schema tbl).R.Table.columns in
+        let links =
+          List.map
+            (fun (ccol, pcol) ->
+              let pelem =
+                match
+                  List.find_opt
+                    (fun (f : Lineage.field) -> f.Lineage.f_column = pcol)
+                    lineage.Lineage.b_fields
+                with
+                | Some f -> f.Lineage.f_elem
+                | None -> pcol
+              in
+              let col_type =
+                List.find_map
+                  (fun (col : R.Table.column) ->
+                    if col.R.Table.col_name = ccol then
+                      Some col.R.Table.col_type
+                    else None)
+                  cols
+              in
+              (ccol, pelem, col_type))
+            c.Lineage.c_link
+        in
+        let pred obj =
+          R.Pred.conj
+            (List.map
+               (fun (ccol, pelem, col_type) ->
+                 match (field_value obj pelem, col_type) with
+                 | Some s, Some ty -> R.Pred.eq ccol (R.Value.of_string ty s)
+                 | _ -> R.Pred.False)
+               links)
+        in
+        register_navigation t svc db tbl
+          ~name:(Qname.make ~uri:ns ("get" ^ child_blk.Lineage.b_row_elem))
+          ~expects:(shape_local ^ " instance")
+          ~doc:"auto-generated navigation to current source rows" pred)
+      lineage.Lineage.b_children
+
+let create_entity_service t ~name ~namespace ~shape ~methods ?primary_read
+    ?(dependencies = []) source =
   Xqse.Session.load_library t.sess source;
   let svc =
     Data_service.make ~name ~namespace
@@ -902,186 +1013,8 @@ let rec create_entity_service t ~name ~namespace ~shape ~methods ?primary_read
   svc.Data_service.ds_dependencies <- dependencies;
   Hashtbl.replace t.read_sources name source;
   t.svcs <- t.svcs @ [ svc ];
-  if generate_cud then generate_cud_methods t svc;
+  generate_methods t svc;
   svc
-
-(* Auto-generate create/update/delete methods for a logical service
-   whose primary read lineage is analyzable (paper III.D.1). Silently
-   skipped when the lineage cannot be reverse-engineered. *)
-and generate_cud_methods t svc =
-  match lineage_of t svc with
-  | Error _ -> ()
-  | Ok lineage ->
-    let ns = svc.Data_service.ds_namespace in
-    let shape_local = lineage.Lineage.b_row_elem in
-    let lookup = fun ~db ~table -> lookup_table t ~db ~table in
-    let instance_arg what args =
-      match args with
-      | [ seq ] -> Item.nodes_only seq
-      | _ -> Item.type_error (what ^ ": expected one argument")
-    in
-    let run_plan what plan =
-      let outcome = Decompose.execute ~db_of:(fun n -> database t n) plan in
-      if not outcome.Decompose.committed then
-        Item.raise_error
-          (Qname.make ~uri:ns (what ^ "Error"))
-          (Option.value ~default:"update aborted" outcome.Decompose.reason)
-      else invalidate_cache_tables t (plan_tables plan)
-    in
-    let key_elem node =
-      (* <Shape_KEY> with the primary-key leaf elements of the root row *)
-      let tbl = lookup ~db:lineage.Lineage.b_db ~table:lineage.Lineage.b_table in
-      let pks = (R.Table.schema tbl).R.Table.primary_key in
-      let leaves =
-        List.filter_map
-          (fun col ->
-            List.find_opt
-              (fun (f : Lineage.field) -> f.Lineage.f_column = col)
-              lineage.Lineage.b_fields
-            |> Option.map (fun (f : Lineage.field) ->
-                   let v =
-                     match
-                       List.find_opt
-                         (fun c ->
-                           match Node.name c with
-                           | Some q -> q.Qname.local = f.Lineage.f_elem
-                           | None -> false)
-                         (List.filter
-                            (fun c -> Node.kind c = Node.Element)
-                            (Node.children node))
-                     with
-                     | Some el -> Node.string_value el
-                     | None -> ""
-                   in
-                   Node.element (Qname.local f.Lineage.f_elem) [ Node.text v ]))
-          pks
-      in
-      Node.element (Qname.make ~uri:ns (shape_local ^ "_KEY")) leaves
-    in
-    let create_name = Qname.make ~uri:ns ("create" ^ shape_local) in
-    Xqse.Session.register_procedure t.sess create_name 1 (fun args ->
-        let objs = instance_arg ("create" ^ shape_local) args in
-        List.map
-          (fun node ->
-            run_plan "Create"
-              (Decompose.plan_create_object ~lookup_table:lookup ~lineage node);
-            Item.Node (key_elem node))
-          objs);
-    Data_service.add_method svc
-      {
-        Data_service.m_name = create_name;
-        m_kind = Data_service.Create_procedure;
-        m_arity = 1;
-        m_doc = "auto-generated from the primary read lineage";
-      };
-    let update_name = Qname.make ~uri:ns ("update" ^ shape_local) in
-    Xqse.Session.register_procedure t.sess update_name 1 (fun args ->
-        let objs = instance_arg ("update" ^ shape_local) args in
-        List.iter
-          (fun node ->
-            run_plan "Update"
-              (Decompose.plan_replace_object ~lookup_table:lookup ~lineage node))
-          objs;
-        []);
-    Data_service.add_method svc
-      {
-        Data_service.m_name = update_name;
-        m_kind = Data_service.Update_procedure;
-        m_arity = 1;
-        m_doc = "auto-generated from the primary read lineage";
-      };
-    let delete_name = Qname.make ~uri:ns ("delete" ^ shape_local) in
-    Xqse.Session.register_procedure t.sess delete_name 1 (fun args ->
-        let objs = instance_arg ("delete" ^ shape_local) args in
-        List.iter
-          (fun node ->
-            run_plan "Delete"
-              (Decompose.plan_delete_object ~lookup_table:lookup
-                 ~policy:Occ.Updated_values ~lineage node))
-          objs;
-        []);
-    Data_service.add_method svc
-      {
-        Data_service.m_name = delete_name;
-        m_kind = Data_service.Delete_procedure;
-        m_arity = 1;
-        m_doc = "auto-generated from the primary read lineage";
-      };
-    (* navigation functions for each nested block: from one service
-       instance to the *current* related source rows (paper II.A:
-       "traversal from one instance object ... to one or more instances
-       from a related data service") *)
-    List.iter
-      (fun (c : Lineage.child) ->
-        let child_blk = c.Lineage.c_block in
-        let nav_name =
-          Qname.make ~uri:ns ("get" ^ child_blk.Lineage.b_row_elem)
-        in
-        let field_value obj elem =
-          List.find_map
-            (fun ch ->
-              match Node.name ch with
-              | Some q when q.Qname.local = elem && Node.kind ch = Node.Element
-                -> Some (Node.string_value ch)
-              | _ -> None)
-            (Node.children obj)
-        in
-        Xqse.Session.register_function t.sess nav_name 1
-          ~purity:source_read_purity (fun args ->
-            match args with
-            | [ [ Item.Node obj ] ] ->
-              let tbl =
-                lookup ~db:child_blk.Lineage.b_db
-                  ~table:child_blk.Lineage.b_table
-              in
-              let cols = (R.Table.schema tbl).R.Table.columns in
-              let pred =
-                R.Pred.conj
-                  (List.map
-                     (fun (ccol, pcol) ->
-                       (* the parent column value is read from the
-                          instance through the root block's fields *)
-                       let pelem =
-                         match
-                           List.find_opt
-                             (fun (f : Lineage.field) ->
-                               f.Lineage.f_column = pcol)
-                             lineage.Lineage.b_fields
-                         with
-                         | Some f -> f.Lineage.f_elem
-                         | None -> pcol
-                       in
-                       match field_value obj pelem with
-                       | Some s -> (
-                         match
-                           List.find_opt
-                             (fun (col : R.Table.column) ->
-                               col.R.Table.col_name = ccol)
-                             cols
-                         with
-                         | Some col ->
-                           R.Pred.eq ccol
-                             (R.Value.of_string col.R.Table.col_type s)
-                         | None -> R.Pred.False)
-                       | None -> R.Pred.False)
-                     c.Lineage.c_link)
-              in
-              let to_xml = Rowxml.row_to_xml tbl in
-              List.map (fun row -> Item.Node (to_xml row)) (R.Table.select tbl pred)
-            | _ ->
-              Item.type_error
-                (Printf.sprintf "%s expects one %s instance"
-                   (Qname.to_string nav_name) shape_local));
-        Data_service.add_method svc
-          {
-            Data_service.m_name = nav_name;
-            m_kind =
-              Data_service.Navigation_function
-                (child_blk.Lineage.b_db ^ "/" ^ child_blk.Lineage.b_table);
-            m_arity = 1;
-            m_doc = "auto-generated navigation to current source rows";
-          })
-      lineage.Lineage.b_children
 
 (* ------------------------------------------------------------------ *)
 (* Client API                                                          *)
@@ -1104,84 +1037,41 @@ let default_submit t svc policy dg =
     ~attrs:[ ("service", svc.Data_service.ds_name) ]
   @@ fun () ->
   Instr.bump (instr t) Instr.K.sdo_submits;
-  (* a submit whose request budget already died fails before planning,
-     the wire round-trip, or any statement — cheap refusal, and the
-     only deadline check a submit ever makes: once execution reaches
-     XA prepare the commit path runs exempt (never kill a write
-     mid-commit) *)
-  (match Resilience.Deadline.current () with
-  | Some d when Resilience.Deadline.expired d ->
-    raise_resil_error ~source:svc.Data_service.ds_name
-      Resilience.Control.Deadline_exceeded
-      (Printf.sprintf "request budget of %.0fms exhausted before submit"
-         (Resilience.Deadline.budget_ms d))
-  | None | Some _ -> ());
-  (* strict admission: a submit is never served degraded. If any source
-     this service depends on has an open breaker, fail now — before any
-     statement runs anywhere — with the stable code. *)
-  let strict source =
-    try Resilience.Control.check_strict t.resil ~source
-    with Resilience.Control.Error { source; code; message } ->
-      Log.info (fun m ->
-          m "submit %s rejected strictly: %s %s" svc.Data_service.ds_name
-            source message);
-      raise_resil_error ~source code message
+  (* admission (the deadline, the dependencies' breakers) comes before
+     the wire round trip: a refused submit costs nothing. Once execution
+     reaches XA prepare the commit path runs exempt (never kill a write
+     mid-commit). *)
+  let r =
+    execute_plan t svc (fun () ->
+        (* wire round trip: client serializes, server parses (Figure 4) *)
+        let dg = Sdo.parse (Sdo.serialize dg) in
+        Log.debug (fun m ->
+            m "submit %s: %d change(s), policy %s" svc.Data_service.ds_name
+              (List.length (Sdo.changes dg))
+              (Occ.to_string policy));
+        match lineage_of t svc with
+        | Error msg ->
+          Log.warn (fun m ->
+              m "submit %s rejected: no usable lineage (%s)"
+                svc.Data_service.ds_name msg);
+          raise (Decompose.Not_updatable ("no usable lineage: " ^ msg))
+        | Ok lineage ->
+          Decompose.plan
+            ~lookup_table:(fun ~db ~table -> lookup_table t ~db ~table)
+            ~policy ~lineage dg)
   in
-  let dep_source d =
-    match String.index_opt d '/' with
-    | Some i -> String.sub d 0 i
-    | None -> d
-  in
-  List.iter strict
-    (List.sort_uniq compare
-       (List.map dep_source svc.Data_service.ds_dependencies));
-  (* wire round trip: client serializes, server parses (Figure 4) *)
-  let dg = Sdo.parse (Sdo.serialize dg) in
-  Log.debug (fun m ->
-      m "submit %s: %d change(s), policy %s" svc.Data_service.ds_name
-        (List.length (Sdo.changes dg))
-        (Occ.to_string policy));
-  match lineage_of t svc with
-  | Error msg ->
-    Log.warn (fun m ->
-        m "submit %s rejected: no usable lineage (%s)"
-          svc.Data_service.ds_name msg);
-    raise (Decompose.Not_updatable ("no usable lineage: " ^ msg))
-  | Ok lineage ->
-    let plan =
-      Decompose.plan
-        ~lookup_table:(fun ~db ~table -> lookup_table t ~db ~table)
-        ~policy ~lineage dg
-    in
-    (* ... and the databases the plan actually targets, which may be a
-       subset or superset of the declared dependencies *)
-    List.iter strict
-      (List.sort_uniq compare
-         (List.map (fun s -> s.Decompose.step_db) plan));
-    let sql = Decompose.plan_to_strings plan in
-    Instr.bump (instr t) ~n:(List.length sql) Instr.K.sql_generated;
-    List.iter (fun stmt -> Log.debug (fun m -> m "plan: %s" stmt)) sql;
-    let outcome = Decompose.execute ~db_of:(fun n -> database t n) plan in
-    Instr.bump (instr t) ~n:outcome.Decompose.statements Instr.K.sdo_statements;
-    (* evict after the commit, never before: a read racing the submit
-       may cache the pre-image until the data actually changes, but once
-       the commit lands the write set's entries must be gone *)
-    if outcome.Decompose.committed then
-      invalidate_cache_tables t (plan_tables plan);
-    (match outcome.Decompose.reason with
-    | Some reason when not outcome.Decompose.committed ->
-      Log.info (fun m ->
-          m "submit %s aborted: %s" svc.Data_service.ds_name reason)
-    | _ ->
-      Log.debug (fun m ->
-          m "submit %s committed %d statement(s)" svc.Data_service.ds_name
-            outcome.Decompose.statements));
-    {
-      sr_committed = outcome.Decompose.committed;
-      sr_statements = outcome.Decompose.statements;
-      sr_sql = sql;
-      sr_reason = outcome.Decompose.reason;
-    }
+  Instr.bump (instr t) ~n:(List.length r.sr_sql) Instr.K.sql_generated;
+  List.iter (fun stmt -> Log.debug (fun m -> m "plan: %s" stmt)) r.sr_sql;
+  Instr.bump (instr t) ~n:r.sr_statements Instr.K.sdo_statements;
+  (match r.sr_reason with
+  | Some reason when not r.sr_committed ->
+    Log.info (fun m ->
+        m "submit %s aborted: %s" svc.Data_service.ds_name reason)
+  | _ ->
+    Log.debug (fun m ->
+        m "submit %s committed %d statement(s)" svc.Data_service.ds_name
+          r.sr_statements));
+  r
 
 let validate_against_shape svc dg =
   match Data_service.shape svc with

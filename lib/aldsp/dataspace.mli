@@ -36,7 +36,8 @@ val resilience : t -> Resilience.Control.t
     failures surface to queries as XQSE-catchable errors with stable
     codes: [err:RESX0001] (timeout), [err:RESX0002] (circuit open),
     [err:RESX0003] (retries exhausted), [err:RESX0004] (unhandled
-    injected source fault on a read path). *)
+    injected source fault on a read path), [err:RESX0005] (request
+    deadline spent). *)
 
 val find_service : t -> string -> Data_service.t option
 val database : t -> string -> Relational.Database.t
@@ -74,7 +75,6 @@ val create_entity_service :
   methods:(string * Data_service.method_kind) list ->
   ?primary_read:string ->
   ?dependencies:string list ->
-  ?generate_cud:bool ->
   string ->
   Data_service.t
 (** [create_entity_service ds ~name ~namespace ~shape ~methods source]
@@ -83,15 +83,18 @@ val create_entity_service :
     program). [methods] classifies declared method local names;
     [primary_read] defaults to the first [Read_function].
 
-    When [generate_cud] is [true] (the default) and the primary read
-    function's lineage is analyzable, [create<Shape>], [update<Shape>]
-    and [delete<Shape>] procedures are generated automatically (paper
-    section III.D.1): create inserts the object's rows into all mapped
-    sources and returns [<Shape_KEY>] elements; update rewrites every
-    mapped row field-wise by primary key; delete removes the object's
-    rows, children first. A navigation function [get<Row>] is also
-    generated per nested block, probing the {e current} source rows
-    related to an instance (paper II.A). *)
+    When the primary read function's lineage is analyzable,
+    [create<Shape>], [update<Shape>] and [delete<Shape>] procedures are
+    generated automatically (paper section III.D.1): create inserts the
+    object's rows into all mapped sources and returns [<Shape_KEY>]
+    elements; update rewrites every mapped row field-wise by primary
+    key; delete removes the object's rows, children first. They are
+    admitted like {!submit} — refused with [err:RESX0005] or
+    [err:RESX0002] before any statement runs — and an aborted plan
+    raises [{ns}CreateError], [{ns}UpdateError] or [{ns}DeleteError]. A
+    navigation function [get<Row>] is also generated per nested block:
+    a guarded read of the {e current} source rows related to an
+    instance (paper II.A). *)
 
 val lineage_of : t -> Data_service.t -> (Lineage.block, string) result
 (** The (cached) lineage of the service's primary read function. Logical

@@ -25,7 +25,7 @@ type t = {
   tbls : (string, Table.t) Hashtbl.t;
   mutable order : string list;  (* table creation order *)
   log_lock : Mutex.t;  (* guards [log]: every domain appends to it *)
-  mutable log : string list;  (* newest first *)
+  log : string Queue.t;  (* the newest [log_bound], oldest first *)
   faults : Resilience.Faults.t;  (* all failure injection lives here *)
   mutable instr : Instr.t;
 }
@@ -56,7 +56,7 @@ let create name =
     tbls = Hashtbl.create 8;
     order = [];
     log_lock = Mutex.create ();
-    log = [];
+    log = Queue.create ();
     faults = Resilience.Faults.create ~source:name ();
     instr = Instr.disabled;
   }
@@ -82,12 +82,22 @@ let table t name =
   | None -> raise (Db_error (Printf.sprintf "%s: unknown table %s" t.db_name name))
 
 let tables t = List.map (fun n -> Hashtbl.find t.tbls n) t.order
-let append_log t entry =
-  Mutex.protect t.log_lock (fun () -> t.log <- entry :: t.log)
 
-let sql_log t = Mutex.protect t.log_lock (fun () -> List.rev t.log)
-let clear_log t = Mutex.protect t.log_lock (fun () -> t.log <- [])
-let log_size t = Mutex.protect t.log_lock (fun () -> List.length t.log)
+(* A server executes statements for as long as it runs, so the log
+   keeps only the newest ones: an unbounded log grows the heap by every
+   statement ever run. *)
+let log_bound = 1000
+
+let append_log t entry =
+  Mutex.protect t.log_lock (fun () ->
+      Queue.push entry t.log;
+      if Queue.length t.log > log_bound then ignore (Queue.take t.log : string))
+
+let sql_log t =
+  Mutex.protect t.log_lock (fun () -> List.of_seq (Queue.to_seq t.log))
+
+let clear_log t = Mutex.protect t.log_lock (fun () -> Queue.clear t.log)
+let log_size t = Mutex.protect t.log_lock (fun () -> Queue.length t.log)
 
 (* A statement's target table joins the open transaction on first
    write: lock it (unless a coordinator already holds it for us) so the

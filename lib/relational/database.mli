@@ -45,12 +45,17 @@ val read_check : t -> unit
     windows fire here; the ad-hoc one-shots do not.
     @raise Db_error when an injected fault fires. *)
 
+val log_bound : int
+(** How many statements the log keeps: 1,000. *)
+
 val sql_log : t -> string list
-(** All SQL statements executed so far, by every domain, oldest
-    first. *)
+(** The newest {!log_bound} SQL statements executed, by every domain,
+    oldest first. *)
 
 val clear_log : t -> unit
+
 val log_size : t -> int
+(** The length of {!sql_log}, at most {!log_bound}. *)
 
 (** {1 Transactions}
 

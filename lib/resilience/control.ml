@@ -1,31 +1,9 @@
 (* The per-dataspace resilience control: one virtual clock, one jitter
    RNG, the optional fault plan, and per-source policies, breakers,
-   fault handles and degradable annotations. [guard] is the single
-   enforcement point wrapped around every source call. *)
-
-type code =
-  | Timeout
-  | Circuit_open
-  | Retries_exhausted
-  | Deadline_exceeded
-  | Overloaded
-
-let code_name = function
-  | Timeout -> "RESX0001"
-  | Circuit_open -> "RESX0002"
-  | Retries_exhausted -> "RESX0003"
-  | Deadline_exceeded -> "RESX0005"
-  | Overloaded -> "RESX0006"
-
-exception Error of { source : string; code : code; message : string }
-
-let () =
-  Printexc.register_printer (function
-    | Error { source; code; message } ->
-      Some
-        (Printf.sprintf "Resilience.Control.Error(%s, %s: %s)"
-           (code_name code) source message)
-    | _ -> None)
+   fault handles and degradable annotations. [call] is the single
+   enforcement point wrapped around every source call; what it refuses
+   it raises as the language's own error, [err:RESX0001..3] or
+   [err:RESX0005], with a "source: message" text. *)
 
 type degradation = {
   dg_source : string;
@@ -104,11 +82,17 @@ let source t name = Mutex.protect t.lock (fun () -> source_locked t name)
 let source_name h = h.src_name
 let degradable h = (Atomic.get h.src_state).st_degradable
 
+(* a lookup by name, allocating nothing: a write's admission makes one
+   per source it touches *)
 let state t name =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.sources name with
-      | Some h -> Atomic.get h.src_state
-      | None -> unguarded)
+  Mutex.lock t.lock;
+  let st =
+    match Hashtbl.find t.sources name with
+    | h -> Atomic.get h.src_state
+    | exception Not_found -> unguarded
+  in
+  Mutex.unlock t.lock;
+  st
 
 let update t name f =
   Mutex.protect t.lock (fun () ->
@@ -195,16 +179,17 @@ let in_brownout t = Atomic.get t.brownout
 
 (* ---- the guard ---- *)
 
+(* A refusal: [err:CODE], its text prefixed with the source's name *)
+let fail code ~source message =
+  Xdm.Item.raise_error (Xdm.Qname.err code) (source ^ ": " ^ message)
+
 let breaker_failure t = function
   | Some b -> if Breaker.on_failure b then Instr.bump t.instr Instr.K.resil_trips
   | None -> ()
 
 let reject t ~source =
   Instr.bump t.instr Instr.K.resil_rejected;
-  raise
-    (Error
-       { source; code = Circuit_open;
-         message = "circuit breaker open, call rejected" })
+  fail "RESX0002" ~source "circuit breaker open, call rejected"
 
 let check_strict t ~source =
   match breaker t ~source with
@@ -216,20 +201,13 @@ let check_strict t ~source =
    request cannot consume a half-open probe), and after any attempt —
    success included — a blown budget is a failure: the client already
    gave up. Deadline expiry is client impatience, not a source-health
-   signal, so it never feeds the breaker. *)
-let fail_deadline t ~source d =
-  Instr.bump t.instr Instr.K.overload_expired;
-  raise
-    (Error
-       { source; code = Deadline_exceeded;
-         message =
-           Printf.sprintf "request budget of %.0fms exhausted (%.0fms elapsed)"
-             (Deadline.budget_ms d) (Deadline.elapsed_ms d) })
-
-(* The guard's steps are top-level functions over the resolved state,
-   so a call allocates no closures. *)
+   signal, so it never feeds the breaker. The guard's steps are
+   top-level functions over the resolved state, so a call allocates no
+   closures. *)
 let check_deadline t ~source = function
-  | Some d when Deadline.expired d -> fail_deadline t ~source d
+  | Some d as deadline when Deadline.expired d ->
+    Instr.bump t.instr Instr.K.overload_expired;
+    Deadline.check ~source deadline
   | _ -> ()
 
 (* effective per-attempt timeout: min(policy timeout, remaining budget)
@@ -243,13 +221,10 @@ let timed_out t st t0 =
 let fail_timeout t ~source st t0 =
   breaker_failure t st.st_breaker;
   Instr.bump t.instr Instr.K.resil_timeouts;
-  raise
-    (Error
-       { source; code = Timeout;
-         message =
-           Printf.sprintf "call took %.0fms of a %.0fms budget"
-             (Clock.now t.clock -. t0)
-             (Option.value st.st_policy.Policy.timeout_ms ~default:0.) })
+  fail "RESX0001" ~source
+    (Printf.sprintf "call took %.0fms of a %.0fms budget"
+       (Clock.now t.clock -. t0)
+       (Option.value st.st_policy.Policy.timeout_ms ~default:0.))
 
 let rec attempt t ~source st deadline f x n =
   let policy = st.st_policy in
@@ -293,12 +268,8 @@ let rec attempt t ~source st deadline f x n =
         else begin
           breaker_failure t st.st_breaker;
           if policy.Policy.max_retries > 0 then
-            raise
-              (Error
-                 { source; code = Retries_exhausted;
-                   message =
-                     Printf.sprintf "%d attempts failed, last: %s" (n + 1)
-                       f_message })
+            fail "RESX0003" ~source
+              (Printf.sprintf "%d attempts failed, last: %s" (n + 1) f_message)
           else
             (* pass-through policy: the source's native exception
                keeps its original surface *)
@@ -326,11 +297,3 @@ let call t h f x =
     Instr.span t.instr ~attrs:[ ("source", source) ] "resil.guard" (fun () ->
         attempt t ~source st deadline f x 0)
   else attempt t ~source st deadline f x 0
-
-let guard t ~source f =
-  let h =
-    match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.sources source) with
-    | Some h -> h
-    | None -> { src_name = source; src_state = Atomic.make unguarded }
-  in
-  call t h f ()

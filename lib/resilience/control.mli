@@ -2,24 +2,13 @@
     jitter RNG, an optional fault plan, and per-source policies,
     breakers, fault handles and degradable annotations.
 
-    {!guard} is the single enforcement point the dataspace wraps around
-    every source call. *)
-
-type code =
-  | Timeout            (** [RESX0001] — call exceeded the policy deadline *)
-  | Circuit_open       (** [RESX0002] — breaker rejected the call *)
-  | Retries_exhausted  (** [RESX0003] — transient failures outlived the
-                           retry budget *)
-  | Deadline_exceeded  (** [RESX0005] — the end-to-end request budget
-                           ({!Deadline}) ran out *)
-  | Overloaded         (** [RESX0006] — shed at admission by the server
-                           pool's load-shedding policy *)
-
-val code_name : code -> string
-(** The stable error code, e.g. ["RESX0002"] — surfaced to XQSE
-    try/catch as [err:RESX0002]. *)
-
-exception Error of { source : string; code : code; message : string }
+    {!call} is the single enforcement point the dataspace wraps around
+    every source call. What the control refuses it raises as
+    [Xdm.Item.Error] in the [err:] namespace, with the text
+    ["source: message"]: [RESX0001] (the call exceeded its policy
+    timeout), [RESX0002] (the breaker rejected it), [RESX0003]
+    (transient failures outlived the retry budget) and [RESX0005] (the
+    request's {!Deadline} ran out). *)
 
 type degradation = {
   dg_source : string;
@@ -92,34 +81,30 @@ val set_brownout : t -> bool -> unit
 
 val in_brownout : t -> bool
 
-val guard : t -> source:string -> (unit -> 'a) -> 'a
-(** Run a source call under the source's policy: breaker admission,
-    bounded retry with exponential backoff + seeded jitter for
-    {e injected transient} failures, per-attempt virtual-time deadline.
-    Raises {!Error} for timeout / open-circuit / retries-exhausted;
-    genuine (non-injected) failures pass through untouched and do not
-    feed the breaker. Under the default policy this is a transparent
-    pass-through.
-
-    The ambient {!Deadline} additionally caps every guarded call: an
-    already-expired request fails fast with [Deadline_exceeded]
-    ({e before} breaker admission, so it cannot consume a half-open
-    probe), a blown budget after any attempt — success included — is
-    [Deadline_exceeded], and retries stop the moment the budget dies.
-    The effective per-attempt bound is therefore
-    [min(policy timeout, remaining budget)], with the error naming
-    whichever bound was actually hit. Deadline expiry never feeds the
-    breaker: it is client impatience, not a source-health signal.
-
-    [guard] looks the source up by name on every call; a registered
-    source's calls go through {!call} instead. *)
-
 val call : t -> source -> ('a -> 'b) -> 'a -> 'b
-(** [call t src f x] is {!guard} over [f x] with [src]'s resolved state:
-    it takes no lock of the control's and allocates no closure unless
-    instrumentation is on or a retry draws jitter. *)
+(** [call t src f x] runs the source call [f x] under [src]'s resolved
+    state: breaker admission, bounded retry with exponential backoff +
+    seeded jitter for {e injected transient} failures, per-attempt
+    virtual-time timeout. Raises [err:RESX0001] on a timeout,
+    [err:RESX0002] on an open circuit and [err:RESX0003] when the
+    retries run out; genuine (non-injected) failures pass through
+    untouched and do not feed the breaker. Under the default policy
+    this is a transparent pass-through.
+
+    The ambient {!Deadline} additionally caps every call: an
+    already-expired request fails fast with [err:RESX0005] ({e before}
+    breaker admission, so it cannot consume a half-open probe), a blown
+    budget after any attempt — success included — is [err:RESX0005],
+    and retries stop the moment the budget dies. The effective
+    per-attempt bound is therefore [min(policy timeout, remaining
+    budget)], with the error naming whichever bound was actually hit.
+    Deadline expiry never feeds the breaker: it is client impatience,
+    not a source-health signal.
+
+    [call] takes no lock of the control's and allocates no closure
+    unless instrumentation is on or a retry draws jitter. *)
 
 val check_strict : t -> source:string -> unit
-(** Strict admission for SDO submit: raises {!Error} with
-    [Circuit_open] when the source's breaker would reject a call —
-    without consuming the half-open probe. *)
+(** Strict admission for writes: raises [err:RESX0002] when the
+    source's breaker would reject a call — without consuming the
+    half-open probe. *)

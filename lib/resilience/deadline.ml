@@ -10,8 +10,8 @@
 
    The current deadline is ambient, carried in domain-local storage: the
    pool installs it around a request and every layer below — session
-   execution, Control.guard at the source boundary, SDO submit admission
-   — consults it without any plumbing through intermediate signatures.
+   execution, Control.call at the source boundary, plan admission —
+   consults it without any plumbing through intermediate signatures.
    DLS is the right scope because a request runs on exactly one worker
    domain from admission to completion. *)
 
@@ -43,6 +43,16 @@ let elapsed_ms t =
 
 let remaining_ms t = Float.max 0. (t.budget_ms -. elapsed_ms t)
 let expired t = remaining_ms t <= 0.
+
+(* The one refusal of a spent budget: session entry, plan admission and
+   the source guard all raise it, so a request that runs out reads the
+   same wherever it does. *)
+let check ~source = function
+  | Some d when expired d ->
+    Xdm.Item.raise_error (Xdm.Qname.err "RESX0005")
+      (Printf.sprintf "%s: request budget of %.0fms exhausted (%.0fms elapsed)"
+         source d.budget_ms (elapsed_ms d))
+  | None | Some _ -> ()
 
 (* ---- the ambient deadline ---- *)
 

@@ -10,8 +10,8 @@
 
     The deadline of the request in flight is {e ambient}: the server
     pool installs it with {!with_deadline} around the whole request on
-    the worker domain, and the layers below ({!Control.guard}, session
-    execution, submit admission) read it back with {!current} — no
+    the worker domain, and the layers below ({!Control.call}, session
+    execution, plan admission) read it back with {!current} — no
     signature in between carries it. *)
 
 type t
@@ -28,6 +28,11 @@ val remaining_ms : t -> float
     a negative cap would mean "no timeout" to some of them. *)
 
 val expired : t -> bool
+
+val check : source:string -> t option -> unit
+(** Raise [Item.Error] [err:RESX0005], ["source: request budget of Nms
+    exhausted (Mms elapsed)"], when the deadline has expired; nothing
+    otherwise. Every layer that refuses a spent budget raises it here. *)
 
 (** {1 The ambient deadline (per worker domain)} *)
 

@@ -1,4 +1,4 @@
-(** Per-source resilience policy enforced by {!Control.guard} at the
+(** Per-source resilience policy enforced by {!Control.call} at the
     dataspace's source-call boundary. *)
 
 type t = {

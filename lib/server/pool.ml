@@ -120,12 +120,12 @@ let trajectory ~window_ms jobs lat =
 
 let max_reported_errors = 32
 
-(* stable-code classification of a job failure: RESX000x codes surface
-   whether the exception crossed the XQSE error surface (Item.Error in
-   the err: namespace) or came straight from the resilience layer; every
-   other coded error reports its code's QName — [err:] codes by prefix,
-   others (a data service's [CreateError], a user's [fn:error] code) in
-   {uri}local form, since prefixes are not part of a name's identity *)
+(* stable-code classification of a job failure: RESX000x codes (the
+   resilience layer raises them in the err: namespace) by local name;
+   every other coded error reports its code's QName — [err:] codes by
+   prefix, others (a data service's [CreateError], a user's [fn:error]
+   code) in {uri}local form, since prefixes are not part of a name's
+   identity *)
 let error_kind = function
   | Xdm.Item.Error { code = { Xdm.Qname.uri; local; _ }; _ }
     when uri = Xdm.Qname.err_ns ->
@@ -133,7 +133,6 @@ let error_kind = function
     else "err:" ^ local
   | Xdm.Item.Error { code; _ } ->
     Xdm.Qname.to_string { code with Xdm.Qname.prefix = None }
-  | Resilience.Control.Error { code; _ } -> Resilience.Control.code_name code
   | _ -> "other"
 
 (* human-readable failure text for the report: structured errors print
@@ -141,10 +140,6 @@ let error_kind = function
 let error_message = function
   | Xdm.Item.Error { code; message; _ } ->
     Printf.sprintf "%s: %s" (Xdm.Qname.to_string code) message
-  | Resilience.Control.Error { source; code; message } ->
-    Printf.sprintf "err:%s at %s: %s"
-      (Resilience.Control.code_name code)
-      source message
   | e -> Printexc.to_string e
 
 (* queueing-delay EWMA — the pool's pressure signal. One shared cell,

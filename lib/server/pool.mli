@@ -33,7 +33,7 @@
       whole budget died in the queue fails immediately with
       [err:RESX0005]; an admitted job runs under the ambient
       {!Resilience.Deadline} carrying what is left, which
-      {!Resilience.Control.guard} and session execution consult below.
+      {!Resilience.Control.call} and session execution consult below.
     - {e shedding}: a bounded queue ([sp_queue_bound] — backlog of
       already-arrived jobs) and/or a CoDel-style delay target
       ([sp_delay_target_ms] — drop while queueing delay exceeds it)
@@ -152,9 +152,9 @@ val trajectory : window_ms:float -> job array -> float array -> window list
 
 val error_kind : exn -> string
 (** The stable-code classification used for {!report.r_error_kinds}:
-    the [RESX000x] local name for resilience-surfaced errors (either as
-    [Xdm.Item.Error] in the [err:] namespace or a raw
-    {!Resilience.Control.Error}); [err:CODE] for every other code in the
+    the [RESX000x] local name for resilience-surfaced errors
+    ([Xdm.Item.Error] in the [err:] namespace); [err:CODE] for every
+    other code in the
     [err:] namespace (e.g. [err:XPTY0004]); [{uri}local] for a code in
     any other namespace (a data service's [CreateError], a user's
     [fn:error] code); ["other"] only for exceptions that carry no code. *)

@@ -19,7 +19,8 @@ type runtime = {
   procs : (string * string * int, procedure) Hashtbl.t;
       (* keyed by (uri, local, arity) — prefixes are not significant *)
   parent : runtime option;
-  mutable trace : string -> unit;
+  trace : (string -> unit) ref;
+      (* the fn:trace sink; a sub-runtime shares its parent's cell *)
   instr : Instr.t;
   plans : bool;
   docs : (string * Node.t) list ref;
@@ -74,7 +75,7 @@ let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~plans reg =
     reg;
     procs = Hashtbl.create 16;
     parent;
-    trace;
+    trace = (match parent with Some p -> p.trace | None -> ref trace);
     instr;
     plans;
     docs = (match parent with Some p -> p.docs | None -> ref []);
@@ -87,7 +88,8 @@ let create_runtime ?(trace = fun _ -> ()) ?parent ~instr ~plans reg =
   }
 
 let registry rt = rt.reg
-let set_trace rt f = rt.trace <- f
+let trace rt = !(rt.trace)
+let set_trace rt f = rt.trace := f
 let instr rt = rt.instr
 let plans rt = rt.plans
 let set_cache rt f = rt.cache <- f
@@ -109,7 +111,7 @@ let rec register_all register ctx = function
    the two empty-list checks. *)
 let context rt =
   let ctx =
-    Xquery.Context.make_dynamic ~trace:rt.trace ~instr:rt.instr
+    Xquery.Context.make_dynamic ~trace:!(rt.trace) ~instr:rt.instr
       ?cache:(rt.cache ()) rt.reg
   in
   register_all Xquery.Context.register_doc ctx !(rt.docs);
@@ -836,8 +838,7 @@ let declare_procedure ?purity rt proc =
   if proc.p_readonly then
     (* a readonly procedure is callable as a function from XQuery; its
        body's purity verdict rides along so the analyzer can classify it *)
-    Xquery.Context.register_external rt.reg ~side_effects:false ?purity
-      proc.p_name
+    Xquery.Context.register_external rt.reg ?purity proc.p_name
       (List.length proc.p_params)
       (fun args -> run_procedure rt proc args)
 
@@ -850,13 +851,13 @@ let declare_procedure ?purity rt proc =
    closes over the *source* runtime (and would race on its plan memos),
    so it is replaced by one closing over the fork, with the verdict the
    source registered. *)
-let fork_runtime ?(trace = fun _ -> ()) ~instr ~plans src reg =
+let fork_runtime ~instr ~plans src reg =
   let fresh =
     {
       reg;
       procs = Hashtbl.create 16;
       parent = None;
-      trace;
+      trace = ref !(src.trace);
       instr;
       plans;
       docs = ref !(src.docs);
@@ -884,8 +885,7 @@ let fork_runtime ?(trace = fun _ -> ()) ~instr ~plans src reg =
               f.Xquery.Context.fn_purity)
         in
         Xquery.Context.unregister reg p.p_name arity;
-        Xquery.Context.register_external reg ~side_effects:false ?purity
-          p.p_name arity
+        Xquery.Context.register_external reg ?purity p.p_name arity
           (fun args -> run_procedure fresh p args)
       end)
     fresh.procs;

@@ -46,12 +46,13 @@ val create_runtime :
 (** A runtime over a registry, its {!plans} flag fixed for its
     lifetime. Every executed statement bumps the [xqse.statements]
     counter on [instr]. [parent] makes another runtime's procedures,
-    result-cache view, documents and collections visible (used to layer
-    a per-program runtime over a session runtime). Its compiler is
-    conservative until {!set_compiler}. *)
+    result-cache view, documents, collections and [fn:trace] sink
+    visible (used to layer a per-program runtime over a session
+    runtime): {!set_trace} on either then reaches both. [trace] is the
+    sink of a runtime without a parent. Its compiler is conservative
+    until {!set_compiler}. *)
 
 val fork_runtime :
-  ?trace:(string -> unit) ->
   instr:Instr.t ->
   plans:bool ->
   runtime ->
@@ -59,8 +60,8 @@ val fork_runtime :
   runtime
 (** [fork_runtime src reg] is a fresh parentless runtime over [reg] with
     the given [plans] flag, carrying every procedure visible from [src]
-    (innermost declaration wins) and copies of its documents and
-    collections, but none of its mutable state — a worker can execute
+    (innermost declaration wins) and copies of its documents,
+    collections and [fn:trace] sink, but none of its mutable state — a worker can execute
     against the fork while the source keeps serving. Its compiler is
     conservative until {!set_compiler}: the forked session installs
     its own.
@@ -69,6 +70,9 @@ val fork_runtime :
     fork (the copied entry would otherwise call back into [src]). *)
 
 val registry : runtime -> Xquery.Context.registry
+val trace : runtime -> string -> unit
+(** The current [fn:trace] sink. *)
+
 val set_trace : runtime -> (string -> unit) -> unit
 val instr : runtime -> Instr.t
 

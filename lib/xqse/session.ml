@@ -18,7 +18,6 @@ type t = {
   rt : Interp.runtime;
       (* the function registry, procedures, documents, the plans flag
          and the instrumentation handle *)
-  mutable trace : string -> unit;
   mutable snapshot_scope : snapshot_scope option;
   modules : (string, string) Hashtbl.t;  (* module uri -> source *)
   loaded_modules : (string, unit) Hashtbl.t;
@@ -135,14 +134,13 @@ let purity_env s = (compilation_unit s).u_env
    runtime's result-cache view closes over this record — the one every
    registration moves the generation of — so it is installed only once
    the record is final. *)
-let assemble ~static ~optimize ~trace rt ~modules ~loaded_modules ~generation
+let assemble ~static ~optimize rt ~modules ~loaded_modules ~generation
     ~snapshot_scope ~result_cache =
   let s =
     {
       static;
       optimize;
       rt;
-      trace;
       snapshot_scope;
       modules;
       loaded_modules;
@@ -169,8 +167,8 @@ let create ?(config = default_config) () =
     Interp.create_runtime ~trace ~instr:config.instr ~plans:config.plans
       (Xquery.Builtins.standard_registry ())
   in
-  assemble ~static:(Ctx.default_static ()) ~optimize:config.optimize ~trace
-    rt ~modules:(Hashtbl.create 8) ~loaded_modules:(Hashtbl.create 8)
+  assemble ~static:(Ctx.default_static ()) ~optimize:config.optimize rt
+    ~modules:(Hashtbl.create 8) ~loaded_modules:(Hashtbl.create 8)
     ~generation:(fresh_generation ()) ~snapshot_scope:None ~result_cache:None
 
 let config s = { optimize = s.optimize; plans = plans s; instr = instr s }
@@ -187,11 +185,11 @@ let config s = { optimize = s.optimize; plans = plans s; instr = instr s }
    against the shared backing sources. *)
 let with_config s (cfg : config) =
   let rt =
-    Interp.fork_runtime ~trace:s.trace ~instr:cfg.instr ~plans:cfg.plans s.rt
+    Interp.fork_runtime ~instr:cfg.instr ~plans:cfg.plans s.rt
       (Ctx.copy_registry (registry s))
   in
-  assemble ~static:(Ctx.copy_static s.static) ~optimize:cfg.optimize
-    ~trace:s.trace rt ~modules:(Hashtbl.copy s.modules)
+  assemble ~static:(Ctx.copy_static s.static) ~optimize:cfg.optimize rt
+    ~modules:(Hashtbl.copy s.modules)
     ~loaded_modules:(Hashtbl.copy s.loaded_modules) ~generation:(generation s)
     ~snapshot_scope:s.snapshot_scope ~result_cache:s.result_cache
 
@@ -209,9 +207,7 @@ let invalidate_plans s =
         Hashtbl.reset s.cache
       end)
 
-let set_trace s f =
-  s.trace <- f;
-  Interp.set_trace s.rt f
+let set_trace s f = Interp.set_trace s.rt f
 
 (* Mutate-then-invalidate: every registration lands before the
    generation moves, so a compile racing it either sees the old
@@ -223,13 +219,12 @@ let declare_namespace s prefix uri =
   Ctx.declare_ns s.static prefix uri;
   invalidate_plans s
 
-let register_function s ?side_effects ?purity name arity impl =
-  Ctx.register_external (registry s) ?side_effects ?purity name arity impl;
+let register_function s ?purity name arity impl =
+  Ctx.register_external (registry s) ?purity name arity impl;
   invalidate_plans s
 
-let register_function_cursor s ?side_effects ?purity ?keyed name arity impl =
-  Ctx.register_external_cursor (registry s) ?side_effects ?purity ?keyed name
-    arity impl;
+let register_function_cursor s ?purity ?keyed name arity impl =
+  Ctx.register_external_cursor (registry s) ?purity ?keyed name arity impl;
   invalidate_plans s
 
 (* Documents change what a query reads, not what it compiles to; the
@@ -487,7 +482,9 @@ and load_library s src =
      readonly procedure compiles against the post-install registry (and
      its unit) *)
   if prog.Stmt.prog_variables <> [] then begin
-    let ctx = Ctx.make_dynamic ~trace:s.trace ~instr:(instr s) reg in
+    let ctx =
+      Ctx.make_dynamic ~trace:(Interp.trace s.rt) ~instr:(instr s) reg
+    in
     let cc = Interp.compiler s.rt in
     let missing _ name =
       Item.raise_error (Qname.err "XPDY0002")
@@ -519,7 +516,7 @@ let compile_gen s src =
       let reg = Ctx.copy_registry (registry s) in
       let u = compilation_unit s in
       let rt =
-        Interp.create_runtime ~trace:s.trace ~parent:s.rt ~instr:(instr s)
+        Interp.create_runtime ~parent:s.rt ~instr:(instr s)
           ~plans:(plans s) reg
       in
       let env = Xquery.Purity.extend u.u_env prog.Stmt.prog_functions in
@@ -592,25 +589,9 @@ let compile_cached s src =
 type exec_opts = {
   context_item : Item.t option;
   vars : (Qname.t * Item.seq) list;
-  trace : (string -> unit) option;
 }
 
-let default_exec_opts = { context_item = None; vars = []; trace = None }
-
-(* An expired ambient request deadline fails the program before any
-   statement runs, with the same stable code the resilience guard uses
-   at the source boundary — so a request whose budget died between
-   admission and execution costs nothing and is XQSE-catchable. *)
-let check_deadline () =
-  match Resilience.Deadline.current () with
-  | Some d when Resilience.Deadline.expired d ->
-    Item.raise_error (Qname.err "RESX0005")
-      (Printf.sprintf
-         "request budget of %.0fms exhausted before execution (%.0fms \
-          elapsed)"
-         (Resilience.Deadline.budget_ms d)
-         (Resilience.Deadline.elapsed_ms d))
-  | None | Some _ -> ()
+let default_exec_opts = { context_item = None; vars = [] }
 
 let set_snapshot_scope s scope = s.snapshot_scope <- scope
 
@@ -622,13 +603,14 @@ let in_scope s f =
 
 let run ?(opts = default_exec_opts) c =
   let s = c.c_session in
-  check_deadline ();
+  (* an expired ambient request deadline fails the program before any
+     statement runs, with the code the source guard uses — so a request
+     whose budget died between admission and execution costs nothing
+     and is XQSE-catchable *)
+  Resilience.Deadline.check ~source:"session" (Resilience.Deadline.current ());
   in_scope s @@ fun () ->
   Instr.span (instr s) "run" (fun () ->
   let vars = opts.vars in
-  (* route statement-level fn:trace of this program to the same sink *)
-  Interp.set_trace c.c_runtime
-    (match opts.trace with Some f -> f | None -> s.trace);
   let plans = plans s in
   (* module variable declarations, over the session's persistent
      globals *)

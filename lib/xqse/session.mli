@@ -103,12 +103,13 @@ val set_snapshot_scope : t -> snapshot_scope option -> unit
 
 val declare_namespace : t -> string -> string -> unit
 val set_trace : t -> (string -> unit) -> unit
-(** Where [fn:trace] output goes for subsequently compiled programs
-    (default: a note in the instrumentation trace). *)
+(** Where [fn:trace] output goes for every program of the session,
+    cached plans included (default: a note in the instrumentation
+    trace). A {!with_config} fork starts with its source's destination
+    and keeps its own afterwards. *)
 
 val register_function :
   t ->
-  ?side_effects:bool ->
   ?purity:bool * bool * bool ->
   Qname.t ->
   int ->
@@ -122,7 +123,6 @@ val register_function :
 
 val register_function_cursor :
   t ->
-  ?side_effects:bool ->
   ?purity:bool * bool * bool ->
   ?keyed:Xquery.Context.keyed_read ->
   Qname.t ->
@@ -206,13 +206,10 @@ type exec_opts = {
       (** the focus of an expression query body (position and size 1);
           variable initializers and block bodies run without one *)
   vars : (Qname.t * Item.seq) list;  (** external variable bindings *)
-  trace : (string -> unit) option;
-      (** per-call [fn:trace] destination; [None] uses the session
-          default (see {!set_trace}) *)
 }
 
 val default_exec_opts : exec_opts
-(** No context item, no variables, session-default trace. Build custom
+(** No context item, no variables. Build custom
     options as [{ default_exec_opts with vars = ... }]. *)
 
 val run : ?opts:exec_opts -> compiled -> Item.seq
@@ -223,7 +220,7 @@ val run : ?opts:exec_opts -> compiled -> Item.seq
     When the calling domain carries an already-expired
     {!Resilience.Deadline}, execution fails fast with [err:RESX0005]
     before any statement runs — the server pool installs that deadline
-    around each request, and {!Resilience.Control.guard} enforces the
+    around each request, and {!Resilience.Control.call} enforces the
     remaining budget at every source call below. *)
 
 val eval : ?opts:exec_opts -> t -> string -> Item.seq

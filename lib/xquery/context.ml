@@ -63,7 +63,6 @@ and func = {
   fn_params : Seqtype.t option list;
   fn_return : Seqtype.t option;
   fn_impl : func_impl;
-  fn_side_effects : bool;
   fn_purity : (bool * bool * bool) option;
       (* (effects, fallible, constructs) supplied at registration for
          externals whose body was analyzed elsewhere (XQSE read-only
@@ -151,12 +150,11 @@ let register_user r (decl : Ast.function_decl) =
       fn_params = List.map snd decl.Ast.fd_params;
       fn_return = decl.Ast.fd_return;
       fn_impl = User decl;
-      fn_side_effects = false;
       fn_purity = None;
       fn_keyed = None;
     }
 
-let register_builtin r ?(side_effects = false) name arity impl =
+let register_builtin r name arity impl =
   register r
     {
       fn_name = name;
@@ -164,13 +162,11 @@ let register_builtin r ?(side_effects = false) name arity impl =
       fn_params = List.init arity (fun _ -> None);
       fn_return = None;
       fn_impl = Builtin impl;
-      fn_side_effects = side_effects;
       fn_purity = None;
       fn_keyed = None;
     }
 
-let register_external r ?(side_effects = false) ?purity ?params ?return name
-    arity impl =
+let register_external r ?purity ?params ?return name arity impl =
   register r
     {
       fn_name = name;
@@ -181,13 +177,12 @@ let register_external r ?(side_effects = false) ?purity ?params ?return name
         | None -> List.init arity (fun _ -> None));
       fn_return = return;
       fn_impl = External impl;
-      fn_side_effects = side_effects;
       fn_purity = purity;
       fn_keyed = None;
     }
 
-let register_external_cursor r ?(side_effects = false) ?purity ?keyed ?params
-    ?return name arity impl =
+let register_external_cursor r ?purity ?keyed ?params ?return name arity
+    impl =
   register r
     {
       fn_name = name;
@@ -198,7 +193,6 @@ let register_external_cursor r ?(side_effects = false) ?purity ?keyed ?params
         | None -> List.init arity (fun _ -> None));
       fn_return = return;
       fn_impl = External_cursor impl;
-      fn_side_effects = side_effects;
       fn_purity = purity;
       fn_keyed = keyed;
     }

@@ -52,9 +52,6 @@ type func = {
   fn_params : Seqtype.t option list;
   fn_return : Seqtype.t option;
   fn_impl : func_impl;
-  fn_side_effects : bool;
-      (** [true] blocks use inside pure XQuery expressions when the
-          engine runs in pure mode *)
   fn_purity : (bool * bool * bool) option;
       (** (effects, fallible, constructs) verdict supplied at
           registration for externals analyzed elsewhere (XQSE read-only
@@ -109,7 +106,6 @@ val unregister : registry -> Qname.t -> int -> unit
 
 val register_builtin :
   registry ->
-  ?side_effects:bool ->
   Qname.t ->
   int ->
   (dynamic -> Item.seq list -> Item.seq) ->
@@ -117,7 +113,6 @@ val register_builtin :
 
 val register_external :
   registry ->
-  ?side_effects:bool ->
   ?purity:bool * bool * bool ->
   ?params:Seqtype.t option list ->
   ?return:Seqtype.t ->
@@ -128,7 +123,6 @@ val register_external :
 
 val register_external_cursor :
   registry ->
-  ?side_effects:bool ->
   ?purity:bool * bool * bool ->
   ?keyed:keyed_read ->
   ?params:Seqtype.t option list ->

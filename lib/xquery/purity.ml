@@ -334,18 +334,17 @@ let env_for ~registry (decls : Ast.function_decl list) : env =
           (* [lookup] falls back to the table, so only a builtin the
              table does not describe needs an entry *)
           match builtin_verdict f.Context.fn_name f.Context.fn_arity with
-          | Some _ when not f.Context.fn_side_effects -> (env, ds)
-          | _ -> (Fmap.add key impure env, ds))
+          | Some _ -> (env, ds)
+          | None -> (Fmap.add key impure env, ds))
         | Context.External _ | Context.External_cursor _ ->
           (* externals are opaque here, but XQSE read-only procedures
              arrive with a verdict computed from their statement body
              at declaration time (see Session.install_declarations) *)
           let v =
             match f.Context.fn_purity with
-            | Some (effects, fallible, constructs)
-              when not f.Context.fn_side_effects ->
+            | Some (effects, fallible, constructs) ->
               { effects; fallible; constructs }
-            | _ -> impure
+            | None -> impure
           in
           (Fmap.add key v env, ds)
         | Context.User d -> (env, d :: ds))

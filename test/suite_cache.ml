@@ -53,7 +53,7 @@ let add_service env ~name ~namespace ~prefix ~elem ~fields ~read source =
                  fields);
         }
       ~methods:[ (read, Aldsp.Data_service.Read_function) ]
-      ~generate_cud:false source
+      source
   in
   Xqse.Session.declare_namespace
     (Aldsp.Dataspace.session env.FC.ds)

@@ -169,19 +169,24 @@ let error_trace_tests =
           check_int "items" 3 (List.length items));
     case "fn:trace passes value through and logs" (fun () ->
         let logged = ref [] in
+        let s = Core.Xqse.Session.create () in
+        Core.Xqse.Session.set_trace s (fun m -> logged := m :: !logged);
         let result =
-          Core.Xqse.Session.eval_to_string
-            ~opts:
-              {
-                Core.Xqse.Session.default_exec_opts with
-                trace = Some (fun m -> logged := m :: !logged);
-              }
-            (Core.Xqse.Session.create ())
-            "trace((1, 2), 'label')"
+          Core.Xqse.Session.eval_to_string s "trace((1, 2), 'label')"
         in
         check_string "value" "1 2" result;
         check_bool "logged" true
           (List.exists (fun m -> m = "label: 1 2") !logged));
+    case "set_trace reaches a cached plan" (fun () ->
+        let s = Core.Xqse.Session.create () in
+        let first = ref 0 and second = ref 0 in
+        let src = "{ fn:trace(1, 'x'); return value 2; }" in
+        Core.Xqse.Session.set_trace s (fun _ -> incr first);
+        ignore (Core.Xqse.Session.eval s src);
+        Core.Xqse.Session.set_trace s (fun _ -> incr second);
+        ignore (Core.Xqse.Session.eval s src);
+        check_int "first sink" 1 !first;
+        check_int "second sink" 1 !second);
   ]
 
 let doc_tests =

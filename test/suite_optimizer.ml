@@ -184,18 +184,11 @@ let agree name src = case name (fun () -> check_string src (xq_noopt src) (xq sr
 
 let trace_run ~optimize src =
   let msgs = ref [] in
-  let result =
-    Xqse.Session.eval_to_string
-      ~opts:
-        {
-          Xqse.Session.default_exec_opts with
-          trace = Some (fun m -> msgs := m :: !msgs);
-        }
-      (Xqse.Session.create
-         ~config:{ Xqse.Session.default_config with optimize }
-         ())
-      src
+  let s =
+    Xqse.Session.create ~config:{ Xqse.Session.default_config with optimize } ()
   in
+  Xqse.Session.set_trace s (fun m -> msgs := m :: !msgs);
+  let result = Xqse.Session.eval_to_string s src in
   (result, List.rev !msgs)
 
 let soundness_tests =

@@ -262,14 +262,9 @@ let adversarial_tests =
               ~config:{ Xqse.Session.default_config with optimize }
               ()
           in
-          let opts =
-            {
-              Xqse.Session.default_exec_opts with
-              trace = Some (fun _ -> incr n);
-            }
-          in
+          Xqse.Session.set_trace s (fun _ -> incr n);
           ignore
-            (Xqse.Session.eval ~opts s
+            (Xqse.Session.eval s
                "let $x := fn:trace(3, \"t\") return $x * $x");
           !n
         in

@@ -173,6 +173,26 @@ let database_tests =
         check_int "affected" 1 n;
         check_bool "logged" true
           (Database.sql_log db = [ "INSERT INTO PEOPLE (ID, NAME) VALUES (7, 'Gil')" ]));
+    case "the SQL log keeps only the newest statements" (fun () ->
+        let db, _, _ = mk_db () in
+        let update age =
+          Database.Update
+            { table = "PEOPLE"; set = [ ("AGE", Value.Int age) ]; where = Pred.True }
+        in
+        for age = 1 to 10_000 do
+          ignore (Database.exec db (update age) : int)
+        done;
+        check_int "bounded" Database.log_bound (Database.log_size db);
+        let log = Database.sql_log db in
+        check_int "sql_log agrees" Database.log_bound (List.length log);
+        check_string "last is the last statement"
+          (Database.dml_to_sql (update 10_000))
+          (List.nth log (Database.log_bound - 1));
+        check_string "first is the oldest kept"
+          (Database.dml_to_sql (update (10_000 - Database.log_bound + 1)))
+          (List.hd log);
+        Database.clear_log db;
+        check_int "cleared" 0 (Database.log_size db));
     case "exec update affected count" (fun () ->
         let db, _, _ = mk_db () in
         let n =

@@ -217,6 +217,7 @@ let guard_tests =
     | None -> ());
     (ctl, f, instr)
   in
+  let call ctl f = Res.Control.call ctl (Res.Control.source ctl "src") f () in
   (* a guarded call that consults the fault handle like a real source *)
   let consult f () =
     match (Res.Faults.on_call f Res.Faults.Statement).v_fault with
@@ -227,7 +228,7 @@ let guard_tests =
     case "default policy is a transparent pass-through" (fun () ->
         let ctl, f, _ = setup () in
         Res.Faults.inject_next f "boom";
-        match Res.Control.guard ctl ~source:"src" (consult f) with
+        match call ctl (consult f) with
         | _ -> Alcotest.fail "expected the native failure"
         | exception Failure msg -> check_string "native" "boom" msg);
     case "transient injected failures are retried" (fun () ->
@@ -236,7 +237,7 @@ let guard_tests =
         in
         Res.Faults.inject_next f "blip";
         check_string "recovered" "ok"
-          (Res.Control.guard ctl ~source:"src" (consult f));
+          (call ctl (consult f));
         check_int "retries" 1 (counter instr Instr.K.resil_retries);
         check_bool "backoff advanced the clock" true
           (Res.Clock.now (Res.Control.clock ctl) > 0.));
@@ -245,17 +246,17 @@ let guard_tests =
           setup ~policy:(Res.Policy.make ~max_retries:2 ()) ()
         in
         Res.Faults.set_fail_every f (Some 1);
-        match Res.Control.guard ctl ~source:"src" (consult f) with
+        match call ctl (consult f) with
         | _ -> Alcotest.fail "expected exhaustion"
-        | exception Res.Control.Error { code; _ } ->
-          check_string "code" "RESX0003" (Res.Control.code_name code);
+        | exception Item.Error { code; _ } ->
+          check_string "code" "RESX0003" code.Qname.local;
           check_int "retries" 2 (counter instr Instr.K.resil_retries));
     case "genuine failures are never retried" (fun () ->
         let ctl, _, instr =
           setup ~policy:(Res.Policy.make ~max_retries:3 ()) ()
         in
         match
-          Res.Control.guard ctl ~source:"src" (fun () -> failwith "genuine")
+          call ctl (fun () -> failwith "genuine")
         with
         | _ -> Alcotest.fail "expected the failure through"
         | exception Failure msg ->
@@ -267,13 +268,13 @@ let guard_tests =
         in
         let clock = Res.Control.clock ctl in
         match
-          Res.Control.guard ctl ~source:"src" (fun () ->
+          call ctl (fun () ->
               Res.Clock.advance clock 80.;
               "slow")
         with
         | _ -> Alcotest.fail "expected a timeout"
-        | exception Res.Control.Error { code; _ } ->
-          check_string "code" "RESX0001" (Res.Control.code_name code);
+        | exception Item.Error { code; _ } ->
+          check_string "code" "RESX0001" code.Qname.local;
           check_int "timeouts" 1 (counter instr Instr.K.resil_timeouts));
     case "breaker trips under repeated failures and rejects" (fun () ->
         let ctl, f, instr =
@@ -287,7 +288,7 @@ let guard_tests =
         in
         Res.Faults.set_fail_every f (Some 1);
         let attempt () =
-          match Res.Control.guard ctl ~source:"src" (consult f) with
+          match call ctl (consult f) with
           | _ -> None
           | exception e -> Some e
         in
@@ -295,8 +296,8 @@ let guard_tests =
         check_bool "failure 2" true (attempt () <> None);
         check_int "tripped" 1 (counter instr Instr.K.resil_trips);
         (match attempt () with
-        | Some (Res.Control.Error { code; _ }) ->
-          check_string "code" "RESX0002" (Res.Control.code_name code)
+        | Some (Item.Error { code; _ }) ->
+          check_string "code" "RESX0002" code.Qname.local
         | _ -> Alcotest.fail "expected an open-circuit rejection");
         check_int "rejected" 1 (counter instr Instr.K.resil_rejected);
         (* after the cooldown the half-open probe may go through and
@@ -304,7 +305,7 @@ let guard_tests =
         Res.Faults.set_fail_every f None;
         Res.Clock.advance (Res.Control.clock ctl) 1500.;
         check_string "probe recovers" "ok"
-          (Res.Control.guard ctl ~source:"src" (consult f));
+          (call ctl (consult f));
         check_bool "closed" true
           (Res.Control.breaker_state ctl ~source:"src"
           = Some Res.Breaker.Closed));
@@ -316,8 +317,8 @@ let guard_tests =
         Res.Control.trip ctl ~source:"src";
         (match Res.Control.check_strict ctl ~source:"src" with
         | () -> Alcotest.fail "expected strict rejection"
-        | exception Res.Control.Error { code; _ } ->
-          check_string "code" "RESX0002" (Res.Control.code_name code));
+        | exception Item.Error { code; _ } ->
+          check_string "code" "RESX0002" code.Qname.local);
         check_bool "still open" true
           (Res.Control.breaker_state ctl ~source:"src" = Some Res.Breaker.Open));
   ]
@@ -336,6 +337,7 @@ let deadline_tests =
     | None -> ());
     (ctl, f, instr)
   in
+  let call ctl f = Res.Control.call ctl (Res.Control.source ctl "src") f () in
   [
     case "budget drains on the virtual clock" (fun () ->
         let clock = Res.Clock.create () in
@@ -374,12 +376,12 @@ let deadline_tests =
         let ran = ref false in
         (match
            Res.Deadline.with_deadline d (fun () ->
-               Res.Control.guard ctl ~source:"src" (fun () -> ran := true))
+               call ctl (fun () -> ran := true))
          with
         | _ -> Alcotest.fail "expected deadline failure"
-        | exception Res.Control.Error { code; source; _ } ->
-          check_string "code" "RESX0005" (Res.Control.code_name code);
-          check_string "source" "src" source);
+        | exception Item.Error { code; message; _ } ->
+          check_string "code" "RESX0005" code.Qname.local;
+          check_bool "source" true (String.starts_with ~prefix:"src: " message));
         check_bool "work never started" false !ran;
         check_int "counted" 1 (counter instr Instr.K.overload_expired));
     case "remaining budget caps a slow call below the policy timeout"
@@ -394,13 +396,13 @@ let deadline_tests =
         let d = Res.Deadline.start ~clock ~budget_ms:50. () in
         match
           Res.Deadline.with_deadline d (fun () ->
-              Res.Control.guard ctl ~source:"src" (fun () ->
+              call ctl (fun () ->
                   Res.Clock.advance clock 80.;
                   "slow"))
         with
         | _ -> Alcotest.fail "expected deadline failure"
-        | exception Res.Control.Error { code; _ } ->
-          check_string "code" "RESX0005" (Res.Control.code_name code));
+        | exception Item.Error { code; _ } ->
+          check_string "code" "RESX0005" code.Qname.local);
     case "deadline cuts a retry loop short" (fun () ->
         (* every attempt faults; with 3 retries allowed the policy alone
            would exhaust as RESX0003, but the budget dies during backoff
@@ -421,11 +423,11 @@ let deadline_tests =
         in
         (match
            Res.Deadline.with_deadline d (fun () ->
-               Res.Control.guard ctl ~source:"src" consult)
+               call ctl consult)
          with
         | _ -> Alcotest.fail "expected deadline failure"
-        | exception Res.Control.Error { code; _ } ->
-          check_string "code" "RESX0005" (Res.Control.code_name code));
+        | exception Item.Error { code; _ } ->
+          check_string "code" "RESX0005" code.Qname.local);
         check_bool "fewer retries than the policy allows" true
           (counter instr Instr.K.resil_retries < 3));
     case "exempt shields XA-style work from an expired budget" (fun () ->
@@ -436,7 +438,7 @@ let deadline_tests =
         let v =
           Res.Deadline.with_deadline d (fun () ->
               Res.Deadline.exempt (fun () ->
-                  Res.Control.guard ctl ~source:"src" (fun () -> "committed")))
+                  call ctl (fun () -> "committed")))
         in
         check_string "ran to completion" "committed" v);
     case "brownout transitions bump counters once per edge" (fun () ->
@@ -453,6 +455,162 @@ let deadline_tests =
         check_int "exited once" 1
           (counter instr Instr.K.overload_brownout_exited));
   ]
+
+(* The source boundary, walked function by function: every source
+   function the CustomerProfile dataspace registers — the three tables'
+   reads and create/update/delete, both foreign-key navigations, the
+   credit-rating operation, and the logical service's lineage
+   navigations and generated procedures — is admitted by its source's
+   breaker, degraded under brownout and fails natively the same way. *)
+type access = Read | Write
+
+type boundary_fn = {
+  b_fn : Qname.t;
+  b_source : string;  (* whose guard admits the call *)
+  b_access : access;
+  b_native : Qname.t;  (* what a failure of the source surfaces as *)
+  b_args : FC.env -> Item.seq list;  (* a valid call, fetched while healthy *)
+}
+
+let boundary_fns =
+  let xml text _ =
+    [ List.map (fun n -> Item.Node n) (Xml_parse.parse_fragment text) ]
+  in
+  let query q env =
+    [ Xqse.Session.eval (Aldsp.Dataspace.session env.FC.ds) q ]
+  in
+  (* a table's read and its create/update/delete: 007's rows exist,
+     [fresh] names a row that does not *)
+  let table db tname ~fresh =
+    let fn = Qname.make ~uri:(Printf.sprintf "ld:%s/%s" db tname) in
+    let write verb args =
+      { b_fn = fn (verb ^ tname); b_source = db; b_access = Write;
+        b_native = fn (String.capitalize_ascii verb ^ "Error");
+        b_args = args }
+    in
+    [
+      { b_fn = fn tname; b_source = db; b_access = Read;
+        b_native = Qname.err "RESX0004"; b_args = (fun _ -> []) };
+      write "create" (xml fresh);
+      write "update"
+        (query
+           (Printf.sprintf "%s:%s()[CID eq '007']"
+              (String.lowercase_ascii tname) tname));
+      write "delete" (xml fresh);
+    ]
+  in
+  let profile = Qname.make ~uri:FC.profile_ns in
+  let instance cid = query (Printf.sprintf "profile:getProfileById('%s')" cid) in
+  let lineage_nav row source =
+    { b_fn = profile ("get" ^ row); b_source = source; b_access = Read;
+      b_native = Qname.err "RESX0004"; b_args = instance "007" }
+  in
+  let generated verb args =
+    { b_fn = profile (verb ^ "CustomerProfile"); b_source = "db1";
+      b_access = Write;
+      b_native = profile (String.capitalize_ascii verb ^ "Error");
+      b_args = args }
+  in
+  table "db1" "CUSTOMER"
+    ~fresh:
+      "<CUSTOMER><CID>N1</CID><FIRST_NAME>Ann</FIRST_NAME><LAST_NAME>New</LAST_NAME></CUSTOMER>"
+  @ table "db1" "ORDERS" ~fresh:"<ORDERS><OID>777</OID><CID>007</CID></ORDERS>"
+  @ table "db2" "CREDIT_CARD"
+      ~fresh:"<CREDIT_CARD><CCID>777</CCID><CID>007</CID></CREDIT_CARD>"
+  @ [
+      { b_fn = Qname.make ~uri:"ld:db1/CUSTOMER" "getORDERS"; b_source = "db1";
+        b_access = Read; b_native = Qname.err "RESX0004";
+        b_args = query "customer:CUSTOMER()[CID eq '007']" };
+      { b_fn = Qname.make ~uri:"ld:db1/ORDERS" "getCUSTOMER"; b_source = "db1";
+        b_access = Read; b_native = Qname.err "RESX0004";
+        b_args = query "orders:ORDERS()[CID eq '007']" };
+      { b_fn = Qname.make ~uri:"urn:creditrating" "getCreditRating";
+        b_source = "CreditRatingService"; b_access = Read;
+        b_native = Qname.make ~uri:"urn:creditrating" "Fault";
+        b_args =
+          xml
+            {|<crs:getCreditRating xmlns:crs="urn:creditrating"><crs:lastName>Carrey</crs:lastName><crs:ssn>111-22-3333</crs:ssn></crs:getCreditRating>|} };
+      lineage_nav "ORDERS" "db1";
+      lineage_nav "CREDIT_CARD" "db2";
+      generated "create"
+        (xml
+           {|<p:CustomerProfile xmlns:p="ld:CustomerProfile"><CID>N2</CID><LAST_NAME>New</LAST_NAME><FIRST_NAME>Ann</FIRST_NAME><Orders/><CreditCards/></p:CustomerProfile>|});
+      generated "update" (instance "007");
+      generated "delete" (instance "C1");
+    ]
+
+let boundary_tests =
+  let sources = [ "db1"; "db2"; "CreditRatingService" ] in
+  (* a fresh dataspace whose sources all have breakers, and the
+     function's arguments read from it while it is healthy *)
+  let setup fn =
+    let ctl = Res.Control.create () in
+    List.iter
+      (fun source ->
+        Res.Control.set_policy ctl ~source
+          (Res.Policy.make ~breaker:Res.Breaker.default_config ()))
+      sources;
+    let env = FC.make ~customers:3 ~resilience:ctl () in
+    (ctl, env, fn.b_args env)
+  in
+  let call env fn args = Aldsp.Dataspace.call env.FC.ds fn.b_fn args in
+  let faults env = function
+    | "db1" -> R.Database.faults env.FC.db1
+    | "db2" -> R.Database.faults env.FC.db2
+    | _ -> Webservice.faults env.FC.ws
+  in
+  let expect_error what expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected %s" what (Qname.to_string expected)
+    | exception Item.Error { code; _ } ->
+      check_string what (Qname.to_string expected) (Qname.to_string code)
+  in
+  let name fn = Qname.to_string fn.b_fn in
+  List.concat_map
+    (fun fn ->
+      [
+        case (name fn ^ ": an open breaker refuses it before any statement")
+          (fun () ->
+            let ctl, env, args = setup fn in
+            Res.Control.trip ctl ~source:fn.b_source;
+            let logs () =
+              (R.Database.log_size env.FC.db1, R.Database.log_size env.FC.db2)
+            in
+            let before = logs () in
+            expect_error (name fn) (Qname.err "RESX0002") (fun () ->
+                call env fn args);
+            check_bool "no statement ran" true (logs () = before));
+        case (name fn ^ ": a failure of its source surfaces natively")
+          (fun () ->
+            let _, env, args = setup fn in
+            (match (fn.b_access, fn.b_source) with
+            | Read, ("db1" | "db2") ->
+              Res.Faults.set_schedule (faults env fn.b_source)
+                (sched
+                   ~windows:[ { Res.Plan.w_from = 0.; w_until = 1e9 } ]
+                   fn.b_source)
+            | _ -> Res.Faults.inject_next (faults env fn.b_source) "down");
+            expect_error (name fn) fn.b_native (fun () -> call env fn args));
+      ]
+      @
+      match fn.b_access with
+      | Write -> []
+      | Read ->
+        [
+          case (name fn ^ ": a degradable source in brownout reads empty")
+            (fun () ->
+              let ctl, env, args = setup fn in
+              check_bool "rows while healthy" true (call env fn args <> []);
+              Res.Control.set_degradable ctl ~source:fn.b_source;
+              Res.Control.set_brownout ctl true;
+              check_int "empty" 0 (List.length (call env fn args));
+              match Res.Control.degradations ctl with
+              | [ d ] ->
+                check_string "noted source" fn.b_source d.Res.Control.dg_source;
+                check_string "noted code" "BROWNOUT" d.Res.Control.dg_code
+              | ds -> Alcotest.failf "%d degradation notes" (List.length ds));
+        ])
+    boundary_fns
 
 let dataspace_tests =
   [
@@ -772,6 +930,7 @@ let suites =
     ("resilience guard", guard_tests);
     ("resilience deadline", deadline_tests);
     ("resilience dataspace", dataspace_tests);
+    ("resilience boundary", boundary_tests);
     ("resilience uc4", uc4_tests);
     ("resilience xa", xa_tests);
     ("resilience webservice", webservice_tests);

@@ -7,7 +7,7 @@ open Core
    an expression, so one pipeline serves both. *)
 let xq ?(config = Xqse.Session.default_config) ?context_item ?(vars = []) src
     =
-  let opts = { Xqse.Session.default_exec_opts with context_item; vars } in
+  let opts = { Xqse.Session.context_item; vars } in
   Xqse.Session.eval_to_string ~opts (Xqse.Session.create ~config ()) src
 
 let xq_noopt src =
