@@ -263,6 +263,10 @@ let report () =
           A.read_customers,
         "by_id",
         a.A.by_id );
+      ( Printf.sprintf "by-id read of %s, serialized (%d customers)"
+          A.by_id_customer A.read_customers,
+        "by_id_serialized",
+        a.A.by_id_serialized );
       ( Printf.sprintf "count(profile:getProfile()) (%d customers)"
           A.read_customers,
         "get_profile",

@@ -23,6 +23,16 @@ type t = {
   resil : Resilience.Control.t;
   mutable svcs : Data_service.t list;
   dbs : (string, R.Database.t) Hashtbl.t;
+  row_cursors : (string, R.Table.row Cursor.t -> Item.t Cursor.t) Hashtbl.t;
+      (* "db/TABLE" -> the table's row-element mapping, made once at
+         registration: the table's read and navigations share it, and so
+         share one row layout *)
+  mutable db_sources : (string * Resilience.Control.source) list;
+      (* every registered database's source, resolved at registration,
+         in name order: what a plan's admission checks *)
+  dependency_sources : (string, Resilience.Control.source list) Hashtbl.t;
+      (* service -> the sources it depends on, resolved when it is
+         created, in name order *)
   source_fns : (string * string, Lineage.source_fn) Hashtbl.t;
       (* keyed by (uri, local) — prefixes are not significant *)
   lineage_cache : (string, (Lineage.block, string) result) Hashtbl.t;
@@ -104,6 +114,9 @@ let create ?(optimize = true) ?(instr = Instr.disabled) ?resilience () =
       resil;
       svcs = [];
       dbs = Hashtbl.create 4;
+      row_cursors = Hashtbl.create 8;
+      db_sources = [];
+      dependency_sources = Hashtbl.create 8;
       source_fns = Hashtbl.create 32;
       lineage_cache = Hashtbl.create 8;
       read_sources = Hashtbl.create 8;
@@ -297,16 +310,31 @@ let guarded_read t src ~native ~empty f x =
         ~message;
       empty ()
 
-(* Strict admission of a write: every named source's breaker must
-   admit a call, or the write fails here with [err:RESX0002]. *)
-let rec admit t ~name = function
+(* Strict admission of a write: the source's breaker must admit a
+   call, or the write fails here with [err:RESX0002]. *)
+let admit t ~name src =
+  try Resilience.Control.check_strict t.resil src
+  with Item.Error { message; _ } as e ->
+    Log.info (fun m -> m "%s rejected strictly: %s" name message);
+    raise e
+
+let rec admit_all t ~name = function
   | [] -> ()
-  | source :: rest ->
-    (try Resilience.Control.check_strict t.resil ~source
-     with Item.Error { message; _ } as e ->
-       Log.info (fun m -> m "%s rejected strictly: %s" name message);
-       raise e);
-    admit t ~name rest
+  | src :: rest ->
+    admit t ~name src;
+    admit_all t ~name rest
+
+let rec plan_touches db = function
+  | [] -> false
+  | (s : Decompose.step) :: rest ->
+    String.equal s.Decompose.step_db db || plan_touches db rest
+
+(* the registered databases a plan touches, each once, in name order *)
+let rec admit_plan t ~name plan = function
+  | [] -> ()
+  | (db, src) :: rest ->
+    if plan_touches db plan then admit t ~name src;
+    admit_plan t ~name plan rest
 
 (* the source a dependency names: "db1/CUSTOMER" is db1's *)
 let dependency_source d =
@@ -326,12 +354,10 @@ let dependency_source d =
 let execute_plan t (svc : Data_service.t) make_plan =
   let name = svc.Data_service.ds_name in
   Resilience.Deadline.check ~source:name (Resilience.Deadline.current ());
-  admit t ~name
-    (List.sort_uniq compare
-       (List.map dependency_source svc.Data_service.ds_dependencies));
+  admit_all t ~name
+    (try Hashtbl.find t.dependency_sources name with Not_found -> []);
   let plan = make_plan () in
-  admit t ~name
-    (List.sort_uniq compare (List.map (fun s -> s.Decompose.step_db) plan));
+  admit_plan t ~name plan t.db_sources;
   let outcome = Decompose.execute ~db_of:(fun n -> database t n) plan in
   if outcome.Decompose.committed then
     invalidate_cache_tables t (plan_tables plan);
@@ -415,7 +441,7 @@ let link_pred from_tbl from_cols to_cols =
 let register_navigation t svc db tbl ~name ~expects ~doc pred =
   let db_name = R.Database.name db in
   let src = Resilience.Control.source t.resil db_name in
-  let rows = row_cursor tbl in
+  let rows = Hashtbl.find t.row_cursors (db_name ^ "/" ^ R.Table.name tbl) in
   let select p =
     R.Database.read_check db;
     rows (R.Table.select_cursor tbl p)
@@ -446,6 +472,9 @@ let register_database t db =
   let src = Resilience.Control.source t.resil db_name in
   let exec = R.Database.exec db in
   Hashtbl.replace t.dbs db_name db;
+  t.db_sources <-
+    List.sort (fun (a, _) (b, _) -> String.compare a b)
+      ((db_name, src) :: t.db_sources);
   let new_services =
     List.map
       (fun tbl ->
@@ -462,6 +491,7 @@ let register_database t db =
         (* --- read function:  t:TABLE() as element(TABLE)* --- *)
         let read_name = fn tname in
         let rows = row_cursor tbl in
+        Hashtbl.replace t.row_cursors (db_name ^ "/" ^ tname) rows;
         let open_table () =
           R.Database.read_check db;
           table_read rows (R.Table.open_read tbl)
@@ -1011,6 +1041,10 @@ let create_entity_service t ~name ~namespace ~shape ~methods ?primary_read
     svc.Data_service.ds_primary_read <- Some (Qname.make ~uri:namespace local)
   | None -> ());
   svc.Data_service.ds_dependencies <- dependencies;
+  Hashtbl.replace t.dependency_sources name
+    (List.map
+       (Resilience.Control.source t.resil)
+       (List.sort_uniq String.compare (List.map dependency_source dependencies)));
   Hashtbl.replace t.read_sources name source;
   t.svcs <- t.svcs @ [ svc ];
   generate_methods t svc;

@@ -10,10 +10,11 @@ let row_to_xml tbl =
          (fun (c : R.Table.column) -> Qname.local c.R.Table.col_name)
          schema.R.Table.columns)
   in
+  let layout = Node.layout row_name columns in
   let is_null = function R.Value.Null -> true | _ -> false in
   fun row ->
     if not (Array.exists is_null row) then
-      Node.row row_name columns (Array.map R.Value.to_string row)
+      Node.row_of_layout layout (Array.map R.Value.to_string row)
     else begin
       (* NULL columns have no child: keep the others, in table order *)
       let present = ref [] in

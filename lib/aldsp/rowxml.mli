@@ -14,7 +14,7 @@ val row_to_xml : Relational.Table.t -> Relational.Table.row -> Node.t
     [fn:data($row/COL)] never builds them. [row_to_xml tbl] builds the
     table's row and column QNames once, at partial application: apply
     it once per table and map many rows with the result. A row with no
-    NULL shares the table's column array. *)
+    NULL is made on the table's {!Node.layout}, so it boxes no name. *)
 
 val xml_to_pairs :
   Relational.Table.t -> Node.t -> (string * Relational.Value.t) list

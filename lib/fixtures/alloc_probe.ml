@@ -2,7 +2,14 @@ open Xdm
 module FC = Customer_profile
 module R = Relational
 
-type t = { by_id : int; get_profile : int; nav : int; cycle : int; wire : int }
+type t = {
+  by_id : int;
+  by_id_serialized : int;
+  get_profile : int;
+  nav : int;
+  cycle : int;
+  wire : int;
+}
 
 let read_customers = 20
 let cycle_customers = 10
@@ -22,14 +29,13 @@ let words f =
   f ();
   int_of_float (Gc.minor_words () -. before)
 
-let read_words fc text =
+let read_words ?(finish = ignore) fc text =
   let s = Aldsp.Dataspace.session fc.FC.ds in
   let fork = Xqse.Session.with_config s (Xqse.Session.config s) in
   let tables = [ fc.FC.customer; fc.FC.orders; fc.FC.credit_card ] in
   words (fun () ->
       let c = Xqse.Session.compile_cached fork text in
-      ignore
-        (R.Table.with_snapshot tables (fun () -> Xqse.Session.run c) : Item.seq))
+      finish (R.Table.with_snapshot tables (fun () -> Xqse.Session.run c)))
 
 (* the Figure 4 client change: get the profile, change two leaves *)
 let changed_profile fc tag =
@@ -55,9 +61,13 @@ let cycle_words fc =
 
 let measure () =
   let reads = FC.make ~customers:read_customers () in
-  let by_id =
-    read_words reads
-      (Printf.sprintf {|profile:getProfileById("%s")|} by_id_customer)
+  let by_id_text =
+    Printf.sprintf {|profile:getProfileById("%s")|} by_id_customer
+  in
+  let by_id = read_words reads by_id_text in
+  let by_id_serialized =
+    read_words reads by_id_text ~finish:(fun v ->
+        ignore (Xml_serialize.seq_to_string v : string))
   in
   let get_profile = read_words reads "count(profile:getProfile())" in
   let nav =
@@ -68,4 +78,4 @@ let measure () =
   let cycle = cycle_words fc in
   let dg = changed_profile fc 0 in
   let wire = words (fun () -> ignore (Sdo.parse (Sdo.serialize dg) : Sdo.t)) in
-  { by_id; get_profile; nav; cycle; wire }
+  { by_id; by_id_serialized; get_profile; nav; cycle; wire }

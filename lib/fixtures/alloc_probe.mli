@@ -1,5 +1,6 @@
-(** Minor words allocated by one request on the Figure 3 read path, by
-    one navigation per customer row, by one Figure 4 cycle and by the
+(** Minor words allocated by one request on the Figure 3 read path (and
+    by a by-id read serialized as XML), by one navigation per customer
+    row, by one Figure 4 cycle and by the
     cycle's wire round trip: the figures the experiment report's ALLOC
     section prints and the tier-1 allocation gate bounds.
 
@@ -16,6 +17,9 @@ type t = {
   by_id : int;
       (** [profile:getProfileById] of {!by_id_customer}, at
           {!read_customers} customers *)
+  by_id_serialized : int;
+      (** that by-id read, then [Xml_serialize.seq_to_string] of its
+          result: what a client that reads the profile as XML costs *)
   get_profile : int;
       (** [count(profile:getProfile())] at {!read_customers} customers *)
   nav : int;
@@ -47,4 +51,4 @@ val warmups : int
 (** 3 untimed runs before the counted one. *)
 
 val measure : unit -> t
-(** Build the two dataspaces and measure the five counts. *)
+(** Build the two dataspaces and measure the six counts. *)

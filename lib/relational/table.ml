@@ -627,11 +627,13 @@ let index_rows s key m =
   | Some pks -> List.filter_map (fun pk -> PkMap.find_opt pk s.s_rows) pks
   | None -> []
 
-(* candidate rows — a primary-key lookup, else an index probe — or None
-   when neither covers the predicate. A lone [col = v] is matched
-   without building the binding list; the result is the same. *)
+(* candidate rows — none for [False], else a primary-key lookup, else
+   an index probe — or None when none of these covers the predicate. A
+   lone [col = v] is matched without building the binding list; the
+   result is the same. *)
 let probe t s pred =
   match pred with
+  | Pred.False -> Some []
   | Pred.Cmp (Pred.Eq, col, v) -> (
     match t.schema.primary_key with
     | [ k ] when String.equal k col && exact_key t col v ->

@@ -82,8 +82,7 @@ let source t name = Mutex.protect t.lock (fun () -> source_locked t name)
 let source_name h = h.src_name
 let degradable h = (Atomic.get h.src_state).st_degradable
 
-(* a lookup by name, allocating nothing: a write's admission makes one
-   per source it touches *)
+(* a lookup by name, allocating nothing *)
 let state t name =
   Mutex.lock t.lock;
   let st =
@@ -191,9 +190,9 @@ let reject t ~source =
   Instr.bump t.instr Instr.K.resil_rejected;
   fail "RESX0002" ~source "circuit breaker open, call rejected"
 
-let check_strict t ~source =
-  match breaker t ~source with
-  | Some b when not (Breaker.would_allow b) -> reject t ~source
+let check_strict t h =
+  match (Atomic.get h.src_state).st_breaker with
+  | Some b when not (Breaker.would_allow b) -> reject t ~source:h.src_name
   | _ -> ()
 
 (* The ambient request deadline caps every guarded call: an expired

@@ -104,7 +104,8 @@ val call : t -> source -> ('a -> 'b) -> 'a -> 'b
     [call] takes no lock of the control's and allocates no closure
     unless instrumentation is on or a retry draws jitter. *)
 
-val check_strict : t -> source:string -> unit
+val check_strict : t -> source -> unit
 (** Strict admission for writes: raises [err:RESX0002] when the
     source's breaker would reject a call — without consuming the
-    half-open probe. *)
+    half-open probe. Like {!call}, it reads the resolved state without
+    taking a lock. *)

@@ -6,6 +6,11 @@ type kind =
   | Comment
   | Processing_instruction
 
+(* A row layout: a row element's name and its columns' names, each
+   boxed once, so the rows made on it and the children they build share
+   the boxes instead of allocating a name per element. *)
+type layout = { l_name : Qname.t option; l_columns : Qname.t option array }
+
 (* A node's stored kind. [Row] is an element made from a source row: it
    keeps the row's cells and builds its column children only when
    something navigates into it; {!kind} reports it as [Element]. Every
@@ -28,13 +33,45 @@ and stored =
   | Comment
   | Processing_instruction
   | Row of {
-      columns : Qname.t array;  (* the non-NULL columns, in table order *)
-      cells : string array;  (* their values as text *)
+      layout : layout;  (* the columns, one per child *)
+      cells : string array;
+          (* each child's text; [no_text] for a child with none *)
       built : t list option Stdlib.Atomic.t;
           (* [None] until the children are built. They are published
              here with one compare-and-set, and every later read or
              write of the row's children goes through this cell. *)
     }
+
+(* The cell of a view row's leaf over an absent column: the leaf is an
+   empty element. No other cell is this string: it is allocated here and
+   recognized by identity, and it reads as [""] wherever a cell's text
+   is read, as the empty element's string value is. *)
+let no_text = Bytes.to_string (Bytes.create 0)
+let cell_text c = if c == no_text then "" else c
+
+type tag = Qname.t option
+
+let tag q = Some q
+
+let layout name columns =
+  Array.iteri
+    (fun i c ->
+      for j = i + 1 to Array.length columns - 1 do
+        if Qname.equal c columns.(j) then
+          invalid_arg "Node.layout: two columns of one name"
+      done)
+    columns;
+  { l_name = Some name; l_columns = Array.map Option.some columns }
+
+let layout_column l q =
+  let rec find i =
+    if i = Array.length l.l_columns then -1
+    else
+      match l.l_columns.(i) with
+      | Some c when Qname.equal c q -> i
+      | _ -> find (i + 1)
+  in
+  find 0
 
 (* Node ids are unique across domains: each domain draws a block of ids
    with one atomic fetch-and-add and hands them out from a domain-local
@@ -103,21 +140,30 @@ let adopt_all parent = function
   | [] -> ()
   | nodes -> set_parent (Some parent) nodes
 
-let element ?(attrs = []) name children =
+let element_of_tag tag children =
   let n = fresh Element in
-  n.name <- Some name;
-  n.attrs <- List.map (fun (an, av) -> attribute an av) attrs;
-  adopt_all n n.attrs;
+  n.name <- tag;
   n.children <- children;
   adopt_all n children;
   n
 
-let row name columns cells =
-  if Array.length columns <> Array.length cells then
-    invalid_arg "Node.row: one cell per column";
-  let n = fresh (Row { columns; cells; built = Stdlib.Atomic.make None }) in
-  n.name <- Some name;
+let element ?(attrs = []) name children =
+  let n = element_of_tag (Some name) children in
+  n.attrs <- List.map (fun (an, av) -> attribute an av) attrs;
+  adopt_all n n.attrs;
   n
+
+let make_row l cells =
+  let n = fresh (Row { layout = l; cells; built = Stdlib.Atomic.make None }) in
+  n.name <- l.l_name;
+  n
+
+let row_of_layout l cells =
+  if Array.length l.l_columns <> Array.length cells then
+    invalid_arg "Node.row_of_layout: one cell per column";
+  make_row l cells
+
+let row name columns cells = row_of_layout (layout name columns) cells
 
 let document children =
   let n = fresh Document in
@@ -125,19 +171,23 @@ let document children =
   adopt_all n children;
   n
 
-(* a row's column children, as [element c [text cell]] builds them *)
-let build_columns n columns cells =
+(* a row's column children, as [element c [text cell]] builds them, or
+   [element c []] for a view row's empty leaf *)
+let build_columns n l cells =
   let parent = Some n in
   let[@tail_mod_cons] rec go i =
-    if i = Array.length columns then []
+    if i = Array.length cells then []
     else begin
       let col = fresh Element in
       col.parent <- parent;
-      col.name <- Some columns.(i);
-      let txt = fresh Text in
-      txt.content <- cells.(i);
-      txt.parent <- Some col;
-      col.children <- [ txt ];
+      col.name <- l.l_columns.(i);
+      let c = cells.(i) in
+      if c != no_text then begin
+        let txt = fresh Text in
+        txt.content <- c;
+        txt.parent <- Some col;
+        col.children <- [ txt ]
+      end;
       col :: go (i + 1)
     end
   in
@@ -148,11 +198,11 @@ let build_columns n columns cells =
    publishes its list and the other returns that list. *)
 let rec kids n =
   match n.node_kind with
-  | Row { columns; cells; built } -> (
+  | Row { layout; cells; built } -> (
     match Stdlib.Atomic.get built with
     | Some l -> l
     | None ->
-      let l = build_columns n columns cells in
+      let l = build_columns n layout cells in
       if Stdlib.Atomic.compare_and_set built None (Some l) then l else kids n)
   | Document | Element | Attribute | Text | Comment | Processing_instruction ->
     n.children
@@ -188,17 +238,44 @@ let unbuilt_row n =
   | Document | Element | Attribute | Text | Comment | Processing_instruction ->
     false
 
+let not_a_row what = invalid_arg ("Node." ^ what ^ ": not a row element")
+
 let cell n q =
   match n.node_kind with
-  | Row { columns; cells; _ } ->
-    let rec find i =
-      if i = Array.length columns then None
-      else if Qname.equal columns.(i) q then Some cells.(i)
-      else find (i + 1)
-    in
-    find 0
+  | Row { layout; cells; _ } ->
+    let i = layout_column layout q in
+    if i < 0 then None else Some (cell_text cells.(i))
   | Document | Element | Attribute | Text | Comment | Processing_instruction ->
-    invalid_arg "Node.cell: not a row element"
+    not_a_row "cell"
+
+let row_layout n =
+  match n.node_kind with
+  | Row { layout; _ } -> layout
+  | Document | Element | Attribute | Text | Comment | Processing_instruction ->
+    not_a_row "row_layout"
+
+let row_cells what n =
+  match n.node_kind with
+  | Row { cells; _ } -> cells
+  | Document | Element | Attribute | Text | Comment | Processing_instruction ->
+    not_a_row what
+
+let row_width n = Array.length (row_cells "row_width" n)
+let row_text n i = cell_text (row_cells "row_text" n).(i)
+let row_has_text n i = (row_cells "row_has_text" n).(i) != no_text
+let row_column n i = Option.get (row_layout n).l_columns.(i)
+
+let view_row l src columns =
+  if Array.length columns <> Array.length l.l_columns then
+    invalid_arg "Node.view_row: one source column per leaf";
+  let src_cells = row_cells "view_row" src in
+  let cells = Array.make (Array.length columns) no_text in
+  for i = 0 to Array.length columns - 1 do
+    let j = columns.(i) in
+    (* a source leaf without text is an empty element: its data is [""] *)
+    if j >= 0 then cells.(i) <- cell_text src_cells.(j)
+  done;
+  make_row l cells
 
 let attribute_value n qn =
   List.find_map
@@ -217,7 +294,7 @@ let text_content n =
 let concat_cells cells =
   match cells with
   | [||] -> ""
-  | [| c |] -> c
+  | [| c |] -> cell_text c
   | _ -> String.concat "" (Array.to_list cells)
 
 let string_value n =
@@ -455,11 +532,12 @@ let rec deep_copy n =
   | Attribute -> attribute (Option.get n.name) n.content
   | Processing_instruction ->
     processing_instruction (Option.get n.name).Qname.local n.content
-  | Row { columns; cells; built } -> (
+  | Row { layout; cells; built } -> (
     match Stdlib.Atomic.get built with
     | None ->
       (* the cells are immutable: the copy shares them, unbuilt *)
-      let el = row (Option.get n.name) columns cells in
+      let el = make_row layout cells in
+      el.name <- n.name;
       copy_attrs n el;
       el
     | Some l -> copy_element n l)

@@ -8,7 +8,9 @@
     A {e row element} ({!row}) is an element made from a source row. It
     keeps the row's cells and builds its column children only when
     something navigates into it; every accessor sees the element those
-    children make. *)
+    children make. A {e view row} ({!view_row}) is a row element that
+    projects another row's cells under names of its own, as a
+    data-service view's row block does. *)
 
 type t
 
@@ -29,6 +31,15 @@ val text : string -> t
 val comment : string -> t
 val processing_instruction : string -> string -> t
 
+type tag
+(** An element name, boxed once: the elements made from one tag share
+    its box, so making one allocates nothing for its name. *)
+
+val tag : Qname.t -> tag
+
+val element_of_tag : tag -> t list -> t
+(** [element_of_tag (tag name) children] is [element name children]. *)
+
 val row : Qname.t -> Qname.t array -> string array -> t
 (** [row name columns cells] is a row element: it reads as
     [element name [element columns.(i) [text cells.(i)]; ...]], with
@@ -37,7 +48,46 @@ val row : Qname.t -> Qname.t array -> string array -> t
     published with one compare-and-set, so domains that navigate a
     shared row at once all see the same children. [columns] and [cells]
     must not be mutated afterwards.
-    @raise Invalid_argument if the arrays differ in length. *)
+    @raise Invalid_argument if the arrays differ in length or two
+    columns share a name. *)
+
+type layout
+(** A row layout: a row element's name and its columns' names, each
+    boxed once. The rows made on one layout, and the children they
+    build, share those boxes. *)
+
+val layout : Qname.t -> Qname.t array -> layout
+(** @raise Invalid_argument if two columns share a name: a row's
+    columns are named apart, so each name reads one cell. *)
+
+val row_of_layout : layout -> string array -> t
+(** [row_of_layout (layout name columns) cells] is [row name columns
+    cells], without boxing a name per row or per child.
+    @raise Invalid_argument if [cells] does not hold one cell per column. *)
+
+val row_layout : t -> layout
+(** The layout a row element was made on: every row made on one layout
+    and every copy of such a row shares it, so a column resolved against
+    it once holds for all of them.
+    @raise Invalid_argument if [n] is not a row element. *)
+
+val layout_column : layout -> Qname.t -> int
+(** The position of the named column in the layout, or [-1]. *)
+
+val view_row : layout -> t -> int array -> t
+(** [view_row l src columns] is a {e view row}: the element
+    [<name>{<leaf_i>{fn:data($src/column_i)}</leaf_i>}...</name>] that
+    a constructor projecting one row builds, where [l] is
+    [layout name leaves] and [columns.(i)] is column_i's position in
+    [src]'s layout, or [-1] when [src] has no such column. Leaf [i]
+    reads [src]'s cell, and is an empty element ([<leaf_i/>], no child)
+    when the column is absent; an empty leaf of a view row [src] gives
+    a leaf with an empty text child, as [fn:data] of an empty element
+    is [""]. Its children are built on first use, as {!row}'s; it
+    shares [l] and never builds [src]. [src] must be an unbuilt row
+    element.
+    @raise Invalid_argument if [columns] does not hold one position per
+    leaf or [src] is not a row element. *)
 
 (** {1 Accessors} *)
 
@@ -86,12 +136,32 @@ val unbuilt_row : t -> bool
     are then exactly what its children would read. *)
 
 val cell : t -> Qname.t -> string option
-(** [cell n q] is row element [n]'s cell for column [q], as {!row} was
-    given it, or [None] when [n] has no such column (it is NULL). It
+(** [cell n q] is the string value of row element [n]'s child [q], read
+    from its cell: the cell {!row} was given, [""] for a view row's
+    empty leaf, or [None] when [n] has no such column (it is NULL). It
     reads the cells, never the children, so it is what the children
     read only while {!unbuilt_row} holds: a built row's children may
     have been changed since.
     @raise Invalid_argument if [n] is not a row element. *)
+
+(** {2 An unbuilt row's children, read from its cells}
+
+    What a writer needs to write an unbuilt row element without
+    building it; each reads what child [i] would hold.
+    @raise Invalid_argument if [n] is not a row element. *)
+
+val row_width : t -> int
+(** The number of children. *)
+
+val row_column : t -> int -> Qname.t
+(** Child [i]'s name. *)
+
+val row_has_text : t -> int -> bool
+(** Whether child [i] has a text child: false only for a view row's
+    empty leaf. *)
+
+val row_text : t -> int -> string
+(** Child [i]'s text ([""] when it has none). *)
 
 (** {1 Axes} *)
 

@@ -120,6 +120,11 @@ let add_name buf prefix (qn : Qname.t) =
   end;
   Buffer.add_string buf qn.local
 
+let end_tag buf prefix qn =
+  Buffer.add_string buf "</";
+  add_name buf prefix qn;
+  Buffer.add_char buf '>'
+
 let add_attr buf prefix qn value =
   Buffer.add_char buf ' ';
   add_name buf prefix qn;
@@ -208,6 +213,29 @@ let rec no_text = function
   | [] -> true
   | c :: rest -> Node.kind c <> Node.Text && no_text rest
 
+(* An unbuilt row's children, from its cells, as [element] below writes
+   the children it would build: each an element without attributes whose
+   one child is its text, or with none. All of them are elements, so
+   they indent. *)
+let rec row_columns w scope depth n i =
+  if i < Node.row_width n then begin
+    let buf = w.buf in
+    if w.indent then begin
+      Buffer.add_char buf '\n';
+      add_spaces buf (depth * 2)
+    end;
+    let qn = Node.row_column n i in
+    ignore (start_tag w scope qn [] None : scope);
+    if Node.row_has_text n i then begin
+      let prefix = w.prefixes.(0) in
+      Buffer.add_char buf '>';
+      add_escaped buf ~quot:false (Node.row_text n i);
+      end_tag buf prefix qn
+    end
+    else Buffer.add_string buf "/>";
+    row_columns w scope depth n (i + 1)
+  end
+
 let rec write w scope depth n =
   let buf = w.buf in
   match Node.kind n with
@@ -251,19 +279,29 @@ and element w outer depth n extra =
   let scope = start_tag w outer qn (Node.attributes n) extra in
   let prefix = w.prefixes.(0) in
   let buf = w.buf in
-  match Node.children n with
-  | [] -> Buffer.add_string buf "/>"
-  | children ->
-    Buffer.add_char buf '>';
-    if w.indent && no_text children then begin
-      write_indented w scope (depth + 1) children;
-      Buffer.add_char buf '\n';
-      add_spaces buf (depth * 2)
+  if Node.unbuilt_row n then
+    if Node.row_width n = 0 then Buffer.add_string buf "/>"
+    else begin
+      Buffer.add_char buf '>';
+      row_columns w scope (depth + 1) n 0;
+      if w.indent then begin
+        Buffer.add_char buf '\n';
+        add_spaces buf (depth * 2)
+      end;
+      end_tag buf prefix qn
     end
-    else write_all w scope (depth + 1) children;
-    Buffer.add_string buf "</";
-    add_name buf prefix qn;
-    Buffer.add_char buf '>'
+  else
+    match Node.children n with
+    | [] -> Buffer.add_string buf "/>"
+    | children ->
+      Buffer.add_char buf '>';
+      if w.indent && no_text children then begin
+        write_indented w scope (depth + 1) children;
+        Buffer.add_char buf '\n';
+        add_spaces buf (depth * 2)
+      end
+      else write_all w scope (depth + 1) children;
+      end_tag buf prefix qn
 
 let to_string ?(indent = false) n =
   let w = make ~indent in
@@ -311,11 +349,7 @@ let end_element w =
       Buffer.add_string w.buf "/>";
       w.start_open <- false
     end
-    else begin
-      Buffer.add_string w.buf "</";
-      add_name w.buf prefix qn;
-      Buffer.add_char w.buf '>'
-    end
+    else end_tag w.buf prefix qn
 
 let text w s =
   close_start w;

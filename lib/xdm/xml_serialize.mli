@@ -9,7 +9,10 @@
 
     Output is written straight into one buffer: a value with nothing to
     escape is copied as it is, and no string is built per name or
-    attribute. *)
+    attribute. An unbuilt row element ({!Node.unbuilt_row}), a table
+    row or a view row, is written from its name and cells, with the
+    same declarations and indentation as the element its children make,
+    and is left unbuilt: serializing builds no node. *)
 
 val to_string : ?indent:bool -> Node.t -> string
 (** Serialize one node. Documents serialize their children; attribute

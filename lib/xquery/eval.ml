@@ -1110,6 +1110,65 @@ let row_column = function
     Some (v, q)
   | _ -> None
 
+(* The columns one plan site reads from a row, resolved against the
+   layout of the last row seen there: rows of one table read, and view
+   rows of one constructor, share a layout, so the name search runs once
+   per site and layout, not once per row. A site is the cell holding
+   that resolution; domains sharing the plan may replace it, and each
+   reads a consistent one. *)
+type resolution = { layout : Node.layout; columns : int array }
+
+(* a site's cell before its first row: no row is made on this layout *)
+let unresolved = { layout = Node.layout (Qname.local "") [||]; columns = [||] }
+
+(* A site reading [names]: for a row, each name's position in its
+   layout, or [-1] where it has none *)
+let column_site names =
+  let site = Stdlib.Atomic.make unresolved in
+  fun n ->
+    let l = Node.row_layout n in
+    let r = Stdlib.Atomic.get site in
+    if r.layout == l then r.columns
+    else begin
+      let columns = Array.map (Node.layout_column l) names in
+      Stdlib.Atomic.set site { layout = l; columns };
+      columns
+    end
+
+(* The data-service leaf [<N>{fn:data($v/COL)}</N>]: [N], the
+   [fn:data] call and its argument, and [(v, COL)]. *)
+let ds_leaf cc = function
+  | Ast.Elem_ctor
+      (name, [], [ Ast.Content_expr (Ast.Call (call, ([ _ ] as args)) as c) ])
+    -> (
+    match Option.bind (data_arg cc c) row_column with
+    | Some vc -> Some (name, (call, args), vc)
+    | None -> None)
+  | _ -> None
+
+let rec distinct = function
+  | [] -> true
+  | q :: rest -> (not (List.exists (Qname.equal q) rest)) && distinct rest
+
+(* A constructor that only projects one row: no attributes, and every
+   content a data-service leaf over one variable, no two leaves of one
+   name (a row's columns are named apart: [$r/A] reads one cell).
+   Returns the variable and the leaves. *)
+let projection cc contents =
+  let leaf = function
+    | Ast.Content_node e | Ast.Content_expr e -> ds_leaf cc e
+    | Ast.Content_text _ -> None
+  in
+  match List.map leaf contents with
+  | Some (_, _, (v, _)) :: _ as leaves
+    when List.for_all
+           (function Some (_, _, (v', _)) -> Qname.equal v v' | None -> false)
+           leaves ->
+    let leaves = List.filter_map Fun.id leaves in
+    if distinct (List.map (fun (n, _, _) -> n) leaves) then Some (v, leaves)
+    else None
+  | _ -> None
+
 (* the row side: a child step naming one of the read's text columns,
    or that step projected through an element constructor — an unfolded
    view's key [<N>{fn:data(./COL)}</N>] (DESIGN.md §10), which atomizes
@@ -1236,6 +1295,28 @@ let rec gather_parts ctx el rev = function
 
 let attach_children parent rev =
   Node.insert_children parent ~pos:`Last (List.rev rev)
+
+(* A direct constructor's plan over its compiled attributes and
+   contents: the element named by [tag] *)
+let elem_ctor_plan tag cattrs ccontents ctx =
+  let el = Node.element_of_tag tag [] in
+  if cattrs <> [] then
+    List.iter
+      (fun (an, parts) ->
+        let v =
+          String.concat ""
+            (List.map
+               (function
+                 | `Str s -> s
+                 | `Expr p ->
+                   String.concat " "
+                     (List.map Atomic.to_string (Item.atomize (p ctx))))
+               parts)
+        in
+        Node.set_attribute el an v)
+      cattrs;
+  attach_children el (gather_parts ctx el [] ccontents);
+  [ Item.Node el ]
 
 (* the eager FLWOR schedule over compiled clauses: every clause over all
    tuples in turn, then the return expression per tuple *)
@@ -1551,25 +1632,40 @@ and compile_expr cc (e : Ast.expr) : plan =
   | Ast.Call (name, args) ->
     compile_streaming_call cc name args
   | Ast.Elem_ctor (name, attrs, contents) -> (
-    let general = compile_elem_ctor cc name attrs contents in
-    (* the data-service leaf [<N>{fn:data($v/COL)}</N>] over one unbuilt
-       row: the general plan's element, with the cell as its one text
-       child (none when NULL), made in the same order *)
-    match (attrs, contents) with
-    | [], [ Ast.Content_expr c ] -> (
-      match Option.bind (data_arg cc c) row_column with
-      | None -> general
-      | Some (v, q) -> (
-        fun ctx ->
-          match Context.lookup_var ctx v with
-          | Some [ Item.Node n ] when Node.unbuilt_row n ->
-            let el = Node.element name [] in
-            (match Node.cell n q with
-            | Some s -> Node.insert_children el ~pos:`Last [ Node.text s ]
-            | None -> ());
-            [ Item.Node el ]
-          | _ -> general ctx))
-    | _ -> general)
+    match (ds_leaf cc e, projection cc contents) with
+    | Some (_, call, (v, q)), _ -> (
+      (* the data-service leaf [<N>{fn:data($v/COL)}</N>] over one
+         unbuilt row: the general plan's element, with the cell as its
+         one text child (none when NULL), made in the same order *)
+      let tag = Node.tag name and column = column_site [| q |] in
+      let general = leaf_general cc tag call in
+      fun ctx ->
+        match Context.lookup_var ctx v with
+        | Some [ Item.Node n ] when Node.unbuilt_row n ->
+          let el = Node.element_of_tag tag [] in
+          let i = (column n).(0) in
+          if i >= 0 then
+            Node.insert_children el ~pos:`Last [ Node.text (Node.row_text n i) ];
+          [ Item.Node el ]
+        | _ -> general ctx)
+    | None, Some (v, leaves) when attrs = [] -> (
+      (* a constructor that only projects one unbuilt row: a view row
+         over its cells, whose leaves are built on first navigation *)
+      let names = Array.of_list (List.map (fun (n, _, _) -> n) leaves)
+      and columns = Array.of_list (List.map (fun (_, _, (_, c)) -> c) leaves) in
+      let layout = Node.layout name names and site = column_site columns in
+      let general =
+        elem_ctor_plan (Node.tag name) []
+          (List.map
+             (fun (n, call, _) -> `Expr (leaf_general cc (Node.tag n) call, true))
+             leaves)
+      in
+      fun ctx ->
+        match Context.lookup_var ctx v with
+        | Some [ Item.Node n ] when Node.unbuilt_row n ->
+          [ Item.Node (Node.view_row layout n (site n)) ]
+        | _ -> general ctx)
+    | _ -> compile_elem_ctor cc name attrs contents)
   | Ast.Comp_elem (name_spec, content) ->
     let cname = compile_name_spec cc ~element:true name_spec in
     let pc = compile cc content in
@@ -1703,25 +1799,14 @@ and compile_elem_ctor cc name attrs contents =
           `Expr (compile cc e, fresh_content e))
       contents
   in
-  fun ctx ->
-    let el = Node.element name [] in
-    if cattrs <> [] then
-      List.iter
-        (fun (an, parts) ->
-          let v =
-            String.concat ""
-              (List.map
-                 (function
-                   | `Str s -> s
-                   | `Expr p ->
-                     String.concat " "
-                       (List.map Atomic.to_string (Item.atomize (p ctx))))
-                 parts)
-          in
-          Node.set_attribute el an v)
-        cattrs;
-    attach_children el (gather_parts ctx el [] ccontents);
-    [ Item.Node el ]
+  elem_ctor_plan (Node.tag name) cattrs ccontents
+
+(* A data-service leaf's general plan: the element around a plain
+   [fn:data] call. It runs only when the leaf's variable does not hold
+   one unbuilt row, so the call's own cell read could never fire and is
+   not compiled. *)
+and leaf_general cc tag (call, args) =
+  elem_ctor_plan tag [] [ `Expr (compile_apply cc call args, false) ]
 
 (* The keyed read: [T()[COL eq K] ...] over a keyed table read makes
    the read's one guarded open, then — only when the opened version has
@@ -1748,9 +1833,12 @@ and compile_keyed_filter cc prim first rest =
           match row_column key with
           | None -> fun ctx -> text_key (ckey ctx)
           | Some (v, q) -> (
+            let column = column_site [| q |] in
             fun ctx ->
               match Context.lookup_var ctx v with
-              | Some [ Item.Node n ] when Node.unbuilt_row n -> Node.cell n q
+              | Some [ Item.Node n ] when Node.unbuilt_row n ->
+                let i = (column n).(0) in
+                if i < 0 then None else Some (Node.row_text n i)
               | _ -> text_key (ckey ctx))
         in
         let cfirst = compile_predicates cc [ first ] in
@@ -2118,13 +2206,12 @@ and compile_streaming_call cc name args =
       match row_column e with
       | None -> plain ()
       | Some (v, q) -> (
-        let general = plain () in
+        let general = plain () and column = column_site [| q |] in
         fun ctx ->
           match Context.lookup_var ctx v with
-          | Some [ Item.Node n ] when Node.unbuilt_row n -> (
-            match Node.cell n q with
-            | Some s -> [ Item.Atomic (Atomic.Untyped s) ]
-            | None -> [])
+          | Some [ Item.Node n ] when Node.unbuilt_row n ->
+            let i = (column n).(0) in
+            if i < 0 then [] else [ Item.Atomic (Atomic.Untyped (Node.row_text n i)) ]
           | _ -> general ctx))
     | _ -> plain ()
 

@@ -102,6 +102,28 @@ let introspect_tests =
             "for $c in customer:CUSTOMER() where $c/CID eq '007' return customer:getORDERS($c)"
         in
         check_int "orders of 007" 1 (List.length orders));
+    case "a navigation over a node that lacks its key reads no row"
+      (fun () ->
+        let instr = Instr.create () in
+        Instr.preregister instr;
+        Instr.enable instr;
+        let env = F.make ~customers:3 ~instr () in
+        let sess = Aldsp.Dataspace.session env.F.ds in
+        let scanned () =
+          Option.value ~default:0
+            (List.assoc_opt Instr.K.rows_scanned (Instr.stats instr).Instr.counters)
+        in
+        List.iter
+          (fun q ->
+            let before = scanned () in
+            check_string q "0" (Xqse.Session.eval_to_string sess q);
+            check_int (q ^ ": rows scanned") 0 (scanned () - before))
+          [
+            "count(profile:getORDERS(<profile:CustomerProfile/>))";
+            "count(profile:getCREDIT_CARD(<profile:CustomerProfile/>))";
+            "count(customer:getORDERS(<CUSTOMER/>))";
+            "count(orders:getCUSTOMER(<ORDERS><OID>1</OID></ORDERS>))";
+          ]);
     case "reverse navigation reaches the parent" (fun () ->
         let env = F.make ~customers:1 () in
         let sess = Aldsp.Dataspace.session env.F.ds in

@@ -1,13 +1,16 @@
 (* The allocation gate. Fixtures.Alloc_probe counts the minor words of
-   four requests on the Figure 3/4 paths and of the Figure 4 wire round
-   trip; for a given build and OCaml version the counts repeat exactly,
-   so each bound is the count measured when the gate was set plus 10%.
-   Copying fresh constructor content again fails the by-id and
-   getProfile bounds (DESIGN.md §14, "Construction"); building every
-   row's children at the read again fails the by-id, getProfile and
-   navigation bounds (DESIGN.md §13, "Row elements"); deep-copying the
-   datagraph's objects on the wire again fails the wire and cycle
-   bounds (DESIGN.md §19, the wire round trip). *)
+   four requests on the Figure 3/4 paths, of a by-id read serialized as
+   XML and of the Figure 4 wire round trip; for a given build and OCaml
+   version the counts repeat exactly, so each bound is the count
+   measured when the gate was set plus 10%. Copying fresh constructor
+   content again fails the by-id and getProfile bounds (DESIGN.md §14,
+   "Construction"); building every row's children at the read again
+   fails the by-id, getProfile and navigation bounds (DESIGN.md §13,
+   "Row elements"); building a view row's leaves when it is made fails
+   the getProfile bound, and building unbuilt rows to serialize them
+   fails the serialized by-id bound (§13, "View rows"; §19);
+   deep-copying the datagraph's objects on the wire again fails the
+   wire and cycle bounds (DESIGN.md §19, the wire round trip). *)
 
 open Core
 open Util
@@ -20,11 +23,16 @@ module P = Fixtures.Alloc_probe
    the navigation count 18,993. Before the one-buffer serializer, the
    closure-free parser, the copy-free SDO wire, the navigation bypass
    of the result cache and the one-pass scan array the cycle allocated
-   15,306 and the wire round trip 6,515. *)
-let by_id_words = 2_767
-let get_profile_words = 42_973
-let nav_words = 7_698
-let cycle_words = 9_451
+   15,306 and the wire round trip 6,515. Before view rows, rows written
+   from their cells, names boxed once and write admission through
+   resolved sources the by-id read, its serialized form, getProfile,
+   the navigation count and the cycle allocated 2,767, 3,118, 42,973,
+   7,698 and 9,418. *)
+let by_id_words = 1_911
+let by_id_serialized_words = 2_262
+let get_profile_words = 26_493
+let nav_words = 7_559
+let cycle_words = 8_355
 let wire_words = 1_766
 let bound words = words + (words / 10)
 let probe = lazy (P.measure ())
@@ -44,6 +52,13 @@ let read_path_tests =
         within
           (Printf.sprintf "profile:getProfileById(%S)" P.by_id_customer)
           by_id_words (Lazy.force probe).P.by_id);
+    case
+      (Printf.sprintf "a by-id read at %d customers, serialized" P.read_customers)
+      (fun () ->
+        within
+          (Printf.sprintf "seq_to_string (profile:getProfileById(%S))"
+             P.by_id_customer)
+          by_id_serialized_words (Lazy.force probe).P.by_id_serialized);
     case
       (Printf.sprintf "count(profile:getProfile()) at %d customers"
          P.read_customers)

@@ -620,6 +620,36 @@ let pk_lookup_tests =
         check_int "the row is found" 1
           (List.length
              (check_reads scanned t (Pred.eq "K" (Value.Int 3)) ~examined:2)));
+    case "False examines no row, and its empty cursor releases its pin"
+      (fun () ->
+        let db, scanned = counted () in
+        let t =
+          Database.add_table db
+            {
+              Table.tbl_name = "F";
+              columns = [ col "ID" Value.T_int false ];
+              primary_key = [ "ID" ];
+              foreign_keys = [];
+            }
+        in
+        for i = 1 to 14 do
+          Table.insert t [| Value.Int i |]
+        done;
+        check_int "no row" 0
+          (List.length (check_reads scanned t Pred.False ~examined:0));
+        (* a cursor held open while five updates publish pins one old
+           version; exhausting it releases the pin *)
+        let cur = Table.select_cursor t Pred.False in
+        for i = 1 to 5 do
+          ignore
+            (Database.exec db
+               (Update
+                  { table = "F"; set = [ ("ID", Value.Int (100 + i)) ];
+                    where = Pred.eq "ID" (Value.Int i) }))
+        done;
+        check_int "the open cursor pins its version" 2 (Table.live_versions t);
+        check_bool "the cursor is empty" true (Xdm.Cursor.next cur = None);
+        check_int "exhausting it releases the pin" 1 (Table.live_versions t));
   ]
 
 let suites =

@@ -315,7 +315,7 @@ let guard_tests =
             ()
         in
         Res.Control.trip ctl ~source:"src";
-        (match Res.Control.check_strict ctl ~source:"src" with
+        (match Res.Control.check_strict ctl (Res.Control.source ctl "src") with
         | () -> Alcotest.fail "expected strict rejection"
         | exception Item.Error { code; _ } ->
           check_string "code" "RESX0002" code.Qname.local);
