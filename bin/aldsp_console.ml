@@ -116,8 +116,6 @@ let eval_and_print ds src =
     | result -> print_endline (Xdm.Xml_serialize.seq_to_string result)
     | exception Xdm.Item.Error { code; message; _ } ->
       Printf.printf "error %s: %s\n" (Xdm.Qname.to_string code) message
-    | exception Xquery.Parser.Syntax_error { line; col; message } ->
-      Printf.printf "syntax error at %d:%d: %s\n" line col message
 
 let interactive ds =
   Printf.printf

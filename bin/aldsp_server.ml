@@ -259,7 +259,15 @@ let main workers jobs rate io_ms submit_io_ms seed customers mix chaos_seed
          configured deadline. *)
       let failures = ref [] in
       let expect what b = if not b then failures := what :: !failures in
+      let failed kind = List.assoc_opt kind rp.r_error_kinds in
       expect "zero throughput" (rp.r_qps > 0.);
+      (* every failure carries its code: an uncoded one is a programming
+         error, and under a chaos plan, where every source runs a retry
+         policy, an err:RESX0004 is an injected fault that escaped it *)
+      expect "failures without a code" (failed "other" = None);
+      if chaos <> None then
+        expect "injected faults escaped their retry policy"
+          (failed "RESX0004" = None);
       expect "partial commit: cross-database pair torn"
         (pair_consistent ~baseline (source_pair env));
       (match read_p99_bound with
@@ -383,7 +391,9 @@ let stats =
 let smoke =
   let doc =
     "CI smoke contract: exit non-zero unless throughput is positive, the \
-     cross-database pair is matched (zero partial commits), and — with \
+     cross-database pair is matched (zero partial commits), every failure \
+     carries a code (none is reported as other; under --chaos-seed none is \
+     RESX0004, an injected fault that escaped its retry policy), and — with \
      overload protection armed — every accepted job succeeded with accepted \
      p99 within the deadline."
   in

@@ -119,11 +119,7 @@ let repl ~optimize ~stats ~trace () =
                end
              with
             | Xdm.Item.Error { code; message; _ } ->
-              Printf.printf "error %s: %s\n" (Xdm.Qname.to_string code) message
-            | Xquery.Parser.Syntax_error { line; col; message } ->
-              Printf.printf "syntax error at %d:%d: %s\n" line col message
-            | Xquery.Lexer.Lex_error { pos; message } ->
-              Printf.printf "lexical error at offset %d: %s\n" pos message)
+              Printf.printf "error %s: %s\n" (Xdm.Qname.to_string code) message)
         end;
         loop ()
       end
@@ -149,11 +145,7 @@ let main expr files libs optimize stats trace ast explain interactive =
     with
     | Xdm.Item.Error { code; message; _ } ->
       `Error
-        (false, Printf.sprintf "dynamic error %s: %s" (Xdm.Qname.to_string code) message)
-    | Xquery.Parser.Syntax_error { line; col; message } ->
-      `Error (false, Printf.sprintf "syntax error at %d:%d: %s" line col message)
-    | Xquery.Lexer.Lex_error { pos; message } ->
-      `Error (false, Printf.sprintf "lexical error at offset %d: %s" pos message)
+        (false, Printf.sprintf "error %s: %s" (Xdm.Qname.to_string code) message)
     | Sys_error msg -> `Error (false, msg)
 
 open Cmdliner

@@ -86,6 +86,7 @@ let () =
   | () -> (
     match Aldsp.Dataspace.submit ds env.F.svc dg4 with
     | _ -> print_endline "unexpectedly accepted!"
-    | exception Aldsp.Decompose.Not_updatable msg ->
-      Printf.printf "rejected as expected: %s\n" msg)
+    | exception Xdm.Item.Error { code; message; _ }
+      when Xdm.Qname.equal code Aldsp.Decompose.sdox0001 ->
+      Printf.printf "rejected as expected: %s\n" message)
   | exception e -> Printf.printf "set_leaf failed: %s\n" (Printexc.to_string e))

@@ -249,26 +249,24 @@ let invalidating t tables impl args =
    the source's guard state, resolved once at registration, so policies
    (timeout, retry, breaker) apply uniformly without a lock per call;
    the guard's refusals arrive as XQSE-catchable errors with stable
-   codes in the err: namespace. What a source's native failure becomes
-   is decided once too, at registration: a [native] map turns it into
-   the XQSE error callers see and leaves every other exception alone. *)
+   codes in the err: namespace. Sources raise every failure as an
+   [Item.Error] already: a database read's reaches callers as it is, an
+   injected fault no policy absorbed as [err:RESX0004]. A statement's
+   and a web-service call's failures are re-coded, decided once, at
+   registration: a [native] map gives them the code callers see and
+   leaves every other exception alone. *)
 
-let resx0004 = Qname.err "RESX0004"
-
-(* a database read's native failure: RESX0004, a source fault no retry
-   policy absorbed *)
-let read_failure = function
-  | R.Database.Db_error message ->
-    Item.Error { code = resx0004; message; items = [] }
+(* a statement's failure, relational or injected: the procedure's own
+   error, e.g. [{ns}CreateError], with the database's text *)
+let statement_failure error = function
+  | Item.Error { code; message; _ }
+    when Qname.equal code R.Table.sqlx0001
+         || Qname.equal code Resilience.Faults.resx0004 ->
+    Item.Error { code = error; message; items = [] }
   | e -> e
 
-(* a statement's: the procedure's own error, e.g. [{ns}CreateError] *)
-let statement_failure code = function
-  | R.Database.Db_error message -> Item.Error { code; message; items = [] }
-  | e -> e
-
-(* One guarded source call: [f x] under the guard, its native failure
-   mapped. A statement makes it as is — a write is never degraded — and
+(* One guarded source call: [f x] under the guard, its failure re-coded
+   by [native]. A statement makes it as is — a write is never degraded — and
    a read through [guarded_read]. [f] and [native] are registration-time
    values, so nothing here allocates a closure. *)
 let guarded_statement t src ~native f x =
@@ -449,7 +447,7 @@ let register_navigation t svc db tbl ~name ~expects ~doc pred =
   Xqse.Session.register_function_cursor t.sess name 1
     ~purity:source_read_purity (function
     | [ [ Item.Node node ] ] ->
-      guarded_read t src ~native:read_failure ~empty:Cursor.empty select
+      guarded_read t src ~native:Fun.id ~empty:Cursor.empty select
         (pred node)
     | _ ->
       Item.type_error
@@ -497,7 +495,7 @@ let register_database t db =
           table_read rows (R.Table.open_read tbl)
         in
         let open_read () =
-          guarded_read t src ~native:read_failure ~empty:no_rows open_table ()
+          guarded_read t src ~native:Fun.id ~empty:no_rows open_table ()
         in
         let text_columns =
           List.filter_map
@@ -659,15 +657,12 @@ let register_web_service t ws =
   let ns = Webservice.namespace ws in
   let ws_name = Webservice.name ws in
   let src = Resilience.Control.source t.resil ws_name in
-  let fault_name = Qname.make ~uri:ns "Fault" in
+  (* an injected fault no policy absorbed: the service's own
+     [{ns}Fault], with the fault's "Service.op: message" text *)
   let native = function
-    | Webservice.Fault { service; operation; message } ->
-      Item.Error
-        {
-          code = fault_name;
-          message = Printf.sprintf "%s.%s: %s" service operation message;
-          items = [];
-        }
+    | Item.Error { code; message; _ }
+      when Qname.equal code Resilience.Faults.resx0004 ->
+      Item.Error { code = Webservice.fault_code ws; message; items = [] }
     | e -> e
   in
   let svc =
@@ -1088,7 +1083,7 @@ let default_submit t svc policy dg =
           Log.warn (fun m ->
               m "submit %s rejected: no usable lineage (%s)"
                 svc.Data_service.ds_name msg);
-          raise (Decompose.Not_updatable ("no usable lineage: " ^ msg))
+          Decompose.not_updatable ("no usable lineage: " ^ msg)
         | Ok lineage ->
           Decompose.plan
             ~lookup_table:(fun ~db ~table -> lookup_table t ~db ~table)
@@ -1117,13 +1112,12 @@ let validate_against_shape svc dg =
         match Schema.validate schema root with
         | Ok () -> ()
         | Error violations ->
-          raise
-            (Decompose.Not_updatable
-               (Printf.sprintf "submitted object violates the service shape: %s"
-                  (String.concat "; "
-                     (List.map
-                        (fun v -> v.Schema.path ^ ": " ^ v.Schema.message)
-                        violations)))))
+          Decompose.not_updatable
+            (Printf.sprintf "submitted object violates the service shape: %s"
+               (String.concat "; "
+                  (List.map
+                     (fun v -> v.Schema.path ^ ": " ^ v.Schema.message)
+                     violations))))
       (Sdo.roots dg)
 
 let submit t svc ?(policy = Occ.Updated_values) ?(validate = false) dg =

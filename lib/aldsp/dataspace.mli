@@ -178,8 +178,8 @@ val submit :
     source the service depends on (or any database the plan targets),
     the submit fails up front with [err:RESX0002] before a single
     statement runs.
-    @raise Decompose.Not_updatable when a change cannot be mapped or
-    validation fails. *)
+    Raises [err:SDOX0001] ({!Decompose.sdox0001}) when a change cannot
+    be mapped or validation fails. *)
 
 (** {1 Update overrides} *)
 

@@ -4,9 +4,9 @@ module R = Relational
 type step = { step_db : string; step_dml : R.Database.dml }
 type plan = step list
 
-exception Not_updatable of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Not_updatable s)) fmt
+let sdox0001 = Qname.err "SDOX0001"
+let not_updatable message = Item.raise_error sdox0001 message
+let fail fmt = Printf.ksprintf not_updatable fmt
 
 (* ---------------- node navigation helpers ---------------- *)
 
@@ -464,7 +464,7 @@ let lockset ~db_of plan =
   let add acc key = if List.mem key acc then acc else key :: acc in
   let tbl_opt dbn tn =
     match db_of dbn with
-    | db -> ( try Some (R.Database.table db tn) with R.Database.Db_error _ -> None)
+    | db -> R.Database.find_table db tn
     | exception _ -> None
   in
   let locks =
@@ -520,9 +520,7 @@ let execute ~db_of plan =
        Disjoint locksets proceed in parallel. *)
     let lock_tbls =
       List.filter_map
-        (fun (dbn, tn) ->
-          try Some (R.Database.table (db_of dbn) tn)
-          with R.Database.Db_error _ -> None)
+        (fun (dbn, tn) -> R.Database.find_table (db_of dbn) tn)
         (lockset ~db_of plan)
     in
     List.iter R.Table.lock_write lock_tbls;
@@ -538,19 +536,15 @@ let execute ~db_of plan =
               let affected = R.Database.exec db s.step_dml in
               (match s.step_dml with
               | R.Database.Update { table; _ } when affected = 0 ->
-                raise
-                  (R.Database.Db_error
-                     (Printf.sprintf
-                        "optimistic concurrency conflict: %s row in %s was \
-                         changed or removed by another client"
-                        table s.step_db))
+                R.Table.violation
+                  "optimistic concurrency conflict: %s row in %s was changed \
+                   or removed by another client"
+                  table s.step_db
               | R.Database.Delete { table; _ } when affected = 0 ->
-                raise
-                  (R.Database.Db_error
-                     (Printf.sprintf
-                        "optimistic concurrency conflict: %s row in %s was \
-                         already changed or removed"
-                        table s.step_db))
+                R.Table.violation
+                  "optimistic concurrency conflict: %s row in %s was already \
+                   changed or removed"
+                  table s.step_db
               | _ -> ());
               incr count)
             plan)

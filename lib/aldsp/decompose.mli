@@ -12,9 +12,13 @@ type step = { step_db : string; step_dml : Relational.Database.dml }
 
 type plan = step list
 
-exception Not_updatable of string
-(** Raised while planning when a change touches a computed (opaque) leaf
-    or an element the lineage cannot map to a source row. *)
+val sdox0001 : Xdm.Qname.t
+(** [err:SDOX0001]: a change the lineage cannot map to a source row — a
+    computed (opaque) leaf, an unmapped element, a value that does not
+    fit its column — or a submit with no usable lineage. *)
+
+val not_updatable : string -> 'a
+(** Raise [Xdm.Item.Error] [err:SDOX0001] with this text. *)
 
 val plan :
   lookup_table:(db:string -> table:string -> Relational.Table.t) ->
@@ -23,7 +27,7 @@ val plan :
   Sdo.t ->
   plan
 (** Build the statement plan for a submitted datagraph. Raises
-    {!Not_updatable} on unmappable changes; an empty change summary
+    [err:SDOX0001] on unmappable changes; an empty change summary
     yields an empty plan. *)
 
 val plan_to_strings : plan -> string list
@@ -83,4 +87,5 @@ val execute : db_of:(string -> Relational.Database.t) -> plan -> outcome
     versions publish atomically at commit and the locks are released.
     Submits with disjoint locksets execute concurrently. A conditioned
     UPDATE/DELETE that affects no row is an optimistic-concurrency
-    conflict: the transaction aborts and every source rolls back. *)
+    conflict ([err:SQLX0001]): the transaction aborts, every source
+    rolls back, and the conflict's text is the outcome's [reason]. *)

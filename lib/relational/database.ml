@@ -18,8 +18,6 @@ let dml_to_sql = function
   | Delete { table; where } ->
     Printf.sprintf "DELETE FROM %s WHERE %s" table (Pred.to_sql where)
 
-exception Db_error of string
-
 type t = {
   db_name : string;
   tbls : (string, Table.t) Hashtbl.t;
@@ -69,17 +67,19 @@ let set_instr t i =
 
 let add_table t schema =
   if Hashtbl.mem t.tbls schema.Table.tbl_name then
-    raise (Db_error (Printf.sprintf "table %s already exists" schema.Table.tbl_name));
+    Table.violation "table %s already exists" schema.Table.tbl_name;
   let table = Table.create schema in
   Table.set_instr table t.instr;
   Hashtbl.replace t.tbls schema.Table.tbl_name table;
   t.order <- t.order @ [ schema.Table.tbl_name ];
   table
 
+let find_table t name = Hashtbl.find_opt t.tbls name
+
 let table t name =
   match Hashtbl.find_opt t.tbls name with
   | Some tbl -> tbl
-  | None -> raise (Db_error (Printf.sprintf "%s: unknown table %s" t.db_name name))
+  | None -> Table.violation "%s: unknown table %s" t.db_name name
 
 let tables t = List.map (fun n -> Hashtbl.find t.tbls n) t.order
 
@@ -114,16 +114,14 @@ let ensure_tx_table tx tbl =
 
 let faults t = t.faults
 
-(* Consult the fault state; an injected fault surfaces as the database's
-   native [Db_error], prefixed with the db name. *)
+(* an injected fault: [err:RESX0004], prefixed with the db name *)
+let injected t message =
+  Instr.bump t.instr Instr.K.resil_injected;
+  Resilience.Faults.fail (Printf.sprintf "%s: %s" t.db_name message)
+
 let consult t kind =
-  let v = Resilience.Faults.on_call t.faults kind in
-  match v.Resilience.Faults.v_fault with
-  | Some f ->
-    Instr.bump t.instr Instr.K.resil_injected;
-    raise
-      (Db_error
-         (Printf.sprintf "%s: %s" t.db_name f.Resilience.Faults.f_message))
+  match Resilience.Faults.on_call t.faults kind with
+  | Some message -> injected t message
   | None -> ()
 
 let read_check t = consult t Resilience.Faults.Read
@@ -140,14 +138,11 @@ let check_fk_insert t tbl row =
           Pred.conj (List.map2 Pred.eq fk.Table.fk_ref_columns vals)
         in
         if Table.select ref_tbl pred = [] then
-          raise
-            (Db_error
-               (Printf.sprintf
-                  "%s: foreign key violation on %s(%s) -> %s(%s)" t.db_name
-                  (Table.name tbl)
-                  (String.concat "," fk.Table.fk_columns)
-                  fk.Table.fk_ref_table
-                  (String.concat "," fk.Table.fk_ref_columns)))
+          Table.violation "%s: foreign key violation on %s(%s) -> %s(%s)"
+            t.db_name (Table.name tbl)
+            (String.concat "," fk.Table.fk_columns)
+            fk.Table.fk_ref_table
+            (String.concat "," fk.Table.fk_ref_columns)
       end)
     (Table.schema tbl).Table.foreign_keys
 
@@ -167,11 +162,9 @@ let check_fk_delete t tbl rows =
                   Pred.conj (List.map2 Pred.eq fk.Table.fk_columns vals)
                 in
                 if Table.select other pred <> [] then
-                  raise
-                    (Db_error
-                       (Printf.sprintf
-                          "%s: cannot delete from %s: row referenced by %s"
-                          t.db_name (Table.name tbl) (Table.name other))))
+                  Table.violation
+                    "%s: cannot delete from %s: row referenced by %s"
+                    t.db_name (Table.name tbl) (Table.name other))
               rows)
         (Table.schema other).Table.foreign_keys)
     t.tbls
@@ -186,23 +179,21 @@ let exec t dml =
   in
   let tbl = table t tn in
   let run () =
-    try
-      match dml with
-      | Insert { table = tn; columns; values } ->
-        if List.length columns <> List.length values then
-          raise (Db_error (Printf.sprintf "%s: INSERT arity mismatch" tn));
-        let row = Table.insert_named tbl (List.combine columns values) in
-        check_fk_insert t tbl row;
-        1
-      | Update { set; where; _ } ->
-        let _olds, news = Table.update_rows tbl where set in
-        List.length news
-      | Delete { where; _ } ->
-        let victims = Table.select tbl where in
-        check_fk_delete t tbl victims;
-        let removed = Table.delete_rows tbl where in
-        List.length removed
-    with Table.Constraint_violation msg -> raise (Db_error msg)
+    match dml with
+    | Insert { table = tn; columns; values } ->
+      if List.length columns <> List.length values then
+        Table.violation "%s: INSERT arity mismatch" tn;
+      let row = Table.insert_named tbl (List.combine columns values) in
+      check_fk_insert t tbl row;
+      1
+    | Update { set; where; _ } ->
+      let _olds, news = Table.update_rows tbl where set in
+      List.length news
+    | Delete { where; _ } ->
+      let victims = Table.select tbl where in
+      check_fk_delete t tbl victims;
+      let removed = Table.delete_rows tbl where in
+      List.length removed
   in
   let affected =
     match current_tx t with
@@ -237,23 +228,19 @@ let exec t dml =
 let in_tx t = current_tx t <> None
 
 let begin_tx t =
-  if in_tx t then raise (Db_error (t.db_name ^ ": transaction already open"));
+  if in_tx t then Table.violation "%s: transaction already open" t.db_name;
   let txs = Domain.DLS.get open_txs in
   txs := (t, { written = [] }) :: !txs
 
 let commit t =
   match current_tx t with
-  | None -> raise (Db_error (t.db_name ^ ": no open transaction"))
+  | None -> Table.violation "%s: no open transaction" t.db_name
   | Some tx -> (
     (* an injected commit fault leaves the transaction open — working
        stores and locks intact: a prepared participant stays prepared
        and the coordinator may retry *)
     match Resilience.Faults.on_commit t.faults with
-    | Some f ->
-      Instr.bump t.instr Instr.K.resil_injected;
-      raise
-        (Db_error
-           (Printf.sprintf "%s: %s" t.db_name f.Resilience.Faults.f_message))
+    | Some message -> injected t message
     | None ->
       (* publish every written table's new version atomically with
          respect to snapshot capture (the lock is reentrant, so an XA
@@ -267,7 +254,7 @@ let commit t =
 
 let rollback t =
   match current_tx t with
-  | None -> raise (Db_error (t.db_name ^ ": no open transaction"))
+  | None -> Table.violation "%s: no open transaction" t.db_name
   | Some tx ->
     List.iter
       (fun (tb, owned) ->
@@ -279,7 +266,7 @@ let rollback t =
 
 let prepare_fault t =
   match Resilience.Faults.on_prepare t.faults with
-  | Some f ->
+  | Some _ as reason ->
     Instr.bump t.instr Instr.K.resil_injected;
-    Some f.Resilience.Faults.f_message
+    reason
   | None -> None

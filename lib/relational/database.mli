@@ -1,7 +1,12 @@
 (** A named database: tables, DML execution with SQL logging, local
     transactions over the tables' MVCC working stores, foreign-key
     enforcement, and the failure-injection hooks used by the XA tests
-    and benches. *)
+    and benches.
+
+    Every failure is an [Xdm.Item.Error]: a genuine one carries
+    {!Table.sqlx0001} and a ["db: …"] text, and an injected fault
+    carries [err:RESX0004] ({!Resilience.Faults.fail}) with the text
+    ["db: <fault>"]. *)
 
 type dml =
   | Insert of { table : string; columns : string list; values : Value.t list }
@@ -9,8 +14,6 @@ type dml =
   | Delete of { table : string; where : Pred.t }
 
 val dml_to_sql : dml -> string
-
-exception Db_error of string
 
 type t
 
@@ -24,7 +27,9 @@ val set_instr : t -> Instr.t -> unit
 
 val add_table : t -> Table.schema -> Table.t
 val table : t -> string -> Table.t
-(** @raise Db_error for unknown tables. *)
+(** Raises [err:SQLX0001] for unknown tables. *)
+
+val find_table : t -> string -> Table.t option
 
 val tables : t -> Table.t list
 
@@ -37,13 +42,14 @@ val exec : t -> dml -> int
     store (the statement locks the table on first write); outside one
     the statement runs as its own lock–apply–publish transaction, so a
     failure leaves the published version untouched.
-    @raise Db_error (wrapping constraint violations) on failure. *)
+    Raises [err:SQLX0001] on a constraint, key, foreign-key or arity
+    violation, and [err:RESX0004] when an injected fault fires. *)
 
 val read_check : t -> unit
 (** Consult the fault state for a query-path read (the dataspace calls
     this before serving a scan). Plan-scheduled transients and hard-down
-    windows fire here; the ad-hoc one-shots do not.
-    @raise Db_error when an injected fault fires. *)
+    windows fire here; the ad-hoc one-shots do not. Raises
+    [err:RESX0004] when an injected fault fires. *)
 
 val log_bound : int
 (** How many statements the log keeps: 1,000. *)
@@ -66,14 +72,15 @@ val log_size : t -> int
 
 val begin_tx : t -> unit
 (** Open a transaction for the calling domain.
-    @raise Db_error if the calling domain already has one open. *)
+    Raises [err:SQLX0001] if the calling domain already has one open. *)
 
 val commit : t -> unit
 (** Publish every written table's new version (atomically with respect
     to snapshot capture) and release the locks this transaction took.
-    An injected commit fault raises [Db_error] but leaves the
-    transaction open: a prepared participant stays prepared, so the XA
-    coordinator can retry the commit. *)
+    Raises [err:SQLX0001] when no transaction is open. An injected
+    commit fault raises [err:RESX0004] but leaves the transaction open:
+    a prepared participant stays prepared, so the XA coordinator can
+    retry the commit. *)
 
 val rollback : t -> unit
 val in_tx : t -> bool

@@ -15,7 +15,8 @@ type schema = {
 
 type row = Value.t array
 
-exception Constraint_violation of string
+let sqlx0001 = Xdm.Qname.err "SQLX0001"
+let violation fmt = Printf.ksprintf (Xdm.Item.raise_error sqlx0001) fmt
 
 (* Persistent row store keyed on the primary key. Polymorphic compare
    on [Value.t list] gives the same key identity the old Hashtbl store
@@ -360,25 +361,17 @@ let mutate t f =
 
 let check_row t row =
   if Array.length row <> List.length t.schema.columns then
-    raise
-      (Constraint_violation
-         (Printf.sprintf "%s: row arity %d does not match schema arity %d"
-            t.schema.tbl_name (Array.length row)
-            (List.length t.schema.columns)));
+    violation "%s: row arity %d does not match schema arity %d"
+      t.schema.tbl_name (Array.length row) (List.length t.schema.columns);
   List.iteri
     (fun i c ->
       let v = row.(i) in
       if v = Value.Null && not c.nullable then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s.%s: NULL in non-nullable column"
-                t.schema.tbl_name c.col_name));
+        violation "%s.%s: NULL in non-nullable column" t.schema.tbl_name
+          c.col_name;
       if not (Value.matches_type v c.col_type) then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s.%s: value %s does not match type %s"
-                t.schema.tbl_name c.col_name (Value.sql_literal v)
-                (Value.type_name c.col_type))))
+        violation "%s.%s: value %s does not match type %s" t.schema.tbl_name
+          c.col_name (Value.sql_literal v) (Value.type_name c.col_type))
     t.schema.columns
 
 (* ---- secondary index maintenance (persistent) ---- *)
@@ -457,14 +450,10 @@ let store_insert t s row =
   check_row t row;
   let pk = pk_of_row t row in
   if List.exists (Value.equal Value.Null) pk then
-    raise
-      (Constraint_violation
-         (Printf.sprintf "%s: NULL in primary key" t.schema.tbl_name));
+    violation "%s: NULL in primary key" t.schema.tbl_name;
   if PkMap.mem pk s.s_rows then
-    raise
-      (Constraint_violation
-         (Printf.sprintf "%s: duplicate primary key (%s)" t.schema.tbl_name
-            (String.concat ", " (List.map Value.to_string pk))));
+    violation "%s: duplicate primary key (%s)" t.schema.tbl_name
+      (String.concat ", " (List.map Value.to_string pk));
   store_add t s row
 
 let insert t row = mutate t (fun s -> (store_insert t s row, ()))
@@ -482,9 +471,7 @@ let insert_named t pairs =
   List.iter
     (fun (col, _) ->
       if not (Hashtbl.mem t.indices col) then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s: unknown column %s" t.schema.tbl_name col)))
+        violation "%s: unknown column %s" t.schema.tbl_name col)
     pairs;
   insert t row;
   row
@@ -751,9 +738,7 @@ let store_update t s pred set =
   List.iter
     (fun (col, _) ->
       if not (Hashtbl.mem t.indices col) then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s: unknown column %s" t.schema.tbl_name col)))
+        violation "%s: unknown column %s" t.schema.tbl_name col)
     set;
   let matching = store_select t s pred in
   let olds = List.map Array.copy matching in
@@ -774,21 +759,15 @@ let store_update t s pred set =
     (fun row ->
       let pk = pk_of_row t row in
       if List.exists (Value.equal Value.Null) pk then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s: NULL in primary key" t.schema.tbl_name));
+        violation "%s: NULL in primary key" t.schema.tbl_name;
       if Hashtbl.mem seen pk then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s: duplicate primary key after update"
-                t.schema.tbl_name));
+        violation "%s: duplicate primary key after update"
+          t.schema.tbl_name;
       Hashtbl.add seen pk ();
       if (not (List.mem pk old_pks)) && PkMap.mem pk s.s_rows then
-        raise
-          (Constraint_violation
-             (Printf.sprintf "%s: primary key update collides with row (%s)"
-                t.schema.tbl_name
-                (String.concat ", " (List.map Value.to_string pk)))))
+        violation "%s: primary key update collides with row (%s)"
+          t.schema.tbl_name
+          (String.concat ", " (List.map Value.to_string pk)))
     news;
   let s = List.fold_left (fun s row -> store_remove t s row) s matching in
   let s = List.fold_left (fun s row -> store_add t s row) s news in

@@ -33,7 +33,14 @@ type row = Value.t array
 
 type t
 
-exception Constraint_violation of string
+val sqlx0001 : Xdm.Qname.t
+(** [err:SQLX0001]: the code of every relational failure — a
+    constraint, key, foreign-key or arity violation, an unknown column
+    or table, a duplicate table, transaction misuse, and a decomposed
+    write's optimistic-concurrency conflict. *)
+
+val violation : ('a, unit, string, 'b) format4 -> 'a
+(** Raise [Xdm.Item.Error] [err:SQLX0001] with the formatted text. *)
 
 val create : schema -> t
 val schema : t -> schema
@@ -57,7 +64,7 @@ val pk_of_row : t -> row -> Value.t list
 val row_count : t -> int
 
 val insert : t -> row -> unit
-(** @raise Constraint_violation on duplicate key, type mismatch, or NULL
+(** Raises [err:SQLX0001] on duplicate key, type mismatch, or NULL
     in a non-nullable column. Outside a held write lock the statement
     auto-commits (lock, apply, publish, unlock); under a held lock it
     accumulates in the working store until {!commit_write}. *)
@@ -114,7 +121,7 @@ val close_read : read -> unit
 val update_rows : t -> Pred.t -> (string * Value.t) list -> row list * row list
 (** [update_rows t where set] applies [set] to matching rows;
     returns [(old_copies, new_rows)].
-    @raise Constraint_violation if a primary-key column is modified to a
+    Raises [err:SQLX0001] if a primary-key column is modified to a
     conflicting value or types mismatch. *)
 
 val delete_rows : t -> Pred.t -> row list

@@ -65,16 +65,18 @@ let run_traced participants work =
                 let rec commit_retry attempts =
                   match Database.commit db with
                   | () -> emit (Commit (Database.name db))
-                  | exception Database.Db_error _ when attempts < 8 ->
+                  | exception Xdm.Item.Error { code; _ }
+                    when Xdm.Qname.equal code Resilience.Faults.resx0004
+                         && attempts < 8 ->
                     commit_retry (attempts + 1)
                 in
                 commit_retry 0)
               participants);
         Ok v
     with
-    | Database.Db_error msg ->
+    | Xdm.Item.Error { message; _ } ->
       rollback_all ();
-      Error msg
+      Error message
     | e ->
       rollback_all ();
       raise e

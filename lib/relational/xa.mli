@@ -17,9 +17,11 @@ type outcome =
 
 val run : Database.t list -> (unit -> 'a) -> ('a, string) result
 (** [run participants work] — on success every participant is committed
-    and [Ok result] returned; on any failure (exception from [work], a
-    statement failure, or a prepare failure) every participant is rolled
-    back and [Error reason] returned. *)
+    and [Ok result] returned. When [work] raises an [Xdm.Item.Error] (a
+    statement failure, an injected fault) or a participant fails to
+    prepare, every participant is rolled back and [Error reason]
+    returned, the reason being the error's text; any other exception
+    from [work] propagates after the rollback. *)
 
 type trace_event =
   | Begin of string
@@ -33,5 +35,5 @@ val run_traced :
 (** Like {!run} but also returns the coordinator's event trace (for tests
     and the XA bench). Every participant votes in the prepare phase —
     each emits a [Prepare_ok]/[Prepare_failed] event before the
-    coordinator decides — and injected commit faults are retried so a
-    fully prepared round always commits everywhere. *)
+    coordinator decides — and injected commit faults ([err:RESX0004])
+    are retried so a fully prepared round always commits everywhere. *)

@@ -239,13 +239,11 @@ let rec attempt t ~source st deadline f x n =
       v
     end
   | exception e ->
-    let injected =
-      match st.st_faults with Some fl -> Faults.take_last fl | None -> None
-    in
     if timed_out t st t0 then fail_timeout t ~source st t0
     else begin
-      match injected with
-      | Some { Faults.f_transient = true; f_message } ->
+      match e with
+      | Xdm.Item.Error { code; message; _ }
+        when Xdm.Qname.equal code Faults.resx0004 ->
         if n < policy.Policy.max_retries then begin
           (* no retry on a dead budget: the backoff plus another
              attempt can only waste a worker the client abandoned *)
@@ -268,19 +266,15 @@ let rec attempt t ~source st deadline f x n =
           breaker_failure t st.st_breaker;
           if policy.Policy.max_retries > 0 then
             fail "RESX0003" ~source
-              (Printf.sprintf "%d attempts failed, last: %s" (n + 1) f_message)
+              (Printf.sprintf "%d attempts failed, last: %s" (n + 1) message)
           else
-            (* pass-through policy: the source's native exception
-               keeps its original surface *)
+            (* pass-through policy: the injected fault keeps its own
+               code and text *)
             raise e
         end
-      | Some { Faults.f_transient = false; _ } ->
-        breaker_failure t st.st_breaker;
-        raise e
-      | None ->
-        (* genuine (non-injected) failure: application-level, not a
-           source-health signal — never retried, never fed to the
-           breaker *)
+      | _ ->
+        (* genuine failure: application-level, not a source-health
+           signal — never retried, never fed to the breaker *)
         raise e
     end
 

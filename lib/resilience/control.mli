@@ -84,12 +84,16 @@ val in_brownout : t -> bool
 val call : t -> source -> ('a -> 'b) -> 'a -> 'b
 (** [call t src f x] runs the source call [f x] under [src]'s resolved
     state: breaker admission, bounded retry with exponential backoff +
-    seeded jitter for {e injected transient} failures, per-attempt
-    virtual-time timeout. Raises [err:RESX0001] on a timeout,
-    [err:RESX0002] on an open circuit and [err:RESX0003] when the
-    retries run out; genuine (non-injected) failures pass through
-    untouched and do not feed the breaker. Under the default policy
-    this is a transparent pass-through.
+    seeded jitter for {e injected} faults — an [Xdm.Item.Error] whose
+    code is {!Faults.resx0004} — and a per-attempt virtual-time
+    timeout. Raises [err:RESX0001] on a timeout, [err:RESX0002] on an
+    open circuit and [err:RESX0003] when the retries run out; under the
+    pass-through policy ([max_retries = 0]) the injected fault is
+    re-raised unchanged. An injected fault that gives up feeds the
+    breaker; every other exception passes through untouched and does
+    not. The guard reads no fault handle: the raised code alone marks
+    a fault as injected. Under the default policy this is a transparent
+    pass-through.
 
     The ambient {!Deadline} additionally caps every call: an
     already-expired request fails fast with [err:RESX0005] ({e before}

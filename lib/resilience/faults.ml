@@ -8,10 +8,10 @@
      virtual-time hard-down windows, XA prepare/commit rounds), which
      fires on reads as well.
 
-   The source itself raises its native exception ([Db_error], [Fault])
-   when a consultation returns a fault; [take_last] is the side channel
-   the resilience guard uses to tell injected (retryable) failures from
-   genuine ones.
+   When a consultation returns a fault, the source raises it with
+   [fail]: [err:RESX0004], the one retryable code. The resilience guard
+   recognises an injected fault by that code alone; this handle keeps
+   no record of what it handed out.
 
    Until something is armed — an ad-hoc injection or a schedule that can
    fault — a consultation only advances the two cursors, which are
@@ -20,29 +20,28 @@
    that stays set, and from then on every consultation takes the lock as
    before. *)
 
-type fault = { f_message : string; f_transient : bool }
 type kind = Statement | Read
-type verdict = { v_latency : float; v_fault : fault option }
+
+let resx0004 = Xdm.Qname.err "RESX0004"
+let fail message = Xdm.Item.raise_error resx0004 message
 
 type t = {
   source : string;
   lock : Mutex.t;
-      (* one consultation (cursor advance + schedule lookup + [last]
-         record) must be atomic under concurrent worker domains, or two
-         calls could claim the same schedule index / lose an injected
-         fault *)
+      (* one consultation (cursor advance + schedule lookup) must be
+         atomic under concurrent worker domains, or two calls could
+         claim the same schedule index / lose an injected fault *)
   armed : bool Atomic.t;
   mutable clock : Clock.t;
   mutable schedule : Plan.schedule;
   calls : int Atomic.t;       (* schedule cursor: statements + reads *)
   stmts : int Atomic.t;       (* ad-hoc cursor: statements only *)
-  mutable next : fault option;
+  mutable next : string option;
   mutable every : int option;
   mutable after : int option;
   mutable prepare_flag : bool;
   mutable prepares : int;     (* XA prepare-round cursor *)
   mutable commits : int;      (* XA commit-round cursor *)
-  mutable last : fault option;
 }
 
 let create ?clock ~source () =
@@ -60,7 +59,6 @@ let create ?clock ~source () =
     prepare_flag = false;
     prepares = 0;
     commits = 0;
-    last = None;
   }
 
 let source t = t.source
@@ -79,9 +77,8 @@ let schedule t = t.schedule
 
 (* ---- ad-hoc injection ---- *)
 
-let inject_next ?(transient = true) t message =
-  Mutex.protect t.lock (fun () ->
-      t.next <- Some { f_message = message; f_transient = transient });
+let inject_next t message =
+  Mutex.protect t.lock (fun () -> t.next <- Some message);
   arm t
 
 let set_fail_every t n =
@@ -98,42 +95,28 @@ let set_fail_on_prepare t b =
 
 (* ---- consultation ---- *)
 
-let record t f =
-  t.last <- Some f;
-  Some f
-
-let take_last t =
-  Mutex.protect t.lock (fun () ->
-      let f = t.last in
-      t.last <- None;
-      f)
-
 let adhoc_fault t stmts =
   match t.next with
-  | Some f ->
+  | Some _ as f ->
     t.next <- None;
-    record t f
+    f
   | None -> (
     match t.after with
     | Some 0 ->
       t.after <- None;
-      record t { f_message = "injected statement failure"; f_transient = true }
+      Some "injected statement failure"
     | Some n ->
       t.after <- Some (n - 1);
       None
     | None -> (
       match t.every with
       | Some n when n > 0 && stmts mod n = 0 ->
-        record t
-          { f_message = Printf.sprintf "injected failure (every %d)" n;
-            f_transient = true }
+        Some (Printf.sprintf "injected failure (every %d)" n)
       | _ -> None))
 
 let scheduled_fault t calls =
   if List.mem calls t.schedule.Plan.s_transients then
-    record t
-      { f_message = Printf.sprintf "scheduled transient (call %d)" calls;
-        f_transient = true }
+    Some (Printf.sprintf "scheduled transient (call %d)" calls)
   else
     let now = Clock.now t.clock in
     match
@@ -142,62 +125,44 @@ let scheduled_fault t calls =
         t.schedule.Plan.s_windows
     with
     | Some w ->
-      record t
-        { f_message =
-            Printf.sprintf "source down (window %.0f..%.0fms)" w.Plan.w_from
-              w.Plan.w_until;
-          f_transient = true }
+      Some
+        (Printf.sprintf "source down (window %.0f..%.0fms)" w.Plan.w_from
+           w.Plan.w_until)
     | None -> None
-
-let quiet = { v_latency = 0.; v_fault = None }
 
 let on_call t kind =
   if not (Atomic.get t.armed) then begin
     Atomic.incr t.calls;
     (match kind with Statement -> Atomic.incr t.stmts | Read -> ());
-    quiet
+    None
   end
   else
     Mutex.protect t.lock @@ fun () ->
     let calls = Atomic.fetch_and_add t.calls 1 + 1 in
-    let latency =
-      match List.assoc_opt calls t.schedule.Plan.s_spikes with
-      | Some ms -> ms
-      | None -> 0.
-    in
-    Clock.advance t.clock latency;
-    let fault =
-      match kind with
-      | Statement ->
-        let stmts = Atomic.fetch_and_add t.stmts 1 + 1 in
-        (match adhoc_fault t stmts with
-         | Some f -> Some f
-         | None -> scheduled_fault t calls)
-      | Read -> scheduled_fault t calls
-    in
-    { v_latency = latency; v_fault = fault }
+    (match List.assoc_opt calls t.schedule.Plan.s_spikes with
+     | Some ms -> Clock.advance t.clock ms
+     | None -> ());
+    match kind with
+    | Statement ->
+      let stmts = Atomic.fetch_and_add t.stmts 1 + 1 in
+      (match adhoc_fault t stmts with
+       | Some _ as f -> f
+       | None -> scheduled_fault t calls)
+    | Read -> scheduled_fault t calls
 
-(* prepare/commit faults are consumed by the XA coordinator directly and
-   never by the retry guard, so they deliberately do not go through
-   [record] — a stale [last] would misclassify a later genuine error *)
 let on_prepare t =
   Mutex.protect t.lock @@ fun () ->
   t.prepares <- t.prepares + 1;
-  if t.prepare_flag then
-    Some { f_message = "injected prepare failure"; f_transient = true }
+  if t.prepare_flag then Some "injected prepare failure"
   else if List.mem t.prepares t.schedule.Plan.s_prepares then
-    Some
-      { f_message = Printf.sprintf "scheduled prepare fault (round %d)" t.prepares;
-        f_transient = true }
+    Some (Printf.sprintf "scheduled prepare fault (round %d)" t.prepares)
   else None
 
 let on_commit t =
   Mutex.protect t.lock @@ fun () ->
   t.commits <- t.commits + 1;
   if List.mem t.commits t.schedule.Plan.s_commits then
-    Some
-      { f_message = Printf.sprintf "scheduled commit fault (round %d)" t.commits;
-        f_transient = true }
+    Some (Printf.sprintf "scheduled commit fault (round %d)" t.commits)
   else None
 
 let calls t = Atomic.get t.calls

@@ -2,20 +2,23 @@
     Webservice consults, merging ad-hoc one-shots with the plan's
     deterministic schedule.
 
-    The source raises its own native exception when a consultation
-    returns a fault; the resilience guard then uses {!take_last} to tell
-    injected (retryable) failures from genuine ones. *)
-
-type fault = { f_message : string; f_transient : bool }
+    When a consultation returns a fault, the source raises it with
+    {!fail}: [err:RESX0004], the one code the resilience guard retries.
+    The handle keeps no record of what it handed out. *)
 
 type kind =
   | Statement  (** a DML/DDL statement or a web-service invoke *)
   | Read       (** a query-path read (table scan, index lookup) *)
 
-type verdict = {
-  v_latency : float;   (** injected latency spike, already charged to the clock *)
-  v_fault : fault option;
-}
+val resx0004 : Xdm.Qname.t
+(** [err:RESX0004]: an injected source fault. [Control.call] retries
+    it under the source's policy; one that no policy absorbed reaches
+    the caller with this code. *)
+
+val fail : string -> 'a
+(** Raise [Xdm.Item.Error] [err:RESX0004] with this text — how a source
+    surfaces a fault its consultation returned, prefixed with what the
+    source is (["db1: scheduled transient (call 3)"]). *)
 
 type t
 
@@ -31,8 +34,8 @@ val schedule : t -> Plan.schedule
     These fire only on [Statement] consultations: a DML/DDL statement or
     a web-service invoke. *)
 
-val inject_next : ?transient:bool -> t -> string -> unit
-(** Fault the next statement with this message (default transient). *)
+val inject_next : t -> string -> unit
+(** Fault the next statement with this message. *)
 
 val set_fail_every : t -> int option -> unit
 (** [Some n]: every [n]-th statement faults. *)
@@ -45,23 +48,20 @@ val set_fail_on_prepare : t -> bool -> unit
 
 (** {1 Consultation} *)
 
-val on_call : t -> kind -> verdict
+val on_call : t -> kind -> string option
 (** Advance the call cursor, charge any scheduled latency spike to the
     clock, and decide whether this call faults (ad-hoc stream first,
-    then scheduled transients / hard-down windows). Until an injection
-    or a schedule that can fault is set on [t], the consultation only
+    then scheduled transients / hard-down windows): [Some text] when it
+    does, which the source raises with {!fail}. Until an injection or a
+    schedule that can fault is set on [t], the consultation only
     advances its cursors and takes no lock. *)
 
-val on_prepare : t -> fault option
+val on_prepare : t -> string option
 (** Consult the XA prepare round: sticky flag, then the schedule. *)
 
-val on_commit : t -> fault option
+val on_commit : t -> string option
 (** Consult the XA commit round against the schedule. The plan never
     schedules more than two consecutive commit faults, so bounded
     commit retries always terminate. *)
-
-val take_last : t -> fault option
-(** The most recent fault handed out, clearing it — the guard's side
-    channel for classifying a failure as injected. *)
 
 val calls : t -> int

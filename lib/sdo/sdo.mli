@@ -104,5 +104,5 @@ val parse : string -> t
 (** Round-trips {!serialize}. The objects, deleted objects and deleted
     elements are the parsed nodes themselves, detached from the parsed
     document rather than copied.
-    @raise Xdm.Xml_parse.Parse_error / Failure on malformed
-    datagraphs. *)
+    Raises [Xdm.Item.Error] [err:FODC0006] on malformed XML and
+    [Failure] on a malformed datagraph. *)

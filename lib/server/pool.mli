@@ -110,8 +110,8 @@ type report = {
   r_expired : int;  (** budget dead on arrival, [err:RESX0005] *)
   r_errors : (string * string) list;  (** (label, message), capped *)
   r_error_kinds : (string * int) list;
-      (** failure counts per stable code ([RESX0001]..[RESX0006]) or
-          ["other"], sorted by code — uncapped, unlike [r_errors] *)
+      (** failure counts per {!error_kind}, sorted by kind — uncapped,
+          unlike [r_errors] *)
   r_wall_ms : float;
   r_qps : float;  (** attempted jobs per wall-clock second *)
   r_goodput : float;  (** {e successful} jobs per wall-clock second *)
@@ -155,9 +155,13 @@ val error_kind : exn -> string
     the [RESX000x] local name for resilience-surfaced errors
     ([Xdm.Item.Error] in the [err:] namespace); [err:CODE] for every
     other code in the
-    [err:] namespace (e.g. [err:XPTY0004]); [{uri}local] for a code in
-    any other namespace (a data service's [CreateError], a user's
-    [fn:error] code); ["other"] only for exceptions that carry no code. *)
+    [err:] namespace (e.g. [err:XPTY0004], [err:SQLX0001]); [{uri}local]
+    for a code in any other namespace (a data service's [CreateError], a
+    user's [fn:error] code); ["other"] only for exceptions that carry no
+    code. Every failure the library raises to its callers is an
+    [Xdm.Item.Error], so ["other"] marks a programming error (an
+    [Invalid_argument], an [Sdo] client-API [Failure]) or a job's own
+    exception. *)
 
 val run :
   ?workers:int ->

@@ -77,7 +77,10 @@ let submit_job env k _sess =
       (Printf.sprintf "BRAND%d" k);
     let res = Aldsp.Dataspace.submit env.FC.ds env.FC.svc dg in
     if not res.Aldsp.Dataspace.sr_committed then
-      if tries > 1 then attempt (tries - 1) else failwith "submit aborted"
+      if tries > 1 then attempt (tries - 1)
+      else
+        Relational.Table.violation "submit aborted 10 times, last: %s"
+          (Option.value res.Aldsp.Dataspace.sr_reason ~default:"no reason")
   in
   attempt 10
 

@@ -2,9 +2,8 @@
 
     Stands in for the WSDL-described functional sources of ALDSP (e.g.
     the credit-rating service of Figures 2-3): operations with typed
-    XML input/output, invoked in-process, with call counting, simulated
-    latency accounting and fault injection for the error-handling use
-    cases. *)
+    XML input/output, invoked in-process, with fault injection for the
+    error-handling use cases. *)
 
 open Xdm
 
@@ -22,10 +21,15 @@ val create : name:string -> namespace:string -> t
 val name : t -> string
 val namespace : t -> string
 
+val fault_code : t -> Qname.t
+(** [{ns}Fault] in the service's namespace: the code of every failure
+    {!invoke} raises except an injected fault. *)
+
 val set_instr : t -> Instr.t -> unit
 (** Attach an instrumentation handle (default {!Instr.disabled}):
-    {!invoke} reports [ws.calls], and every raised {!Fault} — including
-    injected and handler faults — reports [ws.faults]. *)
+    {!invoke} reports [ws.calls], the service's one call count, and
+    every failure it raises — injected and handler faults included —
+    reports [ws.faults]. *)
 
 val add_operation : t -> operation -> unit
 val operations : t -> operation list
@@ -33,17 +37,18 @@ val operations : t -> operation list
 
 val find_operation : t -> string -> operation option
 
-exception Fault of { service : string; operation : string; message : string }
-
 val invoke : t -> string -> Node.t -> Node.t
 (** Call an operation with a request element. Every invoke counts as a
     call (unknown operations and validation faults included); injected
-    faults fire before the operation is resolved; simulated latency
-    accrues only when the request actually reaches the handler.
-    @raise Fault on injected faults, unknown operations, wrong request
-    elements, and handler-raised faults. *)
+    faults fire before the operation is resolved. Every failure is an
+    [Xdm.Item.Error] with the text ["Service.op: message"]: an injected
+    fault carries [err:RESX0004] ({!Resilience.Faults.fail}); an
+    unknown operation, a wrong request element, a wrong response
+    element and a handler failure carry {!fault_code}. A handler's own
+    {!fault_code} error passes through unchanged; anything else it
+    raises becomes one, its text the exception's. *)
 
-(** {1 Accounting and fault injection}
+(** {1 Fault injection}
 
     All injection state lives in a {!Resilience.Faults.t} owned by the
     service. *)
@@ -51,16 +56,6 @@ val invoke : t -> string -> Node.t -> Node.t
 val faults : t -> Resilience.Faults.t
 (** The service's fault handle — attach it to a [Resilience.Control.t]
     to put the source under a chaos plan. *)
-
-val call_count : t -> int
-val reset_call_count : t -> unit
-
-val set_latency : t -> float -> unit
-(** Simulated per-call latency in milliseconds, accumulated in
-    {!total_latency} (no real sleeping) and charged to the fault
-    handle's virtual clock. *)
-
-val total_latency : t -> float
 
 val wsdl_summary : t -> string
 (** A WSDL-like textual description of the service (used by the examples

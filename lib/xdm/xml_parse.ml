@@ -1,4 +1,4 @@
-exception Parse_error of { line : int; col : int; message : string }
+let fodc0006 = Qname.err "FODC0006"
 
 type state = {
   src : string;
@@ -22,7 +22,9 @@ let line_col st =
 
 let error st msg =
   let line, col = line_col st in
-  Parse_error { line; col; message = msg }
+  Item.Error
+    { code = fodc0006; message = Printf.sprintf "%d:%d: %s" line col msg;
+      items = [] }
 
 let fail st msg = raise (error st msg)
 

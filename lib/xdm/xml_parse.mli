@@ -5,13 +5,12 @@
     numeric character references, CDATA sections, comments, processing
     instructions, and skips the XML declaration and DOCTYPE. *)
 
-exception Parse_error of { line : int; col : int; message : string }
-
 val parse : string -> Node.t
-(** Parse a complete document; returns a document node.
-    @raise Parse_error on malformed input. *)
+(** Parse a complete document; returns a document node. Malformed input
+    raises [Item.Error] [err:FODC0006] with the text
+    ["line:col: message"]. *)
 
 val parse_fragment : string -> Node.t list
 (** Parse mixed content (possibly several top-level elements and text
     runs), read as an element's content is; returns the nodes without
-    a document wrapper or parent. *)
+    a document wrapper or parent. Raises as {!parse} does. *)

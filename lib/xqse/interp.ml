@@ -1,9 +1,6 @@
 open Xdm
 module Qmap = Xquery.Context.Qmap
 
-exception Break_outside_loop
-exception Continue_outside_loop
-
 type procedure = {
   p_name : Qname.t;
   p_params : (Qname.t * Seqtype.t option) list;
@@ -338,6 +335,15 @@ let block_verdict ~purity (b : Stmt.block) =
 (* Statements                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* what a procedure body, an in-place block or a query body returns: a
+   [break()] or [continue()] that reached it ran outside any loop *)
+let finish = function
+  | Returned v -> v
+  | Normal -> []
+  | Broke -> Item.raise_error (Qname.err "XQSE0003") "break() outside a loop"
+  | Continued ->
+    Item.raise_error (Qname.err "XQSE0003") "continue() outside a loop"
+
 let rec exec_value_stmt st (v : Stmt.value_stmt) : Item.seq =
   match v with
   | Stmt.V_expr (Xquery.Ast.Call (name, args) as e) -> (
@@ -349,15 +355,11 @@ let rec exec_value_stmt st (v : Stmt.value_stmt) : Item.seq =
       run_procedure st.rt proc arg_vals
     | None -> eval_expr st e)
   | Stmt.V_expr e -> eval_expr st e
-  | Stmt.V_proc_block block -> (
+  | Stmt.V_proc_block block ->
     (* in-place procedure: fresh assignable scope; enclosing variables
        remain visible read-only *)
     let st' = { st with frames = []; bindings = scope_vars st } in
-    match exec_block_stmts (push_frame st') block with
-    | Returned v -> v
-    | Normal -> []
-    | Broke -> raise Break_outside_loop
-    | Continued -> raise Continue_outside_loop)
+    finish (exec_block_stmts (push_frame st') block)
 
 and exec_stmt st (s : Stmt.statement) : outcome =
   Instr.bump st.rt.instr Instr.K.xqse_statements;
@@ -518,11 +520,7 @@ and cvalue_of rt scope (v : Stmt.value_stmt) : state -> Item.seq =
     let cb = cblock_plan rt [] block in
     fun st ->
       let st' = { st with frames = []; bindings = scope_vars st } in
-      (match cb st' with
-      | Returned v -> v
-      | Normal -> []
-      | Broke -> raise Break_outside_loop
-      | Continued -> raise Continue_outside_loop)
+      finish (cb st')
 
 and cvalue_cur_of rt scope (v : Stmt.value_stmt) :
     state -> Item.t Cursor.t =
@@ -796,15 +794,9 @@ and run_procedure rt proc arg_vals : Item.seq =
           Qmap.empty checked
       in
       let st = make_state rt bindings in
-      let outcome =
-        if rt.plans then (cached_cblock rt body) st
-        else exec_block_stmts (push_frame st) body
-      in
-      match outcome with
-      | Returned v -> v
-      | Normal -> []
-      | Broke -> raise Break_outside_loop
-      | Continued -> raise Continue_outside_loop)
+      finish
+        (if rt.plans then (cached_cblock rt body) st
+         else exec_block_stmts (push_frame st) body))
   in
   match proc.p_return with
   | Some ty ->
@@ -890,12 +882,6 @@ let fork_runtime ~instr ~plans src reg =
       end)
     fresh.procs;
   fresh
-
-let finish = function
-  | Returned v -> v
-  | Normal -> []
-  | Broke -> raise Break_outside_loop
-  | Continued -> raise Continue_outside_loop
 
 let exec_block rt ?(vars = []) block =
   let bindings =

@@ -165,6 +165,3 @@ val run_block :
 (** Run a compiled block as a query body — same contract as
     {!exec_block}, minus the compile. The session caches the [cblock]
     in its plan cache and forces it inside the [compile] span. *)
-
-exception Break_outside_loop
-exception Continue_outside_loop

@@ -79,11 +79,9 @@ and parse_catch_nametest p =
   | L.LOCAL_WILDCARD local ->
     P.advance p;
     Stmt.Nt_local local
-  | L.NS_WILDCARD prefix -> (
+  | L.NS_WILDCARD prefix ->
     P.advance p;
-    match Xquery.Context.lookup_ns (P.static p) prefix with
-    | Some uri -> Stmt.Nt_ns uri
-    | None -> P.fail p (Printf.sprintf "undeclared namespace prefix %S" prefix))
+    Stmt.Nt_ns (P.namespace p prefix)
   | L.NAME _ ->
     let lex = P.parse_qname_lexical p in
     Stmt.Nt_name (Xquery.Context.resolve_qname (P.static p) ~element:false lex)

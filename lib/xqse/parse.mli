@@ -7,7 +7,7 @@
 
 val parse_program : Xquery.Context.static -> string -> Stmt.program
 (** Parse a complete XQSE program (prolog + optional query body).
-    @raise Xquery.Parser.Syntax_error on bad syntax. *)
+    Raises [Xdm.Item.Error] [err:XPST0003] on bad syntax. *)
 
 val parse_block : Xquery.Parser.t -> Stmt.block
 (** Parse a [{ ... }] block (entry point reused by tests). *)

@@ -186,8 +186,8 @@ val compile : t -> string -> compiled
     only, on top of the unit's verdicts, and compiles only its own
     code: a registry function it calls runs the unit's plan. A
     {!with_config} fork builds its own unit.
-    @raise Xquery.Parser.Syntax_error / Xquery.Lexer.Lex_error on bad
-    syntax, Xdm.Item.Error on static errors. *)
+    @raise Xdm.Item.Error [err:XPST0003] on bad syntax, with the
+    position in its text, and the static error's own code otherwise. *)
 
 val compile_cached : t -> string -> compiled
 (** {!compile} through the session's plan cache: an entry for the same

@@ -37,8 +37,6 @@ type token =
   | AXIS_SEP
   | EOF
 
-exception Lex_error of { pos : int; message : string }
-
 type buffered = { tok : token; start : int; stop : int }
 
 type t = {
@@ -49,7 +47,6 @@ type t = {
 
 let create src = { src; cursor = 0; buf = [] }
 let source t = t.src
-let fail t pos msg = ignore t; raise (Lex_error { pos; message = msg })
 
 let line_col t pos =
   let line = ref 1 and col = ref 1 in
@@ -61,6 +58,14 @@ let line_col t pos =
     else incr col
   done;
   (!line, !col)
+
+let xpst0003 = Xdm.Qname.err "XPST0003"
+
+let error_at t code pos msg =
+  let line, col = line_col t pos in
+  Xdm.Item.raise_error code (Printf.sprintf "%d:%d: %s" line col msg)
+
+let fail t pos msg = error_at t xpst0003 pos msg
 
 let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 

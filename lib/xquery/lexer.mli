@@ -45,8 +45,6 @@ type token =
   | AXIS_SEP  (** [::] *)
   | EOF
 
-exception Lex_error of { pos : int; message : string }
-
 type t
 
 val create : string -> t
@@ -67,8 +65,13 @@ val seek : t -> int -> unit
 (** Discard buffered tokens and move the cursor (used to re-lex after
     backtracking and to enter raw mode). *)
 
-val line_col : t -> int -> int * int
-(** Line and column of a source offset, for error messages. *)
+val error_at : t -> Xdm.Qname.t -> int -> string -> 'a
+(** [error_at t code pos msg] raises [Xdm.Item.Error] [code] with the
+    text ["line:col: msg"], the line and column of source offset [pos]. *)
+
+val fail : t -> int -> string -> 'a
+(** [error_at] with [err:XPST0003]: how every lexical and syntax error
+    is raised. *)
 
 (** {1 Raw character mode (direct constructors)} *)
 
@@ -79,6 +82,6 @@ val raw_next : t -> char
 val raw_looking_at : t -> string -> bool
 val raw_skip_ws : t -> unit
 val raw_ncname : t -> string
-(** @raise Lex_error if no name starts here. *)
+(** Raises [err:XPST0003] if no name starts here. *)
 
 val raw_expect : t -> string -> unit

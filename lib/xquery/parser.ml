@@ -1,15 +1,12 @@
 open Xdm
 
-exception Syntax_error of { line : int; col : int; message : string }
-
 type t = { lx : Lexer.t; st : Context.static }
 
 let create st src = { lx = Lexer.create src; st }
 let static p = p.st
 
-let fail p msg =
-  let line, col = Lexer.line_col p.lx (Lexer.pos p.lx) in
-  raise (Syntax_error { line; col; message = msg })
+let error_at p code msg = Lexer.error_at p.lx code (Lexer.pos p.lx) msg
+let fail p msg = Lexer.fail p.lx (Lexer.pos p.lx) msg
 
 let peek p = Lexer.peek p.lx
 let peek2 p = Lexer.peek2 p.lx
@@ -86,17 +83,26 @@ let parse_qname_lexical p =
     (pfx, local)
   | t -> fail p (Printf.sprintf "expected a name, found %s" (tok_desc t))
 
+(* a name's static errors (err:XPST0081) keep their code and gain the
+   position *)
 let resolve_elem p lex =
   try Context.resolve_qname p.st ~element:true lex
-  with Item.Error { message; _ } -> fail p message
+  with Item.Error { code; message; _ } -> error_at p code message
 
 let resolve_other p lex =
   try Context.resolve_qname p.st ~element:false lex
-  with Item.Error { message; _ } -> fail p message
+  with Item.Error { code; message; _ } -> error_at p code message
 
 let resolve_fun p lex =
   try Context.resolve_fname p.st lex
-  with Item.Error { message; _ } -> fail p message
+  with Item.Error { code; message; _ } -> error_at p code message
+
+let namespace p prefix =
+  match Context.lookup_ns p.st prefix with
+  | Some uri -> uri
+  | None ->
+    error_at p (Qname.err "XPST0081")
+      (Printf.sprintf "undeclared namespace prefix %S" prefix)
 
 let parse_elem_qname p = resolve_elem p (parse_qname_lexical p)
 let parse_fun_qname p = resolve_fun p (parse_qname_lexical p)
@@ -781,11 +787,9 @@ and parse_nodetest p ~attr_axis =
   | Lexer.STAR ->
     advance p;
     Ast.Any_name
-  | Lexer.NS_WILDCARD pfx -> (
+  | Lexer.NS_WILDCARD pfx ->
     advance p;
-    match Context.lookup_ns p.st pfx with
-    | Some uri -> Ast.Ns_wildcard uri
-    | None -> fail p (Printf.sprintf "undeclared namespace prefix %S" pfx))
+    Ast.Ns_wildcard (namespace p pfx)
   | Lexer.LOCAL_WILDCARD local ->
     advance p;
     Ast.Local_wildcard local
@@ -990,10 +994,8 @@ and parse_function_call p =
     let i = String.index s ':' in
     let prefix = String.sub s 0 i in
     let local = String.sub s (i + 1) (String.length s - i - 1) in
-    (match Context.lookup_ns p.st prefix with
-    | Some ns_uri ->
-      Ast.Literal (Atomic.QName (Qname.make ~prefix ~uri:ns_uri local))
-    | None -> fail p (Printf.sprintf "undeclared namespace prefix %S" prefix))
+    Ast.Literal
+      (Atomic.QName (Qname.make ~prefix ~uri:(namespace p prefix) local))
   | name, args -> Ast.Call (name, args)
 
 and parse_enclosed_expr p =

@@ -4,9 +4,11 @@
     namespace declarations in prologs and direct constructors are handled
     here, not at evaluation time). The parser state and the individual
     entry points are exposed so the XQSE parser can extend the grammar
-    with statements while reusing all expression productions. *)
+    with statements while reusing all expression productions.
 
-exception Syntax_error of { line : int; col : int; message : string }
+    A syntax error raises [Xdm.Item.Error] [err:XPST0003] and an
+    undeclared namespace prefix [err:XPST0081], each with the text
+    ["line:col: message"] ({!Lexer.error_at}). *)
 
 type t
 (** Parser state: a lexer plus the static context being built. *)
@@ -25,6 +27,12 @@ val peek : t -> Lexer.token
 val peek2 : t -> Lexer.token
 val advance : t -> unit
 val fail : t -> string -> 'a
+(** Raise [err:XPST0003] at the current token. *)
+
+val namespace : t -> string -> string
+(** The URI a prefix is bound to in the static context; raises
+    [err:XPST0081] at the current token when it is not declared. *)
+
 val expect_tok : t -> Lexer.token -> string -> unit
 val at_keyword : t -> string -> bool
 (** Is the current token the NCName [kw]? *)

@@ -465,7 +465,8 @@ let decompose_tests =
         check_bool "raises" true
           (match Aldsp.Dataspace.submit env.F.ds env.F.svc dg with
           | _ -> false
-          | exception Aldsp.Decompose.Not_updatable _ -> true));
+          | exception Xdm.Item.Error { code = { local = "SDOX0001"; _ }; _ } ->
+            true));
     case "empty change summary is a no-op commit" (fun () ->
         let env = F.make ~customers:1 () in
         let dg = F.get_profile_by_id env "007" in

@@ -8,10 +8,6 @@ open Core
 open Util
 module FC = Fixtures.Customer_profile
 
-let counter instr name =
-  Option.value ~default:0
-    (List.assoc_opt name (Instr.stats instr).Instr.counters)
-
 let contains s sub =
   let n = String.length sub and l = String.length s in
   let rec go i = i + n <= l && (String.sub s i n = sub || go (i + 1)) in

@@ -639,8 +639,10 @@ let submit_validation_tests =
              (Xml_parse.parse_fragment
                 {|<p:CustomerProfile xmlns:p="ld:CustomerProfile"><WRONG>1</WRONG></p:CustomerProfile>|}));
         (match Aldsp.Dataspace.submit env.F.ds env.F.svc ~validate:true dg with
-        | _ -> Alcotest.fail "expected Not_updatable"
-        | exception Aldsp.Decompose.Not_updatable msg ->
+        | _ -> Alcotest.fail "expected err:SDOX0001"
+        | exception
+            Xdm.Item.Error { code = { local = "SDOX0001"; _ }; message = msg; _ }
+          ->
           check_bool "mentions shape" true
             (let m = "shape" in
              let n = String.length msg and k = String.length m in

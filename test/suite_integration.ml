@@ -189,10 +189,10 @@ let figure_tests =
         check_bool "applied" true
           (R.Table.get row env.FC.customer "LAST_NAME" = R.Value.Text "Carey"));
     case "web service is called once per customer in getProfile" (fun () ->
-        let env = FC.make ~customers:3 () in
-        Webservice.reset_call_count env.FC.ws;
+        let instr = fresh_instr () in
+        let env = FC.make ~customers:3 ~instr () in
         ignore (Aldsp.Dataspace.get env.FC.ds env.FC.svc ~meth:"getProfile" []);
-        check_int "calls" 4 (Webservice.call_count env.FC.ws));
+        check_int "calls" 4 (counter instr Instr.K.ws_calls));
     case "getProfileById composes on top of getProfile" (fun () ->
         let env = FC.make ~customers:3 () in
         let dg = FC.get_profile_by_id env "C2" in

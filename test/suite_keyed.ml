@@ -13,10 +13,6 @@ module FC = Fixtures.Customer_profile
 module R = Relational
 module Res = Resilience
 
-let counter instr name =
-  Option.value ~default:0
-    (List.assoc_opt name (Instr.stats instr).Instr.counters)
-
 (* a result or the error code it raised *)
 let outcome sess src =
   match Xqse.Session.eval sess src with
@@ -449,7 +445,9 @@ let get_wire sess cid =
   | v -> Ok (Sdo.serialize (Sdo.create (Xdm.Item.nodes_only v)))
   | exception Xdm.Item.Error { code; _ } -> Error (Xdm.Qname.to_string code)
 
-let ws_calls (e : FC.env) = Webservice.call_count e.FC.ws
+(* [ws.calls] on the env's handle, which must be enabled *)
+let ws_calls (e : FC.env) =
+  counter (Aldsp.Dataspace.instr e.FC.ds) Instr.K.ws_calls
 
 (* does the optimizer unfold a view in [src]'s query body? *)
 let unfolds sess src =
@@ -463,7 +461,7 @@ let view_equivalence_tests =
       case
         (Printf.sprintf "getProfileById unfolds and agrees at %d customers"
            customers) (fun () ->
-          let b = builds customers in
+          let b = builds ~instr:(fresh_instr ()) customers in
           List.iter
             (fun cid ->
               let before = ws_calls b.env in

@@ -109,19 +109,19 @@ let table_tests =
         check_bool "raises" true
           (match Table.insert people [| Value.Int 1; Text "Dup"; Null |] with
           | () -> false
-          | exception Table.Constraint_violation _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "null in non-nullable column rejected" (fun () ->
         let _, people, _ = mk_db () in
         check_bool "raises" true
           (match Table.insert people [| Value.Int 3; Null; Null |] with
           | () -> false
-          | exception Table.Constraint_violation _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "type mismatch rejected" (fun () ->
         let _, people, _ = mk_db () in
         check_bool "raises" true
           (match Table.insert people [| Value.Int 3; Text "C"; Text "old" |] with
           | () -> false
-          | exception Table.Constraint_violation _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "insert_named fills nullable columns" (fun () ->
         let _, people, _ = mk_db () in
         let row = Table.insert_named people [ ("ID", Value.Int 5); ("NAME", Value.Text "Eve") ] in
@@ -131,7 +131,7 @@ let table_tests =
         check_bool "raises" true
           (match Table.insert_named people [ ("ID", Value.Int 6); ("NAME", Value.Text "x"); ("SHOE", Value.Int 44) ] with
           | _ -> false
-          | exception Table.Constraint_violation _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "select with predicate" (fun () ->
         let _, people, _ = mk_db () in
         check_int "matches" 1
@@ -151,7 +151,7 @@ let table_tests =
         let _, people, _ = mk_db () in
         (match Table.update_rows people (Pred.eq "ID" (Value.Int 2)) [ ("ID", Value.Int 1) ] with
         | _ -> Alcotest.fail "expected constraint violation"
-        | exception Table.Constraint_violation _ -> ());
+        | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> ());
         check_int "rows preserved" 2 (Table.row_count people));
     case "delete_rows" (fun () ->
         let _, people, _ = mk_db () in
@@ -218,7 +218,7 @@ let database_tests =
                   { table = "PETS"; columns = [ "PID"; "OWNER" ]; values = [ Value.Int 11; Value.Int 99 ] })
            with
           | _ -> false
-          | exception Database.Db_error _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "fk blocks delete of referenced row" (fun () ->
         let db, _, _ = mk_db () in
         check_bool "raises" true
@@ -227,7 +227,7 @@ let database_tests =
                (Database.Delete { table = "PEOPLE"; where = Pred.eq "ID" (Value.Int 1) })
            with
           | _ -> false
-          | exception Database.Db_error _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "delete of unreferenced row fine" (fun () ->
         let db, _, _ = mk_db () in
         check_int "affected" 1
@@ -262,7 +262,7 @@ let database_tests =
         check_bool "raises" true
           (match Database.begin_tx db with
           | () -> false
-          | exception Database.Db_error _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> true));
     case "statement failure injection" (fun () ->
         let db, _, _ = mk_db () in
         Core.Resilience.Faults.set_fail_after (Database.faults db) (Some 1);
@@ -271,7 +271,8 @@ let database_tests =
         check_bool "raises" true
           (match Database.exec db (Database.Delete { table = "PETS"; where = Pred.True }) with
           | _ -> false
-          | exception Database.Db_error _ -> true));
+          | exception Core.Xdm.Item.Error { code = { local = "RESX0004"; _ }; _ } ->
+            true));
     prop "insert then delete is the identity on row count"
       QCheck.(small_list (int_range 100 200))
       (fun ids ->
@@ -468,7 +469,7 @@ let mvcc_tests =
                 })
          with
         | _ -> Alcotest.fail "fk violation not raised"
-        | exception Database.Db_error _ -> ());
+        | exception Core.Xdm.Item.Error { code = { local = "SQLX0001"; _ }; _ } -> ());
         check_int "no version published" v0 (Table.current_version pets);
         check_int "the violating row is not there" 1 (Table.row_count pets);
         check_bool "write lock released" true

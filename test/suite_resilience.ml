@@ -24,17 +24,6 @@ let employee_xml id name =
           {|<e:Employee xmlns:e="urn:employees"><EmployeeID>%d</EmployeeID><Name>%s</Name><DeptNo>10</DeptNo><ManagerID>1</ManagerID><Salary>50000</Salary></e:Employee>|}
           id name))
 
-let counter instr name =
-  match List.assoc_opt name (Instr.stats instr).Instr.counters with
-  | Some v -> v
-  | None -> 0
-
-let fresh_instr () =
-  let instr = Instr.create () in
-  Instr.enable instr;
-  Instr.preregister instr;
-  instr
-
 (* a schedule literal for targeted fault tests *)
 let sched ?(transients = []) ?(spikes = []) ?(windows = []) ?(prepares = [])
     ?(commits = []) source =
@@ -133,42 +122,34 @@ let fault_tests =
         let f = Res.Faults.create ~source:"db" () in
         Res.Faults.inject_next f "blip";
         check_bool "read skips" true
-          ((Res.Faults.on_call f Res.Faults.Read).v_fault = None);
+          (Res.Faults.on_call f Res.Faults.Read = None);
         check_bool "statement faults" true
-          ((Res.Faults.on_call f Res.Faults.Statement).v_fault <> None);
+          (Res.Faults.on_call f Res.Faults.Statement <> None);
         check_bool "once" true
-          ((Res.Faults.on_call f Res.Faults.Statement).v_fault = None));
+          (Res.Faults.on_call f Res.Faults.Statement = None));
     case "scheduled transient fires at its call index" (fun () ->
         let f = Res.Faults.create ~source:"db" () in
         Res.Faults.set_schedule f (sched ~transients:[ 2 ] "db");
         check_bool "call 1 ok" true
-          ((Res.Faults.on_call f Res.Faults.Read).v_fault = None);
-        match (Res.Faults.on_call f Res.Faults.Read).v_fault with
-        | Some fl -> check_bool "transient" true fl.Res.Faults.f_transient
+          (Res.Faults.on_call f Res.Faults.Read = None);
+        match Res.Faults.on_call f Res.Faults.Read with
+        | Some text -> check_string "text" "scheduled transient (call 2)" text
         | None -> Alcotest.fail "expected a fault at call 2");
     case "latency spikes are charged to the virtual clock" (fun () ->
         let f = Res.Faults.create ~source:"db" () in
         Res.Faults.set_schedule f (sched ~spikes:[ (1, 25.) ] "db");
-        let v = Res.Faults.on_call f Res.Faults.Read in
-        check_bool "latency" true (v.Res.Faults.v_latency = 25.);
+        check_bool "no fault" true (Res.Faults.on_call f Res.Faults.Read = None);
         check_bool "clock" true (Res.Clock.now (Res.Faults.clock f) = 25.));
     case "hard-down windows fault by virtual time, not call count" (fun () ->
         let f = Res.Faults.create ~source:"db" () in
         Res.Faults.set_schedule f
           (sched ~windows:[ { Res.Plan.w_from = 0.; w_until = 100. } ] "db");
-        (match (Res.Faults.on_call f Res.Faults.Read).v_fault with
-        (* transient: a retry whose backoff outlasts the window succeeds *)
-        | Some fl -> check_bool "retryable" true fl.Res.Faults.f_transient
+        (match Res.Faults.on_call f Res.Faults.Read with
+        | Some text -> check_string "text" "source down (window 0..100ms)" text
         | None -> Alcotest.fail "expected a window fault");
         Res.Clock.advance (Res.Faults.clock f) 150.;
         check_bool "after window" true
-          ((Res.Faults.on_call f Res.Faults.Read).v_fault = None));
-    case "take_last clears the side channel" (fun () ->
-        let f = Res.Faults.create ~source:"db" () in
-        Res.Faults.inject_next f "blip";
-        ignore (Res.Faults.on_call f Res.Faults.Statement);
-        check_bool "present" true (Res.Faults.take_last f <> None);
-        check_bool "cleared" true (Res.Faults.take_last f = None));
+          (Res.Faults.on_call f Res.Faults.Read = None));
   ]
 
 let breaker_tests =
@@ -220,8 +201,8 @@ let guard_tests =
   let call ctl f = Res.Control.call ctl (Res.Control.source ctl "src") f () in
   (* a guarded call that consults the fault handle like a real source *)
   let consult f () =
-    match (Res.Faults.on_call f Res.Faults.Statement).v_fault with
-    | Some fl -> failwith fl.Res.Faults.f_message
+    match Res.Faults.on_call f Res.Faults.Statement with
+    | Some text -> Res.Faults.fail text
     | None -> "ok"
   in
   [
@@ -229,8 +210,10 @@ let guard_tests =
         let ctl, f, _ = setup () in
         Res.Faults.inject_next f "boom";
         match call ctl (consult f) with
-        | _ -> Alcotest.fail "expected the native failure"
-        | exception Failure msg -> check_string "native" "boom" msg);
+        | _ -> Alcotest.fail "expected the injected fault"
+        | exception Item.Error { code; message; _ } ->
+          check_string "code" "RESX0004" code.Qname.local;
+          check_string "text" "boom" message);
     case "transient injected failures are retried" (fun () ->
         let ctl, f, instr =
           setup ~policy:(Res.Policy.make ~max_retries:2 ()) ()
@@ -251,6 +234,28 @@ let guard_tests =
         | exception Item.Error { code; _ } ->
           check_string "code" "RESX0003" code.Qname.local;
           check_int "retries" 2 (counter instr Instr.K.resil_retries));
+    case "two domains' injected faults each exhaust to err:RESX0003"
+      (fun () ->
+        (* the guard tells an injected fault by its code alone, so a
+           fault another domain's call drew cannot mislabel this one *)
+        let ctl, f, _ =
+          setup ~policy:(Res.Policy.make ~max_retries:2 ()) ()
+        in
+        Res.Faults.set_fail_every f (Some 1);
+        let calls () =
+          let others = ref 0 in
+          for _ = 1 to 1000 do
+            match call ctl (consult f) with
+            | _ -> incr others
+            | exception Item.Error { code = { local = "RESX0003"; _ }; _ } -> ()
+            | exception _ -> incr others
+          done;
+          !others
+        in
+        let other_domain = Domain.spawn calls in
+        let here = calls () in
+        check_int "calls that did not end in RESX0003" 0
+          (here + Domain.join other_domain));
     case "genuine failures are never retried" (fun () ->
         let ctl, _, instr =
           setup ~policy:(Res.Policy.make ~max_retries:3 ()) ()
@@ -417,8 +422,8 @@ let deadline_tests =
           Res.Deadline.start ~clock:(Res.Control.clock ctl) ~budget_ms:60. ()
         in
         let consult () =
-          match (Res.Faults.on_call f Res.Faults.Statement).v_fault with
-          | Some fl -> failwith fl.Res.Faults.f_message
+          match Res.Faults.on_call f Res.Faults.Statement with
+          | Some text -> Res.Faults.fail text
           | None -> "ok"
         in
         (match
@@ -653,6 +658,39 @@ let dataspace_tests =
         | _ -> Alcotest.fail "expected the read to fail"
         | exception Item.Error { code; _ } ->
           check_string "code" "RESX0004" code.Qname.local);
+    case "an injected fault drawn outside the guard leaves no trace"
+      (fun () ->
+        let instr = fresh_instr () in
+        let ctl = Res.Control.create ~instr () in
+        let env = FC.make ~customers:3 ~instr ~resilience:ctl () in
+        (* an unguarded statement draws the fault, as the XA submit path
+           does *)
+        Res.Faults.inject_next (R.Database.faults env.FC.db1) "blip";
+        (match
+           R.Database.exec env.FC.db1
+             (R.Database.Delete { table = "ORDERS"; where = R.Pred.False })
+         with
+        | _ -> Alcotest.fail "expected the injected fault"
+        | exception Item.Error { code = { local = "RESX0004"; _ }; _ } -> ());
+        Res.Control.set_policy ctl ~source:"db1"
+          (Res.Policy.make ~max_retries:0
+             ~breaker:{ Res.Breaker.failure_threshold = 1; cooldown_ms = 1e6 }
+             ());
+        let sess = Aldsp.Dataspace.session env.FC.ds in
+        (* a duplicate key is a genuine failure: no retry, no trip *)
+        (match
+           Xqse.Session.eval sess
+             {| { customer:createCUSTOMER(
+                    <CUSTOMER><CID>007</CID><FIRST_NAME>A</FIRST_NAME><LAST_NAME>B</LAST_NAME></CUSTOMER>); } |}
+         with
+        | _ -> Alcotest.fail "expected CreateError"
+        | exception Item.Error { code; _ } ->
+          check_string "code" "{ld:db1/CUSTOMER}CreateError"
+            (Qname.to_string code));
+        check_int "retries" 0 (counter instr Instr.K.resil_retries);
+        check_int "trips" 0 (counter instr Instr.K.resil_trips);
+        check_string "db1 still serves reads" "4"
+          (Xqse.Session.eval_to_string sess "count(customer:CUSTOMER())"));
     case "open ws breaker degrades getProfile and blocks submit" (fun () ->
         let instr = fresh_instr () in
         let ctl = Res.Control.create ~instr () in
@@ -854,43 +892,47 @@ let webservice_tests =
               (Qname.make ~uri:"urn:echo" "echoResponse")
               [ Node.text (Node.string_value req) ]);
       };
-    Webservice.set_latency ws 5.;
-    ws
+    let instr = fresh_instr () in
+    Webservice.set_instr ws instr;
+    (ws, instr)
   in
   let request s =
     Node.element (Qname.make ~uri:"urn:echo" "echoRequest") [ Node.text s ]
   in
-  let faults f = match f () with
+  let faults code f =
+    match f () with
     | _ -> false
-    | exception Webservice.Fault _ -> true
+    | exception Item.Error { code = c; _ } -> Qname.equal c code
   in
+  let ws_fault = Qname.make ~uri:"urn:echo" "Fault" in
   [
-    case "unknown operation counts as a call, accrues no latency" (fun () ->
-        let ws = mk_ws () in
-        check_bool "faults" true (faults (fun () -> Webservice.invoke ws "nope" (request "x")));
-        check_int "counted" 1 (Webservice.call_count ws);
-        check_bool "no latency" true (Webservice.total_latency ws = 0.));
-    case "validation fault counts as a call, accrues no latency" (fun () ->
-        let ws = mk_ws () in
+    case "unknown operation counts as a call" (fun () ->
+        let ws, instr = mk_ws () in
         check_bool "faults" true
-          (faults (fun () ->
+          (faults ws_fault (fun () -> Webservice.invoke ws "nope" (request "x")));
+        check_int "counted" 1 (counter instr Instr.K.ws_calls);
+        check_int "faulted" 1 (counter instr Instr.K.ws_faults));
+    case "validation fault counts as a call" (fun () ->
+        let ws, instr = mk_ws () in
+        check_bool "faults" true
+          (faults ws_fault (fun () ->
                Webservice.invoke ws "echo" (Node.element (Qname.local "bad") [])));
-        check_int "counted" 1 (Webservice.call_count ws);
-        check_bool "no latency" true (Webservice.total_latency ws = 0.));
-    case "injected fault counts as a call, accrues no latency" (fun () ->
-        let ws = mk_ws () in
+        check_int "counted" 1 (counter instr Instr.K.ws_calls);
+        check_int "faulted" 1 (counter instr Instr.K.ws_faults));
+    case "injected fault counts as a call" (fun () ->
+        let ws, instr = mk_ws () in
         Res.Faults.inject_next (Webservice.faults ws) "boom";
-        check_bool "faults" true (faults (fun () -> Webservice.invoke ws "echo" (request "x")));
-        check_int "counted" 1 (Webservice.call_count ws);
-        check_bool "no latency" true (Webservice.total_latency ws = 0.));
-    case "successful invoke accrues latency on clock and total" (fun () ->
-        let ws = mk_ws () in
+        check_bool "faults" true
+          (faults (Qname.err "RESX0004") (fun () ->
+               Webservice.invoke ws "echo" (request "x")));
+        check_int "counted" 1 (counter instr Instr.K.ws_calls);
+        check_int "faulted" 1 (counter instr Instr.K.ws_faults));
+    case "successful invokes count as calls" (fun () ->
+        let ws, instr = mk_ws () in
         ignore (Webservice.invoke ws "echo" (request "x"));
         ignore (Webservice.invoke ws "echo" (request "y"));
-        check_int "counted" 2 (Webservice.call_count ws);
-        check_bool "latency" true (Webservice.total_latency ws = 10.);
-        check_bool "virtual clock" true
-          (Res.Clock.now (Res.Faults.clock (Webservice.faults ws)) = 10.));
+        check_int "counted" 2 (counter instr Instr.K.ws_calls);
+        check_int "no faults" 0 (counter instr Instr.K.ws_faults));
   ]
 
 let chaos_tests =

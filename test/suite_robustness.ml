@@ -66,28 +66,31 @@ let stress_tests =
         check_string "nested" (string_of_int depth) (xqse src));
   ]
 
+(* the line, column and message of the err:XPST0003 [src] raises, whose
+   text is "line:col: message" *)
+let syntax_error src =
+  match xq src with
+  | _ -> Alcotest.fail "expected a syntax error"
+  | exception Xdm.Item.Error { code = { local = "XPST0003"; _ }; message; _ }
+    ->
+    Scanf.sscanf message "%d:%d:%n" (fun line col n ->
+        (line, col, String.sub message (n + 1) (String.length message - n - 1)))
+
 let error_position_tests =
   [
     case "syntax error reports the right line" (fun () ->
-        match xq "1 +\n2 +\n* 3" with
-        | _ -> Alcotest.fail "expected syntax error"
-        | exception Xquery.Parser.Syntax_error { line; _ } ->
-          check_int "line" 3 line);
+        let line, _, _ = syntax_error "1 +\n2 +\n* 3" in
+        check_int "line" 3 line);
     case "lex error has an offset" (fun () ->
-        match xq "1 ! 2" with
-        | _ -> Alcotest.fail "expected lex error"
-        | exception Xquery.Lexer.Lex_error { pos; _ } ->
-          check_bool "pos" true (pos >= 2));
+        let line, col, _ = syntax_error "1 ! 2" in
+        check_int "line" 1 line;
+        check_bool "col" true (col >= 3));
     case "error inside a constructor points into it" (fun () ->
-        match xq "<a>{ 1 +\n+ }</a>" with
-        | _ -> Alcotest.fail "expected syntax error"
-        | exception Xquery.Parser.Syntax_error { line; _ } ->
-          check_bool "line" true (line >= 1));
+        let line, _, _ = syntax_error "<a>{ 1 +\n+ }</a>" in
+        check_bool "line" true (line >= 1));
     case "messages name the offending construct" (fun () ->
-        match xq "for $x in (1,2) order $x return $x" with
-        | _ -> Alcotest.fail "expected syntax error"
-        | exception Xquery.Parser.Syntax_error { message; _ } ->
-          check_bool "nonempty" true (String.length message > 5));
+        let _, _, message = syntax_error "for $x in (1,2) order $x return $x" in
+        check_bool "nonempty" true (String.length message > 5));
   ]
 
 let adversarial_syntax_tests =
@@ -164,9 +167,47 @@ let decompose_roundtrip_prop =
         && Sdo.get_leaf dg2 1 path = "ROUNDTRIP");
   ]
 
+(* Every failure the library raises to its callers is an [Item.Error]
+   with a code; the one other exception an interface may declare is the
+   XDM kernel's internal cast failure, which never leaves the library.
+   Reads the interfaces under lib/ (the build directory's copy when run
+   by dune test, the source tree when run from the repository root). *)
+let failure_type_tests =
+  [
+    case "lib's interfaces declare only Item.Error and Atomic.Cast_error"
+      (fun () ->
+        let root =
+          match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
+          | Some r -> r
+          | None -> Alcotest.fail "lib/ not found"
+        in
+        let rec interfaces dir =
+          List.concat_map
+            (fun name ->
+              let path = Filename.concat dir name in
+              if Sys.is_directory path then interfaces path
+              else if Filename.check_suffix name ".mli" then [ path ]
+              else [])
+            (List.sort compare (Array.to_list (Sys.readdir dir)))
+        in
+        let declared path =
+          In_channel.with_open_text path In_channel.input_lines
+          |> List.filter_map (fun line ->
+                 match String.split_on_char ' ' (String.trim line) with
+                 | "exception" :: name :: _ ->
+                   Some (Filename.basename path ^ " " ^ name)
+                 | _ -> None)
+        in
+        Alcotest.(check (list string))
+          "declared exceptions"
+          [ "atomic.mli Cast_error"; "item.mli Error" ]
+          (List.sort compare (List.concat_map declared (interfaces root))));
+  ]
+
 let suites =
   [
     ("robustness.stress", stress_tests);
+    ("robustness.failure-types", failure_type_tests);
     ("robustness.error-positions", error_position_tests);
     ("robustness.adversarial-syntax", adversarial_syntax_tests);
     ("robustness.sdo-roundtrip", decompose_roundtrip_prop);

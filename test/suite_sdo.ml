@@ -215,27 +215,34 @@ let webservice_tests =
   [
     case "invoke validates and dispatches" (fun () ->
         let ws = mk_ws () in
+        let instr = fresh_instr () in
+        Webservice.set_instr ws instr;
         let resp = Webservice.invoke ws "echo" (request "hi") in
         check_string "resp" "hi" (Node.string_value resp);
-        check_int "count" 1 (Webservice.call_count ws));
+        check_int "count" 1 (counter instr Instr.K.ws_calls));
     case "unknown operation faults" (fun () ->
         let ws = mk_ws () in
         check_bool "raises" true
           (match Webservice.invoke ws "nope" (request "x") with
           | _ -> false
-          | exception Webservice.Fault _ -> true));
+          | exception Item.Error { code; message; _ } ->
+            Qname.equal code (Qname.make ~uri:"urn:echo" "Fault")
+            && message = "Echo.nope: unknown operation"));
     case "wrong request element faults" (fun () ->
         let ws = mk_ws () in
         check_bool "raises" true
           (match Webservice.invoke ws "echo" (Node.element (Qname.local "bad") []) with
           | _ -> false
-          | exception Webservice.Fault _ -> true));
+          | exception Item.Error { code; _ } ->
+            Qname.equal code (Webservice.fault_code ws)));
     case "fault injection: next call" (fun () ->
         let ws = mk_ws () in
         Resilience.Faults.inject_next (Webservice.faults ws) "boom";
         (match Webservice.invoke ws "echo" (request "x") with
         | _ -> Alcotest.fail "expected fault"
-        | exception Webservice.Fault { message; _ } -> check_string "msg" "boom" message);
+        | exception Item.Error { code; message; _ } ->
+          check_string "code" "RESX0004" code.Qname.local;
+          check_string "msg" "Echo.echo: boom" message);
         (* next call succeeds again *)
         ignore (Webservice.invoke ws "echo" (request "y")));
     case "fail_every n faults deterministically" (fun () ->
@@ -245,15 +252,10 @@ let webservice_tests =
           List.init 6 (fun i ->
               match Webservice.invoke ws "echo" (request (string_of_int i)) with
               | _ -> true
-              | exception Webservice.Fault _ -> false)
+              | exception Item.Error { code = { local = "RESX0004"; _ }; _ } ->
+                false)
         in
         check_bool "pattern" true (outcomes = [ true; true; false; true; true; false ]));
-    case "latency accounting" (fun () ->
-        let ws = mk_ws () in
-        Webservice.set_latency ws 2.5;
-        ignore (Webservice.invoke ws "echo" (request "a"));
-        ignore (Webservice.invoke ws "echo" (request "b"));
-        check_bool "latency" true (Webservice.total_latency ws = 5.0));
     case "wsdl summary lists operations" (fun () ->
         let ws = mk_ws () in
         let s = Webservice.wsdl_summary ws in

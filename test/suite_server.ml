@@ -586,11 +586,6 @@ let contains haystack needle =
   in
   go 0
 
-let counter instr name =
-  match List.assoc_opt name (Instr.stats instr).Instr.counters with
-  | Some v -> v
-  | None -> 0
-
 let overload_tests =
   [
     case "3x-capacity storm with deadlines and shedding stays bounded"

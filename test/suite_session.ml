@@ -311,10 +311,10 @@ let config_tests =
         (* the other side has neither the function nor even the prefix *)
         (match Xqse.Session.eval_to_string b "qa:f()" with
         | v -> Alcotest.failf "fork saw post-fork registration: %s" v
-        | exception (Xdm.Item.Error _ | Xquery.Parser.Syntax_error _) -> ());
+        | exception Xdm.Item.Error _ -> ());
         match Xqse.Session.eval_to_string a "qb:g()" with
         | v -> Alcotest.failf "source saw fork registration: %s" v
-        | exception (Xdm.Item.Error _ | Xquery.Parser.Syntax_error _) -> ());
+        | exception Xdm.Item.Error _ -> ());
     case "with_config re-homes XQSE procedures onto the fork" (fun () ->
         (* a readonly procedure registered before the fork must execute
            against the fork's runtime, not call back into the source *)

@@ -171,8 +171,11 @@ let rec dump n =
 let outcome f src =
   match f src with
   | v -> "ok " ^ v
-  | exception Xml_parse.Parse_error { line; col; message } ->
-    Printf.sprintf "error %d:%d %s" line col message
+  | exception Item.Error { code = { local = "FODC0006"; _ }; message; _ } ->
+    (* the text is "line:col: message" *)
+    Scanf.sscanf message "%d:%d:%n" (fun line col n ->
+        Printf.sprintf "error %d:%d %s" line col
+          (String.sub message (n + 1) (String.length message - n - 1)))
   | exception e -> "raise " ^ Printexc.to_string e
 
 let parse_outcome = outcome (fun s -> dump (Xml_parse.parse s))

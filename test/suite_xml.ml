@@ -68,22 +68,24 @@ let parse_tests =
         check_bool "raises" true
           (match Xml_parse.parse "<p:a/>" with
           | _ -> false
-          | exception Xml_parse.Parse_error _ -> true));
+          | exception Item.Error { code = { local = "FODC0006"; _ }; _ } -> true));
     case "mismatched end tag is an error" (fun () ->
         check_bool "raises" true
           (match Xml_parse.parse "<a></b>" with
           | _ -> false
-          | exception Xml_parse.Parse_error _ -> true));
+          | exception Item.Error { code = { local = "FODC0006"; _ }; _ } -> true));
     case "trailing garbage is an error" (fun () ->
         check_bool "raises" true
           (match Xml_parse.parse "<a/><b/>" with
           | _ -> false
-          | exception Xml_parse.Parse_error _ -> true));
+          | exception Item.Error { code = { local = "FODC0006"; _ }; _ } -> true));
     case "parse error reports position" (fun () ->
         match Xml_parse.parse "<a>\n  <b>\n</a>" with
         | _ -> Alcotest.fail "expected parse error"
-        | exception Xml_parse.Parse_error { line; _ } ->
-          check_bool "line" true (line >= 2));
+        | exception Item.Error { code = { local = "FODC0006"; _ }; message; _ }
+          ->
+          (* the text is "line:col: message" *)
+          check_bool "line" true (Scanf.sscanf message "%d:" Fun.id >= 2));
     case "parse_fragment returns multiple roots" (fun () ->
         check_int "frag" 3
           (List.length (Xml_parse.parse_fragment "<a/>text<b/>")));

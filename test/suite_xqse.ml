@@ -247,6 +247,13 @@ let try_tests =
         } catch (*) { set $log := ($log, "outer"); }
         return value $log;
       } |};
+    s "catch (*) binds a stray break()'s code" "err:XQSE0003|break() outside a loop"
+      {| declare procedure local:p() { break(); };
+         {
+           try { local:p(); }
+           catch (* into $c, $m) { return value concat(string($c), "|", $m); }
+           return value "after";
+         } |};
   ]
 
 let value_stmt_tests =
@@ -281,6 +288,27 @@ let value_stmt_tests =
 
 let procedure_tests =
   [
+    case "break() or continue() outside a loop raises XQSE0003" (fun () ->
+        (* a procedure body, an in-place procedure and a query body, each
+           compiled and interpreted *)
+        List.iter
+          (fun (mode, run) ->
+            List.iter
+              (fun src ->
+                match run src with
+                | r -> Alcotest.failf "%s: %s returned %s" mode src r
+                | exception
+                    Xdm.Item.Error { code = { local = "XQSE0003"; _ }; _ } ->
+                  ())
+              [
+                "declare procedure local:p() { break(); }; { local:p(); }";
+                "declare procedure local:p() { continue(); }; { local:p(); }";
+                "{ declare $v := procedure { break(); }; return value $v; }";
+                "{ declare $v := procedure { continue(); }; return value $v; }";
+                "{ continue(); }";
+                "{ break(); }";
+              ])
+          [ ("plans", fun src -> xq src); ("plans=false", xq_noplans) ]);
     s "procedure declaration and call" "done"
       {|
 declare procedure local:work() { return value "done"; };

@@ -41,12 +41,16 @@ let lexer_tests =
         check_bool "raises" true
           (match toks "\"abc" with
           | _ -> false
-          | exception Lex_error _ -> true));
+          | exception
+              Core.Xdm.Item.Error { code = { local = "XPST0003"; _ }; _ } ->
+            true));
     case "unterminated comment raises" (fun () ->
         check_bool "raises" true
           (match toks "(: never closed" with
           | _ -> false
-          | exception Lex_error _ -> true));
+          | exception
+              Core.Xdm.Item.Error { code = { local = "XPST0003"; _ }; _ } ->
+            true));
   ]
 
 let arithmetic_tests =

@@ -40,12 +40,7 @@ let q_err name code src =
         Alcotest.(check string) src code actual.Xdm.Qname.local)
 
 (* expect a syntax error *)
-let q_syntax name src =
-  Alcotest.test_case name `Quick (fun () ->
-      match xq src with
-      | result -> Alcotest.failf "expected a syntax error, got %s" result
-      | exception (Xquery.Parser.Syntax_error _ | Xquery.Lexer.Lex_error _) ->
-        ())
+let q_syntax name src = q_err name "XPST0003" src
 
 (* the XQSE suites' names for the same helpers: one pipeline runs
    XQuery main modules and XQSE programs alike *)
@@ -59,6 +54,18 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 let case name f = Alcotest.test_case name `Quick f
+
+(* an instrumentation handle that counts: every counter registered,
+   recording on *)
+let fresh_instr () =
+  let instr = Instr.create () in
+  Instr.enable instr;
+  Instr.preregister instr;
+  instr
+
+let counter instr name =
+  Option.value ~default:0
+    (List.assoc_opt name (Instr.stats instr).Instr.counters)
 
 let prop name ?(count = 200) arbitrary f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arbitrary f)
